@@ -462,7 +462,7 @@ def dual_stability_report(
     kappa: float = 0.0,
     seed: int = 0,
     beta: float = 10.0,
-    alpha: float = 10.0,
+    alpha: float = 0.25,
     samples: int = 33,
     psi_field=None,
     volume_degree: int = DEFAULT_VOLUME_DEGREE,

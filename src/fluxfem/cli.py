@@ -16,6 +16,7 @@ failure. Identical configurations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -38,7 +39,7 @@ from .fem import P1Space, TraceDG0Space, nodal_interpolant
 from .flux import ExactFluxField, multiplier_flux, nitsche_flux, variational_flux
 from .lagrange import SaddleConfig, assemble_saddle
 from .linsolve import SolverError, solve_spd, solve_sym_indefinite
-from .mesh import build_unit_square_mesh
+from .mesh import MAX_GRID_N, build_unit_square_mesh
 from .nitsche import NitscheConfig, assemble_nitsche
 from .problems import affine_problem, constant_problem, trig_problem
 
@@ -57,7 +58,7 @@ class StudyConfig:
     method: str = "nitsche"
     flux_variant: str = ""  # empty means the method default
     beta: float = 10.0
-    alpha: float = 10.0
+    alpha: float = 0.25
     kmin: int = 0
     kmax: int = 12
     delta0: float = 0.25
@@ -80,6 +81,18 @@ class StudyConfig:
             raise ValueError("the multiplier flux requires the lagrange method")
         if not 0.0 < self.delta0 < 0.5:
             raise ValueError(f"delta0 must lie in (0, 1/2), got {self.delta0}")
+        for name, value in (("beta", self.beta), ("alpha", self.alpha)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.kmin < MIN_LEVEL or self.kmax > MAX_LEVEL:
+            raise ValueError(
+                f"levels must lie in [{MIN_LEVEL}, {MAX_LEVEL}] (grids of 1 to "
+                f"MAX_GRID_N = {MAX_GRID_N} subdivisions), got {self.kmin}..{self.kmax}"
+            )
 
     def resolved_variant(self) -> str:
         if self.flux_variant:
@@ -90,6 +103,11 @@ class StudyConfig:
 def level_grid_n(k: int) -> int:
     """Subdivisions for level k, matching mesh sizes near 1/(4*sqrt(2)^k)."""
     return int(round(4.0 * np.sqrt(2.0) ** k))
+
+
+# Level range with 1 <= n <= MAX_GRID_N, checked on k so that no power overflows.
+MIN_LEVEL = min(k for k in range(-64, 1) if level_grid_n(k) >= 1)
+MAX_LEVEL = max(k for k in range(64) if level_grid_n(k) <= MAX_GRID_N)
 
 
 def _fmt(x: float) -> str:

@@ -42,7 +42,7 @@ from .nitsche import (
 class SaddleConfig:
     """Stabilization alpha > 0 and optional mass shift kappa >= 0."""
 
-    alpha: float = 10.0
+    alpha: float = 0.25
     kappa: float = 0.0
 
     def __post_init__(self):

@@ -1,11 +1,17 @@
 """Direct sparse solves with residual certification and pivot inertia.
 
-Systems are symmetrically permuted with reverse Cuthill-McKee and then
-factored without row pivoting (threshold 0, natural column order), so the
-U diagonal holds the pivots of a symmetric elimination. By Sylvester's
-law their signs give the inertia, which doubles as the positive
-definiteness check for Nitsche systems and the saddle-structure check for
-the multiplier systems.
+SuperLU orders each system by minimum degree on A^T + A (fill-reducing)
+and factors with diagonal pivots (threshold 0, symmetric mode). Only a
+factorization with perm_r == perm_c is accepted: a symmetric permutation
+with diagonal pivots, so the U diagonal holds the pivots of a symmetric
+elimination. By Sylvester's law their signs give the inertia, which doubles
+as the positive definiteness check for Nitsche systems and the
+saddle-structure check for the multiplier systems.
+
+If the elimination breaks down, or a pivot vanishes relative to the
+largest (which cancellation under the chosen order can cause), indefinite
+systems up to DENSE_FALLBACK_MAX_DIM go to a dense Bunch-Kaufman LDL^T that
+decides singularity; SPD and larger systems fail outright.
 """
 
 from __future__ import annotations
@@ -15,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 SPD_RESIDUAL_TOL = 1e-10
 INDEFINITE_RESIDUAL_TOL = 1e-9
 ZERO_PIVOT_REL_TOL = 1e-12
-# Bunch-Kaufman fallback (dense) kicks in only when the no-pivot path
-# hits an exactly zero pivot; cap its dimension (a few seconds of work).
+# Bunch-Kaufman fallback (dense) kicks in only when the symmetric elimination
+# breaks down or shows a vanishing pivot; cap its dimension (seconds of work).
 DENSE_FALLBACK_MAX_DIM = 6000
 
 
@@ -47,24 +52,22 @@ class SolveResult:
 
 
 def _pivot_factorization(matrix: sp.csc_matrix):
-    """LU without row exchanges, or None on no-pivot breakdown.
+    """Minimum-degree LU with diagonal pivots, or None on breakdown.
 
-    A zero pivot makes SuperLU either swap rows or give up; both mean the
-    unpivoted elimination broke down, not that the matrix is singular.
+    A zero pivot makes SuperLU either leave the diagonal (perm_r differs
+    from perm_c) or give up; both mean the symmetric elimination broke
+    down, not that the matrix is singular.
     """
     try:
         lu = spla.splu(
             matrix,
-            permc_spec="NATURAL",
+            permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError:
         return None
-    n = matrix.shape[0]
-    if not np.array_equal(lu.perm_r, np.arange(n)) or not np.array_equal(
-        lu.perm_c, np.arange(n)
-    ):
+    if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     return lu
 
@@ -91,23 +94,21 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
     matrix = matrix.tocsr()
     rhs = np.asarray(rhs, dtype=float)
     n = matrix.shape[0]
-    perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
-    permuted = matrix[perm][:, perm].tocsc()
-    lu = _pivot_factorization(permuted)
+    lu = _pivot_factorization(matrix.tocsc())
 
     if lu is not None:
         pivots = lu.U.diagonal()
-        scale = np.max(np.abs(pivots))
-        n_zero = int(np.sum(np.abs(pivots) <= ZERO_PIVOT_REL_TOL * scale))
-        if n_zero:
+        n_zero = int(np.sum(np.abs(pivots) <= ZERO_PIVOT_REL_TOL * np.max(np.abs(pivots))))
+        if n_zero and (require_spd or n > DENSE_FALLBACK_MAX_DIM):
             raise SingularSystemError(f"{n_zero} vanishing pivots")
-        inertia = (int(np.sum(pivots > 0.0)), int(np.sum(pivots < 0.0)), 0)
-        x = np.empty(n)
-        x[perm] = lu.solve(rhs[perm])
-    else:
-        # SuperLU was forced off the diagonal, i.e. a pivot of the
-        # symmetric elimination vanished exactly. SPD matrices never do
-        # that, so for them this is already the verdict.
+        if n_zero:
+            lu = None  # cancellation or singularity: Bunch-Kaufman decides
+        else:
+            inertia = (int(np.sum(pivots > 0.0)), int(np.sum(pivots < 0.0)), 0)
+            x = lu.solve(rhs)
+    if lu is None:
+        # Breakdown on an exactly zero pivot, or (indefinite only) a vanishing
+        # one. SPD matrices never break down, so for them this is the verdict.
         if require_spd:
             raise NotPositiveDefiniteError(
                 "not positive definite: zero pivot in symmetric elimination"
@@ -126,9 +127,7 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
     def refine(x):
         if lu is None:
             return x
-        correction = np.empty(n)
-        correction[perm] = lu.solve((rhs - matrix @ x)[perm])
-        return x + correction
+        return x + lu.solve(rhs - matrix @ x)
 
     rhs_norm = np.linalg.norm(rhs)
     residual = np.inf

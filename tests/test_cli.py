@@ -1,6 +1,8 @@
 import pytest
 
 from fluxfem.cli import (
+    MAX_LEVEL,
+    MIN_LEVEL,
     StudyConfig,
     build_parser,
     level_grid_n,
@@ -10,6 +12,7 @@ from fluxfem.cli import (
     run_dual_check,
     run_patch_test,
 )
+from fluxfem.mesh import MAX_GRID_N
 
 EXPECTED_LEVELS = [4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256]
 
@@ -127,3 +130,31 @@ def test_cli_dual_check_reruns_byte_identical(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--beta", "nan"],
+        ["--beta", "0"],
+        ["--alpha", "inf"],
+        ["--alpha", "-1"],
+        ["--kappa", "nan"],
+        ["--kappa", "-1"],
+        ["--seed", "-1"],
+        ["--kmin", "29", "--kmax", "30"],
+        ["--kmax", "17"],
+        ["--kmin", "-6", "--kmax", "0"],
+    ],
+)
+def test_cli_rejects_bad_inputs_at_config_time(capsys, flags):
+    assert main(["converge", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_level_range_matches_size_cap():
+    assert level_grid_n(MAX_LEVEL) <= MAX_GRID_N < level_grid_n(MAX_LEVEL + 1)
+    assert level_grid_n(MIN_LEVEL) >= 1 > level_grid_n(MIN_LEVEL - 1)
+    StudyConfig(kmin=MIN_LEVEL, kmax=MAX_LEVEL)

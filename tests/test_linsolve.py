@@ -5,8 +5,10 @@ import scipy.sparse as sp
 from fluxfem.fem import P1Space, TraceDG0Space
 from fluxfem.lagrange import SaddleConfig, SaddleSystem, assemble_saddle
 from fluxfem.linsolve import (
+    ZERO_PIVOT_REL_TOL,
     SingularSystemError,
     SolveResult,
+    _pivot_factorization,
     solve_spd,
     solve_sym_indefinite,
 )
@@ -95,3 +97,36 @@ def test_dense_fallback_inertia_on_forced_zero_pivot(trig):
     assert sum(result.inertia) == space.n_dofs + trace.n_dofs
     assert result.inertia[2] == 0
     assert result.residual <= 1e-9
+
+
+@pytest.mark.parametrize("method", ["nitsche", "lagrange"])
+def test_minimum_degree_ordering_is_symmetric_and_fill_reducing(trig, method):
+    """At n = 64 the minimum-degree order factors with diagonal pivots
+    (perm_r == perm_c) and about 135k fill; reverse Cuthill-McKee gave
+    about 378k."""
+    mesh = build_unit_square_mesh(64)
+    space = P1Space(mesh)
+    if method == "nitsche":
+        system = assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)
+    else:
+        system = assemble_saddle(space, TraceDG0Space(mesh), SaddleConfig(alpha=0.25), trig.f, trig.g)
+    lu = _pivot_factorization(system.matrix.tocsc())
+    assert lu is not None
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert lu.L.nnz + lu.U.nnz < 200_000
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_critical_stabilization_singular_through_dense_fallback(trig, n):
+    """At alpha = 1/2 the saddle matrix is exactly singular. The sparse
+    factorization cannot certify it (it breaks down or shows a vanishing
+    pivot), so the Bunch-Kaufman fallback gives the verdict."""
+    mesh = build_unit_square_mesh(n)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, TraceDG0Space(mesh), SaddleConfig(alpha=0.5), trig.f, trig.g)
+    lu = _pivot_factorization(system.matrix.tocsc())
+    if lu is not None:
+        pivots = np.abs(lu.U.diagonal())
+        assert np.min(pivots) <= ZERO_PIVOT_REL_TOL * np.max(pivots)
+    with pytest.raises(SingularSystemError, match="vanishing pivots"):
+        solve_sym_indefinite(system)
