@@ -16,10 +16,12 @@ from .analysis import (
     contour_l2_norm_discrete,
     dual_stability_report,
     energy_error,
+    error_representation_defect,
     error_representation_residual,
     fit_rate,
     interp_error_scan,
     l2_error,
+    lm_error_representation_defect,
     lm_error_representation_residual,
     rademacher_boundary_field,
     triple_norm_error,

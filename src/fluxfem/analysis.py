@@ -19,7 +19,7 @@ bounded by |psi|^2 on the boundary, measured level by level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .fem import (
 from .flux import pointwise_nitsche_values
 from .lagrange import (
     SaddleConfig,
-    SaddleSystem,
     apply_saddle_form,
     assemble_dual_rhs_lm,
     assemble_saddle,
@@ -45,7 +44,6 @@ from .lagrange import (
 from .linsolve import solve_spd, solve_sym_indefinite
 from .mesh import Mesh, build_unit_square_mesh, distance_weight, offset_contour, split_segment_at_mesh_lines
 from .nitsche import (
-    LinearSystem,
     NitscheConfig,
     apply_dual_functional,
     apply_nitsche_form,
@@ -286,17 +284,39 @@ def error_representation_residual(
 ) -> float:
     """Relative defect of the Nitsche flux error representation.
 
-    Solves the discrete dual problem for psi and compares
+    Assembles the Nitsche matrix, solves the discrete dual problem for psi
+    and measures the defect with `error_representation_defect`.
+    """
+    system = assemble_nitsche(space, cfg, problem.f, problem.g, volume_degree, edge_points)
+    dual_rhs = assemble_dual_rhs_nitsche(space, cfg, psi, edge_points)
+    phi = solve_spd(replace(system, rhs=dual_rhs)).x
+    return error_representation_defect(
+        problem, u_h, space, cfg, psi, phi, volume_degree, edge_points
+    )
+
+
+def error_representation_defect(
+    problem,
+    u_h,
+    space: P1Space,
+    cfg: NitscheConfig,
+    psi,
+    phi,
+    volume_degree: int = DEFAULT_VOLUME_DEGREE,
+    edge_points: int = DEFAULT_EDGE_POINTS,
+) -> float:
+    """Relative defect of the Nitsche identity for a solved dual phi_h.
+
+    `phi` solves the discrete dual problem a_h(v, phi_h) = m_psi(v), that
+    is the Nitsche matrix against `assemble_dual_rhs_nitsche(psi)`; one
+    factorization can serve u_h and the duals of several psi. Compares
     (sigma_n - Sigma_n, psi)_G against a_h(u - pi_h u, phi_h)
-    - m_psi(u - pi_h u); exact modulo quadrature and solver residuals.
+    - m_psi(u - pi_h u), divided by |psi|_G; exact modulo quadrature and
+    solver residuals, and 0 for psi = 0.
     """
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
-    system = assemble_nitsche(space, cfg, problem.f, problem.g, volume_degree, edge_points)
-    dual_rhs = assemble_dual_rhs_nitsche(space, cfg, psi, edge_points)
-    phi = solve_spd(LinearSystem(matrix=system.matrix, rhs=dual_rhs)).x
-
     t, w, pts = facet_quadrature_geometry(mesh, edge_points)
     psi_vals = boundary_field_values(psi, mesh, t, pts)
     psi_norm = np.sqrt(np.sum(mesh.facet_lengths[:, None] * w[None, :] * psi_vals**2))
@@ -326,25 +346,42 @@ def lm_error_representation_residual(
 ) -> float:
     """Relative defect of the multiplier error representation.
 
-    Compares (lambda - lambda_h, psi)_G against
+    Assembles the saddle matrix, solves the dual pair for psi and measures
+    the defect with `lm_error_representation_defect`.
+    """
+    system = assemble_saddle(space, trace_space, cfg, problem.f, problem.g, volume_degree, edge_points)
+    dual_rhs = assemble_dual_rhs_lm(space, trace_space, psi, edge_points)
+    phi, theta = system.split(solve_sym_indefinite(replace(system, rhs=dual_rhs)).x)
+    return lm_error_representation_defect(
+        problem, u_h, lam_h, space, trace_space, cfg, psi, phi, theta, volume_degree, edge_points
+    )
+
+
+def lm_error_representation_defect(
+    problem,
+    u_h,
+    lam_h,
+    space: P1Space,
+    trace_space: TraceDG0Space,
+    cfg: SaddleConfig,
+    psi,
+    phi,
+    theta,
+    volume_degree: int = DEFAULT_VOLUME_DEGREE,
+    edge_points: int = DEFAULT_EDGE_POINTS,
+) -> float:
+    """Relative defect of the multiplier identity for a solved dual pair.
+
+    (phi_h, theta_h) solves the saddle matrix against
+    `assemble_dual_rhs_lm(psi)`; one factorization can serve (u_h,
+    lambda_h) and the duals of several psi. Compares
+    (lambda - lambda_h, psi)_G against
     A_h(pi_h u - u, pi_h lambda - lambda; phi_h, theta_h)
-    + (psi, lambda - pi_h lambda)_G with the dual pair solved for psi.
+    + (psi, lambda - pi_h lambda)_G, divided by |psi|_G; 0 for psi = 0.
     """
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
-    system = assemble_saddle(space, trace_space, cfg, problem.f, problem.g, volume_degree, edge_points)
-    dual_rhs = assemble_dual_rhs_lm(space, trace_space, psi, edge_points)
-    dual = solve_sym_indefinite(
-        SaddleSystem(
-            matrix=system.matrix,
-            rhs=dual_rhs,
-            n_primal=system.n_primal,
-            n_multiplier=system.n_multiplier,
-        )
-    )
-    phi, theta = system.split(dual.x)
-
     t, w, pts = facet_quadrature_geometry(mesh, edge_points)
     hw = mesh.facet_lengths[:, None] * w[None, :]
     psi_vals = boundary_field_values(psi, mesh, t, pts)
@@ -494,21 +531,13 @@ def dual_stability_report(
             cfg = NitscheConfig(beta=beta, kappa=kappa)
             system = assemble_nitsche(space, cfg, zero, zero, volume_degree, edge_points)
             rhs = assemble_dual_rhs_nitsche(space, cfg, psi, edge_points)
-            phi = solve_spd(LinearSystem(matrix=system.matrix, rhs=rhs)).x
+            phi = solve_spd(replace(system, rhs=rhs)).x
         else:
             trace_space = TraceDG0Space(mesh)
             cfg = SaddleConfig(alpha=alpha, kappa=kappa)
             system = assemble_saddle(space, trace_space, cfg, zero, zero, volume_degree, edge_points)
             rhs = assemble_dual_rhs_lm(space, trace_space, psi, edge_points)
-            sol = solve_sym_indefinite(
-                SaddleSystem(
-                    matrix=system.matrix,
-                    rhs=rhs,
-                    n_primal=system.n_primal,
-                    n_multiplier=system.n_multiplier,
-                )
-            )
-            phi, theta = system.split(sol.x)
+            phi, theta = system.split(solve_sym_indefinite(replace(system, rhs=rhs)).x)
 
         grads = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
         grad_sq = float(np.sum(space.areas * np.einsum("td,td->t", grads, grads)))

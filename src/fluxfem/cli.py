@@ -28,19 +28,19 @@ from .analysis import (
     boundary_l2_error,
     dual_stability_report,
     energy_error,
-    error_representation_residual,
+    error_representation_defect,
     fit_rate,
     l2_error,
-    lm_error_representation_residual,
+    lm_error_representation_defect,
     rademacher_boundary_field,
     triple_norm_error,
 )
 from .fem import P1Space, TraceDG0Space, nodal_interpolant
 from .flux import ExactFluxField, multiplier_flux, nitsche_flux, variational_flux
-from .lagrange import SaddleConfig, assemble_saddle
+from .lagrange import SaddleConfig, assemble_dual_rhs_lm, assemble_saddle
 from .linsolve import SolverError, solve_spd, solve_sym_indefinite
 from .mesh import MAX_GRID_N, build_unit_square_mesh
-from .nitsche import NitscheConfig, assemble_nitsche
+from .nitsche import NitscheConfig, assemble_dual_rhs_nitsche, assemble_nitsche
 from .problems import affine_problem, constant_problem, trig_problem
 
 METHODS = ("nitsche", "lagrange")
@@ -233,23 +233,24 @@ def run_dual_check(config: StudyConfig):
     problem = trig_problem()
     identity_rows = []
     for n in (8, 16, 32):
+        # One factorization per level: the primal rhs and the five dual rhs
+        # are the columns of one solve.
         mesh = build_unit_square_mesh(n)
         space = P1Space(mesh)
-        worst = 0.0
+        psis = [rademacher_boundary_field(mesh, seed=config.seed + s) for s in range(5)]
         if config.method == "nitsche":
             cfg = NitscheConfig(beta=config.beta)
             system = assemble_nitsche(
                 space, cfg, problem.f, problem.g, volume_degree=IDENTITY_VOLUME_DEGREE
             )
-            u = solve_spd(system).x
-            for s in range(5):
-                psi = rademacher_boundary_field(mesh, seed=config.seed + s)
-                worst = max(
-                    worst,
-                    error_representation_residual(
-                        problem, u, space, cfg, psi, volume_degree=IDENTITY_VOLUME_DEGREE
-                    ),
+            duals = [assemble_dual_rhs_nitsche(space, cfg, psi) for psi in psis]
+            u, *phis = solve_spd(replace(system, rhs=np.column_stack([system.rhs, *duals]))).x.T
+            defects = [
+                error_representation_defect(
+                    problem, u, space, cfg, psi, phi, volume_degree=IDENTITY_VOLUME_DEGREE
                 )
+                for psi, phi in zip(psis, phis)
+            ]
         else:
             trace_space = TraceDG0Space(mesh)
             cfg = SaddleConfig(alpha=config.alpha)
@@ -257,16 +258,19 @@ def run_dual_check(config: StudyConfig):
                 space, trace_space, cfg, problem.f, problem.g,
                 volume_degree=IDENTITY_VOLUME_DEGREE,
             )
-            u, lam = system.split(solve_sym_indefinite(system).x)
-            for s in range(5):
-                psi = rademacher_boundary_field(mesh, seed=config.seed + s)
-                worst = max(
-                    worst,
-                    lm_error_representation_residual(
-                        problem, u, lam, space, trace_space, cfg, psi,
-                        volume_degree=IDENTITY_VOLUME_DEGREE,
-                    ),
+            duals = [assemble_dual_rhs_lm(space, trace_space, psi) for psi in psis]
+            primal, *pairs = solve_sym_indefinite(
+                replace(system, rhs=np.column_stack([system.rhs, *duals]))
+            ).x.T
+            u, lam = system.split(primal)
+            defects = [
+                lm_error_representation_defect(
+                    problem, u, lam, space, trace_space, cfg, psi, *system.split(pair),
+                    volume_degree=IDENTITY_VOLUME_DEGREE,
                 )
+                for psi, pair in zip(psis, pairs)
+            ]
+        worst = max(0.0, *defects)
         identity_rows.append((n, worst))
         if worst > IDENTITY_TOL:
             failures.append(

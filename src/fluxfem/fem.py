@@ -2,12 +2,14 @@
 
 All rules carry positive weights. Triangle rules are the classical
 symmetric rules on the reference triangle (0,0)-(1,0)-(0,1); edge rules
-are Gauss-Legendre on [0,1].
+are Gauss-Legendre on [0,1]. Each rule is built once and shared, so its
+arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -26,6 +28,12 @@ class QuadratureRule:
     degree: int
 
 
+def _shared_rule(points, weights, degree: int) -> QuadratureRule:
+    for array in (points, weights):
+        array.setflags(write=False)
+    return QuadratureRule(points=points, weights=weights, degree=degree)
+
+
 def _sym3(a):
     """Three-point orbit (a, a), (1-2a, a), (a, 1-2a)."""
     return [(a, a), (1.0 - 2.0 * a, a), (a, 1.0 - 2.0 * a)]
@@ -36,6 +44,7 @@ def _sym6(a, b):
     return [(a, b), (b, a), (a, c), (c, a), (b, c), (c, b)]
 
 
+@cache
 def triangle_quadrature(degree: int) -> QuadratureRule:
     """Symmetric Gauss rule on the reference triangle, exact to `degree`.
 
@@ -67,19 +76,16 @@ def triangle_quadrature(degree: int) -> QuadratureRule:
         wts = [w1] * 3 + [w2] * 3 + [w3] * 6
     else:
         raise ValueError(f"unsupported triangle quadrature degree {degree}")
-    points = np.array(pts)
-    weights = 0.5 * np.array(wts)
-    return QuadratureRule(points=points, weights=weights, degree=degree)
+    return _shared_rule(np.array(pts), 0.5 * np.array(wts), degree)
 
 
+@cache
 def edge_quadrature(points: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0,1] with `points` nodes, exact to 2p-1."""
     if not 1 <= points <= 10:
         raise ValueError(f"unsupported edge quadrature point count {points}")
     x, w = np.polynomial.legendre.leggauss(points)
-    return QuadratureRule(
-        points=0.5 * (x + 1.0), weights=0.5 * w, degree=2 * points - 1
-    )
+    return _shared_rule(0.5 * (x + 1.0), 0.5 * w, 2 * points - 1)
 
 
 def eval_basis(vertices, x):

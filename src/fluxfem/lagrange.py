@@ -16,6 +16,7 @@ ordered [u; lambda] with multiplier dofs following the facet order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +41,16 @@ from .nitsche import (
 
 @dataclass(frozen=True)
 class SaddleConfig:
-    """Stabilization alpha > 0 and optional mass shift kappa >= 0."""
+    """Finite stabilization alpha > 0 and optional finite mass shift kappa >= 0."""
 
     alpha: float = 0.25
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"stabilization alpha must be positive, got {self.alpha}")
-        if self.kappa < 0.0:
-            raise ValueError(f"shift kappa must be nonnegative, got {self.kappa}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"stabilization alpha must be finite and positive, got {self.alpha}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"shift kappa must be finite and nonnegative, got {self.kappa}")
 
 
 @dataclass(frozen=True)

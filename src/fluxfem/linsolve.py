@@ -12,6 +12,10 @@ If the elimination breaks down, or a pivot vanishes relative to the
 largest (which cancellation under the chosen order can cause), indefinite
 systems up to DENSE_FALLBACK_MAX_DIM go to a dense Bunch-Kaufman LDL^T that
 decides singularity; SPD and larger systems fail outright.
+
+A right-hand side of shape (n, k) is factored once; each column is then
+solved, refined and certified on its own, and the reported residual is the
+largest column residual.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class SingularSystemError(SolverError):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solution vector with its certified relative residual and inertia."""
+    """Solution (shaped like the rhs), largest certified relative residual, inertia."""
 
     x: np.ndarray
     residual: float
@@ -91,6 +95,7 @@ def _dense_inertia(matrix: sp.csr_matrix) -> tuple[int, int, int]:
 
 
 def _solve_symmetric(matrix, rhs, tol, require_spd):
+    """Factor once, then solve and certify each column of an (n,) or (n, k) rhs."""
     matrix = matrix.tocsr()
     rhs = np.asarray(rhs, dtype=float)
     n = matrix.shape[0]
@@ -105,7 +110,7 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
             lu = None  # cancellation or singularity: Bunch-Kaufman decides
         else:
             inertia = (int(np.sum(pivots > 0.0)), int(np.sum(pivots < 0.0)), 0)
-            x = lu.solve(rhs)
+            solve = lu.solve
     if lu is None:
         # Breakdown on an exactly zero pivot, or (indefinite only) a vanishing
         # one. SPD matrices never break down, so for them this is the verdict.
@@ -115,7 +120,7 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
             )
         inertia = _dense_inertia(matrix)
         try:
-            x = spla.splu(matrix.tocsc()).solve(rhs)
+            solve = spla.splu(matrix.tocsc()).solve
         except RuntimeError as exc:
             raise SingularSystemError(f"singular system: {exc}") from exc
 
@@ -124,22 +129,28 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
             f"not positive definite: {inertia[1]} negative pivots (penalty too small?)"
         )
 
-    def refine(x):
-        if lu is None:
-            return x
-        return x + lu.solve(rhs - matrix @ x)
+    def certified_column(b):
+        x = solve(b)
+        b_norm = np.linalg.norm(b)
+        residual = np.inf
+        for _ in range(4):  # iterative refinement against the certification bound
+            defect = np.linalg.norm(matrix @ x - b)
+            residual = defect / b_norm if b_norm > 0.0 else defect
+            if residual <= tol:
+                break
+            if lu is not None:
+                x = x + lu.solve(b - matrix @ x)
+        if not residual <= tol:  # also refuses a NaN residual
+            raise SolverError(f"residual {residual:.3e} exceeds tolerance {tol:.1e}")
+        return x, residual
 
-    rhs_norm = np.linalg.norm(rhs)
-    residual = np.inf
-    for _ in range(4):  # iterative refinement against the certification bound
-        defect = np.linalg.norm(matrix @ x - rhs)
-        residual = defect / rhs_norm if rhs_norm > 0.0 else defect
-        if residual <= tol:
-            break
-        x = refine(x)
-    if residual > tol:
-        raise SolverError(f"residual {residual:.3e} exceeds tolerance {tol:.1e}")
-    return SolveResult(x=x, residual=float(residual), inertia=inertia)
+    # Column by column, so each column is bitwise its own single-column solve
+    # (a batched SuperLU solve can differ in the last bits); the columns of a
+    # 2-D x stay contiguous.
+    columns = rhs.reshape(rhs.shape[0], -1).T
+    xs, residuals = zip(*(certified_column(np.ascontiguousarray(b)) for b in columns))
+    x = xs[0] if rhs.ndim == 1 else np.array(xs).T
+    return SolveResult(x=x, residual=float(max(residuals)), inertia=inertia)
 
 
 def solve_spd(system) -> SolveResult:

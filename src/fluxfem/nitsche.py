@@ -17,6 +17,7 @@ use kappa = 0. The dual right-hand side functional is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +36,17 @@ H_CHOICES = ("facet", "global")
 
 @dataclass(frozen=True)
 class NitscheConfig:
-    """Penalty beta > 0, penalty length scale choice, mass shift kappa >= 0."""
+    """Finite penalty beta > 0, penalty length scale choice, finite shift kappa >= 0."""
 
     beta: float = 10.0
     h_choice: str = "facet"
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"penalty beta must be positive, got {self.beta}")
-        if self.kappa < 0.0:
-            raise ValueError(f"shift kappa must be nonnegative, got {self.kappa}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"penalty beta must be finite and positive, got {self.beta}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"shift kappa must be finite and nonnegative, got {self.kappa}")
         if self.h_choice not in H_CHOICES:
             raise ValueError(f"h_choice must be one of {H_CHOICES}, got {self.h_choice!r}")
 

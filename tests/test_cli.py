@@ -1,5 +1,6 @@
 import pytest
 
+from fluxfem import linsolve
 from fluxfem.cli import (
     MAX_LEVEL,
     MIN_LEVEL,
@@ -12,6 +13,7 @@ from fluxfem.cli import (
     run_dual_check,
     run_patch_test,
 )
+from fluxfem.fem import edge_quadrature
 from fluxfem.mesh import MAX_GRID_N
 
 EXPECTED_LEVELS = [4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256]
@@ -130,6 +132,34 @@ def test_cli_dual_check_reruns_byte_identical(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "nitsche"],
+        ["--method", "nitsche", "--kappa", "10"],
+        ["--method", "lagrange", "--alpha", "0.25"],
+    ],
+)
+def test_dual_check_factors_each_matrix_once(monkeypatch, flags):
+    """4 stability levels and 3 identity levels: one factorization each,
+    since a level's primal and five dual solves share one multi-column
+    solve."""
+    factored = []
+    original = linsolve._pivot_factorization
+    monkeypatch.setattr(
+        linsolve, "_pivot_factorization", lambda matrix: factored.append(1) or original(matrix)
+    )
+    assert main(["dual-check", *flags]) == 0
+    assert len(factored) == 4 + 3
+
+
+def test_quadrature_rules_are_built_once_and_read_only():
+    rule = edge_quadrature(6)
+    assert edge_quadrature(6) is rule
+    with pytest.raises(ValueError):
+        rule.points[0] = 0.5
 
 
 @pytest.mark.parametrize(

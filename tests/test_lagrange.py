@@ -22,6 +22,21 @@ def test_config_validation():
         SaddleConfig(kappa=-1.0)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"kappa": float("nan")},
+        {"kappa": float("inf")},
+        {"alpha": float("nan"), "kappa": float("inf")},
+    ],
+)
+def test_config_rejects_non_finite_settings(settings):
+    with pytest.raises(ValueError, match="must be finite"):
+        SaddleConfig(**settings)
+
+
 def test_system_dimension():
     mesh = build_unit_square_mesh(4)
     space, trace = P1Space(mesh), TraceDG0Space(mesh)

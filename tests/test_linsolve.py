@@ -1,19 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fluxfem import linsolve
+from fluxfem.analysis import rademacher_boundary_field
 from fluxfem.fem import P1Space, TraceDG0Space
-from fluxfem.lagrange import SaddleConfig, SaddleSystem, assemble_saddle
+from fluxfem.lagrange import SaddleConfig, SaddleSystem, assemble_dual_rhs_lm, assemble_saddle
 from fluxfem.linsolve import (
+    INDEFINITE_RESIDUAL_TOL,
+    SPD_RESIDUAL_TOL,
     ZERO_PIVOT_REL_TOL,
     SingularSystemError,
     SolveResult,
+    SolverError,
     _pivot_factorization,
     solve_spd,
     solve_sym_indefinite,
 )
 from fluxfem.mesh import build_unit_square_mesh
-from fluxfem.nitsche import LinearSystem, NitscheConfig, assemble_nitsche
+from fluxfem.nitsche import LinearSystem, NitscheConfig, assemble_dual_rhs_nitsche, assemble_nitsche
 
 
 def _system(dense, rhs):
@@ -62,6 +69,13 @@ def test_saddle_zero_data_gives_zero():
 def test_singular_system_detected():
     with pytest.raises(SingularSystemError):
         solve_sym_indefinite(_saddle([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], 1))
+
+
+@pytest.mark.parametrize("rhs", [[np.nan, 1.0], [[1.0, np.nan], [1.0, 1.0]]])
+def test_non_finite_rhs_fails_certification(rhs):
+    """A NaN residual must not pass the bound, alone or beside a good column."""
+    with pytest.raises(SolverError, match="exceeds tolerance"):
+        solve_spd(_system([[2.0, 1.0], [1.0, 2.0]], rhs))
 
 
 def test_residual_certificate_attached(trig):
@@ -130,3 +144,54 @@ def test_critical_stabilization_singular_through_dense_fallback(trig, n):
         assert np.min(pivots) <= ZERO_PIVOT_REL_TOL * np.max(pivots)
     with pytest.raises(SingularSystemError, match="vanishing pivots"):
         solve_sym_indefinite(system)
+
+
+def _six_column_system(method, n, alpha, trig):
+    """The system of `method` at grid n, and a copy with six columns: the
+    primal rhs, four Rademacher dual rhs and a zero column."""
+    mesh = build_unit_square_mesh(n)
+    space = P1Space(mesh)
+    psis = [rademacher_boundary_field(mesh, seed=s) for s in range(4)]
+    if method == "nitsche":
+        cfg = NitscheConfig(beta=10.0)
+        system = assemble_nitsche(space, cfg, trig.f, trig.g)
+        duals = [assemble_dual_rhs_nitsche(space, cfg, psi) for psi in psis]
+    else:
+        trace = TraceDG0Space(mesh)
+        system = assemble_saddle(space, trace, SaddleConfig(alpha=alpha), trig.f, trig.g)
+        duals = [assemble_dual_rhs_lm(space, trace, psi) for psi in psis]
+    rhs = np.column_stack([system.rhs, *duals, np.zeros_like(system.rhs)])
+    return system, replace(system, rhs=rhs)
+
+
+@pytest.mark.parametrize(
+    "method, n, alpha, dense",
+    [("nitsche", 16, None, False), ("lagrange", 16, 0.25, False), ("lagrange", 4, 1.0, True)],
+)
+def test_multi_column_solve_matches_single_columns(trig, monkeypatch, method, n, alpha, dense):
+    """An (n, 6) rhs is factored once and certified column by column: each
+    column is bitwise its single-column solve, the zero column gives zero,
+    the inertia is the single-column one and `residual` is the largest
+    column residual. alpha = 1 at n = 4 takes the dense fallback."""
+    calls = {"_pivot_factorization": 0, "_dense_inertia": 0}
+    for name in calls:
+        original = getattr(linsolve, name)
+
+        def counted(matrix, name=name, original=original):
+            calls[name] += 1
+            return original(matrix)
+
+        monkeypatch.setattr(linsolve, name, counted)
+    system, stacked = _six_column_system(method, n, alpha, trig)
+    solve = solve_spd if method == "nitsche" else solve_sym_indefinite
+    result = solve(stacked)
+    assert calls == {"_pivot_factorization": 1, "_dense_inertia": int(dense)}
+    assert result.x.shape == stacked.rhs.shape
+    singles = [solve(replace(system, rhs=column.copy())) for column in stacked.rhs.T]
+    for j, single in enumerate(singles):
+        assert np.array_equal(result.x[:, j], single.x)
+        assert single.inertia == result.inertia
+    assert np.all(result.x[:, -1] == 0.0)
+    assert result.residual == max(single.residual for single in singles)
+    assert result.residual <= (SPD_RESIDUAL_TOL if method == "nitsche" else INDEFINITE_RESIDUAL_TOL)
+    assert result.inertia == solve(system).inertia

@@ -24,6 +24,20 @@ def test_config_validation():
         NitscheConfig(h_choice="diameter")
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"beta": float("nan")},
+        {"beta": float("inf")},
+        {"kappa": float("nan")},
+        {"kappa": float("inf")},
+    ],
+)
+def test_config_rejects_non_finite_settings(settings):
+    with pytest.raises(ValueError, match="must be finite"):
+        NitscheConfig(**settings)
+
+
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_constant_problem_exact(const, n):
     space = P1Space(build_unit_square_mesh(n))
