@@ -62,7 +62,6 @@ from .linsolve import (
     solve_sym_indefinite,
 )
 from .mesh import (
-    BoundaryFacet,
     Mesh,
     OffsetContour,
     build_unit_square_mesh,

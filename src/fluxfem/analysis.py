@@ -28,9 +28,12 @@ from .fem import (
     DEFAULT_VOLUME_DEGREE,
     P1Space,
     TraceDG0Space,
+    basis_at,
+    boundary_field_values,
     edge_quadrature,
     eval_discrete_many,
-    facet_quadrature_geometry,
+    facet_tables,
+    mass_matrix,
     nodal_interpolant,
     triangle_quadrature,
 )
@@ -49,8 +52,6 @@ from .nitsche import (
     apply_nitsche_form,
     assemble_dual_rhs_nitsche,
     assemble_nitsche,
-    boundary_field_values,
-    mass_matrix,
 )
 
 
@@ -112,19 +113,20 @@ class InterpScan:
 
 def boundary_l2_norm(field, mesh: Mesh, edge_points: int = DEFAULT_EDGE_POINTS) -> float:
     """L2(boundary) norm of any boundary-data object."""
-    t, w, pts = facet_quadrature_geometry(mesh, edge_points)
-    vals = boundary_field_values(field, mesh, t, pts)
-    return float(np.sqrt(np.sum(mesh.facet_lengths[:, None] * w[None, :] * vals**2)))
+    rule = edge_quadrature(edge_points)
+    vals = boundary_field_values(field, mesh, rule.points, mesh.facet_points(rule.points))
+    return float(np.sqrt(np.sum(mesh.facet_lengths[:, None] * rule.weights[None, :] * vals**2)))
 
 
 def boundary_l2_error(
     flux, exact, mesh: Mesh, edge_points: int = DEFAULT_EDGE_POINTS
 ) -> float:
     """L2(boundary) distance between two boundary fields (facet quadrature)."""
-    t, w, pts = facet_quadrature_geometry(mesh, edge_points)
+    rule = edge_quadrature(edge_points)
+    t, pts = rule.points, mesh.facet_points(rule.points)
     a = boundary_field_values(flux, mesh, t, pts)
     b = boundary_field_values(exact, mesh, t, pts)
-    return float(np.sqrt(np.sum(mesh.facet_lengths[:, None] * w[None, :] * (a - b) ** 2)))
+    return float(np.sqrt(np.sum(mesh.facet_lengths[:, None] * rule.weights[None, :] * (a - b) ** 2)))
 
 
 # -- volume/energy error norms ----------------------------------------------
@@ -137,9 +139,7 @@ def l2_error(
     mesh = space.mesh
     rule = triangle_quadrature(volume_degree)
     pts = space.quadrature_points(rule)
-    xi = rule.points
-    bary = np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
-    uh = np.einsum("qk,tk->tq", bary, np.asarray(coeffs, dtype=float)[mesh.triangles])
+    uh = np.einsum("qk,tk->tq", basis_at(rule), np.asarray(coeffs, dtype=float)[mesh.triangles])
     diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh
     return float(np.sqrt(2.0 * np.sum(space.areas[:, None] * rule.weights[None, :] * diff**2)))
 
@@ -158,16 +158,14 @@ def _error_gradient_terms(problem, coeffs, space, volume_degree):
 def _boundary_error_terms(problem, coeffs, space, edge_points):
     """Facet integrals of (u - u_h)^2 and (n.grad(u - u_h))^2."""
     mesh = space.mesh
-    t, w, pts = facet_quadrature_geometry(mesh, edge_points)
+    t, w, pdofs, ndg, _, pts = facet_tables(space, edge_points)
     coeffs = np.asarray(coeffs, dtype=float)
     ends = mesh.facet_vertices
     u_trace = coeffs[ends][:, [0]] * (1.0 - t)[None, :] + coeffs[ends][:, [1]] * t[None, :]
     diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - u_trace
     val_sq = np.sum(mesh.facet_lengths[:, None] * w[None, :] * diff**2)
 
-    parents = mesh.facet_parents
-    ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, space.gradients[parents])
-    nd_h = np.einsum("fk,fk->f", ndg, coeffs[mesh.triangles[parents]])
+    nd_h = np.einsum("fk,fk->f", ndg, coeffs[pdofs])
     nd_u = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
     nd_sq = np.sum(mesh.facet_lengths[:, None] * w[None, :] * (nd_u - nd_h[:, None]) ** 2)
     return float(val_sq), float(nd_sq)
@@ -199,7 +197,7 @@ def triple_norm_error(
     mesh = space.mesh
     grad_sq = _error_gradient_terms(problem, u_coeffs, space, volume_degree)
     val_sq, _ = _boundary_error_terms(problem, u_coeffs, space, edge_points)
-    t, w, pts = facet_quadrature_geometry(mesh, edge_points)
+    _, w, _, _, _, pts = facet_tables(space, edge_points)
     lam_exact = -problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
     diff = lam_exact - np.asarray(lam_coeffs, dtype=float)[:, None]
     lam_sq = np.sum(mesh.facet_lengths[:, None] ** 2 * w[None, :] * diff**2)
@@ -317,7 +315,7 @@ def error_representation_defect(
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
-    t, w, pts = facet_quadrature_geometry(mesh, edge_points)
+    t, w, _, _, _, pts = facet_tables(space, edge_points)
     psi_vals = boundary_field_values(psi, mesh, t, pts)
     psi_norm = np.sqrt(np.sum(mesh.facet_lengths[:, None] * w[None, :] * psi_vals**2))
     if psi_norm == 0.0:
@@ -382,7 +380,7 @@ def lm_error_representation_defect(
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
-    t, w, pts = facet_quadrature_geometry(mesh, edge_points)
+    t, w, _, _, _, pts = facet_tables(space, edge_points)
     hw = mesh.facet_lengths[:, None] * w[None, :]
     psi_vals = boundary_field_values(psi, mesh, t, pts)
     psi_norm = np.sqrt(np.sum(hw * psi_vals**2))

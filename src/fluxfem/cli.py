@@ -9,8 +9,8 @@ patch-test  constant and affine problems at n in {2, 4, 8}; flux and
 dual-check  dual-stability ratios over levels {8, 16, 32, 64} plus the
             error-representation residual table at n in {8, 16, 32}.
 
-Exit codes: 0 pass, 1 tolerance failure, 2 usage/config error, 3 solver
-failure. Identical configurations produce byte-identical output files.
+Exit codes: 0 pass, 1 tolerance failure, 2 usage/config/output error, 3
+solver failure. Identical configurations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -314,12 +314,15 @@ def _read_config_file(path: str) -> dict:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(StudyConfig)}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def _coerce(key: str, value: str):
     kind = _FIELD_TYPES[key]
     if kind == "bool" or isinstance(kind, type) and kind is bool:
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() not in _TRUE + _FALSE:
+            raise ValueError(f"{key} must be one of {'/'.join(_TRUE)} or {'/'.join(_FALSE)}, got {value!r}")
+        return value.lower() in _TRUE
     if kind in ("int",) or kind is int:
         return int(value)
     if kind in ("float",) or kind is float:
@@ -409,6 +412,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: cannot write {config.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

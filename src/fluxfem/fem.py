@@ -1,4 +1,8 @@
-"""P1 and boundary-DG0 spaces, quadrature rules, and discrete evaluation.
+"""P1 and boundary-DG0 spaces, quadrature, and the kernels both methods share.
+
+Holds the generic P1 operators (stiffness, mass, load), the boundary
+facet tables and the form kernels; `nitsche` and `lagrange` add only
+their method forms.
 
 All rules carry positive weights. Triangle rules are the classical
 symmetric rules on the reference triangle (0,0)-(1,0)-(0,1); edge rules
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh
 
@@ -148,9 +153,6 @@ class P1Space:
         self.gradients = grads
         self.origins = v[:, 0]
 
-    def dof(self, vertex: int) -> int:
-        return vertex
-
     def quadrature_points(self, rule: QuadratureRule) -> np.ndarray:
         """Physical quadrature points, shape (n_triangles, n_q, 2)."""
         v = self.mesh.vertices[self.mesh.triangles]
@@ -223,12 +225,113 @@ def eval_discrete_many(coeffs, points, space: P1Space):
     return values, gradients
 
 
-def facet_quadrature_geometry(mesh: Mesh, edge_points: int = DEFAULT_EDGE_POINTS):
-    """Shared geometry for boundary-facet integrals.
+def symmetrize(a: sp.csr_matrix) -> sp.csr_matrix:
+    # (A + A^T)/2 is bitwise symmetric; assembly is symmetric up to
+    # float-summation order only.
+    return ((a + a.T) * 0.5).tocsr()
 
-    Returns (t, w, X) with Gauss parameters t (q,), weights w (q,), and
-    physical points X (n_facets, q, 2). An integral over the boundary is
-    then sum over facets of length * sum_q w_q * integrand(X).
+
+def basis_at(rule: QuadratureRule) -> np.ndarray:
+    """P1 basis values at the reference points of a triangle rule, shape (n_q, 3)."""
+    xi = rule.points
+    return np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
+
+
+def stiffness_matrix(space: P1Space) -> sp.csr_matrix:
+    """Pure grad-grad matrix, no boundary terms."""
+    mesh = space.mesh
+    local = np.einsum("t,tid,tjd->tij", space.areas, space.gradients, space.gradients)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
+    return symmetrize(a.tocsr())
+
+
+def mass_matrix(space: P1Space) -> sp.csr_matrix:
+    """Exact P1 mass matrix (area/12 * [[2,1,1],[1,2,1],[1,1,2]] per element)."""
+    mesh = space.mesh
+    ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    local = space.areas[:, None, None] * ref[None, :, :]
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
+    return symmetrize(a.tocsr())
+
+
+def load_vector(space: P1Space, f, volume_degree: int = DEFAULT_VOLUME_DEGREE) -> np.ndarray:
+    """(f, phi_i) over the domain with the given quadrature degree."""
+    mesh = space.mesh
+    rule = triangle_quadrature(volume_degree)
+    pts = space.quadrature_points(rule)
+    fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    fvals = np.broadcast_to(fvals, pts.shape[:-1])
+    # physical jacobian is 2*area; reference weights already sum to 1/2
+    local = 2.0 * space.areas[:, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, basis_at(rule))
+    b = np.zeros(space.n_dofs)
+    np.add.at(b, mesh.triangles.ravel(), local.ravel())
+    return b
+
+
+def boundary_field_values(obj, mesh, t, points):
+    """Evaluate boundary data per facet at Gauss parameters t.
+
+    Accepts a callable of (x, y), an object with facet_values(t) (flux
+    fields), a per-facet coefficient array, or an already-evaluated
+    (n_facets, len(t)) array. Returns (n_facets, len(t)).
     """
+    if hasattr(obj, "facet_values"):
+        return np.asarray(obj.facet_values(t), dtype=float)
+    if callable(obj):
+        vals = np.asarray(obj(points[..., 0], points[..., 1]), dtype=float)
+        return np.broadcast_to(vals, points.shape[:-1])
+    arr = np.asarray(obj, dtype=float)
+    if arr.shape == (mesh.n_facets,):
+        return np.broadcast_to(arr[:, None], (mesh.n_facets, len(t)))
+    if arr.shape == (mesh.n_facets, len(t)):
+        return arr
+    raise TypeError("boundary data must be callable, a flux field, or per-facet values")
+
+
+def facet_tables(space: P1Space, edge_points: int = DEFAULT_EDGE_POINTS):
+    """Tables for boundary-facet integrals: (t, w, pdofs, ndg, trace, points).
+
+    Gauss parameters t and weights w on [0,1]; parent-triangle dofs pdofs
+    (n_facets, 3), their normal derivatives ndg and traces at t (n_facets,
+    3, q); physical points (n_facets, q, 2). A boundary integral is the
+    sum over facets of length * sum_q w_q * integrand(points).
+    """
+    mesh = space.mesh
     rule = edge_quadrature(edge_points)
-    return rule.points, rule.weights, mesh.facet_points(rule.points)
+    t, w = rule.points, rule.weights
+    parents = mesh.facet_parents
+    pdofs = mesh.triangles[parents]
+    ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, space.gradients[parents])
+    is0 = (pdofs == mesh.facet_vertices[:, [0]]).astype(float)
+    is1 = (pdofs == mesh.facet_vertices[:, [1]]).astype(float)
+    trace = is0[:, :, None] * (1.0 - t)[None, None, :] + is1[:, :, None] * t[None, None, :]
+    points = mesh.facet_points(t)
+    return t, w, pdofs, ndg, trace, points
+
+
+def normal_derivative(mesh: Mesh, grad_fn, points) -> np.ndarray:
+    """n.grad w at facet points (n_facets, q, 2) for a gradient callable of w."""
+    gx, gy = grad_fn(points[..., 0], points[..., 1])
+    return mesh.facet_normals[:, None, 0] * np.asarray(gx) + mesh.facet_normals[:, None, 1] * np.asarray(gy)
+
+
+def volume_form(space: P1Space, kappa: float, w_value, w_grad, phi, volume_degree: int) -> float:
+    """(grad w, grad phi_h) + kappa (w, phi_h) for callables w and P1 coefficients phi."""
+    mesh = space.mesh
+    rule = triangle_quadrature(volume_degree)
+    pts = space.quadrature_points(rule)
+    gx, gy = w_grad(pts[..., 0], pts[..., 1])
+    phigrad = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
+    integrand = np.asarray(gx) * phigrad[:, None, 0] + np.asarray(gy) * phigrad[:, None, 1]
+    total = 2.0 * float(np.sum(space.areas[:, None] * rule.weights[None, :] * integrand))
+    if kappa != 0.0:
+        wv = np.asarray(w_value(pts[..., 0], pts[..., 1]), dtype=float)
+        phivals = np.einsum("qk,tk->tq", basis_at(rule), phi[mesh.triangles])
+        total += kappa * 2.0 * float(
+            np.sum(space.areas[:, None] * rule.weights[None, :] * wv * phivals)
+        )
+    return total

@@ -22,15 +22,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import DEFAULT_EDGE_POINTS, DEFAULT_VOLUME_DEGREE, P1Space, edge_quadrature
-from .mesh import Mesh
-from .nitsche import (
-    NitscheConfig,
-    _facet_tables,
-    _penalty_scale,
+from .fem import (
+    DEFAULT_EDGE_POINTS,
+    DEFAULT_VOLUME_DEGREE,
+    P1Space,
+    facet_tables,
     load_vector,
     stiffness_matrix,
 )
+from .mesh import Mesh
+from .nitsche import NitscheConfig
 
 FACETWISE_LINEAR = "facetwise-linear"
 FACETWISE_CONSTANT = "facetwise-constant"
@@ -116,14 +117,13 @@ def nitsche_flux(u_h, g, space: P1Space, cfg: NitscheConfig) -> BoundaryFluxFiel
     u = np.asarray(u_h, dtype=float)
     if u.shape != (space.n_dofs,):
         raise ValueError(f"coefficients sized {u.shape} do not match the space ({space.n_dofs})")
-    parents = mesh.facet_parents
-    ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, space.gradients[parents])
-    grad_part = np.einsum("fk,fk->f", ndg, u[mesh.triangles[parents]])
+    _, _, pdofs, ndg, _, _ = facet_tables(space)
+    grad_part = np.einsum("fk,fk->f", ndg, u[pdofs])
     ends = mesh.facet_vertices
     pv = mesh.vertices[ends]
     gnod = np.asarray(g(pv[..., 0], pv[..., 1]), dtype=float)
     gnod = np.broadcast_to(gnod, ends.shape)
-    pen = _penalty_scale(space, cfg)
+    pen = cfg.beta / mesh.facet_lengths
     coeffs = grad_part[:, None] - pen[:, None] * (u[ends] - gnod)
     return BoundaryFluxField(kind=FACETWISE_LINEAR, coefficients=coeffs, mesh=mesh)
 
@@ -139,15 +139,14 @@ def pointwise_nitsche_values(
     mesh = space.mesh
     u = np.asarray(u_h, dtype=float)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    parents = mesh.facet_parents
-    ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, space.gradients[parents])
-    grad_part = np.einsum("fk,fk->f", ndg, u[mesh.triangles[parents]])
+    _, _, pdofs, ndg, _, _ = facet_tables(space)
+    grad_part = np.einsum("fk,fk->f", ndg, u[pdofs])
     ends = mesh.facet_vertices
     u_trace = u[ends][:, [0]] * (1.0 - t)[None, :] + u[ends][:, [1]] * t[None, :]
     pts = mesh.facet_points(t)
     gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     gvals = np.broadcast_to(gvals, u_trace.shape)
-    pen = _penalty_scale(space, cfg)
+    pen = cfg.beta / mesh.facet_lengths
     return grad_part[:, None] - pen[:, None] * (u_trace - gvals)
 
 
@@ -159,20 +158,17 @@ def _boundary_vertex_numbering(mesh: Mesh):
     return ids, lookup
 
 
-def _boundary_mass_matrix(mesh: Mesh, lookup) -> sp.csr_matrix:
-    nb = int(lookup.max()) + 1
+def _trace_field_from_moments(mesh: Mesh, lookup, moments) -> BoundaryFluxField:
+    """Continuous boundary P1 field with the given moments on the `lookup`-numbered basis."""
+    nb = moments.size
     ends = lookup[mesh.facet_vertices]
-    h = mesh.facet_lengths
     block = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
-    data = h[:, None, None] * block[None, :, :]
+    data = mesh.facet_lengths[:, None, None] * block[None, :, :]
     rows = np.repeat(ends, 2, axis=1).ravel()
     cols = np.tile(ends, (1, 2)).ravel()
-    return sp.coo_matrix((data.ravel(), (rows, cols)), shape=(nb, nb)).tocsr()
-
-
-def _trace_field_from_vertex_values(mesh: Mesh, lookup, values) -> BoundaryFluxField:
-    coeffs = values[lookup[mesh.facet_vertices]]
-    return BoundaryFluxField(kind=FACETWISE_LINEAR, coefficients=coeffs, mesh=mesh)
+    mass = sp.coo_matrix((data.ravel(), (rows, cols)), shape=(nb, nb)).tocsr()
+    values = spla.spsolve(mass.tocsc(), moments)
+    return BoundaryFluxField(kind=FACETWISE_LINEAR, coefficients=values[ends], mesh=mesh)
 
 
 def variational_flux(
@@ -193,18 +189,16 @@ def variational_flux(
     mesh = space.mesh
     u = np.asarray(u_h, dtype=float)
     full = stiffness_matrix(space) @ u - load_vector(space, f, volume_degree)
-    t, w, pdofs, ndg, trace, points = _facet_tables(space, edge_points)
+    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
     hf = mesh.facet_lengths
-    u_trace = np.einsum("fkq,fk->fq", trace, u[mesh.triangles[mesh.facet_parents]])
+    u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
     gvals = np.asarray(g(points[..., 0], points[..., 1]), dtype=float)
     gvals = np.broadcast_to(gvals, u_trace.shape)
     defect = hf * np.einsum("q,fq->f", w, u_trace - gvals)
     np.add.at(full, pdofs.ravel(), (-ndg * defect[:, None]).ravel())
 
     ids, lookup = _boundary_vertex_numbering(mesh)
-    mass = _boundary_mass_matrix(mesh, lookup)
-    values = spla.spsolve(mass.tocsc(), full[ids])
-    return _trace_field_from_vertex_values(mesh, lookup, values)
+    return _trace_field_from_moments(mesh, lookup, full[ids])
 
 
 def project_pointwise_flux(
@@ -220,8 +214,7 @@ def project_pointwise_flux(
     this reproduces the variational flux to solver accuracy.
     """
     mesh = space.mesh
-    rule = edge_quadrature(edge_points)
-    t, w = rule.points, rule.weights
+    t, w, _, _, _, _ = facet_tables(space, edge_points)
     vals = pointwise_nitsche_values(u_h, g, space, cfg, t)
     ends = mesh.facet_vertices
     hf = mesh.facet_lengths
@@ -231,6 +224,4 @@ def project_pointwise_flux(
     m1 = hf * np.einsum("q,fq->f", w * t, vals)
     np.add.at(rhs, lookup[ends[:, 0]], m0)
     np.add.at(rhs, lookup[ends[:, 1]], m1)
-    mass = _boundary_mass_matrix(mesh, lookup)
-    values = spla.spsolve(mass.tocsc(), rhs)
-    return _trace_field_from_vertex_values(mesh, lookup, values)
+    return _trace_field_from_moments(mesh, lookup, rhs)

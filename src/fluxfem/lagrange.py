@@ -12,6 +12,9 @@ with the residual stabilization
 
 which vanishes on the exact pair since lambda = -n.grad u. Unknowns are
 ordered [u; lambda] with multiplier dofs following the facet order.
+
+Only the multiplier forms live here; their P1 operators, facet tables
+and form kernels are in `fem`.
 """
 
 from __future__ import annotations
@@ -27,15 +30,14 @@ from .fem import (
     DEFAULT_VOLUME_DEGREE,
     P1Space,
     TraceDG0Space,
-    triangle_quadrature,
-)
-from .nitsche import (
-    _facet_tables,
-    _symmetrize,
     boundary_field_values,
+    facet_tables,
     load_vector,
     mass_matrix,
+    normal_derivative,
     stiffness_matrix,
+    symmetrize,
+    volume_form,
 )
 
 
@@ -83,7 +85,7 @@ def assemble_saddle(
     nu, nl = space.n_dofs, trace_space.n_dofs
     dim = nu + nl
 
-    t, w, pdofs, ndg, trace, points = _facet_tables(space, edge_points)
+    _, w, pdofs, ndg, trace, _ = facet_tables(space, edge_points)
     hf = mesh.facet_lengths
     ah = cfg.alpha * hf
     int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
@@ -124,12 +126,11 @@ def assemble_saddle(
         shape=(dim, dim),
     ).tocsr()
 
-    rhs = np.zeros(dim)
+    # the multiplier rows carry (g, mu)_G, the dual data of psi = g
+    rhs = assemble_dual_rhs_lm(space, trace_space, g, edge_points)
     rhs[:nu] = load_vector(space, f, volume_degree)
-    gvals = boundary_field_values(g, mesh, t, points)
-    rhs[nu:] = hf * np.einsum("q,fq->f", w, gvals)
 
-    return SaddleSystem(matrix=_symmetrize(matrix), rhs=rhs, n_primal=nu, n_multiplier=nl)
+    return SaddleSystem(matrix=symmetrize(matrix), rhs=rhs, n_primal=nu, n_multiplier=nl)
 
 
 def assemble_dual_rhs_lm(
@@ -140,7 +141,7 @@ def assemble_dual_rhs_lm(
 ) -> np.ndarray:
     """Dual data (psi, mu)_G: zero on primal dofs, facet integrals of psi."""
     mesh = space.mesh
-    t, w, _, _, _, points = _facet_tables(space, edge_points)
+    t, w, _, _, _, points = facet_tables(space, edge_points)
     psivals = boundary_field_values(psi, mesh, t, points)
     out = np.zeros(space.n_dofs + trace_space.n_dofs)
     out[space.n_dofs :] = mesh.facet_lengths * np.einsum("q,fq->f", w, psivals)
@@ -159,9 +160,9 @@ def triple_norm_pair(
     lam = np.asarray(lam_coeffs, dtype=float)
     grads = np.einsum("ti,tid->td", u[mesh.triangles], space.gradients)
     vol = float(np.sum(space.areas * np.einsum("td,td->t", grads, grads)))
-    t, w, _, _, trace, _ = _facet_tables(space, edge_points)
+    t, w, pdofs, _, trace, _ = facet_tables(space, edge_points)
     hf = mesh.facet_lengths
-    uvals = np.einsum("fkq,fk->fq", trace, u[mesh.triangles[mesh.facet_parents]])
+    uvals = np.einsum("fkq,fk->fq", trace, u[pdofs])
     # 1/h_F cancels the facet jacobian h_F in the weighted trace term
     u_part = float(np.sum(w[None, :] * uvals**2))
     lam_part = float(np.sum(hf * hf * lam**2))
@@ -191,22 +192,9 @@ def apply_saddle_form(
     phi = np.asarray(phi_coeffs, dtype=float)
     theta = np.asarray(theta_coeffs, dtype=float)
 
-    rule = triangle_quadrature(volume_degree)
-    pts = space.quadrature_points(rule)
-    gx, gy = w_grad(pts[..., 0], pts[..., 1])
-    phigrad = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
-    integrand = np.asarray(gx) * phigrad[:, None, 0] + np.asarray(gy) * phigrad[:, None, 1]
-    total = 2.0 * float(np.sum(space.areas[:, None] * rule.weights[None, :] * integrand))
-    if cfg.kappa != 0.0:
-        wv = np.asarray(w_value(pts[..., 0], pts[..., 1]), dtype=float)
-        xi = rule.points
-        bary = np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
-        phivals = np.einsum("qk,tk->tq", bary, phi[mesh.triangles])
-        total += cfg.kappa * 2.0 * float(
-            np.sum(space.areas[:, None] * rule.weights[None, :] * wv * phivals)
-        )
+    total = volume_form(space, cfg.kappa, w_value, w_grad, phi, volume_degree)
 
-    t, w, pdofs, ndg, trace, points = _facet_tables(space, edge_points)
+    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
     hf = mesh.facet_lengths
     ah = cfg.alpha * hf
     pc = phi[pdofs]
@@ -214,8 +202,7 @@ def apply_saddle_form(
     phi_nd = np.einsum("fk,fk->f", ndg, pc)
 
     wvals = np.asarray(w_value(points[..., 0], points[..., 1]), dtype=float)
-    gxb, gyb = w_grad(points[..., 0], points[..., 1])
-    w_nd = mesh.facet_normals[:, None, 0] * np.asarray(gxb) + mesh.facet_normals[:, None, 1] * np.asarray(gyb)
+    w_nd = normal_derivative(mesh, w_grad, points)
     muvals = boundary_field_values(mu, mesh, t, points)
 
     # b(mu, phi) + b(theta, w)

@@ -24,17 +24,6 @@ MAX_GRID_N = 1024
 
 
 @dataclass(frozen=True)
-class BoundaryFacet:
-    """One boundary edge: endpoints, outward normal, and its parent triangle."""
-
-    endpoints: tuple[int, int]
-    outward_normal: np.ndarray
-    length: float
-    parent_triangle: int
-    side_id: str
-
-
-@dataclass(frozen=True)
 class Mesh:
     """Immutable triangulation of [0,1]^2 with boundary facet tables.
 
@@ -75,20 +64,6 @@ class Mesh:
     @property
     def n_facets(self) -> int:
         return self.facet_vertices.shape[0]
-
-    @property
-    def boundary_facets(self) -> list[BoundaryFacet]:
-        """Per-facet records (convenience view over the facet arrays)."""
-        return [
-            BoundaryFacet(
-                endpoints=(int(a), int(b)),
-                outward_normal=self.facet_normals[k].copy(),
-                length=float(self.facet_lengths[k]),
-                parent_triangle=int(self.facet_parents[k]),
-                side_id=SIDE_NAMES[self.facet_sides[k]],
-            )
-            for k, (a, b) in enumerate(self.facet_vertices)
-        ]
 
     def facet_points(self, t: np.ndarray) -> np.ndarray:
         """Map facet parameters t in [0,1] to physical points.

@@ -13,6 +13,9 @@ The kappa mass shift only serves the shifted dual problems; primal solves
 use kappa = 0. The dual right-hand side functional is
 
     m_psi(v) = beta/h (psi, v)_G - (psi, n.grad v)_G.
+
+Here h is the length h_F of each boundary facet. Only the Nitsche forms
+live here; their P1 operators, facet tables and form kernels are in `fem`.
 """
 
 from __future__ import annotations
@@ -27,19 +30,23 @@ from .fem import (
     DEFAULT_EDGE_POINTS,
     DEFAULT_VOLUME_DEGREE,
     P1Space,
-    edge_quadrature,
+    boundary_field_values,
+    facet_tables,
+    load_vector,
+    mass_matrix,
+    normal_derivative,
+    stiffness_matrix,
+    symmetrize,
     triangle_quadrature,
+    volume_form,
 )
-
-H_CHOICES = ("facet", "global")
 
 
 @dataclass(frozen=True)
 class NitscheConfig:
-    """Finite penalty beta > 0, penalty length scale choice, finite shift kappa >= 0."""
+    """Finite penalty beta > 0, applied as beta/h_F on each facet F, and finite shift kappa >= 0."""
 
     beta: float = 10.0
-    h_choice: str = "facet"
     kappa: float = 0.0
 
     def __post_init__(self):
@@ -47,8 +54,6 @@ class NitscheConfig:
             raise ValueError(f"penalty beta must be finite and positive, got {self.beta}")
         if not 0.0 <= self.kappa < math.inf:
             raise ValueError(f"shift kappa must be finite and nonnegative, got {self.kappa}")
-        if self.h_choice not in H_CHOICES:
-            raise ValueError(f"h_choice must be one of {H_CHOICES}, got {self.h_choice!r}")
 
 
 @dataclass(frozen=True)
@@ -58,91 +63,6 @@ class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     definiteness: str = "spd"
-
-
-def _symmetrize(a: sp.csr_matrix) -> sp.csr_matrix:
-    # (A + A^T)/2 is bitwise symmetric; assembly is symmetric up to
-    # float-summation order only.
-    return ((a + a.T) * 0.5).tocsr()
-
-
-def stiffness_matrix(space: P1Space) -> sp.csr_matrix:
-    """Pure grad-grad matrix, no boundary terms."""
-    mesh = space.mesh
-    local = np.einsum("t,tid,tjd->tij", space.areas, space.gradients, space.gradients)
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
-    return _symmetrize(a.tocsr())
-
-
-def mass_matrix(space: P1Space) -> sp.csr_matrix:
-    """Exact P1 mass matrix (area/12 * [[2,1,1],[1,2,1],[1,1,2]] per element)."""
-    mesh = space.mesh
-    ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = space.areas[:, None, None] * ref[None, :, :]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
-    return _symmetrize(a.tocsr())
-
-
-def load_vector(space: P1Space, f, volume_degree: int = DEFAULT_VOLUME_DEGREE) -> np.ndarray:
-    """(f, phi_i) over the domain with the given quadrature degree."""
-    mesh = space.mesh
-    rule = triangle_quadrature(volume_degree)
-    pts = space.quadrature_points(rule)
-    fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    fvals = np.broadcast_to(fvals, pts.shape[:-1])
-    xi = rule.points
-    bary = np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
-    # physical jacobian is 2*area; reference weights already sum to 1/2
-    local = 2.0 * space.areas[:, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, bary)
-    b = np.zeros(space.n_dofs)
-    np.add.at(b, mesh.triangles.ravel(), local.ravel())
-    return b
-
-
-def boundary_field_values(obj, mesh, t, points):
-    """Evaluate boundary data per facet at Gauss parameters t.
-
-    Accepts a callable of (x, y), an object with facet_values(t) (flux
-    fields), a per-facet coefficient array, or an already-evaluated
-    (n_facets, len(t)) array. Returns (n_facets, len(t)).
-    """
-    if hasattr(obj, "facet_values"):
-        return np.asarray(obj.facet_values(t), dtype=float)
-    if callable(obj):
-        vals = np.asarray(obj(points[..., 0], points[..., 1]), dtype=float)
-        return np.broadcast_to(vals, points.shape[:-1])
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape == (mesh.n_facets,):
-        return np.broadcast_to(arr[:, None], (mesh.n_facets, len(t)))
-    if arr.shape == (mesh.n_facets, len(t)):
-        return arr
-    raise TypeError("boundary data must be callable, a flux field, or per-facet values")
-
-
-def _facet_tables(space: P1Space, edge_points: int):
-    """Per-facet parent dofs, normal derivatives, and trace basis values."""
-    mesh = space.mesh
-    rule = edge_quadrature(edge_points)
-    t, w = rule.points, rule.weights
-    parents = mesh.facet_parents
-    pdofs = mesh.triangles[parents]
-    ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, space.gradients[parents])
-    is0 = (pdofs == mesh.facet_vertices[:, [0]]).astype(float)
-    is1 = (pdofs == mesh.facet_vertices[:, [1]]).astype(float)
-    trace = is0[:, :, None] * (1.0 - t)[None, None, :] + is1[:, :, None] * t[None, None, :]
-    points = mesh.facet_points(t)
-    return t, w, pdofs, ndg, trace, points
-
-
-def _penalty_scale(space: P1Space, cfg: NitscheConfig) -> np.ndarray:
-    mesh = space.mesh
-    if cfg.h_choice == "facet":
-        return cfg.beta / mesh.facet_lengths
-    return cfg.beta / np.full(mesh.n_facets, mesh.h_grid)
 
 
 def assemble_nitsche(
@@ -165,9 +85,9 @@ def assemble_nitsche(
         a = a + cfg.kappa * mass_matrix(space)
     b = load_vector(space, f, volume_degree)
 
-    t, w, pdofs, ndg, trace, points = _facet_tables(space, edge_points)
+    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
     hf = mesh.facet_lengths
-    pen = _penalty_scale(space, cfg)
+    pen = cfg.beta / hf
 
     int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
     cons = -(ndg[:, None, :] * int_phi[:, :, None]) - (ndg[:, :, None] * int_phi[:, None, :])
@@ -185,7 +105,7 @@ def assemble_nitsche(
     local_b = -ndg * int_g[:, None] + pen[:, None] * int_g_phi
     np.add.at(b, pdofs.ravel(), local_b.ravel())
 
-    return LinearSystem(matrix=_symmetrize(a), rhs=b, definiteness="spd")
+    return LinearSystem(matrix=symmetrize(a), rhs=b, definiteness="spd")
 
 
 def assemble_dual_rhs_nitsche(
@@ -200,9 +120,9 @@ def assemble_dual_rhs_nitsche(
     as the primal one.
     """
     mesh = space.mesh
-    t, w, pdofs, ndg, trace, points = _facet_tables(space, edge_points)
+    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
     hf = mesh.facet_lengths
-    pen = _penalty_scale(space, cfg)
+    pen = cfg.beta / hf
     psivals = boundary_field_values(psi, mesh, t, points)
     int_psi = hf * np.einsum("q,fq->f", w, psivals)
     int_psi_phi = hf[:, None] * np.einsum("q,fq,fkq->fk", w, psivals, trace)
@@ -225,7 +145,7 @@ def energy_norm(
     """
     mesh = space.mesh
     h = mesh.h_grid
-    t, w, _, ndg, trace, points = _facet_tables(space, edge_points)
+    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
     hf = mesh.facet_lengths
 
     is_callable_pair = isinstance(v, tuple) and len(v) == 2 and callable(v[0])
@@ -233,9 +153,9 @@ def energy_norm(
         coeffs = np.asarray(v, dtype=float)
         grads = np.einsum("ti,tid->td", coeffs[mesh.triangles], space.gradients)
         vol = float(np.sum(space.areas * np.einsum("td,td->t", grads, grads)))
-        nd = np.einsum("fk,fk->f", ndg, coeffs[mesh.triangles[mesh.facet_parents]])
+        nd = np.einsum("fk,fk->f", ndg, coeffs[pdofs])
         flux_part = float(np.sum(h * hf * nd * nd))
-        tracevals = np.einsum("fkq,fk->fq", trace, coeffs[mesh.triangles[mesh.facet_parents]])
+        tracevals = np.einsum("fkq,fk->fq", trace, coeffs[pdofs])
         trace_part = float(np.sum(hf[:, None] * w[None, :] * tracevals**2) / h)
         return float(np.sqrt(vol + flux_part + trace_part))
 
@@ -249,8 +169,7 @@ def energy_norm(
             space.areas[:, None] * rule.weights[None, :] * (np.asarray(gx) ** 2 + np.asarray(gy) ** 2)
         )
     )
-    gxb, gyb = grad_fn(points[..., 0], points[..., 1])
-    nd = mesh.facet_normals[:, None, 0] * np.asarray(gxb) + mesh.facet_normals[:, None, 1] * np.asarray(gyb)
+    nd = normal_derivative(mesh, grad_fn, points)
     vals = np.asarray(value_fn(points[..., 0], points[..., 1]), dtype=float)
     flux_part = float(np.sum(hf[:, None] * w[None, :] * nd**2) * h)
     trace_part = float(np.sum(hf[:, None] * w[None, :] * vals**2) / h)
@@ -269,35 +188,20 @@ def apply_nitsche_form(
     """a_h(w, phi_h) for a general function w given by closed-form callables.
 
     Used by the error-representation check where w = u - pi_h u is not a
-    finite element function. Volume terms use triangle quadrature; the
-    gradient of phi_h is constant per element.
+    finite element function. Volume terms use triangle quadrature.
     """
     mesh = space.mesh
     phi = np.asarray(phi_coeffs, dtype=float)
-    rule = triangle_quadrature(volume_degree)
-    pts = space.quadrature_points(rule)
-    gx, gy = w_grad(pts[..., 0], pts[..., 1])
-    phigrad = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
-    integrand = np.asarray(gx) * phigrad[:, None, 0] + np.asarray(gy) * phigrad[:, None, 1]
-    total = 2.0 * float(np.sum(space.areas[:, None] * rule.weights[None, :] * integrand))
-    if cfg.kappa != 0.0:
-        wv = np.asarray(w_value(pts[..., 0], pts[..., 1]), dtype=float)
-        xi = rule.points
-        bary = np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
-        phivals = np.einsum("qk,tk->tq", bary, phi[mesh.triangles])
-        total += cfg.kappa * 2.0 * float(
-            np.sum(space.areas[:, None] * rule.weights[None, :] * wv * phivals)
-        )
+    total = volume_form(space, cfg.kappa, w_value, w_grad, phi, volume_degree)
 
-    t, w, pdofs, ndg, trace, points = _facet_tables(space, edge_points)
+    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
     hf = mesh.facet_lengths
-    pen = _penalty_scale(space, cfg)
+    pen = cfg.beta / hf
     pc = phi[pdofs]
     phi_trace = np.einsum("fkq,fk->fq", trace, pc)
     phi_nd = np.einsum("fk,fk->f", ndg, pc)
     wvals = np.asarray(w_value(points[..., 0], points[..., 1]), dtype=float)
-    gxb, gyb = w_grad(points[..., 0], points[..., 1])
-    w_nd = mesh.facet_normals[:, None, 0] * np.asarray(gxb) + mesh.facet_normals[:, None, 1] * np.asarray(gyb)
+    w_nd = normal_derivative(mesh, w_grad, points)
 
     total -= float(np.sum(hf[:, None] * w[None, :] * w_nd * phi_trace))
     total -= float(np.sum(hf * phi_nd * np.einsum("q,fq->f", w, wvals)))
@@ -315,13 +219,12 @@ def apply_dual_functional(
 ) -> float:
     """m_psi(w) = beta/h (psi, w)_G - (psi, n.grad w)_G for closed-form w."""
     mesh = space.mesh
-    t, w, _, _, _, points = _facet_tables(space, edge_points)
+    t, w, _, _, _, points = facet_tables(space, edge_points)
     hf = mesh.facet_lengths
-    pen = _penalty_scale(space, cfg)
+    pen = cfg.beta / hf
     psivals = boundary_field_values(psi, mesh, t, points)
     wvals = np.asarray(w_value(points[..., 0], points[..., 1]), dtype=float)
-    gxb, gyb = w_grad(points[..., 0], points[..., 1])
-    w_nd = mesh.facet_normals[:, None, 0] * np.asarray(gxb) + mesh.facet_normals[:, None, 1] * np.asarray(gyb)
+    w_nd = normal_derivative(mesh, w_grad, points)
     total = float(np.sum((pen * hf)[:, None] * w[None, :] * psivals * wvals))
     total -= float(np.sum(hf[:, None] * w[None, :] * psivals * w_nd))
     return total

@@ -5,6 +5,7 @@ from fluxfem.cli import (
     MAX_LEVEL,
     MIN_LEVEL,
     StudyConfig,
+    build_config,
     build_parser,
     level_grid_n,
     main,
@@ -84,6 +85,38 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("granularity = 12\n")
     assert main(["converge", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1", True), ("true", True), ("YES", True), ("On", True),
+     ("0", False), ("False", False), ("no", False), ("OFF", False)],
+)
+def test_config_file_booleans(tmp_path, text, expected):
+    config = tmp_path / "study.cfg"
+    config.write_text(f"parallel = {text}\n")
+    args = build_parser().parse_args(["converge", "--config", str(config)])
+    assert build_config(args).parallel is expected
+
+
+@pytest.mark.parametrize("text", ["maybe", "", "2", "truthy"])
+def test_config_file_rejects_non_boolean(tmp_path, capsys, text):
+    config = tmp_path / "study.cfg"
+    config.write_text(f"parallel = {text}\n")
+    assert main(["converge", "--kmax", "0", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: parallel")
+    assert "Traceback" not in err
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["converge", "--kmax", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:")
+    assert str(out) in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_usage_errors():

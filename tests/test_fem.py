@@ -10,6 +10,7 @@ from fluxfem.fem import (
     eval_basis,
     eval_discrete,
     eval_discrete_many,
+    facet_tables,
     locate_triangle,
     nodal_interpolant,
     triangle_quadrature,
@@ -107,8 +108,29 @@ def test_space_dof_maps():
     space = P1Space(mesh)
     trace = TraceDG0Space(mesh)
     assert space.n_dofs == mesh.n_vertices
-    assert space.dof(7) == 7
     assert trace.n_dofs == mesh.n_facets
+
+
+@pytest.mark.parametrize("edge_points", [1, 6])
+def test_facet_tables(edge_points):
+    mesh = build_unit_square_mesh(5)
+    space = P1Space(mesh)
+    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
+    rule = edge_quadrature(edge_points)
+    assert np.array_equal(t, rule.points) and np.array_equal(w, rule.weights)
+    assert np.array_equal(points, mesh.facet_points(t))
+    assert trace.shape == (mesh.n_facets, 3, edge_points)
+    for f, ends in enumerate(mesh.facet_vertices):
+        assert set(ends) <= set(pdofs[f])
+        off = ~np.isin(pdofs[f], ends)
+        assert off.sum() == 1
+        # the trace basis is a partition of unity that vanishes off the facet
+        assert np.allclose(trace[f].sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+        assert np.all(trace[f][off] == 0.0)
+        for q in range(edge_points):
+            values, gradients = eval_basis(mesh.vertices[pdofs[f]], points[f, q])
+            assert np.allclose(trace[f][:, q], values, rtol=0.0, atol=1e-14)
+        assert np.allclose(ndg[f], gradients @ mesh.facet_normals[f], rtol=0.0, atol=1e-12)
 
 
 def test_nodal_interpolant_affine_exact(affine, rng):

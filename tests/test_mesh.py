@@ -4,6 +4,7 @@ import pytest
 from fluxfem.fem import P1Space, triangle_quadrature
 from fluxfem.mesh import (
     MAX_GRID_N,
+    SIDE_NAMES,
     build_unit_square_mesh,
     distance_weight,
     offset_contour,
@@ -69,13 +70,13 @@ def test_each_facet_belongs_to_one_triangle():
 
 def test_facet_side_metadata():
     mesh = build_unit_square_mesh(4)
-    facets = mesh.boundary_facets
-    assert facets[0].side_id == "bottom"
-    assert np.allclose(facets[0].outward_normal, (0.0, -1.0))
-    assert facets[4].side_id == "right"
-    assert facets[8].side_id == "top"
-    assert facets[12].side_id == "left"
-    assert all(f.length == pytest.approx(0.25) for f in facets)
+    sides = [SIDE_NAMES[s] for s in mesh.facet_sides]
+    assert sides[0] == "bottom"
+    assert np.allclose(mesh.facet_normals[0], (0.0, -1.0))
+    assert sides[4] == "right"
+    assert sides[8] == "top"
+    assert sides[12] == "left"
+    assert all(length == pytest.approx(0.25) for length in mesh.facet_lengths)
 
 
 def test_rejects_bad_sizes():

@@ -20,8 +20,6 @@ def test_config_validation():
         NitscheConfig(beta=-1.0)
     with pytest.raises(ValueError):
         NitscheConfig(kappa=-0.5)
-    with pytest.raises(ValueError):
-        NitscheConfig(h_choice="diameter")
 
 
 @pytest.mark.parametrize(
@@ -142,16 +140,6 @@ def test_energy_error_first_order(trig):
         u = solve_spd(assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)).x
         errors[n] = energy_error(trig, u, space)
     assert errors[16] / errors[32] == pytest.approx(2.0, abs=0.3)
-
-
-def test_penalty_scale_choice_bitwise_identical(trig):
-    """All facet lengths equal 1/n on this family, so local and global
-    penalty scalings assemble to bitwise-identical systems."""
-    space = P1Space(build_unit_square_mesh(6))
-    by_facet = assemble_nitsche(space, NitscheConfig(beta=10.0, h_choice="facet"), trig.f, trig.g)
-    by_global = assemble_nitsche(space, NitscheConfig(beta=10.0, h_choice="global"), trig.f, trig.g)
-    assert (by_facet.matrix != by_global.matrix).nnz == 0
-    assert np.array_equal(by_facet.rhs, by_global.rhs)
 
 
 def test_kappa_shift_adds_mass(const):
