@@ -16,13 +16,11 @@ from .analysis import (
     contour_l2_norm_discrete,
     dual_stability_report,
     energy_error,
-    error_representation_defect,
-    error_representation_residual,
+    error_representation_residuals,
     fit_rate,
     interp_error_scan,
     l2_error,
-    lm_error_representation_defect,
-    lm_error_representation_residual,
+    lm_error_representation_residuals,
     rademacher_boundary_field,
     triple_norm_error,
 )
@@ -51,7 +49,6 @@ from .lagrange import (
     SaddleSystem,
     assemble_dual_rhs_lm,
     assemble_saddle,
-    triple_norm_pair,
 )
 from .linsolve import (
     NotPositiveDefiniteError,
@@ -73,7 +70,6 @@ from .nitsche import (
     NitscheConfig,
     assemble_dual_rhs_nitsche,
     assemble_nitsche,
-    energy_norm,
 )
 from .problems import ManufacturedProblem, affine_problem, constant_problem, trig_problem
 

@@ -35,6 +35,7 @@ from .fem import (
     facet_tables,
     mass_matrix,
     nodal_interpolant,
+    sample_field,
     triangle_quadrature,
 )
 from .flux import pointwise_nitsche_values
@@ -247,159 +248,110 @@ def rademacher_boundary_field(mesh: Mesh, seed: int = 0):
 # -- error representation identities ------------------------------------------
 
 
-def _interp_error_callables(problem, coeffs, space, sign: float = 1.0):
-    """Value/gradient callables of sign * (u - pi_h u) usable on any array shape."""
-    coeffs = np.asarray(coeffs, dtype=float)
+def _sampled_interp_error(problem, space, volume_degree, edge_points, sign: float = 1.0):
+    """sign * (u - pi_h u) sampled once for the identity forms."""
+    pi_u = nodal_interpolant(problem.u, space)
 
     def value(x, y):
-        x = np.asarray(x, dtype=float)
-        pts = np.column_stack([np.ravel(x), np.ravel(np.broadcast_to(y, x.shape))])
-        v, _ = eval_discrete_many(coeffs, pts, space)
-        return sign * (problem.u(x, np.broadcast_to(y, x.shape)) - v.reshape(x.shape))
+        pts = np.column_stack([np.ravel(x), np.ravel(y)])
+        v, _ = eval_discrete_many(pi_u, pts, space)
+        return sign * (problem.u(x, y) - v.reshape(x.shape))
 
     def grad(x, y):
-        x = np.asarray(x, dtype=float)
-        yb = np.broadcast_to(y, x.shape)
-        pts = np.column_stack([np.ravel(x), np.ravel(yb)])
-        _, g = eval_discrete_many(coeffs, pts, space)
-        gx, gy = problem.grad_u(x, yb)
+        pts = np.column_stack([np.ravel(x), np.ravel(y)])
+        _, g = eval_discrete_many(pi_u, pts, space)
+        gx, gy = problem.grad_u(x, y)
         return (
             sign * (np.asarray(gx) - g[:, 0].reshape(x.shape)),
             sign * (np.asarray(gy) - g[:, 1].reshape(x.shape)),
         )
 
-    return value, grad
+    return sample_field(space, value, grad, volume_degree, edge_points)
 
 
-def error_representation_residual(
+def error_representation_residuals(
     problem,
-    u_h,
     space: P1Space,
     cfg: NitscheConfig,
-    psi,
+    psis,
     volume_degree: int = DEFAULT_VOLUME_DEGREE,
     edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
-    """Relative defect of the Nitsche flux error representation.
+) -> list[float]:
+    """Relative defect |lhs - rhs| / |psi|_G of the Nitsche identity, one per psi.
 
-    Assembles the Nitsche matrix, solves the discrete dual problem for psi
-    and measures the defect with `error_representation_defect`.
+    u_h and the duals phi_h of all psi share one factorization; the defect
+    is quadrature and solver noise, and 0 for psi = 0.
     """
+    if cfg.kappa != 0.0:
+        raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
+    mesh = space.mesh
+    t, w, _, _, _, pts = facet_tables(space, edge_points)
+    psi_vals = [boundary_field_values(psi, mesh, t, pts) for psi in psis]
     system = assemble_nitsche(space, cfg, problem.f, problem.g, volume_degree, edge_points)
-    dual_rhs = assemble_dual_rhs_nitsche(space, cfg, psi, edge_points)
-    phi = solve_spd(replace(system, rhs=dual_rhs)).x
-    return error_representation_defect(
-        problem, u_h, space, cfg, psi, phi, volume_degree, edge_points
-    )
+    duals = [assemble_dual_rhs_nitsche(space, cfg, vals, edge_points) for vals in psi_vals]
+    u_h, *phis = solve_spd(replace(system, rhs=np.column_stack([system.rhs, *duals]))).x.T
 
-
-def error_representation_defect(
-    problem,
-    u_h,
-    space: P1Space,
-    cfg: NitscheConfig,
-    psi,
-    phi,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
-    """Relative defect of the Nitsche identity for a solved dual phi_h.
-
-    `phi` solves the discrete dual problem a_h(v, phi_h) = m_psi(v), that
-    is the Nitsche matrix against `assemble_dual_rhs_nitsche(psi)`; one
-    factorization can serve u_h and the duals of several psi. Compares
-    (sigma_n - Sigma_n, psi)_G against a_h(u - pi_h u, phi_h)
-    - m_psi(u - pi_h u), divided by |psi|_G; exact modulo quadrature and
-    solver residuals, and 0 for psi = 0.
-    """
-    if cfg.kappa != 0.0:
-        raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
-    mesh = space.mesh
-    t, w, _, _, _, pts = facet_tables(space, edge_points)
-    psi_vals = boundary_field_values(psi, mesh, t, pts)
-    psi_norm = np.sqrt(np.sum(mesh.facet_lengths[:, None] * w[None, :] * psi_vals**2))
-    if psi_norm == 0.0:
-        return 0.0
-    sigma = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
-    sigma_h = pointwise_nitsche_values(u_h, problem.g, space, cfg, t)
-    lhs = np.sum(mesh.facet_lengths[:, None] * w[None, :] * (sigma - sigma_h) * psi_vals)
-
-    pi_u = nodal_interpolant(problem.u, space)
-    w_val, w_grad = _interp_error_callables(problem, pi_u, space, sign=1.0)
-    rhs = apply_nitsche_form(space, cfg, w_val, w_grad, phi, volume_degree, edge_points)
-    rhs -= apply_dual_functional(space, cfg, psi, w_val, w_grad, edge_points)
-    return float(abs(lhs - rhs) / psi_norm)
-
-
-def lm_error_representation_residual(
-    problem,
-    u_h,
-    lam_h,
-    space: P1Space,
-    trace_space: TraceDG0Space,
-    cfg: SaddleConfig,
-    psi,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
-    """Relative defect of the multiplier error representation.
-
-    Assembles the saddle matrix, solves the dual pair for psi and measures
-    the defect with `lm_error_representation_defect`.
-    """
-    system = assemble_saddle(space, trace_space, cfg, problem.f, problem.g, volume_degree, edge_points)
-    dual_rhs = assemble_dual_rhs_lm(space, trace_space, psi, edge_points)
-    phi, theta = system.split(solve_sym_indefinite(replace(system, rhs=dual_rhs)).x)
-    return lm_error_representation_defect(
-        problem, u_h, lam_h, space, trace_space, cfg, psi, phi, theta, volume_degree, edge_points
-    )
-
-
-def lm_error_representation_defect(
-    problem,
-    u_h,
-    lam_h,
-    space: P1Space,
-    trace_space: TraceDG0Space,
-    cfg: SaddleConfig,
-    psi,
-    phi,
-    theta,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
-    """Relative defect of the multiplier identity for a solved dual pair.
-
-    (phi_h, theta_h) solves the saddle matrix against
-    `assemble_dual_rhs_lm(psi)`; one factorization can serve (u_h,
-    lambda_h) and the duals of several psi. Compares
-    (lambda - lambda_h, psi)_G against
-    A_h(pi_h u - u, pi_h lambda - lambda; phi_h, theta_h)
-    + (psi, lambda - pi_h lambda)_G, divided by |psi|_G; 0 for psi = 0.
-    """
-    if cfg.kappa != 0.0:
-        raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
-    mesh = space.mesh
-    t, w, _, _, _, pts = facet_tables(space, edge_points)
     hw = mesh.facet_lengths[:, None] * w[None, :]
-    psi_vals = boundary_field_values(psi, mesh, t, pts)
-    psi_norm = np.sqrt(np.sum(hw * psi_vals**2))
-    if psi_norm == 0.0:
-        return 0.0
-    lam_exact = -problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
-    lam_h = np.asarray(lam_h, dtype=float)
-    lhs = np.sum(hw * (lam_exact - lam_h[:, None]) * psi_vals)
+    sigma = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
+    flux_gap = hw * (sigma - pointwise_nitsche_values(u_h, problem.g, space, cfg, t))
+    interp_error = _sampled_interp_error(problem, space, volume_degree, edge_points)
 
+    defects = []
+    for vals, phi in zip(psi_vals, phis):
+        psi_norm = np.sqrt(np.sum(hw * vals**2))
+        lhs = np.sum(flux_gap * vals)
+        rhs = apply_nitsche_form(space, cfg, interp_error, phi, volume_degree, edge_points)
+        rhs -= apply_dual_functional(space, cfg, vals, interp_error, edge_points)
+        defects.append(float(abs(lhs - rhs) / psi_norm) if psi_norm > 0.0 else 0.0)
+    return defects
+
+
+def lm_error_representation_residuals(
+    problem,
+    space: P1Space,
+    trace_space: TraceDG0Space,
+    cfg: SaddleConfig,
+    psis,
+    volume_degree: int = DEFAULT_VOLUME_DEGREE,
+    edge_points: int = DEFAULT_EDGE_POINTS,
+) -> list[float]:
+    """Relative defect |lhs - rhs| / |psi|_G of the multiplier identity, one per psi.
+
+    (u_h, lambda_h) and the dual pairs (phi_h, theta_h) of all psi share
+    one factorization; 0 for psi = 0.
+    """
+    if cfg.kappa != 0.0:
+        raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
+    mesh = space.mesh
+    t, w, _, _, _, pts = facet_tables(space, edge_points)
+    psi_vals = [boundary_field_values(psi, mesh, t, pts) for psi in psis]
+    system = assemble_saddle(space, trace_space, cfg, problem.f, problem.g, volume_degree, edge_points)
+    duals = [assemble_dual_rhs_lm(space, trace_space, vals, edge_points) for vals in psi_vals]
+    primal, *pairs = solve_sym_indefinite(
+        replace(system, rhs=np.column_stack([system.rhs, *duals]))
+    ).x.T
+    _, lam_h = system.split(primal)
+
+    hw = mesh.facet_lengths[:, None] * w[None, :]
+    lam_exact = -problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
+    lam_gap = hw * (lam_exact - lam_h[:, None])
     # facet averages are the natural interpolant onto facet constants
     pi_lam = np.einsum("q,fq->f", w, lam_exact)
-    pi_u = nodal_interpolant(problem.u, space)
-    w_val, w_grad = _interp_error_callables(problem, pi_u, space, sign=-1.0)
+    interp_gap = lam_exact - pi_lam[:, None]
     mu_vals = pi_lam[:, None] - lam_exact
-    rhs = apply_saddle_form(
-        space, trace_space, cfg, w_val, w_grad, mu_vals, phi, theta, volume_degree, edge_points
-    )
-    rhs += np.sum(hw * psi_vals * (lam_exact - pi_lam[:, None]))
-    return float(abs(lhs - rhs) / psi_norm)
+    interp_error = _sampled_interp_error(problem, space, volume_degree, edge_points, sign=-1.0)
+
+    defects = []
+    for vals, pair in zip(psi_vals, pairs):
+        psi_norm = np.sqrt(np.sum(hw * vals**2))
+        lhs = np.sum(lam_gap * vals)
+        phi, theta = system.split(pair)
+        rhs = apply_saddle_form(
+            space, trace_space, cfg, interp_error, mu_vals, phi, theta, volume_degree, edge_points
+        )
+        rhs += np.sum(hw * vals * interp_gap)
+        defects.append(float(abs(lhs - rhs) / psi_norm) if psi_norm > 0.0 else 0.0)
+    return defects
 
 
 # -- offset-contour integration ------------------------------------------------
@@ -450,6 +402,13 @@ def contour_interp_error_norms(
     return float(val_norm), float(grad_norm)
 
 
+def _check_offset_scan(delta_0: float, samples: int):
+    if not 0.0 < delta_0 < 0.5:
+        raise ValueError(f"delta_0 must lie in (0, 1/2), got {delta_0}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def interp_error_scan(
     problem,
     space: P1Space,
@@ -463,6 +422,7 @@ def interp_error_scan(
     component decays at second order and the gradient at first order for
     smooth u.
     """
+    _check_offset_scan(delta_0, samples)
     coeffs = nodal_interpolant(problem.u, space)
     sup_val = 0.0
     sup_grad = 0.0
@@ -513,8 +473,7 @@ def dual_stability_report(
     """
     if method not in ("nitsche", "lagrange"):
         raise ValueError(f"unknown method {method!r}")
-    if not 0.0 < delta_0 < 0.5:
-        raise ValueError(f"delta_0 must lie in (0, 1/2), got {delta_0}")
+    _check_offset_scan(delta_0, samples)
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))  # noqa: E731
 
     reports = []

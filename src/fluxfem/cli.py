@@ -10,7 +10,8 @@ dual-check  dual-stability ratios over levels {8, 16, 32, 64} plus the
             error-representation residual table at n in {8, 16, 32}.
 
 Exit codes: 0 pass, 1 tolerance failure, 2 usage/config/output error, 3
-solver failure. Identical configurations produce byte-identical output files.
+solver failure or out of memory (converge names the level k and grid n).
+Identical configurations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -28,19 +29,19 @@ from .analysis import (
     boundary_l2_error,
     dual_stability_report,
     energy_error,
-    error_representation_defect,
+    error_representation_residuals,
     fit_rate,
     l2_error,
-    lm_error_representation_defect,
+    lm_error_representation_residuals,
     rademacher_boundary_field,
     triple_norm_error,
 )
 from .fem import P1Space, TraceDG0Space, nodal_interpolant
 from .flux import ExactFluxField, multiplier_flux, nitsche_flux, variational_flux
-from .lagrange import SaddleConfig, assemble_dual_rhs_lm, assemble_saddle
+from .lagrange import SaddleConfig, assemble_saddle
 from .linsolve import SolverError, solve_spd, solve_sym_indefinite
 from .mesh import MAX_GRID_N, build_unit_square_mesh
-from .nitsche import NitscheConfig, assemble_dual_rhs_nitsche, assemble_nitsche
+from .nitsche import NitscheConfig, assemble_nitsche
 from .problems import affine_problem, constant_problem, trig_problem
 
 METHODS = ("nitsche", "lagrange")
@@ -115,43 +116,49 @@ def _fmt(x: float) -> str:
 
 
 def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
-    problem = trig_problem()
+    """One level's record; a solver failure or exhausted memory names k and n."""
     n = level_grid_n(k)
-    mesh = build_unit_square_mesh(n)
-    space = P1Space(mesh)
-    exact = ExactFluxField(problem, mesh)
-    variant = config.resolved_variant()
+    try:
+        problem = trig_problem()
+        mesh = build_unit_square_mesh(n)
+        space = P1Space(mesh)
+        exact = ExactFluxField(problem, mesh)
+        variant = config.resolved_variant()
 
-    if config.method == "nitsche":
-        cfg = NitscheConfig(beta=config.beta)
-        u = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x
-        if variant == "pointwise":
-            field = nitsche_flux(u, problem.g, space, cfg)
+        if config.method == "nitsche":
+            cfg = NitscheConfig(beta=config.beta)
+            u = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x
+            if variant == "pointwise":
+                field = nitsche_flux(u, problem.g, space, cfg)
+            else:
+                field = variational_flux(u, problem.g, problem.f, space)
+            energy = energy_error(problem, u, space)
+            dofs = space.n_dofs
         else:
-            field = variational_flux(u, problem.g, problem.f, space)
-        energy = energy_error(problem, u, space)
-        dofs = space.n_dofs
-    else:
-        trace_space = TraceDG0Space(mesh)
-        cfg = SaddleConfig(alpha=config.alpha)
-        system = assemble_saddle(space, trace_space, cfg, problem.f, problem.g)
-        u, lam = system.split(solve_sym_indefinite(system).x)
-        field = multiplier_flux(lam, mesh)
-        energy = triple_norm_error(problem, u, lam, space)
-        dofs = space.n_dofs + trace_space.n_dofs
+            trace_space = TraceDG0Space(mesh)
+            cfg = SaddleConfig(alpha=config.alpha)
+            system = assemble_saddle(space, trace_space, cfg, problem.f, problem.g)
+            u, lam = system.split(solve_sym_indefinite(system).x)
+            field = multiplier_flux(lam, mesh)
+            energy = triple_norm_error(problem, u, lam, space)
+            dofs = space.n_dofs + trace_space.n_dofs
 
-    return ConvergenceRecord(
-        k=k,
-        grid_n=n,
-        h_grid=mesh.h_grid,
-        h_max=mesh.h_max,
-        dofs=dofs,
-        method=config.method,
-        variant=variant,
-        flux_err=boundary_l2_error(field, exact, mesh),
-        energy_err=energy,
-        l2_err=l2_error(problem, u, space),
-    )
+        return ConvergenceRecord(
+            k=k,
+            grid_n=n,
+            h_grid=mesh.h_grid,
+            h_max=mesh.h_max,
+            dofs=dofs,
+            method=config.method,
+            variant=variant,
+            flux_err=boundary_l2_error(field, exact, mesh),
+            energy_err=energy,
+            l2_err=l2_error(problem, u, space),
+        )
+    except SolverError as exc:
+        raise type(exc)(f"k={k} n={n}: {exc}") from exc
+    except MemoryError as exc:
+        raise MemoryError(f"k={k} n={n}: {exc}".removesuffix(": ")) from exc
 
 
 def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
@@ -233,43 +240,17 @@ def run_dual_check(config: StudyConfig):
     problem = trig_problem()
     identity_rows = []
     for n in (8, 16, 32):
-        # One factorization per level: the primal rhs and the five dual rhs
-        # are the columns of one solve.
         mesh = build_unit_square_mesh(n)
         space = P1Space(mesh)
         psis = [rademacher_boundary_field(mesh, seed=config.seed + s) for s in range(5)]
         if config.method == "nitsche":
             cfg = NitscheConfig(beta=config.beta)
-            system = assemble_nitsche(
-                space, cfg, problem.f, problem.g, volume_degree=IDENTITY_VOLUME_DEGREE
-            )
-            duals = [assemble_dual_rhs_nitsche(space, cfg, psi) for psi in psis]
-            u, *phis = solve_spd(replace(system, rhs=np.column_stack([system.rhs, *duals]))).x.T
-            defects = [
-                error_representation_defect(
-                    problem, u, space, cfg, psi, phi, volume_degree=IDENTITY_VOLUME_DEGREE
-                )
-                for psi, phi in zip(psis, phis)
-            ]
+            defects = error_representation_residuals(problem, space, cfg, psis, IDENTITY_VOLUME_DEGREE)
         else:
-            trace_space = TraceDG0Space(mesh)
-            cfg = SaddleConfig(alpha=config.alpha)
-            system = assemble_saddle(
-                space, trace_space, cfg, problem.f, problem.g,
-                volume_degree=IDENTITY_VOLUME_DEGREE,
+            trace_space, cfg = TraceDG0Space(mesh), SaddleConfig(alpha=config.alpha)
+            defects = lm_error_representation_residuals(
+                problem, space, trace_space, cfg, psis, IDENTITY_VOLUME_DEGREE
             )
-            duals = [assemble_dual_rhs_lm(space, trace_space, psi) for psi in psis]
-            primal, *pairs = solve_sym_indefinite(
-                replace(system, rhs=np.column_stack([system.rhs, *duals]))
-            ).x.T
-            u, lam = system.split(primal)
-            defects = [
-                lm_error_representation_defect(
-                    problem, u, lam, space, trace_space, cfg, psi, *system.split(pair),
-                    volume_degree=IDENTITY_VOLUME_DEGREE,
-                )
-                for psi, pair in zip(psis, pairs)
-            ]
         worst = max(0.0, *defects)
         identity_rows.append((n, worst))
         if worst > IDENTITY_TOL:
@@ -411,6 +392,9 @@ def main(argv=None) -> int:
         return 1 if failures else 0
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"output error: cannot write {config.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)

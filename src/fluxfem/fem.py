@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -313,25 +314,34 @@ def facet_tables(space: P1Space, edge_points: int = DEFAULT_EDGE_POINTS):
     return t, w, pdofs, ndg, trace, points
 
 
-def normal_derivative(mesh: Mesh, grad_fn, points) -> np.ndarray:
-    """n.grad w at facet points (n_facets, q, 2) for a gradient callable of w."""
-    gx, gy = grad_fn(points[..., 0], points[..., 1])
-    return mesh.facet_normals[:, None, 0] * np.asarray(gx) + mesh.facet_normals[:, None, 1] * np.asarray(gy)
+class SampledField(NamedTuple):
+    """A function w sampled where the form kernels integrate it.
+
+    grad (gx, gy) at the volume points (n_triangles, n_q); value and
+    normal_derivative (n.grad w) at the boundary-facet points (n_facets, q).
+    """
+
+    grad: tuple
+    value: np.ndarray
+    normal_derivative: np.ndarray
 
 
-def volume_form(space: P1Space, kappa: float, w_value, w_grad, phi, volume_degree: int) -> float:
-    """(grad w, grad phi_h) + kappa (w, phi_h) for callables w and P1 coefficients phi."""
+def sample_field(space: P1Space, value_fn, grad_fn, volume_degree: int, edge_points: int) -> SampledField:
+    """Sample w from value and gradient callables of (x, y), once for all forms."""
     mesh = space.mesh
+    pts = space.quadrature_points(triangle_quadrature(volume_degree))
+    gx, gy = grad_fn(pts[..., 0], pts[..., 1])
+    points = mesh.facet_points(edge_quadrature(edge_points).points)
+    value = np.asarray(value_fn(points[..., 0], points[..., 1]), dtype=float)
+    fx, fy = grad_fn(points[..., 0], points[..., 1])
+    nd = mesh.facet_normals[:, None, 0] * np.asarray(fx) + mesh.facet_normals[:, None, 1] * np.asarray(fy)
+    return SampledField(grad=(np.asarray(gx), np.asarray(gy)), value=value, normal_derivative=nd)
+
+
+def volume_form(space: P1Space, w: SampledField, phi, volume_degree: int) -> float:
+    """(grad w, grad phi_h) for a sampled w and P1 coefficients phi."""
     rule = triangle_quadrature(volume_degree)
-    pts = space.quadrature_points(rule)
-    gx, gy = w_grad(pts[..., 0], pts[..., 1])
-    phigrad = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
-    integrand = np.asarray(gx) * phigrad[:, None, 0] + np.asarray(gy) * phigrad[:, None, 1]
-    total = 2.0 * float(np.sum(space.areas[:, None] * rule.weights[None, :] * integrand))
-    if kappa != 0.0:
-        wv = np.asarray(w_value(pts[..., 0], pts[..., 1]), dtype=float)
-        phivals = np.einsum("qk,tk->tq", basis_at(rule), phi[mesh.triangles])
-        total += kappa * 2.0 * float(
-            np.sum(space.areas[:, None] * rule.weights[None, :] * wv * phivals)
-        )
-    return total
+    gx, gy = w.grad
+    phigrad = np.einsum("ti,tid->td", phi[space.mesh.triangles], space.gradients)
+    integrand = gx * phigrad[:, None, 0] + gy * phigrad[:, None, 1]
+    return 2.0 * float(np.sum(space.areas[:, None] * rule.weights[None, :] * integrand))

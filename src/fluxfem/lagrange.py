@@ -29,12 +29,12 @@ from .fem import (
     DEFAULT_EDGE_POINTS,
     DEFAULT_VOLUME_DEGREE,
     P1Space,
+    SampledField,
     TraceDG0Space,
     boundary_field_values,
     facet_tables,
     load_vector,
     mass_matrix,
-    normal_derivative,
     stiffness_matrix,
     symmetrize,
     volume_form,
@@ -148,68 +148,40 @@ def assemble_dual_rhs_lm(
     return out
 
 
-def triple_norm_pair(
-    u_coeffs,
-    lam_coeffs,
-    space: P1Space,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
-    """Natural norm (|grad u|^2 + |h^-1/2 u|^2_G + |h^1/2 lambda|^2_G)^(1/2)."""
-    mesh = space.mesh
-    u = np.asarray(u_coeffs, dtype=float)
-    lam = np.asarray(lam_coeffs, dtype=float)
-    grads = np.einsum("ti,tid->td", u[mesh.triangles], space.gradients)
-    vol = float(np.sum(space.areas * np.einsum("td,td->t", grads, grads)))
-    t, w, pdofs, _, trace, _ = facet_tables(space, edge_points)
-    hf = mesh.facet_lengths
-    uvals = np.einsum("fkq,fk->fq", trace, u[pdofs])
-    # 1/h_F cancels the facet jacobian h_F in the weighted trace term
-    u_part = float(np.sum(w[None, :] * uvals**2))
-    lam_part = float(np.sum(hf * hf * lam**2))
-    return float(np.sqrt(vol + u_part + lam_part))
-
-
 def apply_saddle_form(
     space: P1Space,
     trace_space: TraceDG0Space,
     cfg: SaddleConfig,
-    w_value,
-    w_grad,
-    mu,
+    w: SampledField,
+    muvals,
     phi_coeffs,
     theta_coeffs,
     volume_degree: int = DEFAULT_VOLUME_DEGREE,
     edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> float:
-    """A_h(w, mu; phi_h, theta_h) with a general first pair.
+    """A_h(w, mu; phi_h, theta_h) at kappa = 0 with a general first pair.
 
-    w is given by closed-form (value, gradient) callables and mu by any
-    boundary-data object (callable, field, per-facet values, or a
-    precomputed (n_facets, n_q) array); the second pair is discrete.
-    Mirrors the assembled operator, including the kappa shift if set.
+    w is sampled by `sample_field` (same `volume_degree` and
+    `edge_points`) and mu is given by its values at the facet points,
+    (n_facets, edge_points); the second pair is discrete.
     """
-    mesh = space.mesh
     phi = np.asarray(phi_coeffs, dtype=float)
     theta = np.asarray(theta_coeffs, dtype=float)
 
-    total = volume_form(space, cfg.kappa, w_value, w_grad, phi, volume_degree)
+    total = volume_form(space, w, phi, volume_degree)
 
-    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
-    hf = mesh.facet_lengths
+    _, wq, pdofs, ndg, trace, _ = facet_tables(space, edge_points)
+    hf = space.mesh.facet_lengths
     ah = cfg.alpha * hf
     pc = phi[pdofs]
     phi_trace = np.einsum("fkq,fk->fq", trace, pc)
     phi_nd = np.einsum("fk,fk->f", ndg, pc)
 
-    wvals = np.asarray(w_value(points[..., 0], points[..., 1]), dtype=float)
-    w_nd = normal_derivative(mesh, w_grad, points)
-    muvals = boundary_field_values(mu, mesh, t, points)
-
     # b(mu, phi) + b(theta, w)
-    total += float(np.sum(hf[:, None] * w[None, :] * muvals * phi_trace))
-    total += float(np.sum(hf * theta * np.einsum("q,fq->f", w, wvals)))
+    total += float(np.sum(hf[:, None] * wq[None, :] * muvals * phi_trace))
+    total += float(np.sum(hf * theta * np.einsum("q,fq->f", wq, w.value)))
     # -alpha h (mu + n.grad w, theta + n.grad phi)_F
-    left = muvals + w_nd
+    left = muvals + w.normal_derivative
     right = theta[:, None] + phi_nd[:, None]
-    total -= float(np.sum((ah * hf)[:, None] * w[None, :] * left * right))
+    total -= float(np.sum((ah * hf)[:, None] * wq[None, :] * left * right))
     return total

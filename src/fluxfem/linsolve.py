@@ -60,7 +60,8 @@ def _pivot_factorization(matrix: sp.csc_matrix):
 
     A zero pivot makes SuperLU either leave the diagonal (perm_r differs
     from perm_c) or give up; both mean the symmetric elimination broke
-    down, not that the matrix is singular.
+    down, not that the matrix is singular. A failed SuperLU allocation
+    raises MemoryError.
     """
     try:
         lu = spla.splu(
@@ -69,7 +70,9 @@ def _pivot_factorization(matrix: sp.csc_matrix):
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
-    except RuntimeError:
+    except RuntimeError as exc:
+        if "SUPERLU_MALLOC" in str(exc):  # a failed allocation, not a breakdown
+            raise MemoryError(str(exc).strip()) from exc
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None

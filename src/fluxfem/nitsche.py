@@ -30,14 +30,14 @@ from .fem import (
     DEFAULT_EDGE_POINTS,
     DEFAULT_VOLUME_DEGREE,
     P1Space,
+    SampledField,
     boundary_field_values,
+    edge_quadrature,
     facet_tables,
     load_vector,
     mass_matrix,
-    normal_derivative,
     stiffness_matrix,
     symmetrize,
-    triangle_quadrature,
     volume_form,
 )
 
@@ -132,99 +132,50 @@ def assemble_dual_rhs_nitsche(
     return out
 
 
-def energy_norm(
-    v,
-    space: P1Space,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
-    """Mesh-dependent norm (|grad v|^2 + h |n.grad v|^2_G + 1/h |v|^2_G)^(1/2).
-
-    `v` is either a P1 coefficient vector or a pair (value, gradient) of
-    callables; h is the global grid size.
-    """
-    mesh = space.mesh
-    h = mesh.h_grid
-    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
-    hf = mesh.facet_lengths
-
-    is_callable_pair = isinstance(v, tuple) and len(v) == 2 and callable(v[0])
-    if not is_callable_pair:
-        coeffs = np.asarray(v, dtype=float)
-        grads = np.einsum("ti,tid->td", coeffs[mesh.triangles], space.gradients)
-        vol = float(np.sum(space.areas * np.einsum("td,td->t", grads, grads)))
-        nd = np.einsum("fk,fk->f", ndg, coeffs[pdofs])
-        flux_part = float(np.sum(h * hf * nd * nd))
-        tracevals = np.einsum("fkq,fk->fq", trace, coeffs[pdofs])
-        trace_part = float(np.sum(hf[:, None] * w[None, :] * tracevals**2) / h)
-        return float(np.sqrt(vol + flux_part + trace_part))
-
-    value_fn, grad_fn = v
-    rule = triangle_quadrature(volume_degree)
-    pts = space.quadrature_points(rule)
-    gx, gy = grad_fn(pts[..., 0], pts[..., 1])
-    vol = float(
-        2.0
-        * np.sum(
-            space.areas[:, None] * rule.weights[None, :] * (np.asarray(gx) ** 2 + np.asarray(gy) ** 2)
-        )
-    )
-    nd = normal_derivative(mesh, grad_fn, points)
-    vals = np.asarray(value_fn(points[..., 0], points[..., 1]), dtype=float)
-    flux_part = float(np.sum(hf[:, None] * w[None, :] * nd**2) * h)
-    trace_part = float(np.sum(hf[:, None] * w[None, :] * vals**2) / h)
-    return float(np.sqrt(vol + flux_part + trace_part))
-
-
 def apply_nitsche_form(
     space: P1Space,
     cfg: NitscheConfig,
-    w_value,
-    w_grad,
+    w: SampledField,
     phi_coeffs,
     volume_degree: int = DEFAULT_VOLUME_DEGREE,
     edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> float:
-    """a_h(w, phi_h) for a general function w given by closed-form callables.
+    """a_h(w, phi_h) at kappa = 0 for a general function w sampled by `sample_field`.
 
     Used by the error-representation check where w = u - pi_h u is not a
-    finite element function. Volume terms use triangle quadrature.
+    finite element function; `sample_field` must use the same
+    `volume_degree` and `edge_points`.
     """
-    mesh = space.mesh
     phi = np.asarray(phi_coeffs, dtype=float)
-    total = volume_form(space, cfg.kappa, w_value, w_grad, phi, volume_degree)
+    total = volume_form(space, w, phi, volume_degree)
 
-    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
-    hf = mesh.facet_lengths
+    _, wq, pdofs, ndg, trace, _ = facet_tables(space, edge_points)
+    hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
     pc = phi[pdofs]
     phi_trace = np.einsum("fkq,fk->fq", trace, pc)
     phi_nd = np.einsum("fk,fk->f", ndg, pc)
-    wvals = np.asarray(w_value(points[..., 0], points[..., 1]), dtype=float)
-    w_nd = normal_derivative(mesh, w_grad, points)
 
-    total -= float(np.sum(hf[:, None] * w[None, :] * w_nd * phi_trace))
-    total -= float(np.sum(hf * phi_nd * np.einsum("q,fq->f", w, wvals)))
-    total += float(np.sum((pen * hf)[:, None] * w[None, :] * wvals * phi_trace))
+    total -= float(np.sum(hf[:, None] * wq[None, :] * w.normal_derivative * phi_trace))
+    total -= float(np.sum(hf * phi_nd * np.einsum("q,fq->f", wq, w.value)))
+    total += float(np.sum((pen * hf)[:, None] * wq[None, :] * w.value * phi_trace))
     return total
 
 
 def apply_dual_functional(
     space: P1Space,
     cfg: NitscheConfig,
-    psi,
-    w_value,
-    w_grad,
+    psivals,
+    w: SampledField,
     edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> float:
-    """m_psi(w) = beta/h (psi, w)_G - (psi, n.grad w)_G for closed-form w."""
-    mesh = space.mesh
-    t, w, _, _, _, points = facet_tables(space, edge_points)
-    hf = mesh.facet_lengths
+    """m_psi(w) = beta/h (psi, w)_G - (psi, n.grad w)_G for a sampled w.
+
+    `psivals` holds psi at the facet points, (n_facets, edge_points).
+    """
+    hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
-    psivals = boundary_field_values(psi, mesh, t, points)
-    wvals = np.asarray(w_value(points[..., 0], points[..., 1]), dtype=float)
-    w_nd = normal_derivative(mesh, w_grad, points)
-    total = float(np.sum((pen * hf)[:, None] * w[None, :] * psivals * wvals))
-    total -= float(np.sum(hf[:, None] * w[None, :] * psivals * w_nd))
+    wq = edge_quadrature(edge_points).weights
+    total = float(np.sum((pen * hf)[:, None] * wq[None, :] * psivals * w.value))
+    total -= float(np.sum(hf[:, None] * wq[None, :] * psivals * w.normal_derivative))
     return total

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluxfem import analysis
 from fluxfem.analysis import (
     ConvergenceRecord,
     boundary_l2_error,
@@ -8,17 +9,17 @@ from fluxfem.analysis import (
     contour_interp_error_norms,
     contour_l2_norm_discrete,
     dual_stability_report,
-    error_representation_residual,
+    error_representation_residuals,
     fit_rate,
     interp_error_scan,
     l2_error,
-    lm_error_representation_residual,
+    lm_error_representation_residuals,
     rademacher_boundary_field,
 )
 from fluxfem.fem import P1Space, TraceDG0Space, edge_quadrature, nodal_interpolant
 from fluxfem.flux import BoundaryFluxField, ExactFluxField
-from fluxfem.lagrange import SaddleConfig, assemble_saddle
-from fluxfem.linsolve import solve_spd, solve_sym_indefinite
+from fluxfem.lagrange import SaddleConfig
+from fluxfem.linsolve import solve_spd
 from fluxfem.mesh import build_unit_square_mesh, offset_contour
 from fluxfem.nitsche import NitscheConfig, assemble_nitsche
 from fluxfem.problems import ManufacturedProblem
@@ -87,19 +88,17 @@ def test_half_to_quarter_error_ratio_matches_first_order(trig):
 def test_error_representation_zero_psi(trig):
     space = P1Space(build_unit_square_mesh(4))
     cfg = NitscheConfig(beta=10.0)
-    u = solve_spd(assemble_nitsche(space, cfg, trig.f, trig.g)).x
     zero = lambda x, y: np.zeros_like(x)  # noqa: E731
-    assert error_representation_residual(trig, u, space, cfg, zero) == 0.0
+    assert error_representation_residuals(trig, space, cfg, [zero]) == [0.0]
 
 
 def test_error_representation_affine_problem(affine):
     """u in the discrete space: both sides of the identity vanish."""
     space = P1Space(build_unit_square_mesh(4))
     cfg = NitscheConfig(beta=10.0)
-    u = solve_spd(assemble_nitsche(space, cfg, affine.f, affine.g)).x
-    for seed in range(3):
-        psi = rademacher_boundary_field(space.mesh, seed)
-        assert error_representation_residual(affine, u, space, cfg, psi) <= 1e-10
+    psis = [rademacher_boundary_field(space.mesh, seed) for seed in range(3)]
+    for residual in error_representation_residuals(affine, space, cfg, psis):
+        assert residual <= 1e-10
 
 
 def test_error_representation_polynomial_exact():
@@ -114,25 +113,19 @@ def test_error_representation_polynomial_exact():
     mesh = build_unit_square_mesh(8)
     space, trace = P1Space(mesh), TraceDG0Space(mesh)
     cfg = NitscheConfig(beta=10.0)
-    u = solve_spd(assemble_nitsche(space, cfg, quadratic.f, quadratic.g)).x
     scfg = SaddleConfig(alpha=10.0)
-    system = assemble_saddle(space, trace, scfg, quadratic.f, quadratic.g)
-    uu, lam = system.split(solve_sym_indefinite(system).x)
-    for seed in range(3):
-        psi = rademacher_boundary_field(mesh, seed)
-        assert error_representation_residual(quadratic, u, space, cfg, psi) <= 1e-12
-        assert (
-            lm_error_representation_residual(quadratic, uu, lam, space, trace, scfg, psi)
-            <= 1e-11
-        )
+    psis = [rademacher_boundary_field(mesh, seed) for seed in range(3)]
+    for residual in error_representation_residuals(quadratic, space, cfg, psis):
+        assert residual <= 1e-12
+    for residual in lm_error_representation_residuals(quadratic, space, trace, scfg, psis):
+        assert residual <= 1e-11
 
 
 def test_error_representation_trig_quadrature_limited(trig):
     space = P1Space(build_unit_square_mesh(16))
     cfg = NitscheConfig(beta=10.0)
-    u = solve_spd(assemble_nitsche(space, cfg, trig.f, trig.g, volume_degree=6)).x
     psi = rademacher_boundary_field(space.mesh, 7)
-    residual = error_representation_residual(trig, u, space, cfg, psi, volume_degree=6)
+    [residual] = error_representation_residuals(trig, space, cfg, [psi], volume_degree=6)
     assert residual <= 1e-6
 
 
@@ -140,7 +133,50 @@ def test_error_representation_rejects_shifted_config(trig):
     space = P1Space(build_unit_square_mesh(4))
     cfg = NitscheConfig(beta=10.0, kappa=1.0)
     with pytest.raises(ValueError, match="unshifted"):
-        error_representation_residual(trig, np.zeros(space.n_dofs), space, cfg, lambda x, y: x)
+        error_representation_residuals(trig, space, cfg, [lambda x, y: x])
+
+
+def _identity_residuals(method, problem, space, psis):
+    if method == "nitsche":
+        return error_representation_residuals(
+            problem, space, NitscheConfig(beta=10.0), psis, volume_degree=6
+        )
+    return lm_error_representation_residuals(
+        problem, space, TraceDG0Space(space.mesh), SaddleConfig(alpha=0.25), psis, volume_degree=6
+    )
+
+
+@pytest.mark.parametrize("method", ["nitsche", "lagrange"])
+def test_identity_residuals_per_psi_match_single_psi_bitwise(trig, method):
+    """One call for several psi gives each psi exactly the defect of a call
+    for that psi alone, a zero psi included."""
+    mesh = build_unit_square_mesh(8)
+    space = P1Space(mesh)
+    zero = lambda x, y: np.zeros_like(x)  # noqa: E731
+    psis = [rademacher_boundary_field(mesh, 0), zero, *(rademacher_boundary_field(mesh, s) for s in (1, 2))]
+    together = _identity_residuals(method, trig, space, psis)
+    assert len(together) == len(psis)
+    assert together[1] == 0.0
+    for psi, residual in zip(psis, together):
+        assert _identity_residuals(method, trig, space, [psi]) == [residual]
+
+
+@pytest.mark.parametrize("method", ["nitsche", "lagrange"])
+def test_identity_residuals_sample_interpolation_error_once(monkeypatch, trig, method):
+    """u - pi_h u is sampled once per call (volume gradient, facet value,
+    facet gradient), however many psi there are."""
+    calls = []
+    original = analysis.eval_discrete_many
+    monkeypatch.setattr(
+        analysis, "eval_discrete_many", lambda *args: calls.append(1) or original(*args)
+    )
+    mesh = build_unit_square_mesh(4)
+    space = P1Space(mesh)
+    for count in (1, 5):
+        calls.clear()
+        psis = [rademacher_boundary_field(mesh, seed) for seed in range(count)]
+        _identity_residuals(method, trig, space, psis)
+        assert len(calls) == 3
 
 
 def test_interp_scan_affine_is_exact(affine):
@@ -243,6 +279,24 @@ def test_dual_stability_rejects_bad_arguments():
         dual_stability_report("galerkin", [4])
     with pytest.raises(ValueError, match="delta_0"):
         dual_stability_report("nitsche", [4], delta_0=0.7)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            dual_stability_report("nitsche", [4], samples=samples)
+
+
+def test_interp_scan_rejects_bad_arguments_before_any_work(monkeypatch, trig):
+    space = P1Space(build_unit_square_mesh(4))
+
+    def no_work(*args):
+        raise AssertionError("the scan started before its arguments were checked")
+
+    monkeypatch.setattr(analysis, "nodal_interpolant", no_work)
+    for delta_0 in (0.7, 0.5, 0.0, -0.1):
+        with pytest.raises(ValueError, match="delta_0"):
+            interp_error_scan(trig, space, delta_0=delta_0)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            interp_error_scan(trig, space, samples=samples)
 
 
 def test_stability_report_q5_only_for_multiplier():

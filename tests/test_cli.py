@@ -1,6 +1,6 @@
 import pytest
 
-from fluxfem import linsolve
+from fluxfem import cli, linsolve
 from fluxfem.cli import (
     MAX_LEVEL,
     MIN_LEVEL,
@@ -186,6 +186,39 @@ def test_dual_check_factors_each_matrix_once(monkeypatch, flags):
     )
     assert main(["dual-check", *flags]) == 0
     assert len(factored) == 4 + 3
+
+
+def test_converge_solver_failure_names_the_level(capsys):
+    assert main(["converge", "--beta", "0.1", "--kmax", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: k=0 n=4: not positive definite")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, target, detail, message",
+    [
+        (["converge", "--kmax", "1"], "solve_spd", "Unable to allocate 8.00 EiB",
+         "out of memory: k=0 n=4: Unable to allocate 8.00 EiB\n"),
+        (["converge", "--method", "lagrange", "--kmin", "2", "--kmax", "2", "--parallel"],
+         "solve_sym_indefinite", "Unable to allocate 8.00 EiB",
+         "out of memory: k=2 n=8: Unable to allocate 8.00 EiB\n"),
+        (["dual-check"], "dual_stability_report", "Unable to allocate 8.00 EiB",
+         "out of memory: Unable to allocate 8.00 EiB\n"),
+        (["patch-test"], "solve_spd", "", "out of memory\n"),
+    ],
+)
+def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys, argv, target, detail, message):
+    """Exit 3 (never 1, the tolerance-failure code) and no traceback."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_quadrature_rules_are_built_once_and_read_only():

@@ -6,7 +6,6 @@ from fluxfem.lagrange import (
     SaddleConfig,
     assemble_dual_rhs_lm,
     assemble_saddle,
-    triple_norm_pair,
 )
 from fluxfem.linsolve import SingularSystemError, solve_sym_indefinite
 from fluxfem.mesh import build_unit_square_mesh
@@ -87,17 +86,6 @@ def test_dual_rhs_entries():
     linear = assemble_dual_rhs_lm(space, trace, lambda x, y: np.asarray(x, dtype=float))
     # bottom facet [0, 1/4] x {0}: integral of x is 1/32
     assert linear[space.n_dofs] == pytest.approx(1.0 / 32.0, abs=1e-14)
-
-
-def test_triple_norm_values():
-    mesh = build_unit_square_mesh(4)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    assert triple_norm_pair(np.zeros(space.n_dofs), np.zeros(trace.n_dofs), space) == 0.0
-    value = triple_norm_pair(np.ones(space.n_dofs), np.zeros(trace.n_dofs), space)
-    assert value == pytest.approx(4.0, abs=1e-12)
-    lam_only = triple_norm_pair(np.zeros(space.n_dofs), np.ones(trace.n_dofs), space)
-    # |h^(1/2) lambda|^2 = h * perimeter = 1
-    assert lam_only == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])

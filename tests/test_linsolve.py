@@ -195,3 +195,16 @@ def test_multi_column_solve_matches_single_columns(trig, monkeypatch, method, n,
     assert result.residual == max(single.residual for single in singles)
     assert result.residual <= (SPD_RESIDUAL_TOL if method == "nitsche" else INDEFINITE_RESIDUAL_TOL)
     assert result.inertia == solve(system).inertia
+
+
+def test_superlu_allocation_failure_is_memory_error(monkeypatch):
+    """SuperLU reports a failed allocation as a RuntimeError; it must not
+    read as a breakdown ("not positive definite")."""
+
+    def failed_allocation(*args, **kwargs):
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc() at line 173\n")
+
+    monkeypatch.setattr(linsolve.spla, "splu", failed_allocation)
+    system = _system([[2.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(MemoryError, match=r"^SUPERLU_MALLOC fails .* line 173$"):
+        solve_spd(system)

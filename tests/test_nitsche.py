@@ -8,7 +8,6 @@ from fluxfem.nitsche import (
     NitscheConfig,
     assemble_dual_rhs_nitsche,
     assemble_nitsche,
-    energy_norm,
 )
 from fluxfem.problems import affine_problem
 
@@ -115,20 +114,6 @@ def test_dual_solve_reuses_primal_matrix(trig):
     rhs = assemble_dual_rhs_nitsche(space, cfg, lambda x, y: np.ones_like(x))
     result = solve_spd(LinearSystem(matrix=system.matrix, rhs=rhs))
     assert result.residual <= 1e-10
-
-
-def test_energy_norm_values():
-    space = P1Space(build_unit_square_mesh(4))
-    assert energy_norm(np.zeros(space.n_dofs), space) == 0.0
-    assert energy_norm(np.ones(space.n_dofs), space) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_energy_norm_callable_pair_matches_coefficients(affine):
-    space = P1Space(build_unit_square_mesh(4))
-    coeffs = nodal_interpolant(affine.u, space)
-    via_coeffs = energy_norm(coeffs, space)
-    via_callables = energy_norm((affine.u, affine.grad_u), space)
-    assert via_coeffs == pytest.approx(via_callables, rel=1e-12)
 
 
 def test_energy_error_first_order(trig):

@@ -1,0 +1,113 @@
+"""Property tests for point location and contour splitting on the grid mesh.
+
+Examples are derandomized, so every run checks the same inputs.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fluxfem.fem import locate_triangle
+from fluxfem.mesh import build_unit_square_mesh, split_segment_at_mesh_lines
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+grid_n = st.integers(min_value=1, max_value=64)
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# coordinates on or next to mesh lines are where rounding decides
+near_lines = st.builds(
+    lambda i, n, eps: min(max(i / n + eps, 0.0), 1.0),
+    st.integers(0, 64),
+    st.integers(1, 64),
+    st.sampled_from([0.0, 1e-15, -1e-15, 1e-13, -1e-13]),
+)
+coordinate = st.one_of(unit, near_lines)
+
+
+def barycentric(mesh, tri, points):
+    """Barycentric coordinates of each point in its triangle, shape (m, 3)."""
+    v = mesh.vertices[mesh.triangles[tri]]
+    e1, e2, d = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], points - v[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    l1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
+    l2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
+    return np.column_stack([1.0 - l1 - l2, l1, l2])
+
+
+@PROPERTY
+@given(n=grid_n, xs=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=20))
+def test_locate_triangle_finds_a_triangle_containing_the_point(n, xs):
+    mesh = build_unit_square_mesh(n)
+    points = np.array(xs)
+    tri = locate_triangle(mesh, points)
+    assert tri.shape == (len(xs),)
+    assert np.all((tri >= 0) & (tri < mesh.n_triangles))
+    assert np.all(barycentric(mesh, tri, points) >= -1e-12 * n)
+    # vectorized lookup agrees with one point at a time, and keeps the leading shape
+    assert [locate_triangle(mesh, p[None, :])[0] for p in points] == list(tri)
+    assert np.array_equal(locate_triangle(mesh, points[None, :, :])[0], tri)
+
+
+@PROPERTY
+@given(
+    n=grid_n,
+    x=coordinate,
+    y=coordinate,
+    side=st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]),
+    gap=st.sampled_from([1e-13, 1e-9, 1e-3, 0.25]),
+)
+def test_locate_triangle_tolerance_band(n, x, y, side, gap):
+    """Points at most 1e-12 outside the square still resolve; farther ones raise."""
+    mesh = build_unit_square_mesh(n)
+    # push the point past the edge of the square that `side` points to
+    p = np.array([x, y])
+    axis = 0 if side[0] else 1
+    p[axis] = (1.0 + gap) if side[axis] > 0 else -gap
+    if gap <= 1e-12:
+        assert 0 <= locate_triangle(mesh, p[None, :])[0] < mesh.n_triangles
+    else:
+        with pytest.raises(ValueError, match="outside"):
+            locate_triangle(mesh, p[None, :])
+
+
+def axis_segment(fixed, a, b, horizontal):
+    return ((a, fixed), (b, fixed)) if horizontal else ((fixed, a), (fixed, b))
+
+
+@PROPERTY
+@given(n=grid_n, fixed=coordinate, a=coordinate, b=coordinate, horizontal=st.booleans())
+def test_split_segment_pieces_each_lie_in_one_triangle(n, fixed, a, b, horizontal):
+    mesh = build_unit_square_mesh(n)
+    p0, p1 = (np.array(p) for p in axis_segment(fixed, a, b, horizontal))
+    t = split_segment_at_mesh_lines(mesh, p0, p1)
+    assert t[0] == 0.0 and t[-1] == 1.0
+    assert np.all(np.diff(t) > 0.0)
+    ends = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
+    mids = 0.5 * (ends[:-1] + ends[1:])
+    tri = locate_triangle(mesh, mids)
+    # both ends of every piece lie in the triangle that holds its midpoint
+    assert np.all(barycentric(mesh, tri, ends[:-1]) >= -1e-9)
+    assert np.all(barycentric(mesh, tri, ends[1:]) >= -1e-9)
+
+
+@PROPERTY
+@given(n=grid_n, fixed=coordinate, a=coordinate, b=coordinate, horizontal=st.booleans())
+def test_split_segment_is_symmetric_under_reversal(n, fixed, a, b, horizontal):
+    mesh = build_unit_square_mesh(n)
+    forward = split_segment_at_mesh_lines(mesh, *axis_segment(fixed, a, b, horizontal))
+    backward = split_segment_at_mesh_lines(mesh, *axis_segment(fixed, b, a, horizontal))
+    assert len(forward) == len(backward)
+    assert np.allclose(forward, 1.0 - backward[::-1], rtol=0.0, atol=1e-12)
+
+
+@PROPERTY
+@given(n=grid_n, fixed=coordinate, a=coordinate, b=coordinate, horizontal=st.booleans())
+def test_split_segment_cuts_every_crossed_grid_line(n, fixed, a, b, horizontal):
+    mesh = build_unit_square_mesh(n)
+    lo, hi = min(a, b), max(a, b)
+    t = split_segment_at_mesh_lines(mesh, *axis_segment(fixed, a, b, horizontal))
+    positions = a + t * (b - a)
+    crossed = np.arange(n + 1) / n
+    crossed = crossed[(crossed > lo + 1e-9) & (crossed < hi - 1e-9)]
+    for line in crossed:
+        assert np.min(np.abs(positions - line)) <= 1e-12
