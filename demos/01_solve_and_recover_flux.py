@@ -12,7 +12,6 @@ from fluxfem import (
     NitscheConfig,
     P1Space,
     SaddleConfig,
-    TraceDG0Space,
     assemble_nitsche,
     assemble_saddle,
     boundary_l2_error,
@@ -46,8 +45,7 @@ print(f"variational flux error {boundary_l2_error(variational, exact, mesh):.4e}
 
 # --- Stabilized Lagrange multipliers: the flux is minus the multiplier --------
 
-trace = TraceDG0Space(mesh)
-saddle = assemble_saddle(space, trace, SaddleConfig(alpha=0.25), problem.f, problem.g)
+saddle = assemble_saddle(space, SaddleConfig(alpha=0.25), problem.f, problem.g)
 sol = solve_sym_indefinite(saddle)
 u, lam = saddle.split(sol.x)
 print(f"saddle solve: residual {sol.residual:.2e}, inertia {sol.inertia}")

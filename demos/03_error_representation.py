@@ -15,7 +15,6 @@ from fluxfem import (
     NitscheConfig,
     P1Space,
     SaddleConfig,
-    TraceDG0Space,
     build_unit_square_mesh,
     error_representation_residuals,
     lm_error_representation_residuals,
@@ -29,11 +28,8 @@ scfg = SaddleConfig(alpha=10.0)
 
 for n in (8, 16, 32):
     mesh = build_unit_square_mesh(n)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
+    space = P1Space(mesh)
     psis = [rademacher_boundary_field(mesh, seed) for seed in range(5)]  # rough +-1 per facet
-    worst_n = max(0.0, *error_representation_residuals(problem, space, cfg, psis, volume_degree=6))
-    worst_l = max(
-        0.0,
-        *lm_error_representation_residuals(problem, space, trace, scfg, psis, volume_degree=6),
-    )
+    worst_n = max(0.0, *error_representation_residuals(problem, space, cfg, psis))
+    worst_l = max(0.0, *lm_error_representation_residuals(problem, space, scfg, psis))
     print(f"n={n:3d}: worst relative residual  nitsche {worst_n:.3e}  multiplier {worst_l:.3e}")

@@ -27,7 +27,6 @@ from .analysis import (
 from .fem import (
     P1Space,
     QuadratureRule,
-    TraceDG0Space,
     edge_quadrature,
     eval_basis,
     eval_discrete,

@@ -24,10 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fem import (
-    DEFAULT_EDGE_POINTS,
-    DEFAULT_VOLUME_DEGREE,
+    EDGE_POINTS,
+    VOLUME_DEGREE,
     P1Space,
-    TraceDG0Space,
     basis_at,
     boundary_field_values,
     edge_quadrature,
@@ -54,6 +53,10 @@ from .nitsche import (
     assemble_dual_rhs_nitsche,
     assemble_nitsche,
 )
+
+# Both identities hold up to the volume quadrature error of (f, phi_h) and
+# (grad(u - pi_h u), grad phi_h), so they use a finer rule than assembly.
+IDENTITY_VOLUME_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -112,18 +115,16 @@ class InterpScan:
 # -- boundary norms ----------------------------------------------------------
 
 
-def boundary_l2_norm(field, mesh: Mesh, edge_points: int = DEFAULT_EDGE_POINTS) -> float:
+def boundary_l2_norm(field, mesh: Mesh) -> float:
     """L2(boundary) norm of any boundary-data object."""
-    rule = edge_quadrature(edge_points)
+    rule = edge_quadrature(EDGE_POINTS)
     vals = boundary_field_values(field, mesh, rule.points, mesh.facet_points(rule.points))
     return float(np.sqrt(np.sum(mesh.facet_lengths[:, None] * rule.weights[None, :] * vals**2)))
 
 
-def boundary_l2_error(
-    flux, exact, mesh: Mesh, edge_points: int = DEFAULT_EDGE_POINTS
-) -> float:
+def boundary_l2_error(flux, exact, mesh: Mesh) -> float:
     """L2(boundary) distance between two boundary fields (facet quadrature)."""
-    rule = edge_quadrature(edge_points)
+    rule = edge_quadrature(EDGE_POINTS)
     t, pts = rule.points, mesh.facet_points(rule.points)
     a = boundary_field_values(flux, mesh, t, pts)
     b = boundary_field_values(exact, mesh, t, pts)
@@ -133,21 +134,19 @@ def boundary_l2_error(
 # -- volume/energy error norms ----------------------------------------------
 
 
-def l2_error(
-    problem, coeffs, space: P1Space, volume_degree: int = DEFAULT_VOLUME_DEGREE
-) -> float:
+def l2_error(problem, coeffs, space: P1Space) -> float:
     """|u - u_h| over the domain with triangle quadrature."""
     mesh = space.mesh
-    rule = triangle_quadrature(volume_degree)
+    rule = triangle_quadrature(VOLUME_DEGREE)
     pts = space.quadrature_points(rule)
     uh = np.einsum("qk,tk->tq", basis_at(rule), np.asarray(coeffs, dtype=float)[mesh.triangles])
     diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh
     return float(np.sqrt(2.0 * np.sum(space.areas[:, None] * rule.weights[None, :] * diff**2)))
 
 
-def _error_gradient_terms(problem, coeffs, space, volume_degree):
+def _error_gradient_terms(problem, coeffs, space):
     mesh = space.mesh
-    rule = triangle_quadrature(volume_degree)
+    rule = triangle_quadrature(VOLUME_DEGREE)
     pts = space.quadrature_points(rule)
     gx, gy = problem.grad_u(pts[..., 0], pts[..., 1])
     grads = np.einsum("ti,tid->td", np.asarray(coeffs, dtype=float)[mesh.triangles], space.gradients)
@@ -156,10 +155,10 @@ def _error_gradient_terms(problem, coeffs, space, volume_degree):
     return float(2.0 * np.sum(space.areas[:, None] * rule.weights[None, :] * (dx**2 + dy**2)))
 
 
-def _boundary_error_terms(problem, coeffs, space, edge_points):
+def _boundary_error_terms(problem, coeffs, space):
     """Facet integrals of (u - u_h)^2 and (n.grad(u - u_h))^2."""
     mesh = space.mesh
-    t, w, pdofs, ndg, _, pts = facet_tables(space, edge_points)
+    t, w, pdofs, ndg, _, pts = facet_tables(space)
     coeffs = np.asarray(coeffs, dtype=float)
     ends = mesh.facet_vertices
     u_trace = coeffs[ends][:, [0]] * (1.0 - t)[None, :] + coeffs[ends][:, [1]] * t[None, :]
@@ -172,33 +171,20 @@ def _boundary_error_terms(problem, coeffs, space, edge_points):
     return float(val_sq), float(nd_sq)
 
 
-def energy_error(
-    problem,
-    coeffs,
-    space: P1Space,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
+def energy_error(problem, coeffs, space: P1Space) -> float:
     """Nitsche energy norm of u - u_h (gradient, h-scaled flux, 1/h trace)."""
     h = space.mesh.h_grid
-    grad_sq = _error_gradient_terms(problem, coeffs, space, volume_degree)
-    val_sq, nd_sq = _boundary_error_terms(problem, coeffs, space, edge_points)
+    grad_sq = _error_gradient_terms(problem, coeffs, space)
+    val_sq, nd_sq = _boundary_error_terms(problem, coeffs, space)
     return float(np.sqrt(grad_sq + h * nd_sq + val_sq / h))
 
 
-def triple_norm_error(
-    problem,
-    u_coeffs,
-    lam_coeffs,
-    space: P1Space,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
+def triple_norm_error(problem, u_coeffs, lam_coeffs, space: P1Space) -> float:
     """Natural saddle norm of (u - u_h, lambda - lambda_h); lambda = -sigma_n."""
     mesh = space.mesh
-    grad_sq = _error_gradient_terms(problem, u_coeffs, space, volume_degree)
-    val_sq, _ = _boundary_error_terms(problem, u_coeffs, space, edge_points)
-    _, w, _, _, _, pts = facet_tables(space, edge_points)
+    grad_sq = _error_gradient_terms(problem, u_coeffs, space)
+    val_sq, _ = _boundary_error_terms(problem, u_coeffs, space)
+    _, w, _, _, _, pts = facet_tables(space)
     lam_exact = -problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
     diff = lam_exact - np.asarray(lam_coeffs, dtype=float)[:, None]
     lam_sq = np.sum(mesh.facet_lengths[:, None] ** 2 * w[None, :] * diff**2)
@@ -248,7 +234,7 @@ def rademacher_boundary_field(mesh: Mesh, seed: int = 0):
 # -- error representation identities ------------------------------------------
 
 
-def _sampled_interp_error(problem, space, volume_degree, edge_points, sign: float = 1.0):
+def _sampled_interp_error(problem, space, sign: float = 1.0):
     """sign * (u - pi_h u) sampled once for the identity forms."""
     pi_u = nodal_interpolant(problem.u, space)
 
@@ -266,16 +252,11 @@ def _sampled_interp_error(problem, space, volume_degree, edge_points, sign: floa
             sign * (np.asarray(gy) - g[:, 1].reshape(x.shape)),
         )
 
-    return sample_field(space, value, grad, volume_degree, edge_points)
+    return sample_field(space, value, grad, IDENTITY_VOLUME_DEGREE)
 
 
 def error_representation_residuals(
-    problem,
-    space: P1Space,
-    cfg: NitscheConfig,
-    psis,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
+    problem, space: P1Space, cfg: NitscheConfig, psis
 ) -> list[float]:
     """Relative defect |lhs - rhs| / |psi|_G of the Nitsche identity, one per psi.
 
@@ -285,35 +266,29 @@ def error_representation_residuals(
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
-    t, w, _, _, _, pts = facet_tables(space, edge_points)
+    t, w, _, _, _, pts = facet_tables(space)
     psi_vals = [boundary_field_values(psi, mesh, t, pts) for psi in psis]
-    system = assemble_nitsche(space, cfg, problem.f, problem.g, volume_degree, edge_points)
-    duals = [assemble_dual_rhs_nitsche(space, cfg, vals, edge_points) for vals in psi_vals]
+    system = assemble_nitsche(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
+    duals = [assemble_dual_rhs_nitsche(space, cfg, vals) for vals in psi_vals]
     u_h, *phis = solve_spd(replace(system, rhs=np.column_stack([system.rhs, *duals]))).x.T
 
     hw = mesh.facet_lengths[:, None] * w[None, :]
     sigma = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
     flux_gap = hw * (sigma - pointwise_nitsche_values(u_h, problem.g, space, cfg, t))
-    interp_error = _sampled_interp_error(problem, space, volume_degree, edge_points)
+    interp_error = _sampled_interp_error(problem, space)
 
     defects = []
     for vals, phi in zip(psi_vals, phis):
         psi_norm = np.sqrt(np.sum(hw * vals**2))
         lhs = np.sum(flux_gap * vals)
-        rhs = apply_nitsche_form(space, cfg, interp_error, phi, volume_degree, edge_points)
-        rhs -= apply_dual_functional(space, cfg, vals, interp_error, edge_points)
+        rhs = apply_nitsche_form(space, cfg, interp_error, phi)
+        rhs -= apply_dual_functional(space, cfg, vals, interp_error)
         defects.append(float(abs(lhs - rhs) / psi_norm) if psi_norm > 0.0 else 0.0)
     return defects
 
 
 def lm_error_representation_residuals(
-    problem,
-    space: P1Space,
-    trace_space: TraceDG0Space,
-    cfg: SaddleConfig,
-    psis,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
+    problem, space: P1Space, cfg: SaddleConfig, psis
 ) -> list[float]:
     """Relative defect |lhs - rhs| / |psi|_G of the multiplier identity, one per psi.
 
@@ -323,10 +298,10 @@ def lm_error_representation_residuals(
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
-    t, w, _, _, _, pts = facet_tables(space, edge_points)
+    t, w, _, _, _, pts = facet_tables(space)
     psi_vals = [boundary_field_values(psi, mesh, t, pts) for psi in psis]
-    system = assemble_saddle(space, trace_space, cfg, problem.f, problem.g, volume_degree, edge_points)
-    duals = [assemble_dual_rhs_lm(space, trace_space, vals, edge_points) for vals in psi_vals]
+    system = assemble_saddle(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
+    duals = [assemble_dual_rhs_lm(space, vals) for vals in psi_vals]
     primal, *pairs = solve_sym_indefinite(
         replace(system, rhs=np.column_stack([system.rhs, *duals]))
     ).x.T
@@ -339,16 +314,14 @@ def lm_error_representation_residuals(
     pi_lam = np.einsum("q,fq->f", w, lam_exact)
     interp_gap = lam_exact - pi_lam[:, None]
     mu_vals = pi_lam[:, None] - lam_exact
-    interp_error = _sampled_interp_error(problem, space, volume_degree, edge_points, sign=-1.0)
+    interp_error = _sampled_interp_error(problem, space, sign=-1.0)
 
     defects = []
     for vals, pair in zip(psi_vals, pairs):
         psi_norm = np.sqrt(np.sum(hw * vals**2))
         lhs = np.sum(lam_gap * vals)
         phi, theta = system.split(pair)
-        rhs = apply_saddle_form(
-            space, trace_space, cfg, interp_error, mu_vals, phi, theta, volume_degree, edge_points
-        )
+        rhs = apply_saddle_form(space, cfg, interp_error, mu_vals, phi, theta)
         rhs += np.sum(hw * vals * interp_gap)
         defects.append(float(abs(lhs - rhs) / psi_norm) if psi_norm > 0.0 else 0.0)
     return defects
@@ -357,9 +330,9 @@ def lm_error_representation_residuals(
 # -- offset-contour integration ------------------------------------------------
 
 
-def _contour_quadrature(mesh: Mesh, contour, edge_points: int):
+def _contour_quadrature(mesh: Mesh, contour):
     """Gauss points on the contour, split so each piece avoids mesh lines."""
-    rule = edge_quadrature(edge_points)
+    rule = edge_quadrature(EDGE_POINTS)
     starts, ends = [], []
     for a, b in contour.segments:
         t = split_segment_at_mesh_lines(mesh, a, b)
@@ -373,22 +346,18 @@ def _contour_quadrature(mesh: Mesh, contour, edge_points: int):
     return points, lengths, rule.weights
 
 
-def contour_l2_norm_discrete(
-    coeffs, space: P1Space, contour, edge_points: int = DEFAULT_EDGE_POINTS
-) -> float:
+def contour_l2_norm_discrete(coeffs, space: P1Space, contour) -> float:
     """L2 norm of a P1 function along an offset contour."""
-    points, lengths, w = _contour_quadrature(space.mesh, contour, edge_points)
+    points, lengths, w = _contour_quadrature(space.mesh, contour)
     flat = points.reshape(-1, 2)
     vals, _ = eval_discrete_many(coeffs, flat, space)
     vals = vals.reshape(points.shape[:2])
     return float(np.sqrt(np.sum(lengths[:, None] * w[None, :] * vals**2)))
 
 
-def contour_interp_error_norms(
-    problem, coeffs, space: P1Space, contour, edge_points: int = DEFAULT_EDGE_POINTS
-):
+def contour_interp_error_norms(problem, coeffs, space: P1Space, contour):
     """(value, gradient) L2 norms of u - u_h along an offset contour."""
-    points, lengths, w = _contour_quadrature(space.mesh, contour, edge_points)
+    points, lengths, w = _contour_quadrature(space.mesh, contour)
     flat = points.reshape(-1, 2)
     vals, grads = eval_discrete_many(coeffs, flat, space)
     x, y = flat[:, 0], flat[:, 1]
@@ -410,11 +379,7 @@ def _check_offset_scan(delta_0: float, samples: int):
 
 
 def interp_error_scan(
-    problem,
-    space: P1Space,
-    delta_0: float = 0.25,
-    samples: int = 33,
-    edge_points: int = DEFAULT_EDGE_POINTS,
+    problem, space: P1Space, delta_0: float = 0.25, samples: int = 33
 ) -> InterpScan:
     """Suprema over offset contours of the nodal interpolation error.
 
@@ -428,7 +393,7 @@ def interp_error_scan(
     sup_grad = 0.0
     for delta in np.linspace(0.0, delta_0, samples):
         contour = offset_contour(delta)
-        v, g = contour_interp_error_norms(problem, coeffs, space, contour, edge_points)
+        v, g = contour_interp_error_norms(problem, coeffs, space, contour)
         sup_val = max(sup_val, v)
         sup_grad = max(sup_grad, g)
     return InterpScan(
@@ -439,10 +404,10 @@ def interp_error_scan(
 # -- dual stability -------------------------------------------------------------
 
 
-def _weighted_gradient_sq(coeffs, space: P1Space, delta_prime: float, volume_degree: int) -> float:
+def _weighted_gradient_sq(coeffs, space: P1Space, delta_prime: float) -> float:
     """Integral of rho_delta' |grad phi_h|^2 (per-triangle constant gradient)."""
     mesh = space.mesh
-    rule = triangle_quadrature(volume_degree)
+    rule = triangle_quadrature(VOLUME_DEGREE)
     pts = space.quadrature_points(rule)
     weight = distance_weight(pts, delta_prime)
     cell_weight = 2.0 * space.areas * np.einsum("q,tq->t", rule.weights, weight)
@@ -460,8 +425,6 @@ def dual_stability_report(
     alpha: float = 0.25,
     samples: int = 33,
     psi_field=None,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> list[StabilityReport]:
     """Solve the discrete dual problem per level and measure its stability.
 
@@ -481,28 +444,27 @@ def dual_stability_report(
         mesh = build_unit_square_mesh(n)
         space = P1Space(mesh)
         psi = psi_field(mesh) if psi_field is not None else rademacher_boundary_field(mesh, seed)
-        psi_norm_sq = boundary_l2_norm(psi, mesh, edge_points) ** 2
+        psi_norm_sq = boundary_l2_norm(psi, mesh) ** 2
 
         theta = None
         if method == "nitsche":
             cfg = NitscheConfig(beta=beta, kappa=kappa)
-            system = assemble_nitsche(space, cfg, zero, zero, volume_degree, edge_points)
-            rhs = assemble_dual_rhs_nitsche(space, cfg, psi, edge_points)
+            system = assemble_nitsche(space, cfg, zero, zero)
+            rhs = assemble_dual_rhs_nitsche(space, cfg, psi)
             phi = solve_spd(replace(system, rhs=rhs)).x
         else:
-            trace_space = TraceDG0Space(mesh)
             cfg = SaddleConfig(alpha=alpha, kappa=kappa)
-            system = assemble_saddle(space, trace_space, cfg, zero, zero, volume_degree, edge_points)
-            rhs = assemble_dual_rhs_lm(space, trace_space, psi, edge_points)
+            system = assemble_saddle(space, cfg, zero, zero)
+            rhs = assemble_dual_rhs_lm(space, psi)
             phi, theta = system.split(solve_sym_indefinite(replace(system, rhs=rhs)).x)
 
         grads = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
         grad_sq = float(np.sum(space.areas * np.einsum("td,td->t", grads, grads)))
-        q1 = _weighted_gradient_sq(phi, space, mesh.h_grid, volume_degree)
+        q1 = _weighted_gradient_sq(phi, space, mesh.h_grid)
         q2 = mesh.h_grid * grad_sq
         q3 = 0.0
         for delta in np.linspace(0.0, delta_0, samples):
-            norm = contour_l2_norm_discrete(phi, space, offset_contour(delta), edge_points)
+            norm = contour_l2_norm_discrete(phi, space, offset_contour(delta))
             q3 = max(q3, norm**2)
         q4 = float(phi @ (mass_matrix(space) @ phi))
         q5 = None

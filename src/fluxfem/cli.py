@@ -10,7 +10,8 @@ dual-check  dual-stability ratios over levels {8, 16, 32, 64} plus the
             error-representation residual table at n in {8, 16, 32}.
 
 Exit codes: 0 pass, 1 tolerance failure, 2 usage/config/output error, 3
-solver failure or out of memory (converge names the level k and grid n).
+solver failure or out of memory. A converge failure names the level k and
+grid n; a dual-check or patch-test solver failure names its stage and n.
 Identical configurations produce byte-identical output files.
 """
 
@@ -20,6 +21,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -36,7 +38,7 @@ from .analysis import (
     rademacher_boundary_field,
     triple_norm_error,
 )
-from .fem import P1Space, TraceDG0Space, nodal_interpolant
+from .fem import P1Space, nodal_interpolant
 from .flux import ExactFluxField, multiplier_flux, nitsche_flux, variational_flux
 from .lagrange import SaddleConfig, assemble_saddle
 from .linsolve import SolverError, solve_spd, solve_sym_indefinite
@@ -51,7 +53,6 @@ COEFF_TOL = 1e-9
 IDENTITY_TOL = 1e-6
 BOUNDEDNESS_SPREAD = 2.0
 SLOPE_WINDOW_H = 0.1
-IDENTITY_VOLUME_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,15 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+@contextmanager
+def _failure_site(site: str):
+    """Prefix a solver failure raised in the block with where it happened."""
+    try:
+        yield
+    except SolverError as exc:
+        raise type(exc)(f"{site}: {exc}") from exc
+
+
 def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
     """One level's record; a solver failure or exhausted memory names k and n."""
     n = level_grid_n(k)
@@ -135,13 +145,12 @@ def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
             energy = energy_error(problem, u, space)
             dofs = space.n_dofs
         else:
-            trace_space = TraceDG0Space(mesh)
             cfg = SaddleConfig(alpha=config.alpha)
-            system = assemble_saddle(space, trace_space, cfg, problem.f, problem.g)
+            system = assemble_saddle(space, cfg, problem.f, problem.g)
             u, lam = system.split(solve_sym_indefinite(system).x)
             field = multiplier_flux(lam, mesh)
             energy = triple_norm_error(problem, u, lam, space)
-            dofs = space.n_dofs + trace_space.n_dofs
+            dofs = space.n_dofs + mesh.n_facets
 
         return ConvergenceRecord(
             k=k,
@@ -195,14 +204,15 @@ def run_patch_test(config: StudyConfig) -> list[str]:
             tag = f"{problem.name} n={n}"
             if config.method == "nitsche":
                 cfg = NitscheConfig(beta=config.beta)
-                u = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x
+                with _failure_site(f"patch-test {tag}"):
+                    u = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x
                 flux_err = boundary_l2_error(nitsche_flux(u, problem.g, space, cfg), exact, mesh)
                 coeff_err = float(np.max(np.abs(u - exact_coeffs)))
             else:
-                trace_space = TraceDG0Space(mesh)
                 cfg = SaddleConfig(alpha=config.alpha)
-                system = assemble_saddle(space, trace_space, cfg, problem.f, problem.g)
-                u, lam = system.split(solve_sym_indefinite(system).x)
+                system = assemble_saddle(space, cfg, problem.f, problem.g)
+                with _failure_site(f"patch-test {tag}"):
+                    u, lam = system.split(solve_sym_indefinite(system).x)
                 flux_err = boundary_l2_error(multiplier_flux(lam, mesh), exact, mesh)
                 t = np.array([0.5])
                 lam_exact = -exact.facet_values(t)[:, 0]
@@ -218,16 +228,18 @@ def run_patch_test(config: StudyConfig) -> list[str]:
 
 def run_dual_check(config: StudyConfig):
     """Stability ratio table, identity residual table, and gate failures."""
-    levels = [8, 16, 32, 64]
-    reports = dual_stability_report(
-        config.method,
-        levels,
-        delta_0=config.delta0,
-        kappa=config.kappa,
-        seed=config.seed,
-        beta=config.beta,
-        alpha=config.alpha,
-    )
+    reports = []
+    for n in (8, 16, 32, 64):
+        with _failure_site(f"dual-check stability n={n}"):
+            reports += dual_stability_report(
+                config.method,
+                [n],
+                delta_0=config.delta0,
+                kappa=config.kappa,
+                seed=config.seed,
+                beta=config.beta,
+                alpha=config.alpha,
+            )
     failures = []
     sums = [sum(r.ratios().values()) for r in reports]
     spread = max(sums) / min(sums)
@@ -243,14 +255,13 @@ def run_dual_check(config: StudyConfig):
         mesh = build_unit_square_mesh(n)
         space = P1Space(mesh)
         psis = [rademacher_boundary_field(mesh, seed=config.seed + s) for s in range(5)]
-        if config.method == "nitsche":
-            cfg = NitscheConfig(beta=config.beta)
-            defects = error_representation_residuals(problem, space, cfg, psis, IDENTITY_VOLUME_DEGREE)
-        else:
-            trace_space, cfg = TraceDG0Space(mesh), SaddleConfig(alpha=config.alpha)
-            defects = lm_error_representation_residuals(
-                problem, space, trace_space, cfg, psis, IDENTITY_VOLUME_DEGREE
-            )
+        with _failure_site(f"dual-check identity n={n}"):
+            if config.method == "nitsche":
+                cfg = NitscheConfig(beta=config.beta)
+                defects = error_representation_residuals(problem, space, cfg, psis)
+            else:
+                cfg = SaddleConfig(alpha=config.alpha)
+                defects = lm_error_representation_residuals(problem, space, cfg, psis)
         worst = max(0.0, *defects)
         identity_rows.append((n, worst))
         if worst > IDENTITY_TOL:
@@ -294,21 +305,19 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+# Field types are annotation strings under `from __future__ import annotations`.
 _FIELD_TYPES = {f.name: f.type for f in fields(StudyConfig)}
+_PARSERS = {"int": int, "float": float, "str": str}
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def _coerce(key: str, value: str):
     kind = _FIELD_TYPES[key]
-    if kind == "bool" or isinstance(kind, type) and kind is bool:
-        if value.lower() not in _TRUE + _FALSE:
-            raise ValueError(f"{key} must be one of {'/'.join(_TRUE)} or {'/'.join(_FALSE)}, got {value!r}")
-        return value.lower() in _TRUE
-    if kind in ("int",) or kind is int:
-        return int(value)
-    if kind in ("float",) or kind is float:
-        return float(value)
-    return value
+    if kind != "bool":
+        return _PARSERS[kind](value)
+    if value.lower() not in _TRUE + _FALSE:
+        raise ValueError(f"{key} must be one of {'/'.join(_TRUE)} or {'/'.join(_FALSE)}, got {value!r}")
+    return value.lower() in _TRUE
 
 
 def build_config(args: argparse.Namespace) -> StudyConfig:

@@ -1,4 +1,4 @@
-"""P1 and boundary-DG0 spaces, quadrature, and the kernels both methods share.
+"""The P1 space, quadrature, and the kernels both methods share.
 
 Holds the generic P1 operators (stiffness, mass, load), the boundary
 facet tables and the form kernels; `nitsche` and `lagrange` add only
@@ -7,7 +7,8 @@ their method forms.
 All rules carry positive weights. Triangle rules are the classical
 symmetric rules on the reference triangle (0,0)-(1,0)-(0,1); edge rules
 are Gauss-Legendre on [0,1]. Each rule is built once and shared, so its
-arrays are read-only.
+arrays are read-only. Every boundary integral uses the EDGE_POINTS rule;
+assembly and error norms default to the VOLUME_DEGREE triangle rule.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import scipy.sparse as sp
 
 from .mesh import Mesh
 
-DEFAULT_VOLUME_DEGREE = 4
-DEFAULT_EDGE_POINTS = 6
+VOLUME_DEGREE = 4
+EDGE_POINTS = 6
 
 
 @dataclass(frozen=True)
@@ -165,14 +166,6 @@ class P1Space:
         )
 
 
-class TraceDG0Space:
-    """Facet-wise constants on the boundary trace mesh; one dof per facet."""
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        self.n_dofs = mesh.n_facets
-
-
 def nodal_interpolant(f, space: P1Space) -> np.ndarray:
     """Coefficients of the vertex interpolant of f; exact for affine f."""
     v = space.mesh.vertices
@@ -259,7 +252,7 @@ def mass_matrix(space: P1Space) -> sp.csr_matrix:
     return symmetrize(a.tocsr())
 
 
-def load_vector(space: P1Space, f, volume_degree: int = DEFAULT_VOLUME_DEGREE) -> np.ndarray:
+def load_vector(space: P1Space, f, volume_degree: int = VOLUME_DEGREE) -> np.ndarray:
     """(f, phi_i) over the domain with the given quadrature degree."""
     mesh = space.mesh
     rule = triangle_quadrature(volume_degree)
@@ -277,8 +270,8 @@ def boundary_field_values(obj, mesh, t, points):
     """Evaluate boundary data per facet at Gauss parameters t.
 
     Accepts a callable of (x, y), an object with facet_values(t) (flux
-    fields), a per-facet coefficient array, or an already-evaluated
-    (n_facets, len(t)) array. Returns (n_facets, len(t)).
+    fields), or an already-evaluated (n_facets, len(t)) array. Returns
+    (n_facets, len(t)).
     """
     if hasattr(obj, "facet_values"):
         return np.asarray(obj.facet_values(t), dtype=float)
@@ -286,14 +279,12 @@ def boundary_field_values(obj, mesh, t, points):
         vals = np.asarray(obj(points[..., 0], points[..., 1]), dtype=float)
         return np.broadcast_to(vals, points.shape[:-1])
     arr = np.asarray(obj, dtype=float)
-    if arr.shape == (mesh.n_facets,):
-        return np.broadcast_to(arr[:, None], (mesh.n_facets, len(t)))
     if arr.shape == (mesh.n_facets, len(t)):
         return arr
-    raise TypeError("boundary data must be callable, a flux field, or per-facet values")
+    raise TypeError("boundary data must be callable, a flux field, or values at the facet points")
 
 
-def facet_tables(space: P1Space, edge_points: int = DEFAULT_EDGE_POINTS):
+def facet_tables(space: P1Space):
     """Tables for boundary-facet integrals: (t, w, pdofs, ndg, trace, points).
 
     Gauss parameters t and weights w on [0,1]; parent-triangle dofs pdofs
@@ -302,7 +293,7 @@ def facet_tables(space: P1Space, edge_points: int = DEFAULT_EDGE_POINTS):
     sum over facets of length * sum_q w_q * integrand(points).
     """
     mesh = space.mesh
-    rule = edge_quadrature(edge_points)
+    rule = edge_quadrature(EDGE_POINTS)
     t, w = rule.points, rule.weights
     parents = mesh.facet_parents
     pdofs = mesh.triangles[parents]
@@ -317,31 +308,34 @@ def facet_tables(space: P1Space, edge_points: int = DEFAULT_EDGE_POINTS):
 class SampledField(NamedTuple):
     """A function w sampled where the form kernels integrate it.
 
-    grad (gx, gy) at the volume points (n_triangles, n_q); value and
-    normal_derivative (n.grad w) at the boundary-facet points (n_facets, q).
+    grad (gx, gy) at the points of the triangle rule `rule` (n_triangles,
+    n_q); value and normal_derivative (n.grad w) at the boundary-facet
+    points (n_facets, EDGE_POINTS).
     """
 
+    rule: QuadratureRule
     grad: tuple
     value: np.ndarray
     normal_derivative: np.ndarray
 
 
-def sample_field(space: P1Space, value_fn, grad_fn, volume_degree: int, edge_points: int) -> SampledField:
+def sample_field(space: P1Space, value_fn, grad_fn, volume_degree: int) -> SampledField:
     """Sample w from value and gradient callables of (x, y), once for all forms."""
     mesh = space.mesh
-    pts = space.quadrature_points(triangle_quadrature(volume_degree))
+    rule = triangle_quadrature(volume_degree)
+    pts = space.quadrature_points(rule)
     gx, gy = grad_fn(pts[..., 0], pts[..., 1])
-    points = mesh.facet_points(edge_quadrature(edge_points).points)
+    points = mesh.facet_points(edge_quadrature(EDGE_POINTS).points)
     value = np.asarray(value_fn(points[..., 0], points[..., 1]), dtype=float)
     fx, fy = grad_fn(points[..., 0], points[..., 1])
     nd = mesh.facet_normals[:, None, 0] * np.asarray(fx) + mesh.facet_normals[:, None, 1] * np.asarray(fy)
-    return SampledField(grad=(np.asarray(gx), np.asarray(gy)), value=value, normal_derivative=nd)
+    grad = (np.asarray(gx), np.asarray(gy))
+    return SampledField(rule=rule, grad=grad, value=value, normal_derivative=nd)
 
 
-def volume_form(space: P1Space, w: SampledField, phi, volume_degree: int) -> float:
+def volume_form(space: P1Space, w: SampledField, phi) -> float:
     """(grad w, grad phi_h) for a sampled w and P1 coefficients phi."""
-    rule = triangle_quadrature(volume_degree)
     gx, gy = w.grad
     phigrad = np.einsum("ti,tid->td", phi[space.mesh.triangles], space.gradients)
     integrand = gx * phigrad[:, None, 0] + gy * phigrad[:, None, 1]
-    return 2.0 * float(np.sum(space.areas[:, None] * rule.weights[None, :] * integrand))
+    return 2.0 * float(np.sum(space.areas[:, None] * w.rule.weights[None, :] * integrand))

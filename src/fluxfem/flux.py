@@ -22,14 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import (
-    DEFAULT_EDGE_POINTS,
-    DEFAULT_VOLUME_DEGREE,
-    P1Space,
-    facet_tables,
-    load_vector,
-    stiffness_matrix,
-)
+from .fem import P1Space, facet_tables, load_vector, stiffness_matrix
 from .mesh import Mesh
 from .nitsche import NitscheConfig
 
@@ -113,19 +106,8 @@ def nitsche_flux(u_h, g, space: P1Space, cfg: NitscheConfig) -> BoundaryFluxFiel
     The normal gradient is the parent-triangle constant; the penalty part
     samples u_h - g at the facet endpoints (nodal g).
     """
-    mesh = space.mesh
-    u = np.asarray(u_h, dtype=float)
-    if u.shape != (space.n_dofs,):
-        raise ValueError(f"coefficients sized {u.shape} do not match the space ({space.n_dofs})")
-    _, _, pdofs, ndg, _, _ = facet_tables(space)
-    grad_part = np.einsum("fk,fk->f", ndg, u[pdofs])
-    ends = mesh.facet_vertices
-    pv = mesh.vertices[ends]
-    gnod = np.asarray(g(pv[..., 0], pv[..., 1]), dtype=float)
-    gnod = np.broadcast_to(gnod, ends.shape)
-    pen = cfg.beta / mesh.facet_lengths
-    coeffs = grad_part[:, None] - pen[:, None] * (u[ends] - gnod)
-    return BoundaryFluxField(kind=FACETWISE_LINEAR, coefficients=coeffs, mesh=mesh)
+    coeffs = pointwise_nitsche_values(u_h, g, space, cfg, [0.0, 1.0])
+    return BoundaryFluxField(kind=FACETWISE_LINEAR, coefficients=coeffs, mesh=space.mesh)
 
 
 def pointwise_nitsche_values(
@@ -138,6 +120,8 @@ def pointwise_nitsche_values(
     """
     mesh = space.mesh
     u = np.asarray(u_h, dtype=float)
+    if u.shape != (space.n_dofs,):
+        raise ValueError(f"coefficients sized {u.shape} do not match the space ({space.n_dofs})")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _, _, pdofs, ndg, _, _ = facet_tables(space)
     grad_part = np.einsum("fk,fk->f", ndg, u[pdofs])
@@ -171,25 +155,18 @@ def _trace_field_from_moments(mesh: Mesh, lookup, moments) -> BoundaryFluxField:
     return BoundaryFluxField(kind=FACETWISE_LINEAR, coefficients=values[ends], mesh=mesh)
 
 
-def variational_flux(
-    u_h,
-    g,
-    f,
-    space: P1Space,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> BoundaryFluxField:
+def variational_flux(u_h, g, f, space: P1Space) -> BoundaryFluxField:
     """Flux defined by boundary moments of the discrete residual functional.
 
     Solves the boundary mass system (Sigma, v)_G = (grad u_h, grad v)
     - (u_h - g, n.grad v)_G - (f, v) over the boundary-supported P1 basis;
-    u_h must come from the plain (kappa = 0) Nitsche solve with the same
-    quadrature settings.
+    u_h must come from the plain (kappa = 0) Nitsche solve with the
+    default quadrature.
     """
     mesh = space.mesh
     u = np.asarray(u_h, dtype=float)
-    full = stiffness_matrix(space) @ u - load_vector(space, f, volume_degree)
-    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
+    full = stiffness_matrix(space) @ u - load_vector(space, f)
+    t, w, pdofs, ndg, trace, points = facet_tables(space)
     hf = mesh.facet_lengths
     u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
     gvals = np.asarray(g(points[..., 0], points[..., 1]), dtype=float)
@@ -201,20 +178,14 @@ def variational_flux(
     return _trace_field_from_moments(mesh, lookup, full[ids])
 
 
-def project_pointwise_flux(
-    u_h,
-    g,
-    space: P1Space,
-    cfg: NitscheConfig,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> BoundaryFluxField:
+def project_pointwise_flux(u_h, g, space: P1Space, cfg: NitscheConfig) -> BoundaryFluxField:
     """Boundary L2 projection of the exact-g pointwise Nitsche flux.
 
     Projects onto the continuous trace of P1; by the discrete equations
     this reproduces the variational flux to solver accuracy.
     """
     mesh = space.mesh
-    t, w, _, _, _, _ = facet_tables(space, edge_points)
+    t, w, _, _, _, _ = facet_tables(space)
     vals = pointwise_nitsche_values(u_h, g, space, cfg, t)
     ends = mesh.facet_vertices
     hf = mesh.facet_lengths

@@ -26,11 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (
-    DEFAULT_EDGE_POINTS,
-    DEFAULT_VOLUME_DEGREE,
+    VOLUME_DEGREE,
     P1Space,
     SampledField,
-    TraceDG0Space,
     boundary_field_values,
     facet_tables,
     load_vector,
@@ -70,22 +68,14 @@ class SaddleSystem:
 
 
 def assemble_saddle(
-    space: P1Space,
-    trace_space: TraceDG0Space,
-    cfg: SaddleConfig,
-    f,
-    g,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
+    space: P1Space, cfg: SaddleConfig, f, g, volume_degree: int = VOLUME_DEGREE
 ) -> SaddleSystem:
     """Assemble the stabilized saddle system; dimension n_vertices + n_facets."""
     mesh = space.mesh
-    if trace_space.mesh is not mesh:
-        raise ValueError("primal and multiplier spaces must share one mesh")
-    nu, nl = space.n_dofs, trace_space.n_dofs
+    nu, nl = space.n_dofs, mesh.n_facets
     dim = nu + nl
 
-    _, w, pdofs, ndg, trace, _ = facet_tables(space, edge_points)
+    _, w, pdofs, ndg, trace, _ = facet_tables(space)
     hf = mesh.facet_lengths
     ah = cfg.alpha * hf
     int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
@@ -127,50 +117,36 @@ def assemble_saddle(
     ).tocsr()
 
     # the multiplier rows carry (g, mu)_G, the dual data of psi = g
-    rhs = assemble_dual_rhs_lm(space, trace_space, g, edge_points)
+    rhs = assemble_dual_rhs_lm(space, g)
     rhs[:nu] = load_vector(space, f, volume_degree)
 
     return SaddleSystem(matrix=symmetrize(matrix), rhs=rhs, n_primal=nu, n_multiplier=nl)
 
 
-def assemble_dual_rhs_lm(
-    space: P1Space,
-    trace_space: TraceDG0Space,
-    psi,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> np.ndarray:
+def assemble_dual_rhs_lm(space: P1Space, psi) -> np.ndarray:
     """Dual data (psi, mu)_G: zero on primal dofs, facet integrals of psi."""
     mesh = space.mesh
-    t, w, _, _, _, points = facet_tables(space, edge_points)
+    t, w, _, _, _, points = facet_tables(space)
     psivals = boundary_field_values(psi, mesh, t, points)
-    out = np.zeros(space.n_dofs + trace_space.n_dofs)
+    out = np.zeros(space.n_dofs + mesh.n_facets)
     out[space.n_dofs :] = mesh.facet_lengths * np.einsum("q,fq->f", w, psivals)
     return out
 
 
 def apply_saddle_form(
-    space: P1Space,
-    trace_space: TraceDG0Space,
-    cfg: SaddleConfig,
-    w: SampledField,
-    muvals,
-    phi_coeffs,
-    theta_coeffs,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
+    space: P1Space, cfg: SaddleConfig, w: SampledField, muvals, phi_coeffs, theta_coeffs
 ) -> float:
     """A_h(w, mu; phi_h, theta_h) at kappa = 0 with a general first pair.
 
-    w is sampled by `sample_field` (same `volume_degree` and
-    `edge_points`) and mu is given by its values at the facet points,
-    (n_facets, edge_points); the second pair is discrete.
+    w is sampled by `sample_field` and mu is given by its values at the
+    facet points, (n_facets, EDGE_POINTS); the second pair is discrete.
     """
     phi = np.asarray(phi_coeffs, dtype=float)
     theta = np.asarray(theta_coeffs, dtype=float)
 
-    total = volume_form(space, w, phi, volume_degree)
+    total = volume_form(space, w, phi)
 
-    _, wq, pdofs, ndg, trace, _ = facet_tables(space, edge_points)
+    _, wq, pdofs, ndg, trace, _ = facet_tables(space)
     hf = space.mesh.facet_lengths
     ah = cfg.alpha * hf
     pc = phi[pdofs]

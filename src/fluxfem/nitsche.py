@@ -27,8 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (
-    DEFAULT_EDGE_POINTS,
-    DEFAULT_VOLUME_DEGREE,
+    EDGE_POINTS,
+    VOLUME_DEGREE,
     P1Space,
     SampledField,
     boundary_field_values,
@@ -66,12 +66,7 @@ class LinearSystem:
 
 
 def assemble_nitsche(
-    space: P1Space,
-    cfg: NitscheConfig,
-    f,
-    g,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
+    space: P1Space, cfg: NitscheConfig, f, g, volume_degree: int = VOLUME_DEGREE
 ) -> LinearSystem:
     """Assemble the symmetric Nitsche system for -laplace(u) = f, u = g.
 
@@ -85,7 +80,7 @@ def assemble_nitsche(
         a = a + cfg.kappa * mass_matrix(space)
     b = load_vector(space, f, volume_degree)
 
-    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
+    t, w, pdofs, ndg, trace, points = facet_tables(space)
     hf = mesh.facet_lengths
     pen = cfg.beta / hf
 
@@ -108,19 +103,14 @@ def assemble_nitsche(
     return LinearSystem(matrix=symmetrize(a), rhs=b, definiteness="spd")
 
 
-def assemble_dual_rhs_nitsche(
-    space: P1Space,
-    cfg: NitscheConfig,
-    psi,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> np.ndarray:
+def assemble_dual_rhs_nitsche(space: P1Space, cfg: NitscheConfig, psi) -> np.ndarray:
     """Vector of m_psi(phi_i) = beta/h (psi, phi_i)_G - (psi, n.grad phi_i)_G.
 
     Because a_h is symmetric the dual solution comes from the same matrix
     as the primal one.
     """
     mesh = space.mesh
-    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
+    t, w, pdofs, ndg, trace, points = facet_tables(space)
     hf = mesh.facet_lengths
     pen = cfg.beta / hf
     psivals = boundary_field_values(psi, mesh, t, points)
@@ -132,24 +122,16 @@ def assemble_dual_rhs_nitsche(
     return out
 
 
-def apply_nitsche_form(
-    space: P1Space,
-    cfg: NitscheConfig,
-    w: SampledField,
-    phi_coeffs,
-    volume_degree: int = DEFAULT_VOLUME_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
+def apply_nitsche_form(space: P1Space, cfg: NitscheConfig, w: SampledField, phi_coeffs) -> float:
     """a_h(w, phi_h) at kappa = 0 for a general function w sampled by `sample_field`.
 
     Used by the error-representation check where w = u - pi_h u is not a
-    finite element function; `sample_field` must use the same
-    `volume_degree` and `edge_points`.
+    finite element function.
     """
     phi = np.asarray(phi_coeffs, dtype=float)
-    total = volume_form(space, w, phi, volume_degree)
+    total = volume_form(space, w, phi)
 
-    _, wq, pdofs, ndg, trace, _ = facet_tables(space, edge_points)
+    _, wq, pdofs, ndg, trace, _ = facet_tables(space)
     hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
     pc = phi[pdofs]
@@ -162,20 +144,14 @@ def apply_nitsche_form(
     return total
 
 
-def apply_dual_functional(
-    space: P1Space,
-    cfg: NitscheConfig,
-    psivals,
-    w: SampledField,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> float:
+def apply_dual_functional(space: P1Space, cfg: NitscheConfig, psivals, w: SampledField) -> float:
     """m_psi(w) = beta/h (psi, w)_G - (psi, n.grad w)_G for a sampled w.
 
-    `psivals` holds psi at the facet points, (n_facets, edge_points).
+    `psivals` holds psi at the facet points, (n_facets, EDGE_POINTS).
     """
     hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
-    wq = edge_quadrature(edge_points).weights
+    wq = edge_quadrature(EDGE_POINTS).weights
     total = float(np.sum((pen * hf)[:, None] * wq[None, :] * psivals * w.value))
     total -= float(np.sum(hf[:, None] * wq[None, :] * psivals * w.normal_derivative))
     return total

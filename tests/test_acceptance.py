@@ -51,7 +51,7 @@ from fluxfem.analysis import (
     energy_error,
 )
 from fluxfem.cli import StudyConfig, level_grid_n, records_to_csv, run_convergence, run_patch_test
-from fluxfem.fem import P1Space, TraceDG0Space
+from fluxfem.fem import P1Space
 from fluxfem.flux import (
     ExactFluxField,
     multiplier_flux,
@@ -107,8 +107,8 @@ def _lagrange_rows(problem, alpha):
     rows = {}
     for n in LEVELS:
         mesh = build_unit_square_mesh(n)
-        space, trace = P1Space(mesh), TraceDG0Space(mesh)
-        system = assemble_saddle(space, trace, SaddleConfig(alpha=alpha), problem.f, problem.g)
+        space = P1Space(mesh)
+        system = assemble_saddle(space, SaddleConfig(alpha=alpha), problem.f, problem.g)
         u, lam = system.split(solve_sym_indefinite(system).x)
         rows[n] = {
             "h": mesh.h_grid,
@@ -234,19 +234,17 @@ def test_criterion_4_error_representation_identities(problem):
     worst = {"nitsche": 0.0, "lagrange": 0.0}
     for n in (8, 16, 32):
         mesh = build_unit_square_mesh(n)
-        space, trace = P1Space(mesh), TraceDG0Space(mesh)
+        space = P1Space(mesh)
         cfg = NitscheConfig(beta=BETA)
         scfg = SaddleConfig(alpha=ALPHA_STUDY)
         psis = [rademacher_boundary_field(mesh, seed) for seed in range(5)]
         worst["nitsche"] = max(
             worst["nitsche"],
-            *error_representation_residuals(problem, space, cfg, psis, volume_degree=6),
+            *error_representation_residuals(problem, space, cfg, psis),
         )
         worst["lagrange"] = max(
             worst["lagrange"],
-            *lm_error_representation_residuals(
-                problem, space, trace, scfg, psis, volume_degree=6
-            ),
+            *lm_error_representation_residuals(problem, space, scfg, psis),
         )
     elapsed = time.perf_counter() - start
     print(f"criterion 4: worst residuals {worst}, {elapsed:.1f}s")

@@ -16,7 +16,7 @@ from fluxfem.analysis import (
     lm_error_representation_residuals,
     rademacher_boundary_field,
 )
-from fluxfem.fem import P1Space, TraceDG0Space, edge_quadrature, nodal_interpolant
+from fluxfem.fem import P1Space, edge_quadrature, nodal_interpolant
 from fluxfem.flux import BoundaryFluxField, ExactFluxField
 from fluxfem.lagrange import SaddleConfig
 from fluxfem.linsolve import solve_spd
@@ -111,13 +111,13 @@ def test_error_representation_polynomial_exact():
         f=lambda x, y: -4.0 * np.ones_like(np.asarray(x, dtype=float)),
     )
     mesh = build_unit_square_mesh(8)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
+    space = P1Space(mesh)
     cfg = NitscheConfig(beta=10.0)
     scfg = SaddleConfig(alpha=10.0)
     psis = [rademacher_boundary_field(mesh, seed) for seed in range(3)]
     for residual in error_representation_residuals(quadratic, space, cfg, psis):
         assert residual <= 1e-12
-    for residual in lm_error_representation_residuals(quadratic, space, trace, scfg, psis):
+    for residual in lm_error_representation_residuals(quadratic, space, scfg, psis):
         assert residual <= 1e-11
 
 
@@ -125,7 +125,7 @@ def test_error_representation_trig_quadrature_limited(trig):
     space = P1Space(build_unit_square_mesh(16))
     cfg = NitscheConfig(beta=10.0)
     psi = rademacher_boundary_field(space.mesh, 7)
-    [residual] = error_representation_residuals(trig, space, cfg, [psi], volume_degree=6)
+    [residual] = error_representation_residuals(trig, space, cfg, [psi])
     assert residual <= 1e-6
 
 
@@ -139,10 +139,10 @@ def test_error_representation_rejects_shifted_config(trig):
 def _identity_residuals(method, problem, space, psis):
     if method == "nitsche":
         return error_representation_residuals(
-            problem, space, NitscheConfig(beta=10.0), psis, volume_degree=6
+            problem, space, NitscheConfig(beta=10.0), psis
         )
     return lm_error_representation_residuals(
-        problem, space, TraceDG0Space(space.mesh), SaddleConfig(alpha=0.25), psis, volume_degree=6
+        problem, space, SaddleConfig(alpha=0.25), psis
     )
 
 
@@ -202,7 +202,6 @@ def test_contour_quadrature_against_refined_oracle(trig):
     n = 8
     space = P1Space(build_unit_square_mesh(n))
     coeffs = nodal_interpolant(trig.u, space)
-    from fluxfem.analysis import _contour_quadrature
     from fluxfem.fem import eval_discrete_many
 
     for delta in (0.2, 0.25, 1.0 / 3.0):
@@ -211,9 +210,6 @@ def test_contour_quadrature_against_refined_oracle(trig):
 
         rule = edge_quadrature(10)
         total_v = total_g = 0.0
-        points, lengths, _ = _contour_quadrature(space.mesh, contour, 2)
-        p0 = points[:, 0, :]
-        p1 = points[:, -1, :]
         # recover subsegment endpoints directly from the splitter
         from fluxfem.mesh import split_segment_at_mesh_lines
 

@@ -196,6 +196,27 @@ def test_converge_solver_failure_names_the_level(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["dual-check", "--beta", "0.1"], "dual-check stability n=8: not positive definite"),
+        (["dual-check", "--method", "lagrange", "--alpha", "0.5"], "dual-check stability n=8: 2 vanishing"),
+        # kappa = 100 keeps the shifted stability solves regular; the identity is unshifted
+        (["dual-check", "--method", "lagrange", "--alpha", "0.5", "--kappa", "100"],
+         "dual-check identity n=8: 2 vanishing"),
+        (["patch-test", "--beta", "0.1"], "patch-test constant(1.0) n=2: not positive definite"),
+        (["patch-test", "--method", "lagrange", "--alpha", "0.5"], "patch-test constant(1.0) n=2: "),
+    ],
+)
+def test_solver_failure_names_the_stage_and_level(capsys, argv, prefix):
+    """Exit 3 with one stderr line that says where the solve failed."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"solver failure: {prefix}")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
     "argv, target, detail, message",
     [
         (["converge", "--kmax", "1"], "solve_spd", "Unable to allocate 8.00 EiB",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fluxfem.fem import (
+    EDGE_POINTS,
     P1Space,
-    TraceDG0Space,
+    boundary_field_values,
     edge_quadrature,
     eval_basis,
     eval_discrete,
@@ -106,20 +107,17 @@ def test_partition_of_unity_and_gradient_sum(rng):
 def test_space_dof_maps():
     mesh = build_unit_square_mesh(4)
     space = P1Space(mesh)
-    trace = TraceDG0Space(mesh)
     assert space.n_dofs == mesh.n_vertices
-    assert trace.n_dofs == mesh.n_facets
 
 
-@pytest.mark.parametrize("edge_points", [1, 6])
-def test_facet_tables(edge_points):
+def test_facet_tables():
     mesh = build_unit_square_mesh(5)
     space = P1Space(mesh)
-    t, w, pdofs, ndg, trace, points = facet_tables(space, edge_points)
-    rule = edge_quadrature(edge_points)
+    t, w, pdofs, ndg, trace, points = facet_tables(space)
+    rule = edge_quadrature(EDGE_POINTS)
     assert np.array_equal(t, rule.points) and np.array_equal(w, rule.weights)
     assert np.array_equal(points, mesh.facet_points(t))
-    assert trace.shape == (mesh.n_facets, 3, edge_points)
+    assert trace.shape == (mesh.n_facets, 3, EDGE_POINTS)
     for f, ends in enumerate(mesh.facet_vertices):
         assert set(ends) <= set(pdofs[f])
         off = ~np.isin(pdofs[f], ends)
@@ -127,10 +125,21 @@ def test_facet_tables(edge_points):
         # the trace basis is a partition of unity that vanishes off the facet
         assert np.allclose(trace[f].sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
         assert np.all(trace[f][off] == 0.0)
-        for q in range(edge_points):
+        for q in range(EDGE_POINTS):
             values, gradients = eval_basis(mesh.vertices[pdofs[f]], points[f, q])
             assert np.allclose(trace[f][:, q], values, rtol=0.0, atol=1e-14)
         assert np.allclose(ndg[f], gradients @ mesh.facet_normals[f], rtol=0.0, atol=1e-12)
+
+
+def test_boundary_field_values_accepts_facet_point_values_only():
+    mesh = build_unit_square_mesh(3)
+    t, *_, points = facet_tables(P1Space(mesh))
+    at_points = points[..., 0] + 2.0 * points[..., 1]
+    evaluated = boundary_field_values(lambda x, y: x + 2.0 * y, mesh, t, points)
+    assert np.array_equal(evaluated, at_points)
+    assert np.array_equal(boundary_field_values(at_points, mesh, t, points), at_points)
+    with pytest.raises(TypeError, match="boundary data"):
+        boundary_field_values(np.ones(mesh.n_facets), mesh, t, points)
 
 
 def test_nodal_interpolant_affine_exact(affine, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxfem.fem import P1Space, TraceDG0Space, edge_quadrature
+from fluxfem.fem import P1Space, edge_quadrature, facet_tables
 from fluxfem.flux import (
     BoundaryFluxField,
     ExactFluxField,
@@ -28,8 +28,8 @@ def _solve_nitsche(problem, n, beta=10.0):
 
 def _solve_saddle(problem, n, alpha=10.0):
     mesh = build_unit_square_mesh(n)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=alpha), problem.f, problem.g)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=alpha), problem.f, problem.g)
     u, lam = system.split(solve_sym_indefinite(system).x)
     return space, u, lam
 
@@ -228,3 +228,28 @@ def test_coefficient_size_guard(trig):
     space, cfg, u = _solve_nitsche(trig, 4)
     with pytest.raises(ValueError, match="do not match"):
         nitsche_flux(u[:-1], trig.g, space, cfg)
+    with pytest.raises(ValueError, match="do not match"):
+        pointwise_nitsche_values(np.append(u, 0.0), trig.g, space, cfg, [0.5])
+
+
+def _nodal_g_reference(u, g, space, cfg):
+    """The pointwise flux with g sampled at the facet vertices themselves."""
+    mesh = space.mesh
+    _, _, pdofs, ndg, _, _ = facet_tables(space)
+    grad_part = np.einsum("fk,fk->f", ndg, u[pdofs])
+    ends = mesh.facet_vertices
+    pv = mesh.vertices[ends]
+    gnod = np.broadcast_to(np.asarray(g(pv[..., 0], pv[..., 1]), dtype=float), ends.shape)
+    pen = cfg.beta / mesh.facet_lengths
+    return grad_part[:, None] - pen[:, None] * (u[ends] - gnod)
+
+
+def test_nitsche_flux_endpoints_equal_nodal_g_bitwise(trig):
+    """facet_points(1.0) = p0 + (p1 - p0) is p1 exactly on these grids, so the
+    endpoint values of the exact-g flux use the nodal values of g."""
+    cfg = NitscheConfig(beta=10.0)
+    for n in [*range(1, 40), 64, 100, 181, 256, 362, 512]:
+        space = P1Space(build_unit_square_mesh(n))
+        u = np.random.default_rng(n).standard_normal(space.n_dofs)
+        field = nitsche_flux(u, trig.g, space, cfg)
+        assert np.array_equal(field.coefficients, _nodal_g_reference(u, trig.g, space, cfg)), n

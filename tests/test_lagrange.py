@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxfem.fem import P1Space, TraceDG0Space, nodal_interpolant
+from fluxfem.fem import P1Space, nodal_interpolant
 from fluxfem.lagrange import (
     SaddleConfig,
     assemble_dual_rhs_lm,
@@ -38,16 +38,16 @@ def test_config_rejects_non_finite_settings(settings):
 
 def test_system_dimension():
     mesh = build_unit_square_mesh(4)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=10.0), lambda x, y: 0 * x, lambda x, y: 0 * x)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=10.0), lambda x, y: 0 * x, lambda x, y: 0 * x)
     assert system.matrix.shape == (41, 41)
     assert (system.n_primal, system.n_multiplier) == (25, 16)
 
 
 def test_matrix_exactly_symmetric(trig):
     mesh = build_unit_square_mesh(4)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=10.0), trig.f, trig.g)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=10.0), trig.f, trig.g)
     assert (system.matrix != system.matrix.T).nnz == 0
 
 
@@ -55,8 +55,8 @@ def test_matrix_exactly_symmetric(trig):
 @pytest.mark.parametrize("alpha", [10.0, 0.25])
 def test_constant_patch(const, n, alpha):
     mesh = build_unit_square_mesh(n)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=alpha), const.f, const.g)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=alpha), const.f, const.g)
     u, lam = system.split(solve_sym_indefinite(system).x)
     assert np.max(np.abs(u - 1.0)) <= 1e-10
     assert np.max(np.abs(lam)) <= 1e-10
@@ -68,8 +68,8 @@ def test_affine_patch_with_multiplier(n):
     minus the normal flux, facet-wise -n_x."""
     problem = affine_problem(1.0, 0.0, 0.0)
     mesh = build_unit_square_mesh(n)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=10.0), problem.f, problem.g)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=10.0), problem.f, problem.g)
     u, lam = system.split(solve_sym_indefinite(system).x)
     assert np.max(np.abs(u - nodal_interpolant(problem.u, space))) <= 1e-9
     assert np.max(np.abs(lam - (-mesh.facet_normals[:, 0]))) <= 1e-9
@@ -77,13 +77,13 @@ def test_affine_patch_with_multiplier(n):
 
 def test_dual_rhs_entries():
     mesh = build_unit_square_mesh(4)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    zero = assemble_dual_rhs_lm(space, trace, lambda x, y: np.zeros_like(x))
+    space = P1Space(mesh)
+    zero = assemble_dual_rhs_lm(space, lambda x, y: np.zeros_like(x))
     assert np.all(zero == 0.0)
-    ones = assemble_dual_rhs_lm(space, trace, lambda x, y: np.ones_like(x))
+    ones = assemble_dual_rhs_lm(space, lambda x, y: np.ones_like(x))
     assert np.all(ones[: space.n_dofs] == 0.0)
     assert np.allclose(ones[space.n_dofs :], 0.25, atol=1e-14)
-    linear = assemble_dual_rhs_lm(space, trace, lambda x, y: np.asarray(x, dtype=float))
+    linear = assemble_dual_rhs_lm(space, lambda x, y: np.asarray(x, dtype=float))
     # bottom facet [0, 1/4] x {0}: integral of x is 1/32
     assert linear[space.n_dofs] == pytest.approx(1.0 / 32.0, abs=1e-14)
 
@@ -94,10 +94,10 @@ def test_inertia_in_the_stable_regime(trig, n):
     family) the saddle matrix has exactly n_vertices positive and
     n_facets negative pivots."""
     mesh = build_unit_square_mesh(n)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=0.25), trig.f, trig.g)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=0.25), trig.f, trig.g)
     result = solve_sym_indefinite(system)
-    assert result.inertia == (space.n_dofs, trace.n_dofs, 0)
+    assert result.inertia == (space.n_dofs, mesh.n_facets, 0)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -107,21 +107,21 @@ def test_no_zero_pivots_at_study_stabilization(trig, n):
     but the factorization never hits a zero pivot, so the systems stay
     uniquely solvable."""
     mesh = build_unit_square_mesh(n)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=10.0), trig.f, trig.g)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=10.0), trig.f, trig.g)
     result = solve_sym_indefinite(system)
     n_pos, n_neg, n_zero = result.inertia
     assert n_zero == 0
-    assert n_pos + n_neg == space.n_dofs + trace.n_dofs
-    assert n_neg > trace.n_dofs
+    assert n_pos + n_neg == space.n_dofs + mesh.n_facets
+    assert n_neg > mesh.n_facets
 
 
 def test_critical_stabilization_is_singular(trig):
     """alpha = 1/2 is exactly the inverse-inequality constant here: the
     corner modes make the saddle matrix singular."""
     mesh = build_unit_square_mesh(4)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=0.5), trig.f, trig.g)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=0.5), trig.f, trig.g)
     with pytest.raises(SingularSystemError):
         solve_sym_indefinite(system)
 
@@ -130,19 +130,13 @@ def test_stabilization_touches_only_boundary_neighborhood(trig):
     """c_h couples only dofs of boundary-adjacent elements: changing
     alpha must not perturb any interior-only coupling."""
     mesh = build_unit_square_mesh(6)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    a1 = assemble_saddle(space, trace, SaddleConfig(alpha=10.0), trig.f, trig.g).matrix
-    a2 = assemble_saddle(space, trace, SaddleConfig(alpha=3.0), trig.f, trig.g).matrix
+    space = P1Space(mesh)
+    a1 = assemble_saddle(space, SaddleConfig(alpha=10.0), trig.f, trig.g).matrix
+    a2 = assemble_saddle(space, SaddleConfig(alpha=3.0), trig.f, trig.g).matrix
     diff = (a1 - a2).tocoo()
     boundary_dofs = set(np.unique(mesh.triangles[mesh.facet_parents]).tolist())
-    boundary_dofs |= set(range(space.n_dofs, space.n_dofs + trace.n_dofs))
+    boundary_dofs |= set(range(space.n_dofs, space.n_dofs + mesh.n_facets))
     mask = np.abs(diff.data) > 1e-14
     assert all(r in boundary_dofs and c in boundary_dofs
                for r, c in zip(diff.row[mask], diff.col[mask]))
 
-
-def test_mismatched_spaces_rejected(trig):
-    space = P1Space(build_unit_square_mesh(3))
-    other_trace = TraceDG0Space(build_unit_square_mesh(4))
-    with pytest.raises(ValueError, match="share one mesh"):
-        assemble_saddle(space, other_trace, SaddleConfig(alpha=10.0), trig.f, trig.g)

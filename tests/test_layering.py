@@ -39,3 +39,30 @@ def test_no_private_names_imported_from_siblings(path):
 def test_lagrange_does_not_import_nitsche():
     imported = {part for pair in package_imports(PACKAGE / "lagrange.py") for part in pair}
     assert "nitsche" not in imported
+
+
+def parameters_named(name):
+    """Sorted names of the package functions that take a parameter `name`."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                if any(arg is not None and arg.arg == name for arg in every):
+                    found.append(node.name)
+    return sorted(found)
+
+
+def test_boundary_rule_and_multiplier_space_are_not_parameters():
+    """One boundary rule (fem.EDGE_POINTS) and one multiplier per facet."""
+    assert parameters_named("edge_points") == []
+    assert parameters_named("trace_space") == []
+
+
+def test_volume_degree_is_a_parameter_only_where_two_degrees_are_used():
+    """Assembly runs at degree 4 for the studies and 6 for the identities;
+    the norms and the flux recovery use one fixed degree."""
+    assert parameters_named("volume_degree") == [
+        "assemble_nitsche", "assemble_saddle", "load_vector", "sample_field"
+    ]

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from fluxfem import linsolve
 from fluxfem.analysis import rademacher_boundary_field
-from fluxfem.fem import P1Space, TraceDG0Space
+from fluxfem.fem import P1Space
 from fluxfem.lagrange import SaddleConfig, SaddleSystem, assemble_dual_rhs_lm, assemble_saddle
 from fluxfem.linsolve import (
     INDEFINITE_RESIDUAL_TOL,
@@ -60,8 +60,8 @@ def test_zero_rhs_gives_zero_solution(trig):
 def test_saddle_zero_data_gives_zero():
     zero = lambda x, y: np.zeros_like(x)  # noqa: E731
     mesh = build_unit_square_mesh(4)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=10.0), zero, zero)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=10.0), zero, zero)
     result = solve_sym_indefinite(system)
     assert np.max(np.abs(result.x)) <= 1e-12
 
@@ -91,8 +91,8 @@ def test_residual_certificate_attached(trig):
 def test_deterministic_solutions(trig):
     def once():
         mesh = build_unit_square_mesh(8)
-        space, trace = P1Space(mesh), TraceDG0Space(mesh)
-        system = assemble_saddle(space, trace, SaddleConfig(alpha=10.0), trig.f, trig.g)
+        space = P1Space(mesh)
+        system = assemble_saddle(space, SaddleConfig(alpha=10.0), trig.f, trig.g)
         return solve_sym_indefinite(system).x
 
     first, second = once(), once()
@@ -104,11 +104,11 @@ def test_dense_fallback_inertia_on_forced_zero_pivot(trig):
     unpivoted path to give up; the Bunch-Kaufman fallback still reports a
     full inertia and a certified solution."""
     mesh = build_unit_square_mesh(4)
-    space, trace = P1Space(mesh), TraceDG0Space(mesh)
-    system = assemble_saddle(space, trace, SaddleConfig(alpha=1.0), trig.f, trig.g)
+    space = P1Space(mesh)
+    system = assemble_saddle(space, SaddleConfig(alpha=1.0), trig.f, trig.g)
     assert np.any(system.matrix.diagonal() == 0.0)
     result = solve_sym_indefinite(system)
-    assert sum(result.inertia) == space.n_dofs + trace.n_dofs
+    assert sum(result.inertia) == space.n_dofs + mesh.n_facets
     assert result.inertia[2] == 0
     assert result.residual <= 1e-9
 
@@ -123,7 +123,7 @@ def test_minimum_degree_ordering_is_symmetric_and_fill_reducing(trig, method):
     if method == "nitsche":
         system = assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)
     else:
-        system = assemble_saddle(space, TraceDG0Space(mesh), SaddleConfig(alpha=0.25), trig.f, trig.g)
+        system = assemble_saddle(space, SaddleConfig(alpha=0.25), trig.f, trig.g)
     lu = _pivot_factorization(system.matrix.tocsc())
     assert lu is not None
     assert np.array_equal(lu.perm_r, lu.perm_c)
@@ -137,7 +137,7 @@ def test_critical_stabilization_singular_through_dense_fallback(trig, n):
     pivot), so the Bunch-Kaufman fallback gives the verdict."""
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
-    system = assemble_saddle(space, TraceDG0Space(mesh), SaddleConfig(alpha=0.5), trig.f, trig.g)
+    system = assemble_saddle(space, SaddleConfig(alpha=0.5), trig.f, trig.g)
     lu = _pivot_factorization(system.matrix.tocsc())
     if lu is not None:
         pivots = np.abs(lu.U.diagonal())
@@ -157,9 +157,8 @@ def _six_column_system(method, n, alpha, trig):
         system = assemble_nitsche(space, cfg, trig.f, trig.g)
         duals = [assemble_dual_rhs_nitsche(space, cfg, psi) for psi in psis]
     else:
-        trace = TraceDG0Space(mesh)
-        system = assemble_saddle(space, trace, SaddleConfig(alpha=alpha), trig.f, trig.g)
-        duals = [assemble_dual_rhs_lm(space, trace, psi) for psi in psis]
+        system = assemble_saddle(space, SaddleConfig(alpha=alpha), trig.f, trig.g)
+        duals = [assemble_dual_rhs_lm(space, psi) for psi in psis]
     rhs = np.column_stack([system.rhs, *duals, np.zeros_like(system.rhs)])
     return system, replace(system, rhs=rhs)
 

@@ -1,13 +1,17 @@
-"""Property tests for point location and contour splitting on the grid mesh.
+"""Property tests for point location, contour splitting and config parsing.
 
 Examples are derandomized, so every run checks the same inputs.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fluxfem.cli import MAX_LEVEL, MIN_LEVEL, StudyConfig, build_config, build_parser, main
 from fluxfem.fem import locate_triangle
 from fluxfem.mesh import build_unit_square_mesh, split_segment_at_mesh_lines
 
@@ -111,3 +115,77 @@ def test_split_segment_cuts_every_crossed_grid_line(n, fixed, a, b, horizontal):
     crossed = crossed[(crossed > lo + 1e-9) & (crossed < hi - 1e-9)]
     for line in crossed:
         assert np.min(np.abs(positions - line)) <= 1e-12
+
+
+BOOLEAN_SPELLINGS = ("1", "true", "yes", "on", "0", "false", "no", "off")
+any_case = st.sampled_from(BOOLEAN_SPELLINGS).flatmap(
+    lambda word: st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in word)).map("".join)
+)
+# any character a one-line config value can hold
+one_line = st.characters(blacklist_characters="#\n\r", blacklist_categories=("Cs",))
+# valid spellings cut short or padded with other characters
+near_miss = st.one_of(
+    any_case.map(lambda word: word[:-1]),
+    st.tuples(st.text(one_line, max_size=2), any_case, st.text(one_line, max_size=2)).map("".join),
+)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+levels = st.lists(st.integers(MIN_LEVEL, MAX_LEVEL), min_size=2, max_size=2).map(sorted)
+config_values = st.fixed_dictionaries(
+    {},
+    optional={
+        "method_variant": st.sampled_from(
+            [("nitsche", ""), ("nitsche", "pointwise"), ("nitsche", "variational"),
+             ("lagrange", ""), ("lagrange", "multiplier")]
+        ),
+        "beta": positive,
+        "alpha": positive,
+        "levels": levels,
+        "delta0": st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+        "kappa": st.floats(min_value=0.0, max_value=1e6),
+        "seed": st.integers(0, 2**63),
+        "out": st.text("abcXYZ019._-/", max_size=16),
+        "parallel": any_case,
+    },
+)
+
+
+def config_lines(values):
+    """The key=value lines of drawn values, and the fields they should set."""
+    lines, expected = [], {}
+    for key, value in values.items():
+        if key == "method_variant":
+            pairs = {"method": value[0], "flux_variant": value[1]}
+        elif key == "levels":
+            pairs = {"kmin": value[0], "kmax": value[1]}
+        else:
+            pairs = {key: value}
+        for name, item in pairs.items():
+            lines.append(f"{name} = {item!r}" if isinstance(item, float) else f"{name} = {item}")
+            expected[name] = item.lower() in BOOLEAN_SPELLINGS[:4] if name == "parallel" else item
+    return "\n".join(lines) + "\n", expected
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "study.cfg"
+
+
+@PROPERTY
+@given(values=config_values)
+def test_config_file_values_round_trip(config_path, values):
+    text, expected = config_lines(values)
+    config_path.write_text(text, encoding="utf-8")
+    args = build_parser().parse_args(["converge", "--config", str(config_path)])
+    assert build_config(args) == StudyConfig(**expected)
+
+
+@PROPERTY
+@given(text=st.one_of(st.text(one_line, max_size=12), near_miss))
+def test_config_file_other_boolean_spellings_exit_2(config_path, text):
+    assume(text.strip().lower() not in BOOLEAN_SPELLINGS)
+    config_path.write_text(f"parallel = {text}\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["converge", "--kmax", "0", "--config", str(config_path)]) == 2
+    assert err.getvalue().startswith("config error: parallel")
+    assert "Traceback" not in out.getvalue() + err.getvalue()
