@@ -11,7 +11,7 @@ dual-check  dual-stability ratios over levels {8, 16, 32, 64} plus the
 
 Exit codes: 0 pass, 1 tolerance failure, 2 usage/config/output error, 3
 solver failure or out of memory. A converge failure names the level k and
-grid n; a dual-check or patch-test solver failure names its stage and n.
+grid n; a dual-check or patch-test failure names its stage and n.
 Identical configurations produce byte-identical output files.
 """
 
@@ -118,11 +118,13 @@ def _fmt(x: float) -> str:
 
 @contextmanager
 def _failure_site(site: str):
-    """Prefix a solver failure raised in the block with where it happened."""
+    """Prefix a solver failure or exhausted memory in the block with where it happened."""
     try:
         yield
     except SolverError as exc:
         raise type(exc)(f"{site}: {exc}") from exc
+    except MemoryError as exc:
+        raise MemoryError(f"{site}: {exc}".removesuffix(": ")) from exc
 
 
 def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:

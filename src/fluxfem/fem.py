@@ -24,6 +24,7 @@ from .mesh import Mesh
 
 VOLUME_DEGREE = 4
 EDGE_POINTS = 6
+ALL_CELLS = slice(None)
 
 
 @dataclass(frozen=True)
@@ -155,15 +156,21 @@ class P1Space:
         self.gradients = grads
         self.origins = v[:, 0]
 
-    def quadrature_points(self, rule: QuadratureRule) -> np.ndarray:
-        """Physical quadrature points, shape (n_triangles, n_q, 2)."""
-        v = self.mesh.vertices[self.mesh.triangles]
-        xi = rule.points
-        return (
-            v[:, None, 0, :]
-            + xi[None, :, 0, None] * (v[:, 1] - v[:, 0])[:, None, :]
-            + xi[None, :, 1, None] * (v[:, 2] - v[:, 0])[:, None, :]
-        )
+    def quadrature_points(self, rule: QuadratureRule, cells=ALL_CELLS) -> np.ndarray:
+        """Physical quadrature points of the triangles `cells`, shape (n_cells, n_q, 2)."""
+        tri = self.mesh.triangles[cells]
+        xi0, xi1 = rule.points[:, 0], rule.points[:, 1]
+        pts = np.empty((len(tri), len(xi0), 2))
+        # x and y separately on contiguous (n_cells, n_q) arrays: the same
+        # operations as a broadcast over a length-2 axis, at about half the time
+        for d in range(2):
+            c = self.mesh.vertices[tri, d]
+            pts[..., d] = (
+                c[:, 0, None]
+                + xi0 * (c[:, 1] - c[:, 0])[:, None]
+                + xi1 * (c[:, 2] - c[:, 0])[:, None]
+            )
+        return pts
 
 
 def nodal_interpolant(f, space: P1Space) -> np.ndarray:
@@ -231,12 +238,13 @@ def basis_at(rule: QuadratureRule) -> np.ndarray:
     return np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
 
 
-def stiffness_matrix(space: P1Space) -> sp.csr_matrix:
-    """Pure grad-grad matrix, no boundary terms."""
-    mesh = space.mesh
-    local = np.einsum("t,tid,tjd->tij", space.areas, space.gradients, space.gradients)
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+def stiffness_matrix(space: P1Space, cells=ALL_CELLS) -> sp.csr_matrix:
+    """Pure grad-grad matrix of the triangles `cells`, no boundary terms."""
+    tri = space.mesh.triangles[cells]
+    grads = space.gradients[cells]
+    local = np.einsum("t,tid,tjd->tij", space.areas[cells], grads, grads)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
     a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
     return symmetrize(a.tocsr())
 
@@ -252,17 +260,18 @@ def mass_matrix(space: P1Space) -> sp.csr_matrix:
     return symmetrize(a.tocsr())
 
 
-def load_vector(space: P1Space, f, volume_degree: int = VOLUME_DEGREE) -> np.ndarray:
-    """(f, phi_i) over the domain with the given quadrature degree."""
-    mesh = space.mesh
+def load_vector(
+    space: P1Space, f, volume_degree: int = VOLUME_DEGREE, cells=ALL_CELLS
+) -> np.ndarray:
+    """(f, phi_i) over the triangles `cells` with the given quadrature degree."""
     rule = triangle_quadrature(volume_degree)
-    pts = space.quadrature_points(rule)
+    pts = space.quadrature_points(rule, cells)
     fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     fvals = np.broadcast_to(fvals, pts.shape[:-1])
     # physical jacobian is 2*area; reference weights already sum to 1/2
-    local = 2.0 * space.areas[:, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, basis_at(rule))
+    local = 2.0 * space.areas[cells, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, basis_at(rule))
     b = np.zeros(space.n_dofs)
-    np.add.at(b, mesh.triangles.ravel(), local.ravel())
+    np.add.at(b, space.mesh.triangles[cells].ravel(), local.ravel())
     return b
 
 

@@ -225,8 +225,8 @@ def test_solver_failure_names_the_stage_and_level(capsys, argv, prefix):
          "solve_sym_indefinite", "Unable to allocate 8.00 EiB",
          "out of memory: k=2 n=8: Unable to allocate 8.00 EiB\n"),
         (["dual-check"], "dual_stability_report", "Unable to allocate 8.00 EiB",
-         "out of memory: Unable to allocate 8.00 EiB\n"),
-        (["patch-test"], "solve_spd", "", "out of memory\n"),
+         "out of memory: dual-check stability n=8: Unable to allocate 8.00 EiB\n"),
+        (["patch-test"], "solve_spd", "", "out of memory: patch-test constant(1.0) n=2\n"),
     ],
 )
 def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys, argv, target, detail, message):

@@ -110,6 +110,30 @@ def test_space_dof_maps():
     assert space.n_dofs == mesh.n_vertices
 
 
+def _broadcast_quadrature_points(space, rule):
+    """Physical points by one broadcast over the coordinate axis."""
+    v = space.mesh.vertices[space.mesh.triangles]
+    xi = rule.points
+    return (
+        v[:, None, 0, :]
+        + xi[None, :, 0, None] * (v[:, 1] - v[:, 0])[:, None, :]
+        + xi[None, :, 1, None] * (v[:, 2] - v[:, 0])[:, None, :]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_quadrature_points_equal_the_broadcast_formula_bitwise(degree, n):
+    mesh = build_unit_square_mesh(n)
+    space = P1Space(mesh)
+    rule = triangle_quadrature(degree)
+    pts = space.quadrature_points(rule)
+    assert pts.shape == (mesh.n_triangles, len(rule.weights), 2)
+    assert np.array_equal(pts, _broadcast_quadrature_points(space, rule))
+    cells = np.arange(0, mesh.n_triangles, 3)
+    assert np.array_equal(space.quadrature_points(rule, cells), pts[cells])
+
+
 def test_facet_tables():
     mesh = build_unit_square_mesh(5)
     space = P1Space(mesh)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from fluxfem.fem import P1Space, edge_quadrature, facet_tables
+from fluxfem.fem import P1Space, edge_quadrature, facet_tables, load_vector, stiffness_matrix
 from fluxfem.flux import (
     BoundaryFluxField,
     ExactFluxField,
+    _boundary_vertex_numbering,
+    _trace_field_from_moments,
     exact_flux,
     multiplier_flux,
     nitsche_flux,
@@ -253,3 +255,42 @@ def test_nitsche_flux_endpoints_equal_nodal_g_bitwise(trig):
         u = np.random.default_rng(n).standard_normal(space.n_dofs)
         field = nitsche_flux(u, trig.g, space, cfg)
         assert np.array_equal(field.coefficients, _nodal_g_reference(u, trig.g, space, cfg)), n
+
+
+def _full_assembly_variational_flux(u, g, f, space):
+    """The variational flux from the boundary rows of a full K u - b."""
+    mesh = space.mesh
+    full = stiffness_matrix(space) @ u - load_vector(space, f)
+    t, w, pdofs, ndg, trace, points = facet_tables(space)
+    u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
+    gvals = np.broadcast_to(np.asarray(g(points[..., 0], points[..., 1]), dtype=float), u_trace.shape)
+    defect = mesh.facet_lengths * np.einsum("q,fq->f", w, u_trace - gvals)
+    np.add.at(full, pdofs.ravel(), (-ndg * defect[:, None]).ravel())
+    ids, lookup = _boundary_vertex_numbering(mesh)
+    return _trace_field_from_moments(mesh, lookup, full[ids]).coefficients
+
+
+def test_variational_flux_equals_full_assembly_bitwise(trig):
+    """Restricting the volume terms to the boundary layer keeps every
+    addition of a boundary row, in the same order."""
+    for n in [*range(1, 40), 64, 91, 128, 181, 256]:
+        space = P1Space(build_unit_square_mesh(n))
+        u = np.random.default_rng(n).standard_normal(space.n_dofs)
+        field = variational_flux(u, trig.g, trig.f, space)
+        assert np.array_equal(field.coefficients, _full_assembly_variational_flux(u, trig.g, trig.f, space)), n
+
+
+def test_variational_flux_evaluates_f_on_the_boundary_layer_only(trig):
+    """O(n) volume work: at most 8n triangles of 6 points each, not all 2n^2."""
+    n = 64
+    space = P1Space(build_unit_square_mesh(n))
+    u = np.random.default_rng(n).standard_normal(space.n_dofs)
+    evaluated = 0
+
+    def counted_f(x, y):
+        nonlocal evaluated
+        evaluated += np.size(x)
+        return trig.f(x, y)
+
+    variational_flux(u, trig.g, counted_f, space)
+    assert 0 < evaluated <= 6 * 8 * n
