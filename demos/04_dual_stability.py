@@ -12,14 +12,28 @@
 # multiplier method needs its stabilization below 1/2 on this mesh
 # family; at alpha = 10 the dual blows up erratically.
 
-from fluxfem import dual_stability_report
+from dataclasses import replace
 
-LEVELS = [8, 16, 32, 64]
+from fluxfem import (
+    NitscheConfig,
+    P1Space,
+    SaddleConfig,
+    build_unit_square_mesh,
+    dual_stability_report,
+    rademacher_boundary_field,
+)
 
-for method, alpha in (("nitsche", 10.0), ("lagrange", 0.25), ("lagrange", 10.0)):
+# Each space and its seed-0 psi serve every configuration below.
+LEVELS = []
+for n in (8, 16, 32, 64):
+    mesh = build_unit_square_mesh(n)
+    LEVELS.append((P1Space(mesh), rademacher_boundary_field(mesh, seed=0)))
+
+for base in (NitscheConfig(beta=10.0), SaddleConfig(alpha=0.25), SaddleConfig(alpha=10.0)):
     for kappa in (0.0, 10.0):
-        reports = dual_stability_report(method, LEVELS, kappa=kappa, alpha=alpha, seed=0)
-        print(f"== {method}, alpha={alpha}, kappa={kappa} ==")
+        cfg = replace(base, kappa=kappa)
+        reports = [dual_stability_report(space, cfg, psi) for space, psi in LEVELS]
+        print(f"== {cfg} ==")
         for r in reports:
             ratios = " ".join(f"{k}={v:9.4f}" for k, v in r.ratios().items())
             print(f"  n={r.grid_n:3d}: {ratios}")

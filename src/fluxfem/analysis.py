@@ -45,7 +45,7 @@ from .lagrange import (
     assemble_saddle,
 )
 from .linsolve import solve_spd, solve_sym_indefinite
-from .mesh import Mesh, build_unit_square_mesh, distance_weight, offset_contour, split_segment_at_mesh_lines
+from .mesh import Mesh, distance_weight, offset_contour, split_segment_at_mesh_lines
 from .nitsche import (
     NitscheConfig,
     apply_dual_functional,
@@ -57,6 +57,8 @@ from .nitsche import (
 # Both identities hold up to the volume quadrature error of (f, phi_h) and
 # (grad(u - pi_h u), grad phi_h), so they use a finer rule than assembly.
 IDENTITY_VOLUME_DEGREE = 6
+# Offsets delta sampled in [0, delta_0] by the offset-contour suprema.
+CONTOUR_SAMPLES = 33
 
 
 @dataclass(frozen=True)
@@ -371,27 +373,23 @@ def contour_interp_error_norms(problem, coeffs, space: P1Space, contour):
     return float(val_norm), float(grad_norm)
 
 
-def _check_offset_scan(delta_0: float, samples: int):
+def _check_offset_scan(delta_0: float):
     if not 0.0 < delta_0 < 0.5:
         raise ValueError(f"delta_0 must lie in (0, 1/2), got {delta_0}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
 
 
-def interp_error_scan(
-    problem, space: P1Space, delta_0: float = 0.25, samples: int = 33
-) -> InterpScan:
+def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpScan:
     """Suprema over offset contours of the nodal interpolation error.
 
-    Scans delta over `samples` even steps in [0, delta_0]; the value
+    Scans delta over CONTOUR_SAMPLES even steps in [0, delta_0]; the value
     component decays at second order and the gradient at first order for
     smooth u.
     """
-    _check_offset_scan(delta_0, samples)
+    _check_offset_scan(delta_0)
     coeffs = nodal_interpolant(problem.u, space)
     sup_val = 0.0
     sup_grad = 0.0
-    for delta in np.linspace(0.0, delta_0, samples):
+    for delta in np.linspace(0.0, delta_0, CONTOUR_SAMPLES):
         contour = offset_contour(delta)
         v, g = contour_interp_error_norms(problem, coeffs, space, contour)
         sup_val = max(sup_val, v)
@@ -404,84 +402,60 @@ def interp_error_scan(
 # -- dual stability -------------------------------------------------------------
 
 
-def _weighted_gradient_sq(coeffs, space: P1Space, delta_prime: float) -> float:
-    """Integral of rho_delta' |grad phi_h|^2 (per-triangle constant gradient)."""
-    mesh = space.mesh
+def _weighted_gradient_sq(cell_grad_sq, space: P1Space, delta_prime: float) -> float:
+    """Integral of rho_delta' |grad phi_h|^2 from the per-triangle |grad phi_h|^2."""
     rule = triangle_quadrature(VOLUME_DEGREE)
-    pts = space.quadrature_points(rule)
-    weight = distance_weight(pts, delta_prime)
+    weight = distance_weight(space.quadrature_points(rule), delta_prime)
     cell_weight = 2.0 * space.areas * np.einsum("q,tq->t", rule.weights, weight)
-    grads = np.einsum("ti,tid->td", np.asarray(coeffs, dtype=float)[mesh.triangles], space.gradients)
-    return float(np.sum(cell_weight * np.einsum("td,td->t", grads, grads)))
+    return float(np.sum(cell_weight * cell_grad_sq))
 
 
 def dual_stability_report(
-    method: str,
-    levels,
-    delta_0: float = 0.25,
-    kappa: float = 0.0,
-    seed: int = 0,
-    beta: float = 10.0,
-    alpha: float = 0.25,
-    samples: int = 33,
-    psi_field=None,
-) -> list[StabilityReport]:
-    """Solve the discrete dual problem per level and measure its stability.
+    space: P1Space, cfg: NitscheConfig | SaddleConfig, psi, delta_0: float = 0.25
+) -> StabilityReport:
+    """Solve the discrete dual problem with boundary data psi on one level
+    and measure its stability.
 
-    `method` is "nitsche" or "lagrange"; `levels` lists grid subdivisions.
-    psi defaults to the seeded per-facet Rademacher field; pass
-    `psi_field` (a mesh -> boundary data callable) to override. The
-    shifted weight uses delta' = h_grid, and the contour supremum samples
-    delta over `samples` even steps in [0, delta_0].
+    `cfg` is a NitscheConfig or a SaddleConfig; its kappa is the shift.
+    The shifted weight uses delta' = h_grid, and the contour supremum
+    samples delta over CONTOUR_SAMPLES even steps in [0, delta_0].
     """
-    if method not in ("nitsche", "lagrange"):
-        raise ValueError(f"unknown method {method!r}")
-    _check_offset_scan(delta_0, samples)
+    if not isinstance(cfg, (NitscheConfig, SaddleConfig)):
+        raise TypeError(f"cfg must be a NitscheConfig or a SaddleConfig, got {type(cfg).__name__}")
+    _check_offset_scan(delta_0)
+    mesh = space.mesh
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))  # noqa: E731
 
-    reports = []
-    for n in levels:
-        mesh = build_unit_square_mesh(n)
-        space = P1Space(mesh)
-        psi = psi_field(mesh) if psi_field is not None else rademacher_boundary_field(mesh, seed)
-        psi_norm_sq = boundary_l2_norm(psi, mesh) ** 2
+    theta = None
+    if isinstance(cfg, NitscheConfig):
+        method = "nitsche"
+        system = assemble_nitsche(space, cfg, zero, zero)
+        rhs = assemble_dual_rhs_nitsche(space, cfg, psi)
+        phi = solve_spd(replace(system, rhs=rhs)).x
+    else:
+        method = "lagrange"
+        system = assemble_saddle(space, cfg, zero, zero)
+        rhs = assemble_dual_rhs_lm(space, psi)
+        phi, theta = system.split(solve_sym_indefinite(replace(system, rhs=rhs)).x)
 
-        theta = None
-        if method == "nitsche":
-            cfg = NitscheConfig(beta=beta, kappa=kappa)
-            system = assemble_nitsche(space, cfg, zero, zero)
-            rhs = assemble_dual_rhs_nitsche(space, cfg, psi)
-            phi = solve_spd(replace(system, rhs=rhs)).x
-        else:
-            cfg = SaddleConfig(alpha=alpha, kappa=kappa)
-            system = assemble_saddle(space, cfg, zero, zero)
-            rhs = assemble_dual_rhs_lm(space, psi)
-            phi, theta = system.split(solve_sym_indefinite(replace(system, rhs=rhs)).x)
-
-        grads = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
-        grad_sq = float(np.sum(space.areas * np.einsum("td,td->t", grads, grads)))
-        q1 = _weighted_gradient_sq(phi, space, mesh.h_grid)
-        q2 = mesh.h_grid * grad_sq
-        q3 = 0.0
-        for delta in np.linspace(0.0, delta_0, samples):
-            norm = contour_l2_norm_discrete(phi, space, offset_contour(delta))
-            q3 = max(q3, norm**2)
-        q4 = float(phi @ (mass_matrix(space) @ phi))
-        q5 = None
-        if theta is not None:
-            q5 = mesh.h_grid**2 * float(np.sum(mesh.facet_lengths * theta**2))
-        reports.append(
-            StabilityReport(
-                method=method,
-                grid_n=n,
-                h_grid=mesh.h_grid,
-                kappa=kappa,
-                psi_norm_sq=psi_norm_sq,
-                q1=q1,
-                q2=q2,
-                q3=q3,
-                q4=q4,
-                q5=q5,
-            )
-        )
-    return reports
+    grads = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
+    cell_grad_sq = np.einsum("td,td->t", grads, grads)
+    q3 = 0.0
+    for delta in np.linspace(0.0, delta_0, CONTOUR_SAMPLES):
+        norm = contour_l2_norm_discrete(phi, space, offset_contour(delta))
+        q3 = max(q3, norm**2)
+    q5 = None
+    if theta is not None:
+        q5 = mesh.h_grid**2 * float(np.sum(mesh.facet_lengths * theta**2))
+    return StabilityReport(
+        method=method,
+        grid_n=mesh.grid_n,
+        h_grid=mesh.h_grid,
+        kappa=cfg.kappa,
+        psi_norm_sq=boundary_l2_norm(psi, mesh) ** 2,
+        q1=_weighted_gradient_sq(cell_grad_sq, space, mesh.h_grid),
+        q2=mesh.h_grid * float(np.sum(space.areas * cell_grad_sq)),
+        q3=q3,
+        q4=float(phi @ (mass_matrix(space) @ phi)),
+        q5=q5,
+    )

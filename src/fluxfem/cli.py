@@ -130,7 +130,7 @@ def _failure_site(site: str):
 def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
     """One level's record; a solver failure or exhausted memory names k and n."""
     n = level_grid_n(k)
-    try:
+    with _failure_site(f"k={k} n={n}"):
         problem = trig_problem()
         mesh = build_unit_square_mesh(n)
         space = P1Space(mesh)
@@ -166,10 +166,6 @@ def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
             energy_err=energy,
             l2_err=l2_error(problem, u, space),
         )
-    except SolverError as exc:
-        raise type(exc)(f"k={k} n={n}: {exc}") from exc
-    except MemoryError as exc:
-        raise MemoryError(f"k={k} n={n}: {exc}".removesuffix(": ")) from exc
 
 
 def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
@@ -230,18 +226,20 @@ def run_patch_test(config: StudyConfig) -> list[str]:
 
 def run_dual_check(config: StudyConfig):
     """Stability ratio table, identity residual table, and gate failures."""
+    spaces = [P1Space(build_unit_square_mesh(n)) for n in (8, 16, 32, 64)]
+    if config.method == "nitsche":
+        shifted = NitscheConfig(beta=config.beta, kappa=config.kappa)
+        identity_residuals = error_representation_residuals
+    else:
+        shifted = SaddleConfig(alpha=config.alpha, kappa=config.kappa)
+        identity_residuals = lm_error_representation_residuals
+    unshifted = replace(shifted, kappa=0.0)
+
     reports = []
-    for n in (8, 16, 32, 64):
-        with _failure_site(f"dual-check stability n={n}"):
-            reports += dual_stability_report(
-                config.method,
-                [n],
-                delta_0=config.delta0,
-                kappa=config.kappa,
-                seed=config.seed,
-                beta=config.beta,
-                alpha=config.alpha,
-            )
+    for space in spaces:
+        with _failure_site(f"dual-check stability n={space.mesh.grid_n}"):
+            psi = rademacher_boundary_field(space.mesh, config.seed)
+            reports.append(dual_stability_report(space, shifted, psi, config.delta0))
     failures = []
     sums = [sum(r.ratios().values()) for r in reports]
     spread = max(sums) / min(sums)
@@ -253,18 +251,11 @@ def run_dual_check(config: StudyConfig):
 
     problem = trig_problem()
     identity_rows = []
-    for n in (8, 16, 32):
-        mesh = build_unit_square_mesh(n)
-        space = P1Space(mesh)
-        psis = [rademacher_boundary_field(mesh, seed=config.seed + s) for s in range(5)]
+    for space in spaces[:3]:
+        n = space.mesh.grid_n
+        psis = [rademacher_boundary_field(space.mesh, seed=config.seed + s) for s in range(5)]
         with _failure_site(f"dual-check identity n={n}"):
-            if config.method == "nitsche":
-                cfg = NitscheConfig(beta=config.beta)
-                defects = error_representation_residuals(problem, space, cfg, psis)
-            else:
-                cfg = SaddleConfig(alpha=config.alpha)
-                defects = lm_error_representation_residuals(problem, space, cfg, psis)
-        worst = max(0.0, *defects)
+            worst = max(0.0, *identity_residuals(problem, space, unshifted, psis))
         identity_rows.append((n, worst))
         if worst > IDENTITY_TOL:
             failures.append(
@@ -309,14 +300,18 @@ def _read_config_file(path: str) -> dict:
 
 # Field types are annotation strings under `from __future__ import annotations`.
 _FIELD_TYPES = {f.name: f.type for f in fields(StudyConfig)}
-_PARSERS = {"int": int, "float": float, "str": str}
+_PARSERS = {"int": (int, "an int"), "float": (float, "a float"), "str": (str, "a string")}
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def _coerce(key: str, value: str):
     kind = _FIELD_TYPES[key]
     if kind != "bool":
-        return _PARSERS[kind](value)
+        parse, expected = _PARSERS[kind]
+        try:
+            return parse(value)
+        except ValueError:
+            raise ValueError(f"{key} must be {expected}, got {value!r}") from None
     if value.lower() not in _TRUE + _FALSE:
         raise ValueError(f"{key} must be one of {'/'.join(_TRUE)} or {'/'.join(_FALSE)}, got {value!r}")
     return value.lower() in _TRUE

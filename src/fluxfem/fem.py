@@ -29,17 +29,16 @@ ALL_CELLS = slice(None)
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Reference-domain points and weights, exact up to `degree`."""
+    """Reference-domain points and weights."""
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
-def _shared_rule(points, weights, degree: int) -> QuadratureRule:
+def _shared_rule(points, weights) -> QuadratureRule:
     for array in (points, weights):
         array.setflags(write=False)
-    return QuadratureRule(points=points, weights=weights, degree=degree)
+    return QuadratureRule(points=points, weights=weights)
 
 
 def _sym3(a):
@@ -84,7 +83,7 @@ def triangle_quadrature(degree: int) -> QuadratureRule:
         wts = [w1] * 3 + [w2] * 3 + [w3] * 6
     else:
         raise ValueError(f"unsupported triangle quadrature degree {degree}")
-    return _shared_rule(np.array(pts), 0.5 * np.array(wts), degree)
+    return _shared_rule(np.array(pts), 0.5 * np.array(wts))
 
 
 @cache
@@ -93,7 +92,7 @@ def edge_quadrature(points: int) -> QuadratureRule:
     if not 1 <= points <= 10:
         raise ValueError(f"unsupported edge quadrature point count {points}")
     x, w = np.polynomial.legendre.leggauss(points)
-    return _shared_rule(0.5 * (x + 1.0), 0.5 * w, 2 * points - 1)
+    return _shared_rule(0.5 * (x + 1.0), 0.5 * w)
 
 
 def eval_basis(vertices, x):
@@ -188,13 +187,14 @@ def locate_triangle(mesh: Mesh, points) -> np.ndarray:
 
     O(1) lookup on the structured grid: cell from floor division, then a
     diagonal test. Points on mesh lines resolve deterministically; points
-    outside [0,1]^2 by more than 1e-12 raise.
+    outside [0,1]^2 by more than 1e-12, and non-finite ones, raise.
     """
     pts = np.asarray(points, dtype=float)
     n = mesh.grid_n
-    x, y = pts[..., 0], pts[..., 1]
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12) or np.any(y < -1e-12) or np.any(y > 1 + 1e-12):
+    # written so that NaN coordinates fail the test too
+    if not np.all((pts >= -1e-12) & (pts <= 1 + 1e-12)):
         raise ValueError("point outside the unit square cannot be located")
+    x, y = pts[..., 0], pts[..., 1]
     ix = np.clip(np.floor(x * n).astype(np.int64), 0, n - 1)
     iy = np.clip(np.floor(y * n).astype(np.int64), 0, n - 1)
     s = x * n - ix

@@ -85,6 +85,8 @@ class ExactFluxField:
 
 def exact_flux(problem, mesh: Mesh, facet_index: int, s: float) -> float:
     """Exact flux at arclength s in [0, length] along one boundary facet."""
+    if not 0 <= facet_index < mesh.n_facets:
+        raise ValueError(f"facet index {facet_index} outside [0, {mesh.n_facets})")
     length = float(mesh.facet_lengths[facet_index])
     if not 0.0 <= s <= length:
         raise ValueError(f"arclength {s} outside [0, {length}]")

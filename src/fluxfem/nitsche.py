@@ -58,11 +58,10 @@ class NitscheConfig:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Assembled sparse symmetric system with a definiteness tag."""
+    """Assembled sparse symmetric system."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    definiteness: str = "spd"
 
 
 def assemble_nitsche(
@@ -100,7 +99,7 @@ def assemble_nitsche(
     local_b = -ndg * int_g[:, None] + pen[:, None] * int_g_phi
     np.add.at(b, pdofs.ravel(), local_b.ravel())
 
-    return LinearSystem(matrix=symmetrize(a), rhs=b, definiteness="spd")
+    return LinearSystem(matrix=symmetrize(a), rhs=b)
 
 
 def assemble_dual_rhs_nitsche(space: P1Space, cfg: NitscheConfig, psi) -> np.ndarray:

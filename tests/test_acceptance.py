@@ -73,6 +73,16 @@ KS = list(range(4, 11))
 LEVELS = [level_grid_n(k) for k in KS]
 
 
+def _stability_reports(cfg):
+    """Dual-stability reports at n in {8, 16, 32, 64}, seed-0 Rademacher psi."""
+    reports = []
+    for n in (8, 16, 32, 64):
+        mesh = build_unit_square_mesh(n)
+        psi = rademacher_boundary_field(mesh, seed=0)
+        reports.append(dual_stability_report(P1Space(mesh), cfg, psi))
+    return reports
+
+
 @pytest.fixture(scope="module")
 def problem():
     return trig_problem()
@@ -283,9 +293,11 @@ def test_criterion_6_dual_stability_per_ratio_bands():
     offenders = []
     for method in ("nitsche", "lagrange"):
         for kappa in (0.0, 10.0):
-            reports = dual_stability_report(
-                method, [8, 16, 32, 64], kappa=kappa, seed=0, beta=BETA, alpha=ALPHA_MATCHED
-            )
+            if method == "nitsche":
+                cfg = NitscheConfig(beta=BETA, kappa=kappa)
+            else:
+                cfg = SaddleConfig(alpha=ALPHA_MATCHED, kappa=kappa)
+            reports = _stability_reports(cfg)
             names = reports[0].ratios().keys()
             for name in names:
                 values = [r.ratios()[name] for r in reports]
@@ -304,7 +316,7 @@ def test_criterion_6_dual_stability_per_ratio_bands():
 
 @pytest.mark.parametrize("kappa", [0.0, 10.0])
 def test_dual_stability_sum_witness_nitsche_companion(kappa):
-    reports = dual_stability_report("nitsche", [8, 16, 32, 64], kappa=kappa, seed=0, beta=BETA)
+    reports = _stability_reports(NitscheConfig(beta=BETA, kappa=kappa))
     sums = [sum(r.ratios().values()) for r in reports]
     spread = max(sums) / min(sums)
     print(f"nitsche kappa={kappa}: summed ratio spread {spread:.3f}")
@@ -313,9 +325,7 @@ def test_dual_stability_sum_witness_nitsche_companion(kappa):
 
 @pytest.mark.parametrize("kappa", [0.0, 10.0])
 def test_dual_stability_sum_witness_lagrange_stable_companion(kappa):
-    reports = dual_stability_report(
-        "lagrange", [8, 16, 32, 64], kappa=kappa, seed=0, alpha=ALPHA_STABLE
-    )
+    reports = _stability_reports(SaddleConfig(alpha=ALPHA_STABLE, kappa=kappa))
     sums = [sum(r.ratios().values()) for r in reports]
     spread = max(sums) / min(sums)
     print(f"lagrange alpha={ALPHA_STABLE} kappa={kappa}: summed ratio spread {spread:.3f}")

@@ -181,7 +181,7 @@ def test_identity_residuals_sample_interpolation_error_once(monkeypatch, trig, m
 
 def test_interp_scan_affine_is_exact(affine):
     space = P1Space(build_unit_square_mesh(8))
-    scan = interp_error_scan(affine, space, delta_0=0.25, samples=9)
+    scan = interp_error_scan(affine, space, delta_0=0.25)
     assert scan.sup_value_error <= 1e-12
     assert scan.sup_gradient_error <= 1e-12
 
@@ -234,9 +234,8 @@ def test_contour_quadrature_against_refined_oracle(trig):
 
 
 def test_dual_stability_zero_psi():
-    zero_field = lambda mesh: (lambda x, y: np.zeros_like(x))  # noqa: E731
-    reports = dual_stability_report("nitsche", [4], psi_field=zero_field)
-    r = reports[0]
+    zero = lambda x, y: np.zeros_like(x)  # noqa: E731
+    r = dual_stability_report(P1Space(build_unit_square_mesh(4)), NitscheConfig(), zero)
     assert (r.q1, r.q2, r.q3, r.q4) == (0.0, 0.0, 0.0, 0.0)
     assert r.psi_norm_sq == 0.0
 
@@ -271,13 +270,12 @@ def test_rademacher_field_deterministic():
 
 
 def test_dual_stability_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="method"):
-        dual_stability_report("galerkin", [4])
+    mesh = build_unit_square_mesh(4)
+    space, psi = P1Space(mesh), rademacher_boundary_field(mesh)
+    with pytest.raises(TypeError, match="NitscheConfig or a SaddleConfig"):
+        dual_stability_report(space, "galerkin", psi)
     with pytest.raises(ValueError, match="delta_0"):
-        dual_stability_report("nitsche", [4], delta_0=0.7)
-    for samples in (0, -3):
-        with pytest.raises(ValueError, match="samples"):
-            dual_stability_report("nitsche", [4], samples=samples)
+        dual_stability_report(space, NitscheConfig(), psi, delta_0=0.7)
 
 
 def test_interp_scan_rejects_bad_arguments_before_any_work(monkeypatch, trig):
@@ -290,14 +288,13 @@ def test_interp_scan_rejects_bad_arguments_before_any_work(monkeypatch, trig):
     for delta_0 in (0.7, 0.5, 0.0, -0.1):
         with pytest.raises(ValueError, match="delta_0"):
             interp_error_scan(trig, space, delta_0=delta_0)
-    for samples in (0, -1):
-        with pytest.raises(ValueError, match="samples"):
-            interp_error_scan(trig, space, samples=samples)
 
 
 def test_stability_report_q5_only_for_multiplier():
-    nit = dual_stability_report("nitsche", [8])[0]
-    lag = dual_stability_report("lagrange", [8], alpha=0.25)[0]
+    mesh = build_unit_square_mesh(8)
+    space, psi = P1Space(mesh), rademacher_boundary_field(mesh)
+    nit = dual_stability_report(space, NitscheConfig(), psi)
+    lag = dual_stability_report(space, SaddleConfig(alpha=0.25), psi)
     assert nit.q5 is None and "Q5" not in nit.ratios()
     assert lag.q5 is not None and "Q5" in lag.ratios()
 

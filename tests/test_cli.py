@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from fluxfem import cli, linsolve
+from fluxfem import cli, fem, linsolve, mesh
 from fluxfem.cli import (
     MAX_LEVEL,
     MIN_LEVEL,
@@ -109,6 +111,18 @@ def test_config_file_rejects_non_boolean(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("kmin = abc", "kmin must be an int, got 'abc'"),
+     ("beta = 1e", "beta must be a float, got '1e'")],
+)
+def test_config_file_parse_error_names_the_key(tmp_path, capsys, text, message):
+    config = tmp_path / "study.cfg"
+    config.write_text(f"{text}\n")
+    assert main(["converge", "--kmax", "0", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert main(["converge", "--kmax", "0", "--out", str(out)]) == 2
@@ -186,6 +200,24 @@ def test_dual_check_factors_each_matrix_once(monkeypatch, flags):
     )
     assert main(["dual-check", *flags]) == 0
     assert len(factored) == 4 + 3
+
+
+def test_dual_check_builds_each_grid_once(monkeypatch):
+    """The stability table (n = 8..64) and the identity table (n = 8..32)
+    share one mesh and one space per grid."""
+    meshes, spaces = [], []
+    build = mesh.build_unit_square_mesh
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fluxfem") and getattr(module, "build_unit_square_mesh", None) is build:
+            monkeypatch.setattr(
+                module, "build_unit_square_mesh", lambda n: meshes.append(n) or build(n)
+            )
+    init = fem.P1Space.__init__
+    monkeypatch.setattr(
+        fem.P1Space, "__init__", lambda self, m: spaces.append(m.grid_n) or init(self, m)
+    )
+    assert main(["dual-check"]) == 0
+    assert sorted(meshes) == sorted(spaces) == [8, 16, 32, 64]
 
 
 def test_converge_solver_failure_names_the_level(capsys):

@@ -245,3 +245,7 @@ def test_locate_rejects_outside_points():
     mesh = build_unit_square_mesh(2)
     with pytest.raises(ValueError, match="outside"):
         locate_triangle(mesh, [[1.5, 0.5]])
+    for bad in (np.nan, np.inf, -np.inf):
+        for point in ([bad, 0.5], [0.5, bad]):
+            with pytest.raises(ValueError, match="cannot be located"):
+                locate_triangle(mesh, [point])

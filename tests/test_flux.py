@@ -93,6 +93,13 @@ def test_exact_flux_pointwise_values(trig):
         exact_flux(trig, mesh, 1, 0.3)
 
 
+def test_exact_flux_rejects_facet_index_out_of_range(trig):
+    mesh = build_unit_square_mesh(4)
+    for index in (-1, mesh.n_facets):
+        with pytest.raises(ValueError, match="facet index"):
+            exact_flux(trig, mesh, index, 0.0)
+
+
 def test_exact_flux_midpoints(trig):
     mesh = build_unit_square_mesh(2)
     # x = 0.5 on the bottom edge: sigma = -2*pi*sin(pi) = 0

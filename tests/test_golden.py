@@ -35,6 +35,10 @@ CASES = {
     "dual-check-nitsche": ["dual-check", "--method", "nitsche", "--seed", "0"],
     "dual-check-nitsche-kappa10": ["dual-check", "--method", "nitsche", "--kappa", "10", "--seed", "0"],
     "dual-check-lagrange": ["dual-check", "--method", "lagrange", "--alpha", "0.25", "--seed", "0"],
+    "dual-check-lagrange-kappa10": [
+        "dual-check", "--method", "lagrange", "--alpha", "0.25", "--kappa", "10", "--seed", "0"
+    ],
+    "dual-check-nitsche-delta0": ["dual-check", "--delta0", "0.125", "--seed", "0"],
     "dual-check-nitsche-seed3": ["dual-check", "--method", "nitsche", "--seed", "3"],
     # alpha = 10 is outside the stable range: the spread gate fails (exit 1)
     "dual-check-lagrange-alpha10-seed3": ["dual-check", "--method", "lagrange", "--alpha", "10", "--seed", "3"],

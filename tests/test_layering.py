@@ -60,6 +60,14 @@ def test_boundary_rule_and_multiplier_space_are_not_parameters():
     assert parameters_named("trace_space") == []
 
 
+def test_one_level_per_call_and_a_fixed_contour_sample_count():
+    """Studies loop over levels themselves, pass boundary data directly,
+    and every offset-contour supremum uses analysis.CONTOUR_SAMPLES."""
+    assert parameters_named("samples") == []
+    assert parameters_named("levels") == []
+    assert parameters_named("psi_field") == []
+
+
 def test_volume_degree_is_a_parameter_only_where_two_degrees_are_used():
     """Assembly runs at degree 4 for the studies and 6 for the identities;
     the norms and the flux recovery use one fixed degree."""
