@@ -15,14 +15,11 @@ from .analysis import (
     boundary_l2_norm,
     contour_l2_norm_discrete,
     dual_stability_report,
-    energy_error,
+    error_norms,
     error_representation_residuals,
     fit_rate,
     interp_error_scan,
-    l2_error,
-    lm_error_representation_residuals,
     rademacher_boundary_field,
-    triple_norm_error,
 )
 from .fem import (
     P1Space,

@@ -136,73 +136,52 @@ def boundary_l2_error(flux, exact, mesh: Mesh) -> float:
 # -- volume/energy error norms ----------------------------------------------
 
 
-def l2_error(problem, coeffs, space: P1Space) -> float:
-    """|u - u_h| over the domain with triangle quadrature."""
+def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
+    """(energy, L2) norms of the error of u_h = u; one volume table serves both.
+
+    Without `lam` the energy norm is Nitsche's (gradient, h-scaled flux, 1/h
+    trace). With the multiplier coefficients `lam` it is the natural saddle
+    norm of (u - u_h, lambda - lambda_h), where lambda = -sigma_n.
+    """
     mesh = space.mesh
+    u = np.asarray(u, dtype=float)
     rule = triangle_quadrature(VOLUME_DEGREE)
     pts = space.quadrature_points(rule)
-    uh = np.einsum("qk,tk->tq", basis_at(rule), np.asarray(coeffs, dtype=float)[mesh.triangles])
+    aw = space.areas[:, None] * rule.weights[None, :]
+    uh = np.einsum("qk,tk->tq", basis_at(rule), u[mesh.triangles])
     diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh
-    return float(np.sqrt(2.0 * np.sum(space.areas[:, None] * rule.weights[None, :] * diff**2)))
-
-
-def _error_gradient_terms(problem, coeffs, space):
-    mesh = space.mesh
-    rule = triangle_quadrature(VOLUME_DEGREE)
-    pts = space.quadrature_points(rule)
+    l2 = float(np.sqrt(2.0 * np.sum(aw * diff**2)))
     gx, gy = problem.grad_u(pts[..., 0], pts[..., 1])
-    grads = np.einsum("ti,tid->td", np.asarray(coeffs, dtype=float)[mesh.triangles], space.gradients)
+    grads = np.einsum("ti,tid->td", u[mesh.triangles], space.gradients)
     dx = np.asarray(gx) - grads[:, None, 0]
     dy = np.asarray(gy) - grads[:, None, 1]
-    return float(2.0 * np.sum(space.areas[:, None] * rule.weights[None, :] * (dx**2 + dy**2)))
+    grad_sq = float(2.0 * np.sum(aw * (dx**2 + dy**2)))
 
-
-def _boundary_error_terms(problem, coeffs, space):
-    """Facet integrals of (u - u_h)^2 and (n.grad(u - u_h))^2."""
-    mesh = space.mesh
-    t, w, pdofs, ndg, _, pts = facet_tables(space)
-    coeffs = np.asarray(coeffs, dtype=float)
+    t, w, pdofs, ndg, _, fpts = facet_tables(space)
     ends = mesh.facet_vertices
-    u_trace = coeffs[ends][:, [0]] * (1.0 - t)[None, :] + coeffs[ends][:, [1]] * t[None, :]
-    diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - u_trace
-    val_sq = np.sum(mesh.facet_lengths[:, None] * w[None, :] * diff**2)
-
-    nd_h = np.einsum("fk,fk->f", ndg, coeffs[pdofs])
-    nd_u = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
-    nd_sq = np.sum(mesh.facet_lengths[:, None] * w[None, :] * (nd_u - nd_h[:, None]) ** 2)
-    return float(val_sq), float(nd_sq)
-
-
-def energy_error(problem, coeffs, space: P1Space) -> float:
-    """Nitsche energy norm of u - u_h (gradient, h-scaled flux, 1/h trace)."""
-    h = space.mesh.h_grid
-    grad_sq = _error_gradient_terms(problem, coeffs, space)
-    val_sq, nd_sq = _boundary_error_terms(problem, coeffs, space)
-    return float(np.sqrt(grad_sq + h * nd_sq + val_sq / h))
-
-
-def triple_norm_error(problem, u_coeffs, lam_coeffs, space: P1Space) -> float:
-    """Natural saddle norm of (u - u_h, lambda - lambda_h); lambda = -sigma_n."""
-    mesh = space.mesh
-    grad_sq = _error_gradient_terms(problem, u_coeffs, space)
-    val_sq, _ = _boundary_error_terms(problem, u_coeffs, space)
-    _, w, _, _, _, pts = facet_tables(space)
-    lam_exact = -problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
-    diff = lam_exact - np.asarray(lam_coeffs, dtype=float)[:, None]
-    lam_sq = np.sum(mesh.facet_lengths[:, None] ** 2 * w[None, :] * diff**2)
+    hw = mesh.facet_lengths[:, None] * w[None, :]
+    u_trace = u[ends][:, [0]] * (1.0 - t)[None, :] + u[ends][:, [1]] * t[None, :]
+    trace_diff = np.asarray(problem.u(fpts[..., 0], fpts[..., 1]), dtype=float) - u_trace
+    val_sq = float(np.sum(hw * trace_diff**2))
+    sigma = problem.sigma_n(fpts[..., 0], fpts[..., 1], mesh.facet_normals[:, None, :])
     h = mesh.h_grid
-    return float(np.sqrt(grad_sq + val_sq / h + lam_sq))
+    if lam is None:
+        nd_h = np.einsum("fk,fk->f", ndg, u[pdofs])
+        nd_sq = float(np.sum(hw * (sigma - nd_h[:, None]) ** 2))
+        return float(np.sqrt(grad_sq + h * nd_sq + val_sq / h)), l2
+    lam_diff = -sigma - np.asarray(lam, dtype=float)[:, None]
+    lam_sq = np.sum(mesh.facet_lengths[:, None] ** 2 * w[None, :] * lam_diff**2)
+    return float(np.sqrt(grad_sq + val_sq / h + lam_sq)), l2
 
 
 # -- rate fitting -------------------------------------------------------------
 
 
-def fit_rate(records, h_window=None, field: str = "flux_err") -> float:
-    """Least-squares slope of log(error) against log(h).
+def fit_rate(records, field: str = "flux_err") -> float:
+    """Least-squares slope of log(error) against log(h), over at least 3 points.
 
     `records` is a list of ConvergenceRecord (the `field` attribute is
-    fitted against h_grid) or of plain (h, error) pairs. `h_window`
-    restricts to h_lo <= h <= h_hi; at least 3 points must remain.
+    fitted against h_grid) or of plain (h, error) pairs.
     """
     pairs = []
     for rec in records:
@@ -211,9 +190,6 @@ def fit_rate(records, h_window=None, field: str = "flux_err") -> float:
         else:
             h, e = rec
             pairs.append((float(h), float(e)))
-    if h_window is not None:
-        lo, hi = h_window
-        pairs = [(h, e) for h, e in pairs if lo <= h <= hi]
     if len(pairs) < 3:
         raise ValueError(f"insufficient data: need >= 3 points, have {len(pairs)}")
     h = np.log([p[0] for p in pairs])
@@ -234,6 +210,11 @@ def rademacher_boundary_field(mesh: Mesh, seed: int = 0):
 
 
 # -- error representation identities ------------------------------------------
+
+
+def _check_method_config(cfg):
+    if not isinstance(cfg, (NitscheConfig, SaddleConfig)):
+        raise TypeError(f"cfg must be a NitscheConfig or a SaddleConfig, got {type(cfg).__name__}")
 
 
 def _sampled_interp_error(problem, space, sign: float = 1.0):
@@ -258,74 +239,56 @@ def _sampled_interp_error(problem, space, sign: float = 1.0):
 
 
 def error_representation_residuals(
-    problem, space: P1Space, cfg: NitscheConfig, psis
+    problem, space: P1Space, cfg: NitscheConfig | SaddleConfig, psis
 ) -> list[float]:
-    """Relative defect |lhs - rhs| / |psi|_G of the Nitsche identity, one per psi.
+    """Relative defect |lhs - rhs| / |psi|_G of the identity, one per psi.
 
-    u_h and the duals phi_h of all psi share one factorization; the defect
-    is quadrature and solver noise, and 0 for psi = 0.
+    The type of `cfg` picks the Nitsche or the multiplier identity. The
+    primal solution and the duals of all psi share one factorization; the
+    defect is quadrature and solver noise, and 0 for psi = 0.
     """
+    _check_method_config(cfg)
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
     t, w, _, _, _, pts = facet_tables(space)
     psi_vals = [boundary_field_values(psi, mesh, t, pts) for psi in psis]
-    system = assemble_nitsche(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
-    duals = [assemble_dual_rhs_nitsche(space, cfg, vals) for vals in psi_vals]
-    u_h, *phis = solve_spd(replace(system, rhs=np.column_stack([system.rhs, *duals]))).x.T
-
     hw = mesh.facet_lengths[:, None] * w[None, :]
     sigma = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
-    flux_gap = hw * (sigma - pointwise_nitsche_values(u_h, problem.g, space, cfg, t))
-    interp_error = _sampled_interp_error(problem, space)
+
+    if isinstance(cfg, NitscheConfig):
+        system = assemble_nitsche(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
+        duals = [assemble_dual_rhs_nitsche(space, cfg, vals) for vals in psi_vals]
+        u_h, *phis = solve_spd(replace(system, rhs=np.column_stack([system.rhs, *duals]))).x.T
+        flux_gap = hw * (sigma - pointwise_nitsche_values(u_h, problem.g, space, cfg, t))
+        interp_error = _sampled_interp_error(problem, space)
+
+        def form(vals, phi):
+            rhs = apply_nitsche_form(space, cfg, interp_error, phi)
+            return rhs - apply_dual_functional(space, cfg, vals, interp_error)
+    else:
+        system = assemble_saddle(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
+        duals = [assemble_dual_rhs_lm(space, vals) for vals in psi_vals]
+        primal, *phis = solve_sym_indefinite(
+            replace(system, rhs=np.column_stack([system.rhs, *duals]))
+        ).x.T
+        lam_exact = -sigma
+        flux_gap = hw * (lam_exact - system.split(primal)[1][:, None])
+        # facet averages are the natural interpolant onto facet constants
+        pi_lam = np.einsum("q,fq->f", w, lam_exact)
+        interp_gap = lam_exact - pi_lam[:, None]
+        mu_vals = pi_lam[:, None] - lam_exact
+        interp_error = _sampled_interp_error(problem, space, sign=-1.0)
+
+        def form(vals, pair):
+            rhs = apply_saddle_form(space, cfg, interp_error, mu_vals, *system.split(pair))
+            return rhs + np.sum(hw * vals * interp_gap)
 
     defects = []
     for vals, phi in zip(psi_vals, phis):
         psi_norm = np.sqrt(np.sum(hw * vals**2))
         lhs = np.sum(flux_gap * vals)
-        rhs = apply_nitsche_form(space, cfg, interp_error, phi)
-        rhs -= apply_dual_functional(space, cfg, vals, interp_error)
-        defects.append(float(abs(lhs - rhs) / psi_norm) if psi_norm > 0.0 else 0.0)
-    return defects
-
-
-def lm_error_representation_residuals(
-    problem, space: P1Space, cfg: SaddleConfig, psis
-) -> list[float]:
-    """Relative defect |lhs - rhs| / |psi|_G of the multiplier identity, one per psi.
-
-    (u_h, lambda_h) and the dual pairs (phi_h, theta_h) of all psi share
-    one factorization; 0 for psi = 0.
-    """
-    if cfg.kappa != 0.0:
-        raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
-    mesh = space.mesh
-    t, w, _, _, _, pts = facet_tables(space)
-    psi_vals = [boundary_field_values(psi, mesh, t, pts) for psi in psis]
-    system = assemble_saddle(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
-    duals = [assemble_dual_rhs_lm(space, vals) for vals in psi_vals]
-    primal, *pairs = solve_sym_indefinite(
-        replace(system, rhs=np.column_stack([system.rhs, *duals]))
-    ).x.T
-    _, lam_h = system.split(primal)
-
-    hw = mesh.facet_lengths[:, None] * w[None, :]
-    lam_exact = -problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
-    lam_gap = hw * (lam_exact - lam_h[:, None])
-    # facet averages are the natural interpolant onto facet constants
-    pi_lam = np.einsum("q,fq->f", w, lam_exact)
-    interp_gap = lam_exact - pi_lam[:, None]
-    mu_vals = pi_lam[:, None] - lam_exact
-    interp_error = _sampled_interp_error(problem, space, sign=-1.0)
-
-    defects = []
-    for vals, pair in zip(psi_vals, pairs):
-        psi_norm = np.sqrt(np.sum(hw * vals**2))
-        lhs = np.sum(lam_gap * vals)
-        phi, theta = system.split(pair)
-        rhs = apply_saddle_form(space, cfg, interp_error, mu_vals, phi, theta)
-        rhs += np.sum(hw * vals * interp_gap)
-        defects.append(float(abs(lhs - rhs) / psi_norm) if psi_norm > 0.0 else 0.0)
+        defects.append(float(abs(lhs - form(vals, phi)) / psi_norm) if psi_norm > 0.0 else 0.0)
     return defects
 
 
@@ -420,8 +383,7 @@ def dual_stability_report(
     The shifted weight uses delta' = h_grid, and the contour supremum
     samples delta over CONTOUR_SAMPLES even steps in [0, delta_0].
     """
-    if not isinstance(cfg, (NitscheConfig, SaddleConfig)):
-        raise TypeError(f"cfg must be a NitscheConfig or a SaddleConfig, got {type(cfg).__name__}")
+    _check_method_config(cfg)
     _check_offset_scan(delta_0)
     mesh = space.mesh
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))  # noqa: E731

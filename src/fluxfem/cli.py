@@ -30,13 +30,10 @@ from .analysis import (
     ConvergenceRecord,
     boundary_l2_error,
     dual_stability_report,
-    energy_error,
+    error_norms,
     error_representation_residuals,
     fit_rate,
-    l2_error,
-    lm_error_representation_residuals,
     rademacher_boundary_field,
-    triple_norm_error,
 )
 from .fem import P1Space, nodal_interpolant
 from .flux import ExactFluxField, multiplier_flux, nitsche_flux, variational_flux
@@ -101,6 +98,12 @@ class StudyConfig:
             return self.flux_variant
         return "multiplier" if self.method == "lagrange" else "pointwise"
 
+    def method_config(self, kappa: float = 0.0) -> NitscheConfig | SaddleConfig:
+        """The method's config with shift kappa; below here its type picks the method."""
+        if self.method == "nitsche":
+            return NitscheConfig(beta=self.beta, kappa=kappa)
+        return SaddleConfig(alpha=self.alpha, kappa=kappa)
+
 
 def level_grid_n(k: int) -> int:
     """Subdivisions for level k, matching mesh sizes near 1/(4*sqrt(2)^k)."""
@@ -127,6 +130,14 @@ def _failure_site(site: str):
         raise MemoryError(f"{site}: {exc}".removesuffix(": ")) from exc
 
 
+def _solve(cfg: NitscheConfig | SaddleConfig, space: P1Space, problem):
+    """(u, lam) of the discrete problem; lam is None for Nitsche's method."""
+    if isinstance(cfg, NitscheConfig):
+        return solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x, None
+    system = assemble_saddle(space, cfg, problem.f, problem.g)
+    return system.split(solve_sym_indefinite(system).x)
+
+
 def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
     """One level's record; a solver failure or exhausted memory names k and n."""
     n = level_grid_n(k)
@@ -136,35 +147,26 @@ def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
         space = P1Space(mesh)
         exact = ExactFluxField(problem, mesh)
         variant = config.resolved_variant()
-
-        if config.method == "nitsche":
-            cfg = NitscheConfig(beta=config.beta)
-            u = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x
-            if variant == "pointwise":
-                field = nitsche_flux(u, problem.g, space, cfg)
-            else:
-                field = variational_flux(u, problem.g, problem.f, space)
-            energy = energy_error(problem, u, space)
-            dofs = space.n_dofs
+        cfg = config.method_config()
+        u, lam = _solve(cfg, space, problem)
+        if variant == "pointwise":
+            field = nitsche_flux(u, problem.g, space, cfg)
+        elif variant == "variational":
+            field = variational_flux(u, problem.g, problem.f, space)
         else:
-            cfg = SaddleConfig(alpha=config.alpha)
-            system = assemble_saddle(space, cfg, problem.f, problem.g)
-            u, lam = system.split(solve_sym_indefinite(system).x)
             field = multiplier_flux(lam, mesh)
-            energy = triple_norm_error(problem, u, lam, space)
-            dofs = space.n_dofs + mesh.n_facets
-
+        energy, l2 = error_norms(problem, space, u, lam)
         return ConvergenceRecord(
             k=k,
             grid_n=n,
             h_grid=mesh.h_grid,
             h_max=mesh.h_max,
-            dofs=dofs,
+            dofs=space.n_dofs + (0 if lam is None else lam.size),
             method=config.method,
             variant=variant,
             flux_err=boundary_l2_error(field, exact, mesh),
             energy_err=energy,
-            l2_err=l2_error(problem, u, space),
+            l2_err=l2,
         )
 
 
@@ -192,6 +194,7 @@ def records_to_csv(records) -> str:
 def run_patch_test(config: StudyConfig) -> list[str]:
     """Constant and affine consistency checks; returns failure descriptions."""
     failures = []
+    cfg = config.method_config()
     problems = [constant_problem(1.0), affine_problem(1.0, 1.0, 0.0)]
     for problem in problems:
         for n in (2, 4, 8):
@@ -200,23 +203,16 @@ def run_patch_test(config: StudyConfig) -> list[str]:
             exact_coeffs = nodal_interpolant(problem.u, space)
             exact = ExactFluxField(problem, mesh)
             tag = f"{problem.name} n={n}"
-            if config.method == "nitsche":
-                cfg = NitscheConfig(beta=config.beta)
-                with _failure_site(f"patch-test {tag}"):
-                    u = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x
-                flux_err = boundary_l2_error(nitsche_flux(u, problem.g, space, cfg), exact, mesh)
-                coeff_err = float(np.max(np.abs(u - exact_coeffs)))
+            with _failure_site(f"patch-test {tag}"):
+                u, lam = _solve(cfg, space, problem)
+            coeff_err = float(np.max(np.abs(u - exact_coeffs)))
+            if lam is None:
+                field = nitsche_flux(u, problem.g, space, cfg)
             else:
-                cfg = SaddleConfig(alpha=config.alpha)
-                system = assemble_saddle(space, cfg, problem.f, problem.g)
-                with _failure_site(f"patch-test {tag}"):
-                    u, lam = system.split(solve_sym_indefinite(system).x)
-                flux_err = boundary_l2_error(multiplier_flux(lam, mesh), exact, mesh)
-                t = np.array([0.5])
-                lam_exact = -exact.facet_values(t)[:, 0]
-                coeff_err = float(
-                    max(np.max(np.abs(u - exact_coeffs)), np.max(np.abs(lam - lam_exact)))
-                )
+                field = multiplier_flux(lam, mesh)
+                lam_exact = -exact.facet_values(np.array([0.5]))[:, 0]
+                coeff_err = max(coeff_err, float(np.max(np.abs(lam - lam_exact))))
+            flux_err = boundary_l2_error(field, exact, mesh)
             if flux_err > FLUX_TOL:
                 failures.append(f"{config.method} {tag}: flux error {flux_err:.3e}")
             if coeff_err > COEFF_TOL:
@@ -227,14 +223,7 @@ def run_patch_test(config: StudyConfig) -> list[str]:
 def run_dual_check(config: StudyConfig):
     """Stability ratio table, identity residual table, and gate failures."""
     spaces = [P1Space(build_unit_square_mesh(n)) for n in (8, 16, 32, 64)]
-    if config.method == "nitsche":
-        shifted = NitscheConfig(beta=config.beta, kappa=config.kappa)
-        identity_residuals = error_representation_residuals
-    else:
-        shifted = SaddleConfig(alpha=config.alpha, kappa=config.kappa)
-        identity_residuals = lm_error_representation_residuals
-    unshifted = replace(shifted, kappa=0.0)
-
+    shifted, unshifted = config.method_config(config.kappa), config.method_config()
     reports = []
     for space in spaces:
         with _failure_site(f"dual-check stability n={space.mesh.grid_n}"):
@@ -255,7 +244,7 @@ def run_dual_check(config: StudyConfig):
         n = space.mesh.grid_n
         psis = [rademacher_boundary_field(space.mesh, seed=config.seed + s) for s in range(5)]
         with _failure_site(f"dual-check identity n={n}"):
-            worst = max(0.0, *identity_residuals(problem, space, unshifted, psis))
+            worst = max(0.0, *error_representation_residuals(problem, space, unshifted, psis))
         identity_rows.append((n, worst))
         if worst > IDENTITY_TOL:
             failures.append(

@@ -181,7 +181,7 @@ def offset_contour(delta: float) -> OffsetContour:
     delta = 0 returns the boundary itself; delta must stay below the
     inradius 1/2.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:  # written so that NaN fails it too
         raise ValueError(f"offset must be nonnegative, got {delta}")
     if delta >= 0.5:
         raise ValueError(f"offset exceeds inradius: delta={delta} >= 0.5")
@@ -197,7 +197,7 @@ def distance_weight(x, delta_prime: float = 0.0):
     outside the closed square clamp to distance 0. Accepts a single point
     or an (..., 2) array and broadcasts.
     """
-    if delta_prime < 0.0:
+    if not delta_prime >= 0.0:  # written so that NaN fails it too
         raise ValueError(f"shift must be nonnegative, got {delta_prime}")
     x = np.asarray(x, dtype=float)
     rho = np.minimum(

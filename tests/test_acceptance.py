@@ -41,14 +41,11 @@ from fluxfem.analysis import (
     boundary_l2_error,
     boundary_l2_norm,
     dual_stability_report,
+    error_norms,
     error_representation_residuals,
     fit_rate,
     interp_error_scan,
-    l2_error,
-    lm_error_representation_residuals,
     rademacher_boundary_field,
-    triple_norm_error,
-    energy_error,
 )
 from fluxfem.cli import StudyConfig, level_grid_n, records_to_csv, run_convergence, run_patch_test
 from fluxfem.fem import P1Space
@@ -102,13 +99,14 @@ def nitsche_study(problem):
         pointwise = nitsche_flux(u, problem.g, space, cfg)
         variational = variational_flux(u, problem.g, problem.f, space)
         projected = project_pointwise_flux(u, problem.g, space, cfg)
+        energy, l2 = error_norms(problem, space, u)
         rows[n] = {
             "h": mesh.h_grid,
             "flux_pointwise": boundary_l2_error(pointwise, exact, mesh),
             "flux_variational": boundary_l2_error(variational, exact, mesh),
             "projection_distance": boundary_l2_error(variational, projected, mesh),
-            "energy": energy_error(problem, u, space),
-            "l2": l2_error(problem, u, space),
+            "energy": energy,
+            "l2": l2,
         }
     return rows, time.perf_counter() - start
 
@@ -120,13 +118,14 @@ def _lagrange_rows(problem, alpha):
         space = P1Space(mesh)
         system = assemble_saddle(space, SaddleConfig(alpha=alpha), problem.f, problem.g)
         u, lam = system.split(solve_sym_indefinite(system).x)
+        triple, l2 = error_norms(problem, space, u, lam)
         rows[n] = {
             "h": mesh.h_grid,
             "flux_multiplier": boundary_l2_error(
                 multiplier_flux(lam, mesh), ExactFluxField(problem, mesh), mesh
             ),
-            "triple": triple_norm_error(problem, u, lam, space),
-            "l2": l2_error(problem, u, space),
+            "triple": triple,
+            "l2": l2,
         }
     return rows
 
@@ -254,7 +253,7 @@ def test_criterion_4_error_representation_identities(problem):
         )
         worst["lagrange"] = max(
             worst["lagrange"],
-            *lm_error_representation_residuals(problem, space, scfg, psis),
+            *error_representation_residuals(problem, space, scfg, psis),
         )
     elapsed = time.perf_counter() - start
     print(f"criterion 4: worst residuals {worst}, {elapsed:.1f}s")

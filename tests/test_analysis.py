@@ -9,11 +9,10 @@ from fluxfem.analysis import (
     contour_interp_error_norms,
     contour_l2_norm_discrete,
     dual_stability_report,
+    error_norms,
     error_representation_residuals,
     fit_rate,
     interp_error_scan,
-    l2_error,
-    lm_error_representation_residuals,
     rademacher_boundary_field,
 )
 from fluxfem.fem import P1Space, edge_quadrature, nodal_interpolant
@@ -55,11 +54,8 @@ def test_fit_rate_synthetic():
 
 def test_fit_rate_window_and_errors():
     pairs = [(0.5, 1.0), (0.2, 0.4), (0.1, 0.2), (0.05, 0.1), (0.025, 0.05)]
-    assert fit_rate(pairs, h_window=(0.0, 0.1)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="insufficient"):
         fit_rate(pairs[:2])
-    with pytest.raises(ValueError, match="insufficient"):
-        fit_rate(pairs, h_window=(0.0, 0.05))
 
 
 def test_fit_rate_accepts_records():
@@ -117,7 +113,7 @@ def test_error_representation_polynomial_exact():
     psis = [rademacher_boundary_field(mesh, seed) for seed in range(3)]
     for residual in error_representation_residuals(quadratic, space, cfg, psis):
         assert residual <= 1e-12
-    for residual in lm_error_representation_residuals(quadratic, space, scfg, psis):
+    for residual in error_representation_residuals(quadratic, space, scfg, psis):
         assert residual <= 1e-11
 
 
@@ -134,16 +130,17 @@ def test_error_representation_rejects_shifted_config(trig):
     cfg = NitscheConfig(beta=10.0, kappa=1.0)
     with pytest.raises(ValueError, match="unshifted"):
         error_representation_residuals(trig, space, cfg, [lambda x, y: x])
+    with pytest.raises(ValueError, match="unshifted"):
+        error_representation_residuals(trig, space, SaddleConfig(kappa=1.0), [lambda x, y: x])
+    with pytest.raises(TypeError, match="NitscheConfig or a SaddleConfig"):
+        error_representation_residuals(trig, space, "nitsche", [lambda x, y: x])
+
+
+METHOD_CONFIGS = {"nitsche": NitscheConfig(beta=10.0), "lagrange": SaddleConfig(alpha=0.25)}
 
 
 def _identity_residuals(method, problem, space, psis):
-    if method == "nitsche":
-        return error_representation_residuals(
-            problem, space, NitscheConfig(beta=10.0), psis
-        )
-    return lm_error_representation_residuals(
-        problem, space, SaddleConfig(alpha=0.25), psis
-    )
+    return error_representation_residuals(problem, space, METHOD_CONFIGS[method], psis)
 
 
 @pytest.mark.parametrize("method", ["nitsche", "lagrange"])
@@ -303,5 +300,5 @@ def test_l2_and_boundary_norm_consistency(const):
     mesh = build_unit_square_mesh(4)
     space = P1Space(mesh)
     ones = np.ones(space.n_dofs)
-    assert l2_error(const, ones, space) <= 1e-14
+    assert error_norms(const, space, ones)[1] <= 1e-14
     assert boundary_l2_norm(lambda x, y: np.ones_like(x), mesh) == pytest.approx(2.0, abs=1e-12)

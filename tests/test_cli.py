@@ -220,6 +220,29 @@ def test_dual_check_builds_each_grid_once(monkeypatch):
     assert sorted(meshes) == sorted(spaces) == [8, 16, 32, 64]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "nitsche", "--flux-variant", "pointwise"],
+        ["--method", "nitsche", "--flux-variant", "variational"],
+        ["--method", "lagrange"],
+    ],
+)
+def test_converge_builds_two_full_mesh_volume_tables_per_level(monkeypatch, flags):
+    """One table for the load vector and one shared by both error norms;
+    the variational flux's boundary-layer table is not a full-mesh one."""
+    full = []
+    original = fem.P1Space.quadrature_points
+
+    def counted(self, rule, cells=fem.ALL_CELLS):
+        full.append(cells is fem.ALL_CELLS)
+        return original(self, rule, cells)
+
+    monkeypatch.setattr(fem.P1Space, "quadrature_points", counted)
+    assert main(["converge", "--kmin", "2", "--kmax", "2", *flags]) == 0
+    assert sum(full) == 2
+
+
 def test_converge_solver_failure_names_the_level(capsys):
     assert main(["converge", "--beta", "0.1", "--kmax", "2"]) == 3
     err = capsys.readouterr().err

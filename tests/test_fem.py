@@ -191,13 +191,13 @@ def test_nodal_interpolant_rejects_nonfinite():
 
 
 def test_interpolation_error_halves_by_four(trig):
-    from fluxfem.analysis import l2_error
+    from fluxfem.analysis import error_norms
 
     errors = []
     for n in (4, 8, 16):
         space = P1Space(build_unit_square_mesh(n))
         coeffs = nodal_interpolant(trig.u, space)
-        errors.append(l2_error(trig, coeffs, space))
+        errors.append(error_norms(trig, space, coeffs)[1])
     assert errors[0] > 0.0
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine == pytest.approx(4.0, abs=0.5)

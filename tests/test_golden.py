@@ -28,10 +28,15 @@ GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
 
 CONVERGE = ["converge", "--kmin", "0", "--kmax", "8"]
+# k = 12 (n = 256) pins the bytes of the largest default level
+CONVERGE_K12 = ["converge", "--kmin", "12", "--kmax", "12"]
 CASES = {
     "converge-nitsche-pointwise": [*CONVERGE, "--method", "nitsche", "--flux-variant", "pointwise"],
     "converge-nitsche-variational": [*CONVERGE, "--method", "nitsche", "--flux-variant", "variational"],
     "converge-lagrange": [*CONVERGE, "--method", "lagrange", "--alpha", "0.25"],
+    "converge-k12-nitsche-pointwise": [*CONVERGE_K12, "--method", "nitsche", "--flux-variant", "pointwise"],
+    "converge-k12-nitsche-variational": [*CONVERGE_K12, "--method", "nitsche", "--flux-variant", "variational"],
+    "converge-k12-lagrange": [*CONVERGE_K12, "--method", "lagrange", "--alpha", "0.25"],
     "dual-check-nitsche": ["dual-check", "--method", "nitsche", "--seed", "0"],
     "dual-check-nitsche-kappa10": ["dual-check", "--method", "nitsche", "--kappa", "10", "--seed", "0"],
     "dual-check-lagrange": ["dual-check", "--method", "lagrange", "--alpha", "0.25", "--seed", "0"],

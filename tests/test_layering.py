@@ -68,6 +68,33 @@ def test_one_level_per_call_and_a_fixed_contour_sample_count():
     assert parameters_named("psi_field") == []
 
 
+METHOD_NAMES = ("nitsche", "lagrange")
+
+
+def method_name_comparisons(node, inside_study_config=False):
+    """(line, inside StudyConfig) of each comparison against a method name."""
+    if isinstance(node, ast.ClassDef) and node.name == "StudyConfig":
+        inside_study_config = True
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        if any(isinstance(op, ast.Constant) and op.value in METHOD_NAMES for op in operands):
+            yield node.lineno, inside_study_config
+    for child in ast.iter_child_nodes(node):
+        yield from method_name_comparisons(child, inside_study_config)
+
+
+def test_only_study_config_compares_method_names():
+    """StudyConfig turns the method name into a NitscheConfig or a
+    SaddleConfig; below it the type of that config is the only switch."""
+    outside = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        for line, inside in method_name_comparisons(ast.parse(path.read_text(encoding="utf-8")))
+        if not inside
+    ]
+    assert outside == []
+
+
 def test_volume_degree_is_a_parameter_only_where_two_degrees_are_used():
     """Assembly runs at degree 4 for the studies and 6 for the identities;
     the norms and the flux recovery use one fixed degree."""

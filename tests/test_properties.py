@@ -1,4 +1,4 @@
-"""Property tests for point location, contour splitting and config parsing.
+"""Property tests for point location, offsets, contour splitting and config parsing.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from fluxfem.cli import MAX_LEVEL, MIN_LEVEL, StudyConfig, build_config, build_parser, main
 from fluxfem.fem import locate_triangle
-from fluxfem.mesh import build_unit_square_mesh, split_segment_at_mesh_lines
+from fluxfem.mesh import (
+    build_unit_square_mesh,
+    distance_weight,
+    offset_contour,
+    split_segment_at_mesh_lines,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 grid_n = st.integers(min_value=1, max_value=64)
@@ -72,6 +77,25 @@ def test_locate_triangle_tolerance_band(n, x, y, side, gap):
     else:
         with pytest.raises(ValueError, match="outside"):
             locate_triangle(mesh, p[None, :])
+
+
+@PROPERTY
+@given(delta=st.one_of(st.just(np.nan), st.floats(max_value=0.0, exclude_max=True)))
+def test_negative_or_nan_offsets_are_rejected(delta):
+    """NaN fails the range checks just as a negative offset does."""
+    with pytest.raises(ValueError, match="offset must be nonnegative"):
+        offset_contour(delta)
+    with pytest.raises(ValueError, match="shift must be nonnegative"):
+        distance_weight(np.array([[0.5, 0.5]]), delta)
+
+
+@PROPERTY
+@given(delta=st.floats(min_value=0.0, max_value=0.5, exclude_max=True))
+def test_offsets_in_range_give_finite_contours_and_weights(delta):
+    contour = offset_contour(delta)
+    assert np.all(np.isfinite(contour.corners))
+    assert contour.perimeter == pytest.approx(4.0 * (1.0 - 2.0 * delta), abs=1e-12)
+    assert np.all(np.isfinite(distance_weight(np.array([[0.5, 0.5], [0.0, 1.0]]), delta)))
 
 
 def axis_segment(fixed, a, b, horizontal):
