@@ -20,6 +20,7 @@ bounded by |psi|^2 on the boundary, measured level by level.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +28,15 @@ from .fem import (
     EDGE_POINTS,
     VOLUME_DEGREE,
     P1Space,
+    PointLocation,
     basis_at,
     boundary_field_values,
     edge_quadrature,
     eval_discrete_many,
     facet_tables,
+    locate_points,
+    located_gradients,
+    located_values,
     mass_matrix,
     nodal_interpolant,
     sample_field,
@@ -45,7 +50,7 @@ from .lagrange import (
     assemble_saddle,
 )
 from .linsolve import solve_spd, solve_sym_indefinite
-from .mesh import Mesh, distance_weight, offset_contour, split_segment_at_mesh_lines
+from .mesh import Mesh, distance_weight, offset_contour, split_segments_at_mesh_lines
 from .nitsche import (
     NitscheConfig,
     apply_dual_functional,
@@ -295,45 +300,75 @@ def error_representation_residuals(
 # -- offset-contour integration ------------------------------------------------
 
 
-def _contour_quadrature(mesh: Mesh, contour):
-    """Gauss points on the contour, split so each piece avoids mesh lines."""
+class _ContourTable(NamedTuple):
+    """Gauss points of a list of offset contours, located once.
+
+    Contour c owns the pieces bounds[c]:bounds[c + 1]; `weights` holds each
+    piece's length times the Gauss weights, (n_pieces, EDGE_POINTS), and
+    `points` the (n_pieces * EDGE_POINTS, 2) Gauss points, piece by piece.
+    """
+
+    bounds: np.ndarray
+    weights: np.ndarray
+    points: np.ndarray
+    where: PointLocation
+
+
+def _contour_table(space: P1Space, contours) -> _ContourTable:
+    """Split every side of every contour at the mesh lines it crosses, in one
+    batch, and place the edge rule on each piece."""
     rule = edge_quadrature(EDGE_POINTS)
-    starts, ends = [], []
-    for a, b in contour.segments:
-        t = split_segment_at_mesh_lines(mesh, a, b)
-        pts = a[None, :] + t[:, None] * (b - a)[None, :]
-        starts.append(pts[:-1])
-        ends.append(pts[1:])
-    p0 = np.vstack(starts)
-    p1 = np.vstack(ends)
+    sides = np.concatenate([contour.segments for contour in contours])
+    a, b = sides[:, 0], sides[:, 1]
+    t, counts = split_segments_at_mesh_lines(space.mesh, a, b)
+    side = np.repeat(np.arange(len(sides)), counts)
+    ends = a[side] + t[:, None] * (b - a)[side]
+    last = np.cumsum(counts) - 1
+    p0 = np.delete(ends, last, axis=0)
+    p1 = np.delete(ends, last - counts + 1, axis=0)
     lengths = np.hypot(*(p1 - p0).T)
     points = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
-    return points, lengths, rule.weights
+    points = points.reshape(-1, 2)
+    pieces = (counts - 1).reshape(len(contours), 4).sum(axis=1)
+    return _ContourTable(
+        bounds=np.concatenate([[0], np.cumsum(pieces)]),
+        weights=lengths[:, None] * rule.weights[None, :],
+        points=points,
+        where=locate_points(points, space),
+    )
+
+
+def _offset_contours(delta_0: float):
+    return [offset_contour(delta) for delta in np.linspace(0.0, delta_0, CONTOUR_SAMPLES)]
+
+
+def _contour_integrals(table: _ContourTable, integrand) -> list[float]:
+    """Per contour, the integral of a per-point integrand over its own pieces."""
+    terms = table.weights * integrand.reshape(table.weights.shape)
+    return [float(np.sum(terms[lo:hi])) for lo, hi in zip(table.bounds[:-1], table.bounds[1:])]
+
+
+def _contour_l2_norms(coeffs, space: P1Space, table: _ContourTable) -> list[float]:
+    vals = located_values(coeffs, table.where, space)
+    return [float(np.sqrt(s)) for s in _contour_integrals(table, vals**2)]
 
 
 def contour_l2_norm_discrete(coeffs, space: P1Space, contour) -> float:
     """L2 norm of a P1 function along an offset contour."""
-    points, lengths, w = _contour_quadrature(space.mesh, contour)
-    flat = points.reshape(-1, 2)
-    vals, _ = eval_discrete_many(coeffs, flat, space)
-    vals = vals.reshape(points.shape[:2])
-    return float(np.sqrt(np.sum(lengths[:, None] * w[None, :] * vals**2)))
+    return _contour_l2_norms(coeffs, space, _contour_table(space, [contour]))[0]
 
 
-def contour_interp_error_norms(problem, coeffs, space: P1Space, contour):
-    """(value, gradient) L2 norms of u - u_h along an offset contour."""
-    points, lengths, w = _contour_quadrature(space.mesh, contour)
-    flat = points.reshape(-1, 2)
-    vals, grads = eval_discrete_many(coeffs, flat, space)
-    x, y = flat[:, 0], flat[:, 1]
-    dv = (np.asarray(problem.u(x, y), dtype=float) - vals).reshape(points.shape[:2])
+def _interp_error_norms(problem, coeffs, space: P1Space, table: _ContourTable):
+    """Per contour, the (value, gradient) L2 norms of u - u_h along it."""
+    x, y = table.points[:, 0], table.points[:, 1]
+    dv = np.asarray(problem.u(x, y), dtype=float) - located_values(coeffs, table.where, space)
     gx, gy = problem.grad_u(x, y)
-    dgx = (np.asarray(gx) - grads[:, 0]).reshape(points.shape[:2])
-    dgy = (np.asarray(gy) - grads[:, 1]).reshape(points.shape[:2])
-    lw = lengths[:, None] * w[None, :]
-    val_norm = np.sqrt(np.sum(lw * dv**2))
-    grad_norm = np.sqrt(np.sum(lw * (dgx**2 + dgy**2)))
-    return float(val_norm), float(grad_norm)
+    grads = located_gradients(coeffs, table.where, space)
+    dgx = np.asarray(gx) - grads[:, 0]
+    dgy = np.asarray(gy) - grads[:, 1]
+    values = _contour_integrals(table, dv**2)
+    gradients = _contour_integrals(table, dgx**2 + dgy**2)
+    return [(float(np.sqrt(v)), float(np.sqrt(g))) for v, g in zip(values, gradients)]
 
 
 def _check_offset_scan(delta_0: float):
@@ -350,15 +385,12 @@ def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpS
     """
     _check_offset_scan(delta_0)
     coeffs = nodal_interpolant(problem.u, space)
-    sup_val = 0.0
-    sup_grad = 0.0
-    for delta in np.linspace(0.0, delta_0, CONTOUR_SAMPLES):
-        contour = offset_contour(delta)
-        v, g = contour_interp_error_norms(problem, coeffs, space, contour)
-        sup_val = max(sup_val, v)
-        sup_grad = max(sup_grad, g)
+    table = _contour_table(space, _offset_contours(delta_0))
+    norms = _interp_error_norms(problem, coeffs, space, table)
     return InterpScan(
-        sup_value_error=sup_val, sup_gradient_error=sup_grad, h_grid=space.mesh.h_grid
+        sup_value_error=max(v for v, _ in norms),
+        sup_gradient_error=max(g for _, g in norms),
+        h_grid=space.mesh.h_grid,
     )
 
 
@@ -402,10 +434,8 @@ def dual_stability_report(
 
     grads = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
     cell_grad_sq = np.einsum("td,td->t", grads, grads)
-    q3 = 0.0
-    for delta in np.linspace(0.0, delta_0, CONTOUR_SAMPLES):
-        norm = contour_l2_norm_discrete(phi, space, offset_contour(delta))
-        q3 = max(q3, norm**2)
+    table = _contour_table(space, _offset_contours(delta_0))
+    q3 = max(norm**2 for norm in _contour_l2_norms(phi, space, table))
     q5 = None
     if theta is not None:
         q5 = mesh.h_grid**2 * float(np.sum(mesh.facet_lengths * theta**2))

@@ -322,30 +322,45 @@ def build_config(args: argparse.Namespace) -> StudyConfig:
     return replace(config, **overrides) if overrides else config
 
 
+# Flags each subcommand reads; a flag it would ignore is not offered, so
+# passing one is a usage error. Config-file keys are accepted by all.
+_FLAGS = {
+    "method": {"choices": METHODS},
+    "flux_variant": {"choices": VARIANTS},
+    "beta": {"type": float},
+    "alpha": {"type": float},
+    "kmin": {"type": int},
+    "kmax": {"type": int},
+    "delta0": {"type": float},
+    "kappa": {"type": float},
+    "seed": {"type": int},
+    "parallel": {"action": "store_true", "default": False},
+}
+_COMMANDS = {
+    "converge": (
+        "manufactured-solution convergence study",
+        ("method", "flux_variant", "beta", "alpha", "kmin", "kmax", "parallel"),
+    ),
+    "patch-test": ("constant and affine consistency checks", ("method", "beta", "alpha")),
+    "dual-check": (
+        "dual stability ratios and identity residuals",
+        ("method", "beta", "alpha", "delta0", "kappa", "seed"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluxfem",
         description="Poisson boundary-flux studies with weak Dirichlet conditions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("converge", "manufactured-solution convergence study"),
-        ("patch-test", "constant and affine consistency checks"),
-        ("dual-check", "dual stability ratios and identity residuals"),
-    ):
+    for name, (helptext, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--method", choices=METHODS)
-        cmd.add_argument("--flux-variant", dest="flux_variant", choices=VARIANTS)
-        cmd.add_argument("--beta", type=float)
-        cmd.add_argument("--alpha", type=float)
-        cmd.add_argument("--kmin", type=int)
-        cmd.add_argument("--kmax", type=int)
-        cmd.add_argument("--delta0", type=float)
-        cmd.add_argument("--kappa", type=float)
-        cmd.add_argument("--seed", type=int)
+        for flag in flags:
+            cmd.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag])
         cmd.add_argument("--config", help="key=value config file; flags win")
         cmd.add_argument("--out", help="output file path (default: stdout)")
-        cmd.add_argument("--parallel", action="store_true", default=False)
     return parser
 
 

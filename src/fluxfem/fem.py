@@ -215,15 +215,36 @@ def eval_discrete_many(coeffs, points, space: P1Space):
     of whichever triangle the point locates into, so on interior edges it
     is one-sided.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    where = locate_points(points, space)
+    return located_values(coeffs, where, space), located_gradients(coeffs, where, space)
+
+
+class PointLocation(NamedTuple):
+    """Triangle index (m,) and barycentric weights (m, 3) of m points."""
+
+    triangles: np.ndarray
+    barycentric: np.ndarray
+
+
+def locate_points(points, space: P1Space) -> PointLocation:
+    """Locate an (m, 2) array of points once, for any number of P1 functions."""
     pts = np.asarray(points, dtype=float)
     tri = locate_triangle(space.mesh, pts)
     local = np.einsum("mij,mj->mi", space.inverse_maps[tri], pts - space.origins[tri])
     bary = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
-    nodal = coeffs[space.mesh.triangles[tri]]
-    values = np.einsum("mi,mi->m", bary, nodal)
-    gradients = np.einsum("mi,mid->md", nodal, space.gradients[tri])
-    return values, gradients
+    return PointLocation(tri, bary)
+
+
+def located_values(coeffs, where: PointLocation, space: P1Space) -> np.ndarray:
+    """Values (m,) of a P1 function at located points."""
+    nodal = np.asarray(coeffs, dtype=float)[space.mesh.triangles[where.triangles]]
+    return np.einsum("mi,mi->m", where.barycentric, nodal)
+
+
+def located_gradients(coeffs, where: PointLocation, space: P1Space) -> np.ndarray:
+    """Gradients (m, 2) of a P1 function at located points, one-sided on edges."""
+    nodal = np.asarray(coeffs, dtype=float)[space.mesh.triangles[where.triangles]]
+    return np.einsum("mi,mid->md", nodal, space.gradients[where.triangles])
 
 
 def symmetrize(a: sp.csr_matrix) -> sp.csr_matrix:

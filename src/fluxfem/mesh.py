@@ -208,41 +208,73 @@ def distance_weight(x, delta_prime: float = 0.0):
     return float(out) if out.ndim == 0 else out
 
 
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def split_segment_at_mesh_lines(mesh: Mesh, p0, p1) -> np.ndarray:
-    """Break an axis-aligned segment at every mesh line it crosses.
+    """Breakpoint parameters of one segment; see split_segments_at_mesh_lines."""
+    return split_segments_at_mesh_lines(mesh, [p0], [p1])[0]
+
+
+def split_segments_at_mesh_lines(mesh: Mesh, p0, p1) -> tuple[np.ndarray, np.ndarray]:
+    """Break a batch of axis-aligned segments at every mesh line each crosses.
 
     Mesh lines are the vertical/horizontal grid lines i/n and the cell
-    diagonals y = x + k/n. Returns the sorted breakpoint parameters
-    t in [0, 1] (including the ends), so each sub-segment lies inside a
-    single triangle and integrands stay smooth on it.
+    diagonals y = x + k/n. p0 and p1 are (m, 2) start and end points.
+    Returns (t, counts): each segment's sorted breakpoint parameters in
+    [0, 1] (including the ends), concatenated in segment order, and how
+    many belong to each segment. Every sub-segment lies inside a single
+    triangle, so integrands stay smooth on it. Each segment's breakpoints
+    are the same whatever else is in the batch.
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    d = p1 - p0
-    if abs(d[0]) > 1e-14 and abs(d[1]) > 1e-14:
+    p0 = np.asarray(p0, dtype=float).reshape(-1, 2)
+    p1 = np.asarray(p1, dtype=float).reshape(-1, 2)
+    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
+        raise ValueError("segment end points must be finite")
+    d = np.abs(p1 - p0)
+    if np.any((d[:, 0] > 1e-14) & (d[:, 1] > 1e-14)):
         raise ValueError("only axis-aligned segments are supported")
     n = mesh.grid_n
-    axis = 0 if abs(d[0]) > abs(d[1]) else 1
-    a, b = p0[axis], p1[axis]
-    lo, hi = (a, b) if a <= b else (b, a)
-    length = hi - lo
-    if length <= 1e-15:
-        return np.array([0.0, 1.0])
+    rows = np.arange(len(p0))
+    axis = np.where(d[:, 0] > d[:, 1], 0, 1)
+    a, b = p0[rows, axis], p1[rows, axis]
+    lo, hi = np.where(a <= b, a, b), np.where(a <= b, b, a)
+    live = hi - lo > 1e-15
 
-    cuts = []
-    # Grid lines perpendicular to the segment sit at multiples of 1/n;
+    # Grid lines perpendicular to a segment sit at multiples of 1/n;
     # diagonals y = x + k/n cross at positions congruent to the fixed
     # coordinate modulo 1/n.
-    fixed = p0[1 - axis]
-    for offset in (0.0, math.fmod(fixed, 1.0 / n)):
-        j0 = math.ceil((lo - offset) * n - 1e-9)
-        j1 = math.floor((hi - offset) * n + 1e-9)
-        if j1 >= j0:
-            cuts.append(offset + np.arange(j0, j1 + 1) / n)
-    pos = np.concatenate(cuts) if cuts else np.empty(0)
-    pos = pos[(pos > lo + 1e-12 * max(1.0, n)) & (pos < hi - 1e-12 * max(1.0, n))]
-    t = (np.sort(pos) - a) / (b - a) if b > a else (a - np.sort(pos)[::-1]) / (a - b)
-    t = np.concatenate([[0.0], t, [1.0]])
+    fixed = p0[rows, 1 - axis]
+    seg, pos = [], []
+    for offset in (np.zeros(len(rows)), np.fmod(fixed, 1.0 / n)):
+        j0 = np.ceil((lo - offset) * n - 1e-9).astype(np.int64)
+        j1 = np.floor((hi - offset) * n + 1e-9).astype(np.int64)
+        count = np.where(live, np.maximum(j1 - j0 + 1, 0), 0)
+        owner = np.repeat(rows, count)
+        j = j0[owner] + _ranks(count)
+        seg.append(owner)
+        pos.append(offset[owner] + j / n)
+    seg, pos = np.concatenate(seg), np.concatenate(pos)
+    tol = 1e-12 * max(1.0, n)
+    inside = (pos > lo[seg] + tol) & (pos < hi[seg] - tol)
+    seg, pos = seg[inside], pos[inside]
+    # ascending along each segment's own direction: descending pos if b < a
+    forward = b > a
+    order = np.lexsort((np.where(forward[seg], pos, -pos), seg))
+    seg, pos = seg[order], pos[order]
+    sa, sb = a[seg], b[seg]
+    cut_t = np.where(forward[seg], (pos - sa) / (sb - sa), (sa - pos) / (sa - sb))
+
+    cuts = np.bincount(seg, minlength=len(rows))
+    size = cuts + 2
+    start = np.cumsum(size) - size
+    t = np.empty(int(size.sum()))
+    t[start] = 0.0
+    t[start + size - 1] = 1.0
+    t[start[seg] + 1 + _ranks(cuts)] = cut_t
     # collapse near-duplicates from coinciding grid and diagonal cuts
     keep = np.concatenate([[True], np.diff(t) > 1e-12])
-    return t[keep]
+    keep[start] = True
+    return t[keep], np.add.reduceat(keep.astype(np.int64), start)

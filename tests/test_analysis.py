@@ -1,12 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from fluxfem import analysis
+from fluxfem import analysis, fem
 from fluxfem.analysis import (
     ConvergenceRecord,
     boundary_l2_error,
     boundary_l2_norm,
-    contour_interp_error_norms,
     contour_l2_norm_discrete,
     dual_stability_report,
     error_norms,
@@ -200,16 +201,16 @@ def test_contour_quadrature_against_refined_oracle(trig):
     space = P1Space(build_unit_square_mesh(n))
     coeffs = nodal_interpolant(trig.u, space)
     from fluxfem.fem import eval_discrete_many
+    from fluxfem.mesh import split_segment_at_mesh_lines
 
-    for delta in (0.2, 0.25, 1.0 / 3.0):
-        contour = offset_contour(delta)
-        coarse_v, coarse_g = contour_interp_error_norms(trig, coeffs, space, contour)
-
+    contours = [offset_contour(delta) for delta in (0.2, 0.25, 1.0 / 3.0)]
+    table = analysis._contour_table(space, contours)
+    for contour, (coarse_v, coarse_g) in zip(
+        contours, analysis._interp_error_norms(trig, coeffs, space, table)
+    ):
         rule = edge_quadrature(10)
         total_v = total_g = 0.0
         # recover subsegment endpoints directly from the splitter
-        from fluxfem.mesh import split_segment_at_mesh_lines
-
         for a, b in contour.segments:
             t = split_segment_at_mesh_lines(space.mesh, a, b)
             ends = a[None, :] + t[:, None] * (b - a)[None, :]
@@ -228,6 +229,45 @@ def test_contour_quadrature_against_refined_oracle(trig):
                     total_g += seg_len * np.sum(rule.weights * (dgx**2 + dgy**2))
         assert coarse_v == pytest.approx(np.sqrt(total_v), abs=1e-8)
         assert coarse_g == pytest.approx(np.sqrt(total_g), abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 16, 23, 32, 45, 64, 128])
+def test_q3_equals_the_supremum_of_single_contour_norms_bitwise(monkeypatch, n):
+    """All offsets in one table give each contour's norm bit for bit as a
+    table of that contour alone: same points, same terms, same summation."""
+    space = P1Space(build_unit_square_mesh(n))
+    phi = np.random.default_rng([7, n]).standard_normal(space.n_dofs)
+    monkeypatch.setattr(analysis, "solve_spd", lambda system: SimpleNamespace(x=phi))
+    psi = rademacher_boundary_field(space.mesh, 0)
+    for delta_0 in (0.125, 0.25, 0.3, 0.4999):
+        q3 = dual_stability_report(space, NitscheConfig(), psi, delta_0).q3
+        single = [
+            contour_l2_norm_discrete(phi, space, offset_contour(delta)) ** 2
+            for delta in np.linspace(0.0, delta_0, analysis.CONTOUR_SAMPLES)
+        ]
+        assert q3 == max(single)
+
+
+def test_stability_report_locates_contour_points_once(monkeypatch):
+    """One report splits all contour sides in one batch and locates all
+    their Gauss points in one lookup, instead of once per offset."""
+    calls = {"split": 0, "locate": 0, "eval": 0}
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(analysis, "split_segments_at_mesh_lines", "split")
+    counted(fem, "locate_triangle", "locate")
+    counted(analysis, "eval_discrete_many", "eval")
+    mesh = build_unit_square_mesh(8)
+    dual_stability_report(P1Space(mesh), NitscheConfig(), rademacher_boundary_field(mesh, 0))
+    assert calls == {"split": 1, "locate": 1, "eval": 0}
 
 
 def test_dual_stability_zero_psi():

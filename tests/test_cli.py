@@ -307,23 +307,65 @@ def test_quadrature_rules_are_built_once_and_read_only():
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--beta", "nan"],
-        ["--beta", "0"],
-        ["--alpha", "inf"],
-        ["--alpha", "-1"],
-        ["--kappa", "nan"],
-        ["--kappa", "-1"],
-        ["--seed", "-1"],
-        ["--kmin", "29", "--kmax", "30"],
-        ["--kmax", "17"],
-        ["--kmin", "-6", "--kmax", "0"],
+        ["converge", "--beta", "nan"],
+        ["converge", "--beta", "0"],
+        ["converge", "--alpha", "inf"],
+        ["converge", "--alpha", "-1"],
+        # kappa and seed are dual-check flags
+        ["dual-check", "--kappa", "nan"],
+        ["dual-check", "--kappa", "-1"],
+        ["dual-check", "--seed", "-1"],
+        ["converge", "--kmin", "29", "--kmax", "30"],
+        ["converge", "--kmax", "17"],
+        ["converge", "--kmin", "-6", "--kmax", "0"],
     ],
 )
 def test_cli_rejects_bad_inputs_at_config_time(capsys, flags):
-    assert main(["converge", *flags]) == 2
+    assert main(flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+IGNORED_FLAGS = {
+    "converge": ["--delta0", "--kappa", "--seed"],
+    "patch-test": ["--flux-variant", "--kmin", "--kmax", "--delta0", "--kappa", "--seed", "--parallel"],
+    "dual-check": ["--flux-variant", "--kmin", "--kmax", "--parallel"],
+}
+FLAG_VALUES = {"--flux-variant": ["variational"], "--delta0": ["0.1"], "--parallel": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, flag, *FLAG_VALUES.get(flag, ["1"])]
+        for command, flags in IGNORED_FLAGS.items()
+        for flag in flags
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    """A flag the subcommand would ignore is not offered: exit 2 with a usage line."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fluxfem")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_one_config_file_serves_every_subcommand(tmp_path):
+    """Config-file keys a subcommand does not read are accepted, not rejected."""
+    config = tmp_path / "study.cfg"
+    config.write_text(
+        "method = nitsche\nflux_variant = pointwise\nkmin = 0\nkmax = 1\n"
+        "delta0 = 0.2\nkappa = 5\nseed = 3\nparallel = true\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "patch.txt"
+    assert main(["patch-test", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_text() == "patch tests passed\n"
 
 
 def test_level_range_matches_size_cap():

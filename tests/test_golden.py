@@ -45,6 +45,10 @@ CASES = {
     ],
     "dual-check-nitsche-delta0": ["dual-check", "--delta0", "0.125", "--seed", "0"],
     "dual-check-nitsche-seed3": ["dual-check", "--method", "nitsche", "--seed", "3"],
+    # delta0 = 0.45 puts contours near the inradius, where grid and diagonal cuts crowd together
+    "dual-check-lagrange-delta0-045-seed5": [
+        "dual-check", "--method", "lagrange", "--alpha", "0.25", "--delta0", "0.45", "--seed", "5"
+    ],
     # alpha = 10 is outside the stable range: the spread gate fails (exit 1)
     "dual-check-lagrange-alpha10-seed3": ["dual-check", "--method", "lagrange", "--alpha", "10", "--seed", "3"],
     "patch-test-nitsche": ["patch-test", "--method", "nitsche"],

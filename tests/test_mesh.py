@@ -152,6 +152,10 @@ def test_split_segment_at_mesh_lines():
     assert np.allclose(np.sort(t2), [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
     with pytest.raises(ValueError):
         split_segment_at_mesh_lines(mesh, (0.0, 0.0), (1.0, 1.0))
+    # a non-finite end would turn into a garbage cut count, so it is rejected
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            split_segment_at_mesh_lines(mesh, (0.0, 0.3), (bad, 0.3))
 
 
 def test_mesh_arrays_immutable():

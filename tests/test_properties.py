@@ -18,6 +18,7 @@ from fluxfem.mesh import (
     distance_weight,
     offset_contour,
     split_segment_at_mesh_lines,
+    split_segments_at_mesh_lines,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -139,6 +140,21 @@ def test_split_segment_cuts_every_crossed_grid_line(n, fixed, a, b, horizontal):
     crossed = crossed[(crossed > lo + 1e-9) & (crossed < hi - 1e-9)]
     for line in crossed:
         assert np.min(np.abs(positions - line)) <= 1e-12
+
+
+segment = st.tuples(coordinate, coordinate, coordinate, st.booleans())
+
+
+@PROPERTY
+@given(n=grid_n, segments=st.lists(segment, min_size=1, max_size=12))
+def test_split_segments_in_a_batch_as_each_alone(n, segments):
+    """Each segment's breakpoints are bitwise the same whatever else is in the batch."""
+    mesh = build_unit_square_mesh(n)
+    ends = np.array([axis_segment(*s) for s in segments])
+    t, counts = split_segments_at_mesh_lines(mesh, ends[:, 0], ends[:, 1])
+    assert counts.sum() == len(t)
+    for (p0, p1), part in zip(ends, np.split(t, np.cumsum(counts)[:-1])):
+        assert part.tobytes() == split_segment_at_mesh_lines(mesh, p0, p1).tobytes()
 
 
 BOOLEAN_SPELLINGS = ("1", "true", "yes", "on", "0", "false", "no", "off")
