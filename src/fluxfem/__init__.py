@@ -26,8 +26,9 @@ from .fem import (
     QuadratureRule,
     edge_quadrature,
     eval_basis,
-    eval_discrete,
-    eval_discrete_many,
+    locate_points,
+    located_gradients,
+    located_values,
     nodal_interpolant,
     triangle_quadrature,
 )

@@ -29,17 +29,16 @@ from .fem import (
     VOLUME_DEGREE,
     P1Space,
     PointLocation,
+    SampledField,
     basis_at,
     boundary_field_values,
     edge_quadrature,
-    eval_discrete_many,
     facet_tables,
     locate_points,
     located_gradients,
     located_values,
     mass_matrix,
     nodal_interpolant,
-    sample_field,
     triangle_quadrature,
 )
 from .flux import pointwise_nitsche_values
@@ -222,25 +221,33 @@ def _check_method_config(cfg):
         raise TypeError(f"cfg must be a NitscheConfig or a SaddleConfig, got {type(cfg).__name__}")
 
 
-def _sampled_interp_error(problem, space, sign: float = 1.0):
-    """sign * (u - pi_h u) sampled once for the identity forms."""
+def _sampled_interp_error(problem, space: P1Space, sign: float = 1.0) -> SampledField:
+    """sign * (u - pi_h u) sampled once for the identity forms.
+
+    grad pi_h u is constant on each triangle, so the volume points need no
+    lookup; the facet Gauss points are located once for values and gradients.
+    """
+    mesh = space.mesh
     pi_u = nodal_interpolant(problem.u, space)
 
-    def value(x, y):
-        pts = np.column_stack([np.ravel(x), np.ravel(y)])
-        v, _ = eval_discrete_many(pi_u, pts, space)
-        return sign * (problem.u(x, y) - v.reshape(x.shape))
-
-    def grad(x, y):
-        pts = np.column_stack([np.ravel(x), np.ravel(y)])
-        _, g = eval_discrete_many(pi_u, pts, space)
+    def grad_gap(x, y, pi_grad):
         gx, gy = problem.grad_u(x, y)
-        return (
-            sign * (np.asarray(gx) - g[:, 0].reshape(x.shape)),
-            sign * (np.asarray(gy) - g[:, 1].reshape(x.shape)),
-        )
+        return sign * (np.asarray(gx) - pi_grad[..., 0]), sign * (np.asarray(gy) - pi_grad[..., 1])
 
-    return sample_field(space, value, grad, IDENTITY_VOLUME_DEGREE)
+    rule = triangle_quadrature(IDENTITY_VOLUME_DEGREE)
+    pts = space.quadrature_points(rule)
+    cell_grad = np.einsum("ti,tid->td", pi_u[mesh.triangles], space.gradients)
+    fpts = mesh.facet_points(edge_quadrature(EDGE_POINTS).points)
+    x, y = fpts[..., 0], fpts[..., 1]
+    where = locate_points(fpts.reshape(-1, 2), space)
+    pi_vals = located_values(pi_u, where, space).reshape(x.shape)
+    fx, fy = grad_gap(x, y, located_gradients(pi_u, where, space).reshape(fpts.shape))
+    return SampledField(
+        rule=rule,
+        grad=grad_gap(pts[..., 0], pts[..., 1], cell_grad[:, None, :]),
+        value=np.asarray(sign * (problem.u(x, y) - pi_vals), dtype=float),
+        normal_derivative=mesh.facet_normals[:, None, 0] * fx + mesh.facet_normals[:, None, 1] * fy,
+    )
 
 
 def error_representation_residuals(

@@ -231,8 +231,10 @@ def run_dual_check(config: StudyConfig):
             reports.append(dual_stability_report(space, shifted, psi, config.delta0))
     failures = []
     sums = [sum(r.ratios().values()) for r in reports]
-    spread = max(sums) / min(sums)
-    if spread > BOUNDEDNESS_SPREAD:
+    vanished = ", ".join(str(r.grid_n) for r, total in zip(reports, sums) if total == 0.0)
+    if vanished:
+        failures.append(f"{config.method} kappa={config.kappa}: summed stability ratio is 0 at n={vanished}")
+    elif (spread := max(sums) / min(sums)) > BOUNDEDNESS_SPREAD:
         failures.append(
             f"{config.method} kappa={config.kappa}: summed stability ratio spread "
             f"{spread:.3f} exceeds {BOUNDEDNESS_SPREAD}"
@@ -361,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag])
         cmd.add_argument("--config", help="key=value config file; flags win")
         cmd.add_argument("--out", help="output file path (default: stdout)")
+        cmd.set_defaults(command_parser=cmd)
     return parser
 
 
@@ -373,8 +376,9 @@ def _emit(text: str, out: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported with the usage of the subcommand, which lists its flags
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         config = build_config(args)
     except ValueError as exc:

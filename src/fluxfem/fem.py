@@ -202,23 +202,6 @@ def locate_triangle(mesh: Mesh, points) -> np.ndarray:
     return 2 * (iy * n + ix) + (t > s)
 
 
-def eval_discrete(coeffs, x, space: P1Space):
-    """Value and gradient of a P1 function at one point."""
-    values, gradients = eval_discrete_many(coeffs, np.asarray(x, dtype=float)[None, :], space)
-    return float(values[0]), gradients[0]
-
-
-def eval_discrete_many(coeffs, points, space: P1Space):
-    """Vectorized P1 evaluation at an (m, 2) array of points.
-
-    Returns (values (m,), gradients (m, 2)); the gradient is the constant
-    of whichever triangle the point locates into, so on interior edges it
-    is one-sided.
-    """
-    where = locate_points(points, space)
-    return located_values(coeffs, where, space), located_gradients(coeffs, where, space)
-
-
 class PointLocation(NamedTuple):
     """Triangle index (m,) and barycentric weights (m, 3) of m points."""
 
@@ -347,20 +330,6 @@ class SampledField(NamedTuple):
     grad: tuple
     value: np.ndarray
     normal_derivative: np.ndarray
-
-
-def sample_field(space: P1Space, value_fn, grad_fn, volume_degree: int) -> SampledField:
-    """Sample w from value and gradient callables of (x, y), once for all forms."""
-    mesh = space.mesh
-    rule = triangle_quadrature(volume_degree)
-    pts = space.quadrature_points(rule)
-    gx, gy = grad_fn(pts[..., 0], pts[..., 1])
-    points = mesh.facet_points(edge_quadrature(EDGE_POINTS).points)
-    value = np.asarray(value_fn(points[..., 0], points[..., 1]), dtype=float)
-    fx, fy = grad_fn(points[..., 0], points[..., 1])
-    nd = mesh.facet_normals[:, None, 0] * np.asarray(fx) + mesh.facet_normals[:, None, 1] * np.asarray(fy)
-    grad = (np.asarray(gx), np.asarray(gy))
-    return SampledField(rule=rule, grad=grad, value=value, normal_derivative=nd)
 
 
 def volume_form(space: P1Space, w: SampledField, phi) -> float:

@@ -138,7 +138,7 @@ def apply_saddle_form(
 ) -> float:
     """A_h(w, mu; phi_h, theta_h) at kappa = 0 with a general first pair.
 
-    w is sampled by `sample_field` and mu is given by its values at the
+    w is sampled as a `SampledField` and mu is given by its values at the
     facet points, (n_facets, EDGE_POINTS); the second pair is discrete.
     """
     phi = np.asarray(phi_coeffs, dtype=float)

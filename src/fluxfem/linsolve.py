@@ -141,8 +141,7 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
             residual = defect / b_norm if b_norm > 0.0 else defect
             if residual <= tol:
                 break
-            if lu is not None:
-                x = x + lu.solve(b - matrix @ x)
+            x = x + solve(b - matrix @ x)
         if not residual <= tol:  # also refuses a NaN residual
             raise SolverError(f"residual {residual:.3e} exceeds tolerance {tol:.1e}")
         return x, residual

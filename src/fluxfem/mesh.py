@@ -213,11 +213,6 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def split_segment_at_mesh_lines(mesh: Mesh, p0, p1) -> np.ndarray:
-    """Breakpoint parameters of one segment; see split_segments_at_mesh_lines."""
-    return split_segments_at_mesh_lines(mesh, [p0], [p1])[0]
-
-
 def split_segments_at_mesh_lines(mesh: Mesh, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """Break a batch of axis-aligned segments at every mesh line each crosses.
 

@@ -122,7 +122,7 @@ def assemble_dual_rhs_nitsche(space: P1Space, cfg: NitscheConfig, psi) -> np.nda
 
 
 def apply_nitsche_form(space: P1Space, cfg: NitscheConfig, w: SampledField, phi_coeffs) -> float:
-    """a_h(w, phi_h) at kappa = 0 for a general function w sampled by `sample_field`.
+    """a_h(w, phi_h) at kappa = 0 for a general function w sampled as a `SampledField`.
 
     Used by the error-representation check where w = u - pi_h u is not a
     finite element function.

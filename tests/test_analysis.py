@@ -161,20 +161,19 @@ def test_identity_residuals_per_psi_match_single_psi_bitwise(trig, method):
 
 @pytest.mark.parametrize("method", ["nitsche", "lagrange"])
 def test_identity_residuals_sample_interpolation_error_once(monkeypatch, trig, method):
-    """u - pi_h u is sampled once per call (volume gradient, facet value,
-    facet gradient), however many psi there are."""
+    """u - pi_h u is sampled once per call, however many psi there are: the
+    volume gradient is read per triangle, and facet values and gradients
+    share one lookup of the facet points."""
     calls = []
-    original = analysis.eval_discrete_many
-    monkeypatch.setattr(
-        analysis, "eval_discrete_many", lambda *args: calls.append(1) or original(*args)
-    )
+    original = fem.locate_triangle
+    monkeypatch.setattr(fem, "locate_triangle", lambda *args: calls.append(1) or original(*args))
     mesh = build_unit_square_mesh(4)
     space = P1Space(mesh)
     for count in (1, 5):
         calls.clear()
         psis = [rademacher_boundary_field(mesh, seed) for seed in range(count)]
         _identity_residuals(method, trig, space, psis)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
 
 def test_interp_scan_affine_is_exact(affine):
@@ -200,8 +199,8 @@ def test_contour_quadrature_against_refined_oracle(trig):
     n = 8
     space = P1Space(build_unit_square_mesh(n))
     coeffs = nodal_interpolant(trig.u, space)
-    from fluxfem.fem import eval_discrete_many
-    from fluxfem.mesh import split_segment_at_mesh_lines
+    from fluxfem.fem import locate_points, located_gradients, located_values
+    from fluxfem.mesh import split_segments_at_mesh_lines
 
     contours = [offset_contour(delta) for delta in (0.2, 0.25, 1.0 / 3.0)]
     table = analysis._contour_table(space, contours)
@@ -212,7 +211,7 @@ def test_contour_quadrature_against_refined_oracle(trig):
         total_v = total_g = 0.0
         # recover subsegment endpoints directly from the splitter
         for a, b in contour.segments:
-            t = split_segment_at_mesh_lines(space.mesh, a, b)
+            t, _ = split_segments_at_mesh_lines(space.mesh, [a], [b])
             ends = a[None, :] + t[:, None] * (b - a)[None, :]
             for lo, hi in zip(ends[:-1], ends[1:]):
                 for j in range(16):
@@ -220,7 +219,9 @@ def test_contour_quadrature_against_refined_oracle(trig):
                     q1 = lo + (hi - lo) * (j + 1) / 16.0
                     pts = q0[None, :] + rule.points[:, None] * (q1 - q0)[None, :]
                     seg_len = np.hypot(*(q1 - q0))
-                    vals, grads = eval_discrete_many(coeffs, pts, space)
+                    where = locate_points(pts, space)
+                    vals = located_values(coeffs, where, space)
+                    grads = located_gradients(coeffs, where, space)
                     dv = trig.u(pts[:, 0], pts[:, 1]) - vals
                     gx, gy = trig.grad_u(pts[:, 0], pts[:, 1])
                     dgx = gx - grads[:, 0]
@@ -249,9 +250,10 @@ def test_q3_equals_the_supremum_of_single_contour_norms_bitwise(monkeypatch, n):
 
 
 def test_stability_report_locates_contour_points_once(monkeypatch):
-    """One report splits all contour sides in one batch and locates all
-    their Gauss points in one lookup, instead of once per offset."""
-    calls = {"split": 0, "locate": 0, "eval": 0}
+    """One report splits all contour sides in one batch, locates all their
+    Gauss points in one lookup and reads phi_h there once, instead of once
+    per offset."""
+    calls = {"split": 0, "locate": 0, "values": 0}
 
     def counted(module, name, key):
         original = getattr(module, name)
@@ -264,10 +266,10 @@ def test_stability_report_locates_contour_points_once(monkeypatch):
 
     counted(analysis, "split_segments_at_mesh_lines", "split")
     counted(fem, "locate_triangle", "locate")
-    counted(analysis, "eval_discrete_many", "eval")
+    counted(analysis, "located_values", "values")
     mesh = build_unit_square_mesh(8)
     dual_stability_report(P1Space(mesh), NitscheConfig(), rademacher_boundary_field(mesh, 0))
-    assert calls == {"split": 1, "locate": 1, "eval": 0}
+    assert calls == {"split": 1, "locate": 1, "values": 1}
 
 
 def test_dual_stability_zero_psi():

@@ -172,6 +172,19 @@ def test_run_dual_check_gates_lagrange_stable_regime():
     assert all(worst <= 1e-6 for _, worst in identity_rows)
 
 
+def test_vanishing_ratio_sums_are_a_gate_failure(tmp_path, capsys):
+    """At kappa = 1e200 every Q underflows to 0, so the spread of the sums is
+    undefined: one FAIL line names the levels, and the table is still written."""
+    out = tmp_path / "dual.csv"
+    assert main(["dual-check", "--kappa", "1e200", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "FAIL nitsche kappa=1e+200: summed stability ratio is 0 at n=8, 16, 32, 64\n"
+    )
+    rows = out.read_text().splitlines()
+    assert [row.rsplit(",", 1)[1] for row in rows[1:5]] == [cli._fmt(0.0)] * 4
+    assert rows[6] == "method,n,identity_residual"
+
+
 def test_cli_dual_check_reruns_byte_identical(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -350,7 +363,7 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: fluxfem")
+    assert captured.err.startswith(f"usage: fluxfem {argv[0]} ")
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
     assert "Traceback" not in captured.err
 

@@ -9,10 +9,11 @@ from fluxfem.fem import (
     boundary_field_values,
     edge_quadrature,
     eval_basis,
-    eval_discrete,
-    eval_discrete_many,
     facet_tables,
+    locate_points,
     locate_triangle,
+    located_gradients,
+    located_values,
     nodal_interpolant,
     triangle_quadrature,
 )
@@ -171,7 +172,8 @@ def test_nodal_interpolant_affine_exact(affine, rng):
     space = P1Space(mesh)
     coeffs = nodal_interpolant(affine.u, space)
     pts = rng.uniform(0.0, 1.0, size=(40, 2))
-    values, grads = eval_discrete_many(coeffs, pts, space)
+    where = locate_points(pts, space)
+    values, grads = located_values(coeffs, where, space), located_gradients(coeffs, where, space)
     assert np.max(np.abs(values - affine.u(pts[:, 0], pts[:, 1]))) <= 1e-13
     assert np.max(np.abs(grads - [1.0, 1.0])) <= 1e-12
 
@@ -203,16 +205,35 @@ def test_interpolation_error_halves_by_four(trig):
         assert coarse / fine == pytest.approx(4.0, abs=0.5)
 
 
-def test_eval_discrete_affine(affine):
+def test_located_evaluation_affine(affine):
     mesh = build_unit_square_mesh(4)
     space = P1Space(mesh)
     coeffs = nodal_interpolant(affine.u, space)
-    value, grad = eval_discrete(coeffs, (0.3, 0.4), space)
-    assert value == pytest.approx(0.7, abs=1e-14)
-    assert np.allclose(grad, (1.0, 1.0), atol=1e-13)
-    value, grad = eval_discrete(np.zeros(space.n_dofs), (0.3, 0.4), space)
-    assert value == 0.0
-    assert np.allclose(grad, (0.0, 0.0))
+    where = locate_points([[0.3, 0.4]], space)
+    assert located_values(coeffs, where, space)[0] == pytest.approx(0.7, abs=1e-14)
+    assert np.allclose(located_gradients(coeffs, where, space)[0], (1.0, 1.0), atol=1e-13)
+    zero = np.zeros(space.n_dofs)
+    assert located_values(zero, where, space)[0] == 0.0
+    assert np.allclose(located_gradients(zero, where, space)[0], (0.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 11, 16, 23, 32, 45, 64, 128])
+def test_quadrature_and_facet_points_locate_to_their_own_triangles(n):
+    """The points of triangle t's volume rule locate to t and the facet Gauss
+    points to each facet's parent, so a per-triangle gradient is the located
+    gradient bit for bit."""
+    mesh = build_unit_square_mesh(n)
+    space = P1Space(mesh)
+    coeffs = np.random.default_rng([3, n]).standard_normal(space.n_dofs)
+    cell_grad = np.einsum("ti,tid->td", coeffs[mesh.triangles], space.gradients)
+    for degree in (4, 6):
+        n_q = len(triangle_quadrature(degree).weights)
+        where = locate_points(space.quadrature_points(triangle_quadrature(degree)).reshape(-1, 2), space)
+        assert np.array_equal(where.triangles, np.repeat(np.arange(mesh.n_triangles), n_q))
+        located = located_gradients(coeffs, where, space)
+        assert located.tobytes() == np.repeat(cell_grad, n_q, axis=0).tobytes()
+    where = locate_points(mesh.facet_points(edge_quadrature(EDGE_POINTS).points).reshape(-1, 2), space)
+    assert np.array_equal(where.triangles, np.repeat(mesh.facet_parents, EDGE_POINTS))
 
 
 def test_one_sided_gradients_across_interior_edge():
@@ -234,8 +255,7 @@ def test_one_sided_gradients_across_interior_edge():
     left = locate_triangle(mesh, [[0.499999, 0.25]])[0]
     right = locate_triangle(mesh, [[0.500001, 0.25]])[0]
     assert left != right
-    _, gl = eval_discrete(coeffs, (0.499999, 0.25), space)
-    _, gr = eval_discrete(coeffs, (0.500001, 0.25), space)
+    gl, gr = located_gradients(coeffs, locate_points([[0.499999, 0.25], [0.500001, 0.25]], space), space)
     assert np.allclose(gl, affine_gradient(left), atol=1e-9)
     assert np.allclose(gr, affine_gradient(right), atol=1e-9)
     assert not np.allclose(gl, gr)

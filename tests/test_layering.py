@@ -98,6 +98,4 @@ def test_only_study_config_compares_method_names():
 def test_volume_degree_is_a_parameter_only_where_two_degrees_are_used():
     """Assembly runs at degree 4 for the studies and 6 for the identities;
     the norms and the flux recovery use one fixed degree."""
-    assert parameters_named("volume_degree") == [
-        "assemble_nitsche", "assemble_saddle", "load_vector", "sample_field"
-    ]
+    assert parameters_named("volume_degree") == ["assemble_nitsche", "assemble_saddle", "load_vector"]

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,6 +112,22 @@ def test_dense_fallback_inertia_on_forced_zero_pivot(trig):
     assert sum(result.inertia) == space.n_dofs + mesh.n_facets
     assert result.inertia[2] == 0
     assert result.residual <= 1e-9
+
+
+def test_dense_fallback_refines_with_its_own_solve(trig, monkeypatch):
+    """A fallback solve off by 1e-6 is refined with that same solve down to
+    about 1e-12, rather than certified four times at 1e-6 and refused."""
+    system = assemble_saddle(P1Space(build_unit_square_mesh(4)), SaddleConfig(alpha=0.25), trig.f, trig.g)
+    splu = linsolve.spla.splu
+
+    def perturbed(matrix, **kwargs):
+        exact = splu(matrix, **kwargs)
+        return SimpleNamespace(solve=lambda b: (1.0 + 1e-6) * exact.solve(b))
+
+    monkeypatch.setattr(linsolve, "_pivot_factorization", lambda matrix: None)
+    monkeypatch.setattr(linsolve.spla, "splu", perturbed)
+    result = solve_sym_indefinite(system)
+    assert result.residual <= 2e-12
 
 
 @pytest.mark.parametrize("method", ["nitsche", "lagrange"])

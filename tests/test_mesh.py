@@ -8,7 +8,7 @@ from fluxfem.mesh import (
     build_unit_square_mesh,
     distance_weight,
     offset_contour,
-    split_segment_at_mesh_lines,
+    split_segments_at_mesh_lines,
 )
 
 
@@ -141,21 +141,21 @@ def test_split_segment_at_mesh_lines():
     mesh = build_unit_square_mesh(4)
     # horizontal run at y = 0.3: grid cuts at 0.25/0.5/0.75 plus diagonal
     # crossings at x = 0.3 mod 0.25
-    t = split_segment_at_mesh_lines(mesh, (0.0, 0.3), (1.0, 0.3))
+    t, _ = split_segments_at_mesh_lines(mesh, [(0.0, 0.3)], [(1.0, 0.3)])
     xs = np.sort(t)
     expected = np.sort(
         np.concatenate([[0.0, 1.0], [0.25, 0.5, 0.75], [0.05, 0.3, 0.55, 0.8]])
     )
     assert np.allclose(xs, expected, atol=1e-12)
     # offsets on grid lines produce coincident cuts that are deduplicated
-    t2 = split_segment_at_mesh_lines(mesh, (0.0, 0.25), (1.0, 0.25))
+    t2, _ = split_segments_at_mesh_lines(mesh, [(0.0, 0.25)], [(1.0, 0.25)])
     assert np.allclose(np.sort(t2), [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
     with pytest.raises(ValueError):
-        split_segment_at_mesh_lines(mesh, (0.0, 0.0), (1.0, 1.0))
+        split_segments_at_mesh_lines(mesh, [(0.0, 0.0)], [(1.0, 1.0)])
     # a non-finite end would turn into a garbage cut count, so it is rejected
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            split_segment_at_mesh_lines(mesh, (0.0, 0.3), (bad, 0.3))
+            split_segments_at_mesh_lines(mesh, [(0.0, 0.3)], [(bad, 0.3)])
 
 
 def test_mesh_arrays_immutable():

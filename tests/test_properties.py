@@ -17,7 +17,6 @@ from fluxfem.mesh import (
     build_unit_square_mesh,
     distance_weight,
     offset_contour,
-    split_segment_at_mesh_lines,
     split_segments_at_mesh_lines,
 )
 
@@ -103,12 +102,17 @@ def axis_segment(fixed, a, b, horizontal):
     return ((a, fixed), (b, fixed)) if horizontal else ((fixed, a), (fixed, b))
 
 
+def split_one(mesh, p0, p1):
+    """Breakpoint parameters of a single segment."""
+    return split_segments_at_mesh_lines(mesh, [p0], [p1])[0]
+
+
 @PROPERTY
 @given(n=grid_n, fixed=coordinate, a=coordinate, b=coordinate, horizontal=st.booleans())
 def test_split_segment_pieces_each_lie_in_one_triangle(n, fixed, a, b, horizontal):
     mesh = build_unit_square_mesh(n)
     p0, p1 = (np.array(p) for p in axis_segment(fixed, a, b, horizontal))
-    t = split_segment_at_mesh_lines(mesh, p0, p1)
+    t = split_one(mesh, p0, p1)
     assert t[0] == 0.0 and t[-1] == 1.0
     assert np.all(np.diff(t) > 0.0)
     ends = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
@@ -123,8 +127,8 @@ def test_split_segment_pieces_each_lie_in_one_triangle(n, fixed, a, b, horizonta
 @given(n=grid_n, fixed=coordinate, a=coordinate, b=coordinate, horizontal=st.booleans())
 def test_split_segment_is_symmetric_under_reversal(n, fixed, a, b, horizontal):
     mesh = build_unit_square_mesh(n)
-    forward = split_segment_at_mesh_lines(mesh, *axis_segment(fixed, a, b, horizontal))
-    backward = split_segment_at_mesh_lines(mesh, *axis_segment(fixed, b, a, horizontal))
+    forward = split_one(mesh, *axis_segment(fixed, a, b, horizontal))
+    backward = split_one(mesh, *axis_segment(fixed, b, a, horizontal))
     assert len(forward) == len(backward)
     assert np.allclose(forward, 1.0 - backward[::-1], rtol=0.0, atol=1e-12)
 
@@ -134,7 +138,7 @@ def test_split_segment_is_symmetric_under_reversal(n, fixed, a, b, horizontal):
 def test_split_segment_cuts_every_crossed_grid_line(n, fixed, a, b, horizontal):
     mesh = build_unit_square_mesh(n)
     lo, hi = min(a, b), max(a, b)
-    t = split_segment_at_mesh_lines(mesh, *axis_segment(fixed, a, b, horizontal))
+    t = split_one(mesh, *axis_segment(fixed, a, b, horizontal))
     positions = a + t * (b - a)
     crossed = np.arange(n + 1) / n
     crossed = crossed[(crossed > lo + 1e-9) & (crossed < hi - 1e-9)]
@@ -154,7 +158,7 @@ def test_split_segments_in_a_batch_as_each_alone(n, segments):
     t, counts = split_segments_at_mesh_lines(mesh, ends[:, 0], ends[:, 1])
     assert counts.sum() == len(t)
     for (p0, p1), part in zip(ends, np.split(t, np.cumsum(counts)[:-1])):
-        assert part.tobytes() == split_segment_at_mesh_lines(mesh, p0, p1).tobytes()
+        assert part.tobytes() == split_one(mesh, p0, p1).tobytes()
 
 
 BOOLEAN_SPELLINGS = ("1", "true", "yes", "on", "0", "false", "no", "off")
