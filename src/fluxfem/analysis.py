@@ -63,6 +63,8 @@ from .nitsche import (
 IDENTITY_VOLUME_DEGREE = 6
 # Offsets delta sampled in [0, delta_0] by the offset-contour suprema.
 CONTOUR_SAMPLES = 33
+# Triangles per block of the error norms' volume integrands.
+NORM_BLOCK_TRIANGLES = 4096
 
 
 @dataclass(frozen=True)
@@ -146,20 +148,33 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     Without `lam` the energy norm is Nitsche's (gradient, h-scaled flux, 1/h
     trace). With the multiplier coefficients `lam` it is the natural saddle
     norm of (u - u_h, lambda - lambda_h), where lambda = -sigma_n.
+
+    The volume integrands are evaluated NORM_BLOCK_TRIANGLES triangles at a
+    time into two (n_triangles, n_q) tables, each summed by one np.sum, so
+    the quadrature temporaries stay a block in size while the reduction, and
+    so every bit of both norms, is that of a one-shot evaluation.
     """
     mesh = space.mesh
     u = np.asarray(u, dtype=float)
     rule = triangle_quadrature(VOLUME_DEGREE)
-    pts = space.quadrature_points(rule)
-    aw = space.areas[:, None] * rule.weights[None, :]
-    uh = np.einsum("qk,tk->tq", basis_at(rule), u[mesh.triangles])
-    diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh
-    l2 = float(np.sqrt(2.0 * np.sum(aw * diff**2)))
-    gx, gy = problem.grad_u(pts[..., 0], pts[..., 1])
-    grads = np.einsum("ti,tid->td", u[mesh.triangles], space.gradients)
-    dx = np.asarray(gx) - grads[:, None, 0]
-    dy = np.asarray(gy) - grads[:, None, 1]
-    grad_sq = float(2.0 * np.sum(aw * (dx**2 + dy**2)))
+    phi = basis_at(rule)
+    val_terms = np.empty((mesh.n_triangles, len(rule.weights)))
+    grad_terms = np.empty_like(val_terms)
+    for start in range(0, mesh.n_triangles, NORM_BLOCK_TRIANGLES):
+        cells = slice(start, start + NORM_BLOCK_TRIANGLES)
+        pts = space.quadrature_points(rule, cells)
+        aw = space.areas[cells, None] * rule.weights[None, :]
+        u_tri = u[mesh.triangles[cells]]
+        uh = np.einsum("qk,tk->tq", phi, u_tri)
+        diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh
+        val_terms[cells] = aw * diff**2
+        gx, gy = problem.grad_u(pts[..., 0], pts[..., 1])
+        grads = np.einsum("ti,tid->td", u_tri, space.gradients[cells])
+        dx = np.asarray(gx) - grads[:, None, 0]
+        dy = np.asarray(gy) - grads[:, None, 1]
+        grad_terms[cells] = aw * (dx**2 + dy**2)
+    l2 = float(np.sqrt(2.0 * np.sum(val_terms)))
+    grad_sq = float(2.0 * np.sum(grad_terms))
 
     t, w, pdofs, ndg, _, fpts = facet_tables(space)
     ends = mesh.facet_vertices

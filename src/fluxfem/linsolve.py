@@ -16,10 +16,26 @@ decides singularity; SPD and larger systems fail outright.
 A right-hand side of shape (n, k) is factored once; each column is then
 solved, refined and certified on its own, and the reported residual is the
 largest column residual.
+
+The pivots are read in place. SuperLU keeps each supernode's diagonal block
+in L's supernodal store, so pivot j is
+
+    nzval[nzval_colptr[j] + j - sup_to_col[col_to_sup[j]]],
+
+read through a ctypes view of the SuperLU object. `lu.U` would instead make
+scipy build and cache CSC copies of L and U, holding the factor twice. The
+object layout (PyObject_HEAD; npy_intp m, n; SuperMatrix L, U) and L's
+SCformat store are private to scipy (checked on scipy 1.17.1), so the
+reader first checks them: the object is a scipy SuperLU, L is stored
+supernodal (SLU_SC) in doubles (SLU_D), nrow == ncol == m == n == the
+matrix dimension, and nzval_colptr[n] <= lu.nnz. If any check fails it
+falls back to `lu.U.diagonal()`, which gives the same pivots bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +48,9 @@ ZERO_PIVOT_REL_TOL = 1e-12
 # Bunch-Kaufman fallback (dense) kicks in only when the symmetric elimination
 # breaks down or shows a vanishing pivot; cap its dimension (seconds of work).
 DENSE_FALLBACK_MAX_DIM = 6000
+# SuperLU's Stype_t and Dtype_t tags of a supernodal store of doubles
+SLU_SC = 3
+SLU_D = 1
 
 
 class SolverError(Exception):
@@ -55,13 +74,87 @@ class SolveResult:
     inertia: tuple[int, int, int]
 
 
+class _SuperMatrix(ctypes.Structure):
+    """SuperLU's SuperMatrix: storage, value and shape tags, then the store."""
+
+    _fields_ = [
+        ("Stype", ctypes.c_int),
+        ("Dtype", ctypes.c_int),
+        ("Mtype", ctypes.c_int),
+        ("nrow", ctypes.c_int),
+        ("ncol", ctypes.c_int),
+        ("Store", ctypes.c_void_p),
+    ]
+
+
+class _SCformat(ctypes.Structure):
+    """SuperLU's supernodal column store, in which L is kept."""
+
+    _fields_ = [
+        ("nnz", ctypes.c_int),
+        ("nsuper", ctypes.c_int),
+        ("nzval", ctypes.POINTER(ctypes.c_double)),
+        ("nzval_colptr", ctypes.POINTER(ctypes.c_int)),
+        ("rowind", ctypes.POINTER(ctypes.c_int)),
+        ("rowind_colptr", ctypes.POINTER(ctypes.c_int)),
+        ("col_to_sup", ctypes.POINTER(ctypes.c_int)),
+        ("sup_to_col", ctypes.POINTER(ctypes.c_int)),
+    ]
+
+
+class _SuperLUFields(ctypes.Structure):
+    """scipy's SuperLU object after its PyObject_HEAD."""
+
+    _fields_ = [
+        ("m", ctypes.c_ssize_t),
+        ("n", ctypes.c_ssize_t),
+        ("L", _SuperMatrix),
+        ("U", _SuperMatrix),
+    ]
+
+
+def _supernodal_store(lu, n: int):
+    """L's SCformat store of a dimension-n factorization, or None when the
+    object does not have the layout the pivot reader assumes."""
+    head_size = object.__basicsize__
+    if type(lu) is not spla.SuperLU or (
+        type(lu).__basicsize__ < head_size + ctypes.sizeof(_SuperLUFields)
+    ):
+        return None
+    fields = _SuperLUFields.from_address(id(lu) + head_size)
+    L = fields.L
+    if (L.Stype, L.Dtype) != (SLU_SC, SLU_D) or not L.Store:
+        return None
+    if not L.nrow == L.ncol == fields.m == fields.n == n:
+        return None
+    store = _SCformat.from_address(L.Store)
+    if not (store.nzval and store.nzval_colptr and store.col_to_sup and store.sup_to_col):
+        return None
+    if not 0 <= store.nsuper < n or store.nzval_colptr[n] > lu.nnz:
+        return None
+    return store
+
+
+def _pivots(lu, n: int) -> np.ndarray:
+    """The n pivots (U's diagonal) of `lu`, read in place from L's store."""
+    store = _supernodal_store(lu, n)
+    if store is None:
+        return lu.U.diagonal()
+    colptr = np.ctypeslib.as_array(store.nzval_colptr, (n + 1,))
+    col_to_sup = np.ctypeslib.as_array(store.col_to_sup, (n,))
+    sup_to_col = np.ctypeslib.as_array(store.sup_to_col, (store.nsuper + 1,))
+    nzval = np.ctypeslib.as_array(store.nzval, (colptr[n],))
+    # fancy indexing copies, and checks every index against the views' bounds
+    return nzval[colptr[:n] + np.arange(n) - sup_to_col[col_to_sup]]
+
+
 def _pivot_factorization(matrix: sp.csc_matrix):
     """Minimum-degree LU with diagonal pivots, or None on breakdown.
 
     A zero pivot makes SuperLU either leave the diagonal (perm_r differs
     from perm_c) or give up; both mean the symmetric elimination broke
     down, not that the matrix is singular. A failed SuperLU allocation
-    raises MemoryError.
+    raises MemoryError that names the matrix's dimension and nnz.
     """
     try:
         lu = spla.splu(
@@ -74,6 +167,17 @@ def _pivot_factorization(matrix: sp.csc_matrix):
         if "SUPERLU_MALLOC" in str(exc):  # a failed allocation, not a breakdown
             raise MemoryError(str(exc).strip()) from exc
         return None
+    except MemoryError as exc:
+        if str(exc):
+            raise
+        # SuperLU has reported the failed allocation on fd 2, at times with
+        # no newline; end that line so the caller's message starts its own.
+        os.write(2, b"\n")
+        n = matrix.shape[0]
+        raise MemoryError(
+            f"SuperLU could not allocate the factors of a {n} x {n} matrix"
+            f" with {matrix.nnz} nonzeros"
+        ) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     return lu
@@ -105,7 +209,7 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
     lu = _pivot_factorization(matrix.tocsc())
 
     if lu is not None:
-        pivots = lu.U.diagonal()
+        pivots = _pivots(lu, n)
         n_zero = int(np.sum(np.abs(pivots) <= ZERO_PIVOT_REL_TOL * np.max(np.abs(pivots))))
         if n_zero and (require_spd or n > DENSE_FALLBACK_MAX_DIM):
             raise SingularSystemError(f"{n_zero} vanishing pivots")

@@ -18,9 +18,9 @@ import numpy as np
 
 SIDE_NAMES = ("bottom", "right", "top", "left")
 
-# Largest grid (level k = 16, 2*n**2 triangles) measured to solve on an 8 GB
-# machine: about 20 s and 2.3 GiB peak for either method.
-MAX_GRID_N = 1024
+# Largest grid (level k = 17, 2*n**2 triangles) measured to solve on an 8 GB
+# machine: about 20 s and 3.5 GiB peak for either method.
+MAX_GRID_N = 1448
 
 
 @dataclass(frozen=True)

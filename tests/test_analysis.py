@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,15 @@ from fluxfem.analysis import (
     interp_error_scan,
     rademacher_boundary_field,
 )
-from fluxfem.fem import P1Space, edge_quadrature, nodal_interpolant
+from fluxfem.fem import (
+    VOLUME_DEGREE,
+    P1Space,
+    basis_at,
+    edge_quadrature,
+    facet_tables,
+    nodal_interpolant,
+    triangle_quadrature,
+)
 from fluxfem.flux import BoundaryFluxField, ExactFluxField
 from fluxfem.lagrange import SaddleConfig
 from fluxfem.linsolve import solve_spd
@@ -344,3 +353,64 @@ def test_l2_and_boundary_norm_consistency(const):
     ones = np.ones(space.n_dofs)
     assert error_norms(const, space, ones)[1] <= 1e-14
     assert boundary_l2_norm(lambda x, y: np.ones_like(x), mesh) == pytest.approx(2.0, abs=1e-12)
+
+
+def _one_shot_error_norms(problem, space, u, lam=None):
+    """error_norms as one full-mesh evaluation of each volume integrand."""
+    mesh = space.mesh
+    u = np.asarray(u, dtype=float)
+    rule = triangle_quadrature(VOLUME_DEGREE)
+    pts = space.quadrature_points(rule)
+    aw = space.areas[:, None] * rule.weights[None, :]
+    uh = np.einsum("qk,tk->tq", basis_at(rule), u[mesh.triangles])
+    diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh
+    l2 = float(np.sqrt(2.0 * np.sum(aw * diff**2)))
+    gx, gy = problem.grad_u(pts[..., 0], pts[..., 1])
+    grads = np.einsum("ti,tid->td", u[mesh.triangles], space.gradients)
+    dx = np.asarray(gx) - grads[:, None, 0]
+    dy = np.asarray(gy) - grads[:, None, 1]
+    grad_sq = float(2.0 * np.sum(aw * (dx**2 + dy**2)))
+
+    t, w, pdofs, ndg, _, fpts = facet_tables(space)
+    ends = mesh.facet_vertices
+    hw = mesh.facet_lengths[:, None] * w[None, :]
+    u_trace = u[ends][:, [0]] * (1.0 - t)[None, :] + u[ends][:, [1]] * t[None, :]
+    trace_diff = np.asarray(problem.u(fpts[..., 0], fpts[..., 1]), dtype=float) - u_trace
+    val_sq = float(np.sum(hw * trace_diff**2))
+    sigma = problem.sigma_n(fpts[..., 0], fpts[..., 1], mesh.facet_normals[:, None, :])
+    h = mesh.h_grid
+    if lam is None:
+        nd_h = np.einsum("fk,fk->f", ndg, u[pdofs])
+        nd_sq = float(np.sum(hw * (sigma - nd_h[:, None]) ** 2))
+        return float(np.sqrt(grad_sq + h * nd_sq + val_sq / h)), l2
+    lam_diff = -sigma - np.asarray(lam, dtype=float)[:, None]
+    lam_sq = np.sum(mesh.facet_lengths[:, None] ** 2 * w[None, :] * lam_diff**2)
+    return float(np.sqrt(grad_sq + val_sq / h + lam_sq)), l2
+
+
+# 2 n^2 triangles: 2048 (one partial block), 8192 (two full blocks) and
+# 5000 (a full block and a partial one); n = 1 is a single triangle pair
+@pytest.mark.parametrize("n", [1, 32, 64, 50])
+@pytest.mark.parametrize("with_lam", [False, True])
+def test_blocked_error_norms_match_one_shot_bitwise(trig, n, with_lam):
+    space = P1Space(build_unit_square_mesh(n))
+    rng = np.random.default_rng(n)
+    u = nodal_interpolant(trig.u, space) + 1e-3 * rng.standard_normal(space.n_dofs)
+    lam = rng.standard_normal(space.mesh.n_facets) if with_lam else None
+    assert error_norms(trig, space, u, lam) == _one_shot_error_norms(trig, space, u, lam)
+
+
+def test_error_norms_peak_memory_is_a_few_volume_tables(trig):
+    """At n = 256 one call peaks below three (n_triangles, 6) float tables:
+    the two blocked integrand tables and block-sized temporaries."""
+    space = P1Space(build_unit_square_mesh(256))
+    u = nodal_interpolant(trig.u, space)
+    table_bytes = space.mesh.n_triangles * 6 * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        error_norms(trig, space, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table_bytes

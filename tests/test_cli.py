@@ -1,8 +1,10 @@
+import os
 import sys
 
+import numpy as np
 import pytest
 
-from fluxfem import cli, fem, linsolve, mesh
+from fluxfem import analysis, cli, fem, linsolve, mesh
 from fluxfem.cli import (
     MAX_LEVEL,
     MIN_LEVEL,
@@ -242,18 +244,24 @@ def test_dual_check_builds_each_grid_once(monkeypatch):
     ],
 )
 def test_converge_builds_two_full_mesh_volume_tables_per_level(monkeypatch, flags):
-    """One table for the load vector and one shared by both error norms;
-    the variational flux's boundary-layer table is not a full-mesh one."""
-    full = []
+    """The load vector's table in one piece, and the error norms' table in
+    blocks that cover every triangle exactly once; the variational flux's
+    boundary-layer table (an index array of cells) is not a full-mesh one."""
+    full, blocks = [], []
     original = fem.P1Space.quadrature_points
 
     def counted(self, rule, cells=fem.ALL_CELLS):
-        full.append(cells is fem.ALL_CELLS)
+        if cells is fem.ALL_CELLS:
+            full.append(self.mesh.n_triangles)
+        elif isinstance(cells, slice):
+            blocks.append(np.arange(self.mesh.n_triangles)[cells])
         return original(self, rule, cells)
 
     monkeypatch.setattr(fem.P1Space, "quadrature_points", counted)
+    monkeypatch.setattr(analysis, "NORM_BLOCK_TRIANGLES", 48)  # 128 triangles: 3 blocks
     assert main(["converge", "--kmin", "2", "--kmax", "2", *flags]) == 0
-    assert sum(full) == 2
+    assert len(full) == 1 and len(blocks) == 3
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(full[0]))
 
 
 def test_converge_solver_failure_names_the_level(capsys):
@@ -310,6 +318,34 @@ def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys, argv, target, 
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["converge", "--kmin", "2", "--kmax", "2"],
+         "out of memory: k=2 n=8: SuperLU could not allocate the factors"
+         " of a 81 x 81 matrix with 425 nonzeros"),
+        (["converge", "--kmin", "1", "--kmax", "2", "--parallel"],
+         "out of memory: k=1 n=6: SuperLU could not allocate the factors"
+         " of a 49 x 49 matrix with 257 nonzeros"),
+    ],
+    ids=["sequential", "parallel"],
+)
+def test_superlu_out_of_memory_line_stands_alone(monkeypatch, capfd, argv, message):
+    """SuperLU reports a failed allocation on fd 2 with no newline, then
+    scipy raises a bare MemoryError; the program's line still starts its own
+    line and names the matrix, also when threads factor at once."""
+
+    def exhausted(matrix, **kwargs):
+        os.write(2, b"malloc fails for local dworkptr[].")
+        raise MemoryError()
+
+    monkeypatch.setattr(linsolve.spla, "splu", exhausted)
+    assert main(argv) == 3
+    err = capfd.readouterr().err
+    assert err.endswith("\n")
+    assert err.splitlines()[-1] == message
+
+
 def test_quadrature_rules_are_built_once_and_read_only():
     rule = edge_quadrature(6)
     assert edge_quadrature(6) is rule
@@ -329,7 +365,7 @@ def test_quadrature_rules_are_built_once_and_read_only():
         ["dual-check", "--kappa", "-1"],
         ["dual-check", "--seed", "-1"],
         ["converge", "--kmin", "29", "--kmax", "30"],
-        ["converge", "--kmax", "17"],
+        ["converge", "--kmax", "18"],
         ["converge", "--kmin", "-6", "--kmax", "0"],
     ],
 )

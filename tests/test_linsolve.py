@@ -213,6 +213,57 @@ def test_multi_column_solve_matches_single_columns(trig, monkeypatch, method, n,
     assert result.inertia == solve(system).inertia
 
 
+def _pivot_system(kind, n, trig):
+    space = P1Space(build_unit_square_mesh(n))
+    if kind == "nitsche":
+        return assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)
+    return assemble_saddle(space, SaddleConfig(alpha=float(kind.removeprefix("alpha="))), trig.f, trig.g)
+
+
+@pytest.mark.parametrize("n", [4, 8, 33, 64, 128])
+@pytest.mark.parametrize("kind", ["nitsche", "alpha=0.25", "alpha=10"])
+def test_pivots_read_in_place_match_u_diagonal_bitwise(trig, kind, n):
+    """The supernodal read is taken (the layout checks pass) and gives
+    U's diagonal bit for bit."""
+    system = _pivot_system(kind, n, trig)
+    dim = system.matrix.shape[0]
+    lu = _pivot_factorization(system.matrix.tocsc())
+    assert lu is not None
+    assert linsolve._supernodal_store(lu, dim) is not None
+    pivots = linsolve._pivots(lu, dim)
+    assert pivots.dtype == np.float64
+    assert pivots.tobytes() == lu.U.diagonal().tobytes()
+
+
+def test_pivot_layout_check_rejects_a_mismatch(trig):
+    system = _pivot_system("nitsche", 4, trig)
+    dim = system.matrix.shape[0]
+    lu = _pivot_factorization(system.matrix.tocsc())
+    assert linsolve._supernodal_store(lu, dim + 1) is None
+    assert linsolve._supernodal_store(SimpleNamespace(nnz=lu.nnz), dim) is None
+
+
+@pytest.mark.parametrize("kind", ["nitsche", "alpha=0.25", "alpha=10"])
+def test_pivot_reader_fallback_gives_the_same_solve(trig, monkeypatch, kind):
+    """With the layout check failing, the pivots come from lu.U and x, the
+    residual and the inertia are bitwise those of the in-place read."""
+    system = _pivot_system(kind, 16, trig)
+    solve = solve_spd if kind == "nitsche" else solve_sym_indefinite
+    expected = solve(system)
+    checked = []
+
+    def failed_check(lu, n):
+        checked.append(n)
+        return None
+
+    monkeypatch.setattr(linsolve, "_supernodal_store", failed_check)
+    result = solve(system)
+    assert checked == [system.matrix.shape[0]]
+    assert result.x.tobytes() == expected.x.tobytes()
+    assert result.residual == expected.residual
+    assert result.inertia == expected.inertia
+
+
 def test_superlu_allocation_failure_is_memory_error(monkeypatch):
     """SuperLU reports a failed allocation as a RuntimeError; it must not
     read as a breakdown ("not positive definite")."""
