@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .fem import (
-    EDGE_POINTS,
     VOLUME_DEGREE,
     P1Space,
     PointLocation,
@@ -41,7 +40,7 @@ from .fem import (
     nodal_interpolant,
     triangle_quadrature,
 )
-from .flux import pointwise_nitsche_values
+from .flux import BoundaryFluxField, pointwise_nitsche_values
 from .lagrange import (
     SaddleConfig,
     apply_saddle_form,
@@ -93,10 +92,8 @@ class StabilityReport:
     h^2 |theta|^2 on the boundary.
     """
 
-    method: str
     grid_n: int
     h_grid: float
-    kappa: float
     psi_norm_sq: float
     q1: float
     q2: float
@@ -125,14 +122,14 @@ class InterpScan:
 
 def boundary_l2_norm(field, mesh: Mesh) -> float:
     """L2(boundary) norm of any boundary-data object."""
-    rule = edge_quadrature(EDGE_POINTS)
+    rule = edge_quadrature()
     vals = boundary_field_values(field, mesh, rule.points, mesh.facet_points(rule.points))
     return float(np.sqrt(np.sum(mesh.facet_lengths[:, None] * rule.weights[None, :] * vals**2)))
 
 
 def boundary_l2_error(flux, exact, mesh: Mesh) -> float:
     """L2(boundary) distance between two boundary fields (facet quadrature)."""
-    rule = edge_quadrature(EDGE_POINTS)
+    rule = edge_quadrature()
     t, pts = rule.points, mesh.facet_points(rule.points)
     a = boundary_field_values(flux, mesh, t, pts)
     b = boundary_field_values(exact, mesh, t, pts)
@@ -221,11 +218,9 @@ def fit_rate(records, field: str = "flux_err") -> float:
 
 def rademacher_boundary_field(mesh: Mesh, seed: int = 0):
     """Independent per-facet values in {-1, +1}, deterministic per (seed, n)."""
-    from .flux import FACETWISE_CONSTANT, BoundaryFluxField
-
     rng = np.random.default_rng([seed, mesh.grid_n])
     values = 2.0 * rng.integers(0, 2, mesh.n_facets) - 1.0
-    return BoundaryFluxField(kind=FACETWISE_CONSTANT, coefficients=values, mesh=mesh)
+    return BoundaryFluxField(coefficients=values, mesh=mesh)
 
 
 # -- error representation identities ------------------------------------------
@@ -252,7 +247,7 @@ def _sampled_interp_error(problem, space: P1Space, sign: float = 1.0) -> Sampled
     rule = triangle_quadrature(IDENTITY_VOLUME_DEGREE)
     pts = space.quadrature_points(rule)
     cell_grad = np.einsum("ti,tid->td", pi_u[mesh.triangles], space.gradients)
-    fpts = mesh.facet_points(edge_quadrature(EDGE_POINTS).points)
+    fpts = mesh.facet_points(edge_quadrature().points)
     x, y = fpts[..., 0], fpts[..., 1]
     where = locate_points(fpts.reshape(-1, 2), space)
     pi_vals = located_values(pi_u, where, space).reshape(x.shape)
@@ -339,7 +334,7 @@ class _ContourTable(NamedTuple):
 def _contour_table(space: P1Space, contours) -> _ContourTable:
     """Split every side of every contour at the mesh lines it crosses, in one
     batch, and place the edge rule on each piece."""
-    rule = edge_quadrature(EDGE_POINTS)
+    rule = edge_quadrature()
     sides = np.concatenate([contour.segments for contour in contours])
     a, b = sides[:, 0], sides[:, 1]
     t, counts = split_segments_at_mesh_lines(space.mesh, a, b)
@@ -444,12 +439,10 @@ def dual_stability_report(
 
     theta = None
     if isinstance(cfg, NitscheConfig):
-        method = "nitsche"
         system = assemble_nitsche(space, cfg, zero, zero)
         rhs = assemble_dual_rhs_nitsche(space, cfg, psi)
         phi = solve_spd(replace(system, rhs=rhs)).x
     else:
-        method = "lagrange"
         system = assemble_saddle(space, cfg, zero, zero)
         rhs = assemble_dual_rhs_lm(space, psi)
         phi, theta = system.split(solve_sym_indefinite(replace(system, rhs=rhs)).x)
@@ -462,10 +455,8 @@ def dual_stability_report(
     if theta is not None:
         q5 = mesh.h_grid**2 * float(np.sum(mesh.facet_lengths * theta**2))
     return StabilityReport(
-        method=method,
         grid_n=mesh.grid_n,
         h_grid=mesh.h_grid,
-        kappa=cfg.kappa,
         psi_norm_sq=boundary_l2_norm(psi, mesh) ** 2,
         q1=_weighted_gradient_sq(cell_grad_sq, space, mesh.h_grid),
         q2=mesh.h_grid * float(np.sum(space.areas * cell_grad_sq)),

@@ -18,7 +18,6 @@ Identical configurations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -80,11 +79,9 @@ class StudyConfig:
             raise ValueError("the multiplier flux requires the lagrange method")
         if not 0.0 < self.delta0 < 0.5:
             raise ValueError(f"delta0 must lie in (0, 1/2), got {self.delta0}")
-        for name, value in (("beta", self.beta), ("alpha", self.alpha)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not 0.0 <= self.kappa < math.inf:
-            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa}")
+        # the method configs own the beta, alpha and kappa rules
+        NitscheConfig(beta=self.beta, kappa=self.kappa)
+        SaddleConfig(alpha=self.alpha, kappa=self.kappa)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.kmin < MIN_LEVEL or self.kmax > MAX_LEVEL:
@@ -121,11 +118,18 @@ def _fmt(x: float) -> str:
 
 @contextmanager
 def _failure_site(site: str):
-    """Prefix a solver failure or exhausted memory in the block with where it happened."""
+    """Prefix a solver failure or exhausted memory in the block with where it happened.
+
+    Overflow, invalid operations and division by zero in the block are
+    solver failures too; underflow stays silent.
+    """
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except SolverError as exc:
         raise type(exc)(f"{site}: {exc}") from exc
+    except FloatingPointError as exc:
+        raise SolverError(f"{site}: {exc}") from exc
     except MemoryError as exc:
         raise MemoryError(f"{site}: {exc}".removesuffix(": ")) from exc
 
@@ -261,7 +265,7 @@ def dual_check_text(config: StudyConfig, reports, identity_rows) -> str:
         ratios = r.ratios()
         q5 = _fmt(r.q5) if r.q5 is not None else ""
         lines.append(
-            f"{r.method},{_fmt(r.kappa)},{r.grid_n},{_fmt(r.h_grid)},{_fmt(r.psi_norm_sq)},"
+            f"{config.method},{_fmt(config.kappa)},{r.grid_n},{_fmt(r.h_grid)},{_fmt(r.psi_norm_sq)},"
             f"{_fmt(r.q1)},{_fmt(r.q2)},{_fmt(r.q3)},{_fmt(r.q4)},{q5},"
             f"{_fmt(sum(ratios.values()))}"
         )

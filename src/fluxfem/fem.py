@@ -4,11 +4,12 @@ Holds the generic P1 operators (stiffness, mass, load), the boundary
 facet tables and the form kernels; `nitsche` and `lagrange` add only
 their method forms.
 
-All rules carry positive weights. Triangle rules are the classical
-symmetric rules on the reference triangle (0,0)-(1,0)-(0,1); edge rules
-are Gauss-Legendre on [0,1]. Each rule is built once and shared, so its
-arrays are read-only. Every boundary integral uses the EDGE_POINTS rule;
-assembly and error norms default to the VOLUME_DEGREE triangle rule.
+There are three quadrature rules, all with positive weights: the
+classical symmetric triangle rules of degree 4 (VOLUME_DEGREE, used by
+assembly and error norms) and 6 (the identity checks) on the reference
+triangle (0,0)-(1,0)-(0,1), and the EDGE_POINTS-point Gauss-Legendre
+rule on [0,1] that every boundary integral uses. Each rule is built once
+and shared, so its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -55,26 +56,14 @@ def _sym6(a, b):
 def triangle_quadrature(degree: int) -> QuadratureRule:
     """Symmetric Gauss rule on the reference triangle, exact to `degree`.
 
-    Supported degrees are 1..6; weights sum to the reference area 1/2.
+    Only the rules the package uses exist: degree 4 (VOLUME_DEGREE) and
+    degree 6 (the identity checks). Weights sum to the reference area 1/2.
     """
-    if degree == 1:
-        pts = [(1.0 / 3.0, 1.0 / 3.0)]
-        wts = [1.0]
-    elif degree == 2:
-        pts = _sym3(1.0 / 6.0)
-        wts = [1.0 / 3.0] * 3
-    elif degree in (3, 4):
-        # 6-point rule of degree 4 (also used for degree 3: all weights positive)
+    if degree == 4:
         a1, w1 = 0.445948490915965, 0.223381589678011
         a2, w2 = 0.091576213509771, 0.109951743655322
         pts = _sym3(a1) + _sym3(a2)
         wts = [w1] * 3 + [w2] * 3
-    elif degree == 5:
-        s15 = np.sqrt(15.0)
-        a1, w1 = (6.0 + s15) / 21.0, (155.0 + s15) / 1200.0
-        a2, w2 = (6.0 - s15) / 21.0, (155.0 - s15) / 1200.0
-        pts = [(1.0 / 3.0, 1.0 / 3.0)] + _sym3(a1) + _sym3(a2)
-        wts = [9.0 / 40.0] + [w1] * 3 + [w2] * 3
     elif degree == 6:
         a1, w1 = 0.063089014491502, 0.050844906370207
         a2, w2 = 0.249286745170910, 0.116786275726379
@@ -87,11 +76,9 @@ def triangle_quadrature(degree: int) -> QuadratureRule:
 
 
 @cache
-def edge_quadrature(points: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [0,1] with `points` nodes, exact to 2p-1."""
-    if not 1 <= points <= 10:
-        raise ValueError(f"unsupported edge quadrature point count {points}")
-    x, w = np.polynomial.legendre.leggauss(points)
+def edge_quadrature() -> QuadratureRule:
+    """Gauss-Legendre rule on [0,1] with EDGE_POINTS nodes, exact to 2*EDGE_POINTS-1."""
+    x, w = np.polynomial.legendre.leggauss(EDGE_POINTS)
     return _shared_rule(0.5 * (x + 1.0), 0.5 * w)
 
 
@@ -306,7 +293,7 @@ def facet_tables(space: P1Space):
     sum over facets of length * sum_q w_q * integrand(points).
     """
     mesh = space.mesh
-    rule = edge_quadrature(EDGE_POINTS)
+    rule = edge_quadrature()
     t, w = rule.points, rule.weights
     parents = mesh.facet_parents
     pdofs = mesh.triangles[parents]

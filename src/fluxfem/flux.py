@@ -28,43 +28,32 @@ from .fem import P1Space, facet_tables, load_vector, stiffness_matrix
 from .mesh import Mesh
 from .nitsche import NitscheConfig
 
-FACETWISE_LINEAR = "facetwise-linear"
-FACETWISE_CONSTANT = "facetwise-constant"
-
 
 @dataclass(frozen=True)
 class BoundaryFluxField:
     """Piecewise polynomial function on the boundary trace mesh.
 
-    coefficients has shape (n_facets, 2) holding endpoint values for the
-    facet-wise linear kind, or (n_facets,) for facet-wise constants.
+    The shape of coefficients gives the kind: (n_facets, 2) endpoint
+    values for a facet-wise linear field, (n_facets,) for facet-wise
+    constants.
     """
 
-    kind: str
     coefficients: np.ndarray
     mesh: Mesh
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
         nf = self.mesh.n_facets
-        if self.kind == FACETWISE_LINEAR:
-            if c.shape != (nf, 2):
-                raise ValueError(f"expected ({nf}, 2) endpoint values, got {c.shape}")
-        elif self.kind == FACETWISE_CONSTANT:
-            if c.shape != (nf,):
-                raise ValueError(f"expected ({nf},) facet values, got {c.shape}")
-        else:
-            raise ValueError(f"unknown flux field kind {self.kind!r}")
+        if c.shape not in ((nf, 2), (nf,)):
+            raise ValueError(f"expected ({nf}, 2) endpoint values or ({nf},) facet values, got {c.shape}")
         object.__setattr__(self, "coefficients", c)
 
     def facet_values(self, t) -> np.ndarray:
         """Values at facet parameters t in [0,1]; shape (n_facets, len(t))."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.kind == FACETWISE_CONSTANT:
-            return np.broadcast_to(
-                self.coefficients[:, None], (self.mesh.n_facets, t.size)
-            ).copy()
         c = self.coefficients
+        if c.ndim == 1:
+            return np.broadcast_to(c[:, None], (self.mesh.n_facets, t.size)).copy()
         return c[:, [0]] * (1.0 - t)[None, :] + c[:, [1]] * t[None, :]
 
 
@@ -97,11 +86,7 @@ def exact_flux(problem, mesh: Mesh, facet_index: int, s: float) -> float:
 
 def multiplier_flux(lam_coeffs, mesh: Mesh) -> BoundaryFluxField:
     """Flux recovered from a saddle solve: minus the multiplier, per facet."""
-    return BoundaryFluxField(
-        kind=FACETWISE_CONSTANT,
-        coefficients=-np.asarray(lam_coeffs, dtype=float),
-        mesh=mesh,
-    )
+    return BoundaryFluxField(coefficients=-np.asarray(lam_coeffs, dtype=float), mesh=mesh)
 
 
 def nitsche_flux(u_h, g, space: P1Space, cfg: NitscheConfig) -> BoundaryFluxField:
@@ -111,7 +96,7 @@ def nitsche_flux(u_h, g, space: P1Space, cfg: NitscheConfig) -> BoundaryFluxFiel
     samples u_h - g at the facet endpoints (nodal g).
     """
     coeffs = pointwise_nitsche_values(u_h, g, space, cfg, [0.0, 1.0])
-    return BoundaryFluxField(kind=FACETWISE_LINEAR, coefficients=coeffs, mesh=space.mesh)
+    return BoundaryFluxField(coefficients=coeffs, mesh=space.mesh)
 
 
 def pointwise_nitsche_values(
@@ -156,7 +141,7 @@ def _trace_field_from_moments(mesh: Mesh, lookup, moments) -> BoundaryFluxField:
     cols = np.tile(ends, (1, 2)).ravel()
     mass = sp.coo_matrix((data.ravel(), (rows, cols)), shape=(nb, nb)).tocsr()
     values = spla.spsolve(mass.tocsc(), moments)
-    return BoundaryFluxField(kind=FACETWISE_LINEAR, coefficients=values[ends], mesh=mesh)
+    return BoundaryFluxField(coefficients=values[ends], mesh=mesh)
 
 
 def variational_flux(u_h, g, f, space: P1Space) -> BoundaryFluxField:

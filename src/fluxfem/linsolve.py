@@ -204,6 +204,8 @@ def _dense_inertia(matrix: sp.csr_matrix) -> tuple[int, int, int]:
 def _solve_symmetric(matrix, rhs, tol, require_spd):
     """Factor once, then solve and certify each column of an (n,) or (n, k) rhs."""
     matrix = matrix.tocsr()
+    if not np.all(np.isfinite(matrix.data)):
+        raise SolverError("matrix has non-finite entries")
     rhs = np.asarray(rhs, dtype=float)
     n = matrix.shape[0]
     lu = _pivot_factorization(matrix.tocsc())

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SIDE_NAMES = ("bottom", "right", "top", "left")
-
 # Largest grid (level k = 17, 2*n**2 triangles) measured to solve on an 8 GB
 # machine: about 20 s and 3.5 GiB peak for either method.
 MAX_GRID_N = 1448
@@ -37,9 +35,9 @@ class Mesh:
     facet_vertices : (n_facets, 2) int array
         Endpoint indices per boundary facet, ordered bottom, right, top,
         left with ascending coordinate inside each side.
-    facet_normals, facet_lengths, facet_parents, facet_sides
-        Per-facet outward unit normal, length (exactly 1/n), parent
-        triangle index, and side index into SIDE_NAMES.
+    facet_normals, facet_lengths, facet_parents
+        Per-facet outward unit normal, length (exactly 1/n) and parent
+        triangle index.
     """
 
     grid_n: int
@@ -49,7 +47,6 @@ class Mesh:
     facet_normals: np.ndarray
     facet_lengths: np.ndarray
     facet_parents: np.ndarray
-    facet_sides: np.ndarray
     h_grid: float
     h_max: float
 
@@ -138,9 +135,9 @@ def build_unit_square_mesh(n: int) -> Mesh:
             2 * cell(0, k) + 1,      # upper triangle owns the left edge
         ]
     )
-    facet_sides = np.repeat(np.arange(4, dtype=np.int8), n)
+    side = np.repeat(np.arange(4), n)
     normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    facet_normals = normals[facet_sides]
+    facet_normals = normals[side]
     facet_lengths = np.full(4 * n, 1.0 / n)
 
     return Mesh(
@@ -151,7 +148,6 @@ def build_unit_square_mesh(n: int) -> Mesh:
         facet_normals=_freeze(facet_normals),
         facet_lengths=_freeze(facet_lengths),
         facet_parents=_freeze(facet_parents),
-        facet_sides=_freeze(facet_sides),
         h_grid=1.0 / n,
         h_max=math.sqrt(2.0) / n,
     )

@@ -27,7 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (
-    EDGE_POINTS,
     VOLUME_DEGREE,
     P1Space,
     SampledField,
@@ -150,7 +149,7 @@ def apply_dual_functional(space: P1Space, cfg: NitscheConfig, psivals, w: Sample
     """
     hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
-    wq = edge_quadrature(EDGE_POINTS).weights
+    wq = edge_quadrature().weights
     total = float(np.sum((pen * hf)[:, None] * wq[None, :] * psivals * w.value))
     total -= float(np.sum(hf[:, None] * wq[None, :] * psivals * w.normal_derivative))
     return total

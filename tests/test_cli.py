@@ -1,5 +1,6 @@
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -281,15 +282,26 @@ def test_converge_solver_failure_names_the_level(capsys):
          "dual-check identity n=8: 2 vanishing"),
         (["patch-test", "--beta", "0.1"], "patch-test constant(1.0) n=2: not positive definite"),
         (["patch-test", "--method", "lagrange", "--alpha", "0.5"], "patch-test constant(1.0) n=2: "),
+        # finite penalties too large for the arithmetic: overflow is a solver failure
+        (["converge", "--kmax", "1", "--method", "lagrange", "--alpha", "1e308"], "k=0 n=4: "),
+        (["patch-test", "--method", "lagrange", "--alpha", "1e308"], "patch-test constant(1.0) n=2: "),
+        (["converge", "--kmax", "1", "--beta", "1e308"], "k=0 n=4: "),
+        (["dual-check", "--beta", "1e308"], "dual-check stability n=8: "),
+        (["converge", "--kmax", "3", "--parallel", "--beta", "1e308"], "k=0 n=4: "),
+        (["converge", "--kmax", "3", "--parallel", "--method", "lagrange", "--alpha", "1e308"], "k=0 n=4: "),
     ],
 )
 def test_solver_failure_names_the_stage_and_level(capsys, argv, prefix):
-    """Exit 3 with one stderr line that says where the solve failed."""
-    assert main(argv) == 3
+    """Exit 3 with one stderr line that says where the solve failed, and no
+    traceback or floating-point warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith(f"solver failure: {prefix}")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.out + captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize(
@@ -347,8 +359,8 @@ def test_superlu_out_of_memory_line_stands_alone(monkeypatch, capfd, argv, messa
 
 
 def test_quadrature_rules_are_built_once_and_read_only():
-    rule = edge_quadrature(6)
-    assert edge_quadrature(6) is rule
+    rule = edge_quadrature()
+    assert edge_quadrature() is rule
     with pytest.raises(ValueError):
         rule.points[0] = 0.5
 

@@ -26,7 +26,7 @@ def reference_triangle_integral(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("degree", [4, 6])
 def test_triangle_rule_properties(degree):
     rule = triangle_quadrature(degree)
     assert abs(rule.weights.sum() - 0.5) <= 1e-14
@@ -38,7 +38,7 @@ def test_triangle_rule_properties(degree):
 
 
 def test_triangle_rule_area():
-    rule = triangle_quadrature(1)
+    rule = triangle_quadrature(4)
     assert np.sum(rule.weights) == pytest.approx(0.5, abs=1e-15)
 
 
@@ -48,29 +48,21 @@ def test_triangle_degree4_x2y2():
     assert value == pytest.approx(1.0 / 180.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("points", range(1, 11))
-def test_edge_rule_properties(points):
-    rule = edge_quadrature(points)
+def test_edge_rule_properties():
+    rule = edge_quadrature()
+    assert len(rule.weights) == EDGE_POINTS
     assert abs(rule.weights.sum() - 1.0) <= 1e-14
     assert np.all(rule.weights > 0.0)
-    for k in range(2 * points):
+    for k in range(2 * EDGE_POINTS):
         assert np.sum(rule.weights * rule.points**k) == pytest.approx(
             1.0 / (k + 1), abs=1e-12
         )
 
 
-def test_edge_two_point_cubic():
-    rule = edge_quadrature(2)
-    assert np.sum(rule.weights * rule.points**3) == pytest.approx(0.25, abs=1e-14)
-
-
 def test_unsupported_rules():
-    with pytest.raises(ValueError):
-        triangle_quadrature(7)
-    with pytest.raises(ValueError):
-        edge_quadrature(0)
-    with pytest.raises(ValueError):
-        edge_quadrature(11)
+    for degree in (5, 7):
+        with pytest.raises(ValueError):
+            triangle_quadrature(degree)
 
 
 def test_eval_basis_reference_triangle():
@@ -123,7 +115,7 @@ def _broadcast_quadrature_points(space, rule):
 
 
 @pytest.mark.parametrize("n", [1, 7, 64])
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("degree", [4, 6])
 def test_quadrature_points_equal_the_broadcast_formula_bitwise(degree, n):
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
@@ -139,7 +131,7 @@ def test_facet_tables():
     mesh = build_unit_square_mesh(5)
     space = P1Space(mesh)
     t, w, pdofs, ndg, trace, points = facet_tables(space)
-    rule = edge_quadrature(EDGE_POINTS)
+    rule = edge_quadrature()
     assert np.array_equal(t, rule.points) and np.array_equal(w, rule.weights)
     assert np.array_equal(points, mesh.facet_points(t))
     assert trace.shape == (mesh.n_facets, 3, EDGE_POINTS)
@@ -232,7 +224,7 @@ def test_quadrature_and_facet_points_locate_to_their_own_triangles(n):
         assert np.array_equal(where.triangles, np.repeat(np.arange(mesh.n_triangles), n_q))
         located = located_gradients(coeffs, where, space)
         assert located.tobytes() == np.repeat(cell_grad, n_q, axis=0).tobytes()
-    where = locate_points(mesh.facet_points(edge_quadrature(EDGE_POINTS).points).reshape(-1, 2), space)
+    where = locate_points(mesh.facet_points(edge_quadrature().points).reshape(-1, 2), space)
     assert np.array_equal(where.triangles, np.repeat(mesh.facet_parents, EDGE_POINTS))
 
 

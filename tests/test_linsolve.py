@@ -79,6 +79,19 @@ def test_non_finite_rhs_fails_certification(rhs):
         solve_spd(_system([[2.0, 1.0], [1.0, 2.0]], rhs))
 
 
+@pytest.mark.parametrize("solve", [solve_spd, solve_sym_indefinite])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_matrix_fails_before_factorization(monkeypatch, solve, bad):
+    """An overflowed assembly is refused up front, never handed to SuperLU."""
+
+    def never(matrix):
+        raise AssertionError("a non-finite matrix reached the factorization")
+
+    monkeypatch.setattr(linsolve, "_pivot_factorization", never)
+    with pytest.raises(SolverError, match="non-finite"):
+        solve(_system([[2.0, bad], [bad, 2.0]], [1.0, 1.0]))
+
+
 def test_residual_certificate_attached(trig):
     space = P1Space(build_unit_square_mesh(8))
     system = assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)

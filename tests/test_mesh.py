@@ -4,7 +4,6 @@ import pytest
 from fluxfem.fem import P1Space, triangle_quadrature
 from fluxfem.mesh import (
     MAX_GRID_N,
-    SIDE_NAMES,
     build_unit_square_mesh,
     distance_weight,
     offset_contour,
@@ -69,13 +68,12 @@ def test_each_facet_belongs_to_one_triangle():
 
 
 def test_facet_side_metadata():
-    mesh = build_unit_square_mesh(4)
-    sides = [SIDE_NAMES[s] for s in mesh.facet_sides]
-    assert sides[0] == "bottom"
-    assert np.allclose(mesh.facet_normals[0], (0.0, -1.0))
-    assert sides[4] == "right"
-    assert sides[8] == "top"
-    assert sides[12] == "left"
+    n = 4
+    mesh = build_unit_square_mesh(n)
+    # bottom, right, top, left: n facets each, with the side's outward normal
+    outward = [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]
+    for side, normal in enumerate(outward):
+        assert np.array_equal(mesh.facet_normals[side * n : (side + 1) * n], np.tile(normal, (n, 1)))
     assert all(length == pytest.approx(0.25) for length in mesh.facet_lengths)
 
 
