@@ -25,7 +25,6 @@ from .fem import (
     P1Space,
     QuadratureRule,
     edge_quadrature,
-    eval_basis,
     locate_points,
     located_gradients,
     located_values,
@@ -35,7 +34,6 @@ from .fem import (
 from .flux import (
     BoundaryFluxField,
     ExactFluxField,
-    exact_flux,
     multiplier_flux,
     nitsche_flux,
     project_pointwise_flux,

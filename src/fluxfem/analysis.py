@@ -32,7 +32,6 @@ from .fem import (
     basis_at,
     boundary_field_values,
     edge_quadrature,
-    facet_tables,
     locate_points,
     located_gradients,
     located_values,
@@ -173,7 +172,7 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     l2 = float(np.sqrt(2.0 * np.sum(val_terms)))
     grad_sq = float(2.0 * np.sum(grad_terms))
 
-    t, w, pdofs, ndg, _, fpts = facet_tables(space)
+    t, w, pdofs, ndg, _, fpts = space.facets
     ends = mesh.facet_vertices
     hw = mesh.facet_lengths[:, None] * w[None, :]
     u_trace = u[ends][:, [0]] * (1.0 - t)[None, :] + u[ends][:, [1]] * t[None, :]
@@ -247,7 +246,7 @@ def _sampled_interp_error(problem, space: P1Space, sign: float = 1.0) -> Sampled
     rule = triangle_quadrature(IDENTITY_VOLUME_DEGREE)
     pts = space.quadrature_points(rule)
     cell_grad = np.einsum("ti,tid->td", pi_u[mesh.triangles], space.gradients)
-    fpts = mesh.facet_points(edge_quadrature().points)
+    fpts = space.facets.points
     x, y = fpts[..., 0], fpts[..., 1]
     where = locate_points(fpts.reshape(-1, 2), space)
     pi_vals = located_values(pi_u, where, space).reshape(x.shape)
@@ -273,7 +272,7 @@ def error_representation_residuals(
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
-    t, w, _, _, _, pts = facet_tables(space)
+    t, w, _, _, _, pts = space.facets
     psi_vals = [boundary_field_values(psi, mesh, t, pts) for psi in psis]
     hw = mesh.facet_lengths[:, None] * w[None, :]
     sigma = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])

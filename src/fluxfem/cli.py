@@ -179,10 +179,8 @@ def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
     ks = list(range(config.kmin, config.kmax + 1))
     if config.parallel and len(ks) > 1:
         with ThreadPoolExecutor(max_workers=min(4, len(ks))) as pool:
-            records = list(pool.map(lambda k: run_level(config, k), ks))
-    else:
-        records = [run_level(config, k) for k in ks]
-    return sorted(records, key=lambda r: r.k)
+            return list(pool.map(lambda k: run_level(config, k), ks))
+    return [run_level(config, k) for k in ks]
 
 
 def records_to_csv(records) -> str:

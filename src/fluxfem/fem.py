@@ -1,8 +1,10 @@
 """The P1 space, quadrature, and the kernels both methods share.
 
-Holds the generic P1 operators (stiffness, mass, load), the boundary
-facet tables and the form kernels; `nitsche` and `lagrange` add only
-their method forms.
+`P1Space` owns every table derived from the mesh: areas, basis
+gradients and the one boundary-facet table. Around it live the generic
+P1 operators (stiffness, mass, load), their one local-to-global scatter
+and the form kernels; `nitsche` and `lagrange` add only their method
+forms.
 
 There are three quadrature rules, all with positive weights: the
 classical symmetric triangle rules of degree 4 (VOLUME_DEGREE, used by
@@ -82,42 +84,30 @@ def edge_quadrature() -> QuadratureRule:
     return _shared_rule(0.5 * (x + 1.0), 0.5 * w)
 
 
-def eval_basis(vertices, x):
-    """Barycentric P1 basis values and gradients on one triangle.
+class FacetTable(NamedTuple):
+    """Tables for boundary-facet integrals.
 
-    Parameters
-    ----------
-    vertices : (3, 2) array
-        Triangle corners, positively oriented.
-    x : (2,) array
-        Evaluation point; must lie in the (slightly fattened) triangle.
-
-    Returns
-    -------
-    values : (3,) array of barycentric coordinates at x.
-    gradients : (3, 2) array of the constant basis gradients.
+    Gauss parameters t and weights w of the edge rule on [0,1];
+    parent-triangle dofs pdofs (n_facets, 3), their normal derivatives ndg
+    (n_facets, 3) and traces at t (n_facets, 3, q); physical points
+    (n_facets, q, 2). A boundary integral is the sum over facets of
+    length * sum_q w_q * integrand(points).
     """
-    vertices = np.asarray(vertices, dtype=float)
-    x = np.asarray(x, dtype=float)
-    e1 = vertices[1] - vertices[0]
-    e2 = vertices[2] - vertices[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    if det <= 0.0:
-        raise ValueError(f"degenerate or misoriented triangle (2*area={det})")
-    binv = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / det
-    xi = binv @ (x - vertices[0])
-    values = np.array([1.0 - xi[0] - xi[1], xi[0], xi[1]])
-    if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
-        raise ValueError(f"point {x} lies outside the triangle")
-    gradients = np.vstack([-binv[0] - binv[1], binv[0], binv[1]])
-    return values, gradients
+
+    t: np.ndarray
+    w: np.ndarray
+    pdofs: np.ndarray
+    ndg: np.ndarray
+    trace: np.ndarray
+    points: np.ndarray
 
 
 class P1Space:
     """Continuous piecewise linears; one dof per mesh vertex.
 
-    Precomputes per-triangle areas, basis gradients, and the inverse
-    affine maps used for vectorized point evaluation.
+    Builds each table derived from the mesh once: per-triangle areas and
+    constant basis gradients (rows 1 and 2 are the inverse affine map,
+    which point location reads), and the boundary-facet table `facets`.
     """
 
     def __init__(self, mesh: Mesh):
@@ -128,19 +118,26 @@ class P1Space:
         e2 = v[:, 2] - v[:, 0]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         self.areas = 0.5 * det
-        binv = np.empty((mesh.n_triangles, 2, 2))
-        binv[:, 0, 0] = e2[:, 1]
-        binv[:, 0, 1] = -e2[:, 0]
-        binv[:, 1, 0] = -e1[:, 1]
-        binv[:, 1, 1] = e1[:, 0]
-        binv /= det[:, None, None]
-        self.inverse_maps = binv
         grads = np.empty((mesh.n_triangles, 3, 2))
-        grads[:, 1] = binv[:, 0]
-        grads[:, 2] = binv[:, 1]
-        grads[:, 0] = -binv[:, 0] - binv[:, 1]
+        grads[:, 1, 0] = e2[:, 1]
+        grads[:, 1, 1] = -e2[:, 0]
+        grads[:, 2, 0] = -e1[:, 1]
+        grads[:, 2, 1] = e1[:, 0]
+        grads[:, 1:] /= det[:, None, None]
+        grads[:, 0] = -grads[:, 1] - grads[:, 2]
         self.gradients = grads
-        self.origins = v[:, 0]
+        self.facets = self._facet_table()
+
+    def _facet_table(self) -> FacetTable:
+        mesh = self.mesh
+        rule = edge_quadrature()
+        t = rule.points
+        pdofs = mesh.triangles[mesh.facet_parents]
+        ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, self.gradients[mesh.facet_parents])
+        is0 = (pdofs == mesh.facet_vertices[:, [0]]).astype(float)
+        is1 = (pdofs == mesh.facet_vertices[:, [1]]).astype(float)
+        trace = is0[:, :, None] * (1.0 - t)[None, None, :] + is1[:, :, None] * t[None, None, :]
+        return FacetTable(t, rule.weights, pdofs, ndg, trace, mesh.facet_points(t))
 
     def quadrature_points(self, rule: QuadratureRule, cells=ALL_CELLS) -> np.ndarray:
         """Physical quadrature points of the triangles `cells`, shape (n_cells, n_q, 2)."""
@@ -199,8 +196,10 @@ class PointLocation(NamedTuple):
 def locate_points(points, space: P1Space) -> PointLocation:
     """Locate an (m, 2) array of points once, for any number of P1 functions."""
     pts = np.asarray(points, dtype=float)
-    tri = locate_triangle(space.mesh, pts)
-    local = np.einsum("mij,mj->mi", space.inverse_maps[tri], pts - space.origins[tri])
+    mesh = space.mesh
+    tri = locate_triangle(mesh, pts)
+    origins = mesh.vertices[mesh.triangles[tri, 0]]
+    local = np.einsum("mij,mj->mi", space.gradients[tri, 1:], pts - origins)
     bary = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
     return PointLocation(tri, bary)
 
@@ -215,6 +214,14 @@ def located_gradients(coeffs, where: PointLocation, space: P1Space) -> np.ndarra
     """Gradients (m, 2) of a P1 function at located points, one-sided on edges."""
     nodal = np.asarray(coeffs, dtype=float)[space.mesh.triangles[where.triangles]]
     return np.einsum("mi,mid->md", nodal, space.gradients[where.triangles])
+
+
+def local_to_global(dofs, local, n: int) -> sp.csr_matrix:
+    """Sum the local (n_cells, k, k) blocks on their (n_cells, k) dofs into an n x n CSR matrix."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def symmetrize(a: sp.csr_matrix) -> sp.csr_matrix:
@@ -234,21 +241,14 @@ def stiffness_matrix(space: P1Space, cells=ALL_CELLS) -> sp.csr_matrix:
     tri = space.mesh.triangles[cells]
     grads = space.gradients[cells]
     local = np.einsum("t,tid,tjd->tij", space.areas[cells], grads, grads)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
-    return symmetrize(a.tocsr())
+    return symmetrize(local_to_global(tri, local, space.n_dofs))
 
 
 def mass_matrix(space: P1Space) -> sp.csr_matrix:
     """Exact P1 mass matrix (area/12 * [[2,1,1],[1,2,1],[1,1,2]] per element)."""
-    mesh = space.mesh
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     local = space.areas[:, None, None] * ref[None, :, :]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
-    return symmetrize(a.tocsr())
+    return symmetrize(local_to_global(space.mesh.triangles, local, space.n_dofs))
 
 
 def load_vector(
@@ -271,10 +271,13 @@ def boundary_field_values(obj, mesh, t, points):
 
     Accepts a callable of (x, y), an object with facet_values(t) (flux
     fields), or an already-evaluated (n_facets, len(t)) array. Returns
-    (n_facets, len(t)).
+    (n_facets, len(t)); a flux field of another mesh raises ValueError.
     """
     if hasattr(obj, "facet_values"):
-        return np.asarray(obj.facet_values(t), dtype=float)
+        vals = np.asarray(obj.facet_values(t), dtype=float)
+        if vals.shape != (mesh.n_facets, len(t)):
+            raise ValueError(f"boundary data has {len(vals)} facets, the mesh has {mesh.n_facets}")
+        return vals
     if callable(obj):
         vals = np.asarray(obj(points[..., 0], points[..., 1]), dtype=float)
         return np.broadcast_to(vals, points.shape[:-1])
@@ -282,27 +285,6 @@ def boundary_field_values(obj, mesh, t, points):
     if arr.shape == (mesh.n_facets, len(t)):
         return arr
     raise TypeError("boundary data must be callable, a flux field, or values at the facet points")
-
-
-def facet_tables(space: P1Space):
-    """Tables for boundary-facet integrals: (t, w, pdofs, ndg, trace, points).
-
-    Gauss parameters t and weights w on [0,1]; parent-triangle dofs pdofs
-    (n_facets, 3), their normal derivatives ndg and traces at t (n_facets,
-    3, q); physical points (n_facets, q, 2). A boundary integral is the
-    sum over facets of length * sum_q w_q * integrand(points).
-    """
-    mesh = space.mesh
-    rule = edge_quadrature()
-    t, w = rule.points, rule.weights
-    parents = mesh.facet_parents
-    pdofs = mesh.triangles[parents]
-    ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, space.gradients[parents])
-    is0 = (pdofs == mesh.facet_vertices[:, [0]]).astype(float)
-    is1 = (pdofs == mesh.facet_vertices[:, [1]]).astype(float)
-    trace = is0[:, :, None] * (1.0 - t)[None, None, :] + is1[:, :, None] * t[None, None, :]
-    points = mesh.facet_points(t)
-    return t, w, pdofs, ndg, trace, points
 
 
 class SampledField(NamedTuple):

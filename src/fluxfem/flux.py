@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import P1Space, facet_tables, load_vector, stiffness_matrix
+from .fem import P1Space, load_vector, local_to_global, stiffness_matrix
 from .mesh import Mesh
 from .nitsche import NitscheConfig
 
@@ -72,18 +71,6 @@ class ExactFluxField:
         )
 
 
-def exact_flux(problem, mesh: Mesh, facet_index: int, s: float) -> float:
-    """Exact flux at arclength s in [0, length] along one boundary facet."""
-    if not 0 <= facet_index < mesh.n_facets:
-        raise ValueError(f"facet index {facet_index} outside [0, {mesh.n_facets})")
-    length = float(mesh.facet_lengths[facet_index])
-    if not 0.0 <= s <= length:
-        raise ValueError(f"arclength {s} outside [0, {length}]")
-    p0, p1 = mesh.vertices[mesh.facet_vertices[facet_index]]
-    x, y = p0 + (s / length) * (p1 - p0)
-    return float(problem.sigma_n(x, y, mesh.facet_normals[facet_index]))
-
-
 def multiplier_flux(lam_coeffs, mesh: Mesh) -> BoundaryFluxField:
     """Flux recovered from a saddle solve: minus the multiplier, per facet."""
     return BoundaryFluxField(coefficients=-np.asarray(lam_coeffs, dtype=float), mesh=mesh)
@@ -112,8 +99,8 @@ def pointwise_nitsche_values(
     if u.shape != (space.n_dofs,):
         raise ValueError(f"coefficients sized {u.shape} do not match the space ({space.n_dofs})")
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    _, _, pdofs, ndg, _, _ = facet_tables(space)
-    grad_part = np.einsum("fk,fk->f", ndg, u[pdofs])
+    facets = space.facets
+    grad_part = np.einsum("fk,fk->f", facets.ndg, u[facets.pdofs])
     ends = mesh.facet_vertices
     u_trace = u[ends][:, [0]] * (1.0 - t)[None, :] + u[ends][:, [1]] * t[None, :]
     pts = mesh.facet_points(t)
@@ -133,13 +120,10 @@ def _boundary_vertex_numbering(mesh: Mesh):
 
 def _trace_field_from_moments(mesh: Mesh, lookup, moments) -> BoundaryFluxField:
     """Continuous boundary P1 field with the given moments on the `lookup`-numbered basis."""
-    nb = moments.size
     ends = lookup[mesh.facet_vertices]
     block = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
     data = mesh.facet_lengths[:, None, None] * block[None, :, :]
-    rows = np.repeat(ends, 2, axis=1).ravel()
-    cols = np.tile(ends, (1, 2)).ravel()
-    mass = sp.coo_matrix((data.ravel(), (rows, cols)), shape=(nb, nb)).tocsr()
+    mass = local_to_global(ends, data, moments.size)
     values = spla.spsolve(mass.tocsc(), moments)
     return BoundaryFluxField(coefficients=values[ends], mesh=mesh)
 
@@ -160,7 +144,7 @@ def variational_flux(u_h, g, f, space: P1Space) -> BoundaryFluxField:
     ids, lookup = _boundary_vertex_numbering(mesh)
     layer = np.flatnonzero((lookup[mesh.triangles] >= 0).any(axis=1))
     residual = stiffness_matrix(space, layer) @ u - load_vector(space, f, cells=layer)
-    t, w, pdofs, ndg, trace, points = facet_tables(space)
+    t, w, pdofs, ndg, trace, points = space.facets
     hf = mesh.facet_lengths
     u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
     gvals = np.asarray(g(points[..., 0], points[..., 1]), dtype=float)
@@ -177,7 +161,7 @@ def project_pointwise_flux(u_h, g, space: P1Space, cfg: NitscheConfig) -> Bounda
     this reproduces the variational flux to solver accuracy.
     """
     mesh = space.mesh
-    t, w, _, _, _, _ = facet_tables(space)
+    t, w = space.facets.t, space.facets.w
     vals = pointwise_nitsche_values(u_h, g, space, cfg, t)
     ends = mesh.facet_vertices
     hf = mesh.facet_lengths

@@ -13,7 +13,7 @@ with the residual stabilization
 which vanishes on the exact pair since lambda = -n.grad u. Unknowns are
 ordered [u; lambda] with multiplier dofs following the facet order.
 
-Only the multiplier forms live here; their P1 operators, facet tables
+Only the multiplier forms live here; their P1 operators, facet table
 and form kernels are in `fem`.
 """
 
@@ -30,7 +30,6 @@ from .fem import (
     P1Space,
     SampledField,
     boundary_field_values,
-    facet_tables,
     load_vector,
     mass_matrix,
     stiffness_matrix,
@@ -75,7 +74,7 @@ def assemble_saddle(
     nu, nl = space.n_dofs, mesh.n_facets
     dim = nu + nl
 
-    _, w, pdofs, ndg, trace, _ = facet_tables(space)
+    _, w, pdofs, ndg, trace, _ = space.facets
     hf = mesh.facet_lengths
     ah = cfg.alpha * hf
     int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
@@ -126,7 +125,7 @@ def assemble_saddle(
 def assemble_dual_rhs_lm(space: P1Space, psi) -> np.ndarray:
     """Dual data (psi, mu)_G: zero on primal dofs, facet integrals of psi."""
     mesh = space.mesh
-    t, w, _, _, _, points = facet_tables(space)
+    t, w, _, _, _, points = space.facets
     psivals = boundary_field_values(psi, mesh, t, points)
     out = np.zeros(space.n_dofs + mesh.n_facets)
     out[space.n_dofs :] = mesh.facet_lengths * np.einsum("q,fq->f", w, psivals)
@@ -146,7 +145,7 @@ def apply_saddle_form(
 
     total = volume_form(space, w, phi)
 
-    _, wq, pdofs, ndg, trace, _ = facet_tables(space)
+    _, wq, pdofs, ndg, trace, _ = space.facets
     hf = space.mesh.facet_lengths
     ah = cfg.alpha * hf
     pc = phi[pdofs]

@@ -14,8 +14,9 @@ use kappa = 0. The dual right-hand side functional is
 
     m_psi(v) = beta/h (psi, v)_G - (psi, n.grad v)_G.
 
-Here h is the length h_F of each boundary facet. Only the Nitsche forms
-live here; their P1 operators, facet tables and form kernels are in `fem`.
+Here h is the length h_F of each boundary facet. The boundary part of
+l_h is m_g, the dual data of psi = g. Only the Nitsche forms live here;
+their P1 operators, facet table and form kernels are in `fem`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .fem import (
     SampledField,
     boundary_field_values,
     edge_quadrature,
-    facet_tables,
     load_vector,
+    local_to_global,
     mass_matrix,
     stiffness_matrix,
     symmetrize,
@@ -72,32 +73,19 @@ def assemble_nitsche(
     definite, and the solver reports "not positive definite" otherwise
     (the penalty-too-small signal).
     """
-    mesh = space.mesh
     a = stiffness_matrix(space)
     if cfg.kappa != 0.0:
         a = a + cfg.kappa * mass_matrix(space)
-    b = load_vector(space, f, volume_degree)
 
-    t, w, pdofs, ndg, trace, points = facet_tables(space)
-    hf = mesh.facet_lengths
+    _, w, pdofs, ndg, trace, _ = space.facets
+    hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
-
     int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
     cons = -(ndg[:, None, :] * int_phi[:, :, None]) - (ndg[:, :, None] * int_phi[:, None, :])
     mass_f = (pen * hf)[:, None, None] * np.einsum("q,fiq,fjq->fij", w, trace, trace)
-    local = cons + mass_f
-    rows = np.repeat(pdofs, 3, axis=1).ravel()
-    cols = np.tile(pdofs, (1, 3)).ravel()
-    a = a + sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    ).tocsr()
+    a = a + local_to_global(pdofs, cons + mass_f, space.n_dofs)
 
-    gvals = boundary_field_values(g, mesh, t, points)
-    int_g = hf * np.einsum("q,fq->f", w, gvals)
-    int_g_phi = hf[:, None] * np.einsum("q,fq,fkq->fk", w, gvals, trace)
-    local_b = -ndg * int_g[:, None] + pen[:, None] * int_g_phi
-    np.add.at(b, pdofs.ravel(), local_b.ravel())
-
+    b = _add_dual_data(load_vector(space, f, volume_degree), space, cfg, g)
     return LinearSystem(matrix=symmetrize(a), rhs=b)
 
 
@@ -107,15 +95,19 @@ def assemble_dual_rhs_nitsche(space: P1Space, cfg: NitscheConfig, psi) -> np.nda
     Because a_h is symmetric the dual solution comes from the same matrix
     as the primal one.
     """
+    return _add_dual_data(np.zeros(space.n_dofs), space, cfg, psi)
+
+
+def _add_dual_data(out, space: P1Space, cfg: NitscheConfig, psi) -> np.ndarray:
+    """Add m_psi(phi_i) into out[i] and return out."""
     mesh = space.mesh
-    t, w, pdofs, ndg, trace, points = facet_tables(space)
+    t, w, pdofs, ndg, trace, points = space.facets
     hf = mesh.facet_lengths
     pen = cfg.beta / hf
     psivals = boundary_field_values(psi, mesh, t, points)
     int_psi = hf * np.einsum("q,fq->f", w, psivals)
     int_psi_phi = hf[:, None] * np.einsum("q,fq,fkq->fk", w, psivals, trace)
     local = pen[:, None] * int_psi_phi - ndg * int_psi[:, None]
-    out = np.zeros(space.n_dofs)
     np.add.at(out, pdofs.ravel(), local.ravel())
     return out
 
@@ -129,7 +121,7 @@ def apply_nitsche_form(space: P1Space, cfg: NitscheConfig, w: SampledField, phi_
     phi = np.asarray(phi_coeffs, dtype=float)
     total = volume_form(space, w, phi)
 
-    _, wq, pdofs, ndg, trace, _ = facet_tables(space)
+    _, wq, pdofs, ndg, trace, _ = space.facets
     hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
     pc = phi[pdofs]

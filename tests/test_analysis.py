@@ -22,7 +22,6 @@ from fluxfem.fem import (
     P1Space,
     basis_at,
     edge_quadrature,
-    facet_tables,
     nodal_interpolant,
     triangle_quadrature,
 )
@@ -321,6 +320,26 @@ def test_dual_stability_rejects_bad_arguments():
         dual_stability_report(space, NitscheConfig(), psi, delta_0=0.7)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda space, field, trig: boundary_l2_norm(field, space.mesh),
+        lambda space, field, trig: boundary_l2_error(field, ExactFluxField(trig, space.mesh), space.mesh),
+        lambda space, field, trig: error_representation_residuals(trig, space, NitscheConfig(), [field]),
+        lambda space, field, trig: dual_stability_report(space, NitscheConfig(), field),
+        lambda space, field, trig: assemble_nitsche(space, NitscheConfig(), trig.f, field),
+    ],
+    ids=["boundary_l2_norm", "boundary_l2_error", "identity", "dual_stability", "assemble_nitsche"],
+)
+@pytest.mark.parametrize("kind", ["flux_field", "exact_flux"])
+def test_boundary_data_from_another_mesh_is_rejected(trig, entry, kind):
+    coarse = build_unit_square_mesh(8)
+    field = rademacher_boundary_field(coarse) if kind == "flux_field" else ExactFluxField(trig, coarse)
+    space = P1Space(build_unit_square_mesh(16))
+    with pytest.raises(ValueError, match="boundary data has 32 facets, the mesh has 64"):
+        entry(space, field, trig)
+
+
 def test_interp_scan_rejects_bad_arguments_before_any_work(monkeypatch, trig):
     space = P1Space(build_unit_square_mesh(4))
 
@@ -366,7 +385,7 @@ def _one_shot_error_norms(problem, space, u, lam=None):
     dy = np.asarray(gy) - grads[:, None, 1]
     grad_sq = float(2.0 * np.sum(aw * (dx**2 + dy**2)))
 
-    t, w, pdofs, ndg, _, fpts = facet_tables(space)
+    t, w, pdofs, ndg, _, fpts = space.facets
     ends = mesh.facet_vertices
     hw = mesh.facet_lengths[:, None] * w[None, :]
     u_trace = u[ends][:, [0]] * (1.0 - t)[None, :] + u[ends][:, [1]] * t[None, :]

@@ -8,8 +8,6 @@ from fluxfem.fem import (
     P1Space,
     boundary_field_values,
     edge_quadrature,
-    eval_basis,
-    facet_tables,
     locate_points,
     locate_triangle,
     located_gradients,
@@ -63,6 +61,26 @@ def test_unsupported_rules():
     for degree in (5, 7):
         with pytest.raises(ValueError):
             triangle_quadrature(degree)
+
+
+def eval_basis(vertices, x):
+    """Barycentric P1 basis values (3,) and gradients (3, 2) on one
+    positively oriented triangle (3, 2) at a point x inside it; the
+    per-point oracle of the vectorized tables."""
+    vertices = np.asarray(vertices, dtype=float)
+    x = np.asarray(x, dtype=float)
+    e1 = vertices[1] - vertices[0]
+    e2 = vertices[2] - vertices[0]
+    det = e1[0] * e2[1] - e1[1] * e2[0]
+    if det <= 0.0:
+        raise ValueError(f"degenerate or misoriented triangle (2*area={det})")
+    binv = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / det
+    xi = binv @ (x - vertices[0])
+    values = np.array([1.0 - xi[0] - xi[1], xi[0], xi[1]])
+    if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
+        raise ValueError(f"point {x} lies outside the triangle")
+    gradients = np.vstack([-binv[0] - binv[1], binv[0], binv[1]])
+    return values, gradients
 
 
 def test_eval_basis_reference_triangle():
@@ -129,28 +147,28 @@ def test_quadrature_points_equal_the_broadcast_formula_bitwise(degree, n):
 
 def test_facet_tables():
     mesh = build_unit_square_mesh(5)
-    space = P1Space(mesh)
-    t, w, pdofs, ndg, trace, points = facet_tables(space)
+    facets = P1Space(mesh).facets
     rule = edge_quadrature()
-    assert np.array_equal(t, rule.points) and np.array_equal(w, rule.weights)
-    assert np.array_equal(points, mesh.facet_points(t))
-    assert trace.shape == (mesh.n_facets, 3, EDGE_POINTS)
+    assert np.array_equal(facets.t, rule.points) and np.array_equal(facets.w, rule.weights)
+    assert np.array_equal(facets.points, mesh.facet_points(facets.t))
+    assert facets.trace.shape == (mesh.n_facets, 3, EDGE_POINTS)
     for f, ends in enumerate(mesh.facet_vertices):
-        assert set(ends) <= set(pdofs[f])
-        off = ~np.isin(pdofs[f], ends)
+        pdofs, trace = facets.pdofs[f], facets.trace[f]
+        assert set(ends) <= set(pdofs)
+        off = ~np.isin(pdofs, ends)
         assert off.sum() == 1
         # the trace basis is a partition of unity that vanishes off the facet
-        assert np.allclose(trace[f].sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
-        assert np.all(trace[f][off] == 0.0)
+        assert np.allclose(trace.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+        assert np.all(trace[off] == 0.0)
         for q in range(EDGE_POINTS):
-            values, gradients = eval_basis(mesh.vertices[pdofs[f]], points[f, q])
-            assert np.allclose(trace[f][:, q], values, rtol=0.0, atol=1e-14)
-        assert np.allclose(ndg[f], gradients @ mesh.facet_normals[f], rtol=0.0, atol=1e-12)
+            values, gradients = eval_basis(mesh.vertices[pdofs], facets.points[f, q])
+            assert np.allclose(trace[:, q], values, rtol=0.0, atol=1e-14)
+        assert np.allclose(facets.ndg[f], gradients @ mesh.facet_normals[f], rtol=0.0, atol=1e-12)
 
 
 def test_boundary_field_values_accepts_facet_point_values_only():
     mesh = build_unit_square_mesh(3)
-    t, *_, points = facet_tables(P1Space(mesh))
+    t, *_, points = P1Space(mesh).facets
     at_points = points[..., 0] + 2.0 * points[..., 1]
     evaluated = boundary_field_values(lambda x, y: x + 2.0 * y, mesh, t, points)
     assert np.array_equal(evaluated, at_points)
@@ -226,6 +244,38 @@ def test_quadrature_and_facet_points_locate_to_their_own_triangles(n):
         assert located.tobytes() == np.repeat(cell_grad, n_q, axis=0).tobytes()
     where = locate_points(mesh.facet_points(edge_quadrature().points).reshape(-1, 2), space)
     assert np.array_equal(where.triangles, np.repeat(mesh.facet_parents, EDGE_POINTS))
+
+
+def _inverse_maps(mesh):
+    """Per-triangle inverse affine maps, (n_triangles, 2, 2), as binv / det."""
+    v = mesh.vertices[mesh.triangles]
+    e1 = v[:, 1] - v[:, 0]
+    e2 = v[:, 2] - v[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    binv = np.empty((mesh.n_triangles, 2, 2))
+    binv[:, 0, 0] = e2[:, 1]
+    binv[:, 0, 1] = -e2[:, 0]
+    binv[:, 1, 0] = -e1[:, 1]
+    binv[:, 1, 1] = e1[:, 0]
+    return binv / det[:, None, None]
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_locate_points_matches_the_inverse_map_oracle_bitwise(n):
+    """The gradient table holds the inverse maps in rows 1 and 2 and their
+    negated sum in row 0; point location reads them for the same bits."""
+    mesh = build_unit_square_mesh(n)
+    space = P1Space(mesh)
+    binv = _inverse_maps(mesh)
+    assert np.array_equal(space.gradients[:, 1:], binv)
+    assert np.array_equal(space.gradients[:, 0], -binv[:, 0] - binv[:, 1])
+    rng = np.random.default_rng([5, n])
+    pts = np.vstack([rng.random((500, 2)), space.facets.points.reshape(-1, 2), mesh.vertices])
+    where = locate_points(pts, space)
+    origins = mesh.vertices[mesh.triangles][:, 0]
+    local = np.einsum("mij,mj->mi", binv[where.triangles], pts - origins[where.triangles])
+    oracle = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
+    assert where.barycentric.tobytes() == oracle.tobytes()
 
 
 def test_one_sided_gradients_across_interior_edge():

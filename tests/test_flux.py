@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from fluxfem.fem import P1Space, edge_quadrature, facet_tables, load_vector, stiffness_matrix
+from fluxfem.fem import P1Space, edge_quadrature, load_vector, stiffness_matrix
 from fluxfem.flux import (
     BoundaryFluxField,
     ExactFluxField,
     _boundary_vertex_numbering,
     _trace_field_from_moments,
-    exact_flux,
     multiplier_flux,
     nitsche_flux,
     pointwise_nitsche_values,
@@ -84,23 +83,15 @@ def test_exact_flux_pointwise_values(trig):
     """Bottom side carries sigma = -2*pi*sin(2*pi*x): zero at x = 0.5 and
     -2*pi at x = 0.25 (facets 2 and 1 of the n = 4 mesh at s = 0)."""
     mesh = build_unit_square_mesh(4)
-    assert exact_flux(trig, mesh, 2, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert exact_flux(trig, mesh, 1, 0.0) == pytest.approx(-2.0 * np.pi, abs=1e-12)
-    with pytest.raises(ValueError):
-        exact_flux(trig, mesh, 1, 0.3)
-
-
-def test_exact_flux_rejects_facet_index_out_of_range(trig):
-    mesh = build_unit_square_mesh(4)
-    for index in (-1, mesh.n_facets):
-        with pytest.raises(ValueError, match="facet index"):
-            exact_flux(trig, mesh, index, 0.0)
+    at_start = ExactFluxField(trig, mesh).facet_values([0.0])[:, 0]
+    assert at_start[2] == pytest.approx(0.0, abs=1e-12)
+    assert at_start[1] == pytest.approx(-2.0 * np.pi, abs=1e-12)
 
 
 def test_exact_flux_midpoints(trig):
     mesh = build_unit_square_mesh(2)
-    # x = 0.5 on the bottom edge: sigma = -2*pi*sin(pi) = 0
-    assert exact_flux(trig, mesh, 0, 0.5) == pytest.approx(0.0, abs=1e-12)
+    # the end of facet 0 is x = 0.5 on the bottom edge: sigma = -2*pi*sin(pi) = 0
+    assert ExactFluxField(trig, mesh).facet_values([1.0])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exact_flux_norm(trig):
@@ -241,8 +232,8 @@ def test_coefficient_size_guard(trig):
 def _nodal_g_reference(u, g, space, cfg):
     """The pointwise flux with g sampled at the facet vertices themselves."""
     mesh = space.mesh
-    _, _, pdofs, ndg, _, _ = facet_tables(space)
-    grad_part = np.einsum("fk,fk->f", ndg, u[pdofs])
+    facets = space.facets
+    grad_part = np.einsum("fk,fk->f", facets.ndg, u[facets.pdofs])
     ends = mesh.facet_vertices
     pv = mesh.vertices[ends]
     gnod = np.broadcast_to(np.asarray(g(pv[..., 0], pv[..., 1]), dtype=float), ends.shape)
@@ -265,7 +256,7 @@ def _full_assembly_variational_flux(u, g, f, space):
     """The variational flux from the boundary rows of a full K u - b."""
     mesh = space.mesh
     full = stiffness_matrix(space) @ u - load_vector(space, f)
-    t, w, pdofs, ndg, trace, points = facet_tables(space)
+    t, w, pdofs, ndg, trace, points = space.facets
     u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
     gvals = np.broadcast_to(np.asarray(g(points[..., 0], points[..., 1]), dtype=float), u_trace.shape)
     defect = mesh.facet_lengths * np.einsum("q,fq->f", w, u_trace - gvals)

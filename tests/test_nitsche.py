@@ -104,6 +104,16 @@ def test_dual_rhs_hand_integrated_entries():
     assert rhs[center] == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 3, 8, 33, 64])
+@pytest.mark.parametrize("cfg", [NitscheConfig(), NitscheConfig(beta=3.7, kappa=2.0)])
+def test_boundary_rhs_is_the_dual_data_of_g_bitwise(trig, n, cfg):
+    """With f = 0 the Nitsche right-hand side is m_g, bit for bit."""
+    space = P1Space(build_unit_square_mesh(n))
+    zero = lambda x, y: np.zeros_like(x)  # noqa: E731
+    rhs = assemble_nitsche(space, cfg, zero, trig.g).rhs
+    assert np.array_equal(rhs, assemble_dual_rhs_nitsche(space, cfg, trig.g))
+
+
 def test_dual_solve_reuses_primal_matrix(trig):
     """a_h is symmetric, so the dual problem solves against the same matrix."""
     from fluxfem.nitsche import LinearSystem
