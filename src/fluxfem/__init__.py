@@ -44,6 +44,7 @@ from .lagrange import (
     SaddleSystem,
     assemble_dual_rhs_lm,
     assemble_saddle,
+    saddle_matrix,
 )
 from .linsolve import (
     NotPositiveDefiniteError,
@@ -65,6 +66,7 @@ from .nitsche import (
     NitscheConfig,
     assemble_dual_rhs_nitsche,
     assemble_nitsche,
+    nitsche_matrix,
 )
 from .problems import ManufacturedProblem, affine_problem, constant_problem, trig_problem
 

@@ -31,6 +31,7 @@ from .fem import (
     SampledField,
     basis_at,
     boundary_field_values,
+    cell_blocks,
     edge_quadrature,
     locate_points,
     located_gradients,
@@ -42,18 +43,22 @@ from .fem import (
 from .flux import BoundaryFluxField, pointwise_nitsche_values
 from .lagrange import (
     SaddleConfig,
+    SaddleSystem,
     apply_saddle_form,
     assemble_dual_rhs_lm,
     assemble_saddle,
+    saddle_matrix,
 )
 from .linsolve import solve_spd, solve_sym_indefinite
 from .mesh import Mesh, distance_weight, offset_contour, split_segments_at_mesh_lines
 from .nitsche import (
+    LinearSystem,
     NitscheConfig,
     apply_dual_functional,
     apply_nitsche_form,
     assemble_dual_rhs_nitsche,
     assemble_nitsche,
+    nitsche_matrix,
 )
 
 # Both identities hold up to the volume quadrature error of (f, phi_h) and
@@ -61,8 +66,9 @@ from .nitsche import (
 IDENTITY_VOLUME_DEGREE = 6
 # Offsets delta sampled in [0, delta_0] by the offset-contour suprema.
 CONTOUR_SAMPLES = 33
-# Triangles per block of the error norms' volume integrands.
-NORM_BLOCK_TRIANGLES = 4096
+# Most Gauss points in one table of whole offset contours (one contour may
+# exceed it alone); the offset suprema take their max over the tables.
+CONTOUR_BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,11 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     trace). With the multiplier coefficients `lam` it is the natural saddle
     norm of (u - u_h, lambda - lambda_h), where lambda = -sigma_n.
 
-    The volume integrands are evaluated NORM_BLOCK_TRIANGLES triangles at a
-    time into two (n_triangles, n_q) tables, each summed by one np.sum, so
-    the quadrature temporaries stay a block in size while the reduction, and
-    so every bit of both norms, is that of a one-shot evaluation.
+    The volume integrands are evaluated a block of triangles at a time
+    (`fem.cell_blocks`) into two (n_triangles, n_q) tables, each summed by
+    one np.sum, so the quadrature temporaries stay a block in size while the
+    reduction, and so every bit of both norms, is that of a one-shot
+    evaluation.
     """
     mesh = space.mesh
     u = np.asarray(u, dtype=float)
@@ -156,8 +163,7 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     phi = basis_at(rule)
     val_terms = np.empty((mesh.n_triangles, len(rule.weights)))
     grad_terms = np.empty_like(val_terms)
-    for start in range(0, mesh.n_triangles, NORM_BLOCK_TRIANGLES):
-        cells = slice(start, start + NORM_BLOCK_TRIANGLES)
+    for cells in cell_blocks(mesh.n_triangles):
         pts = space.quadrature_points(rule, cells)
         aw = space.areas[cells, None] * rule.weights[None, :]
         u_tri = u[mesh.triangles[cells]]
@@ -317,7 +323,7 @@ def error_representation_residuals(
 
 
 class _ContourTable(NamedTuple):
-    """Gauss points of a list of offset contours, located once.
+    """Gauss points of consecutive whole offset contours, located once.
 
     Contour c owns the pieces bounds[c]:bounds[c + 1]; `weights` holds each
     piece's length times the Gauss weights, (n_pieces, EDGE_POINTS), and
@@ -330,28 +336,41 @@ class _ContourTable(NamedTuple):
     where: PointLocation
 
 
-def _contour_table(space: P1Space, contours) -> _ContourTable:
+def _contour_tables(space: P1Space, contours):
     """Split every side of every contour at the mesh lines it crosses, in one
-    batch, and place the edge rule on each piece."""
+    batch, then yield the tables of consecutive whole contours with at most
+    CONTOUR_BLOCK_POINTS Gauss points each (at least one contour), with the
+    edge rule placed on each piece.
+
+    A contour's points and terms do not depend on the rest of its table, so
+    each contour's integral is bitwise the same in any grouping.
+    """
     rule = edge_quadrature()
     sides = np.concatenate([contour.segments for contour in contours])
-    a, b = sides[:, 0], sides[:, 1]
-    t, counts = split_segments_at_mesh_lines(space.mesh, a, b)
-    side = np.repeat(np.arange(len(sides)), counts)
-    ends = a[side] + t[:, None] * (b - a)[side]
-    last = np.cumsum(counts) - 1
-    p0 = np.delete(ends, last, axis=0)
-    p1 = np.delete(ends, last - counts + 1, axis=0)
-    lengths = np.hypot(*(p1 - p0).T)
-    points = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
-    points = points.reshape(-1, 2)
+    t, counts = split_segments_at_mesh_lines(space.mesh, sides[:, 0], sides[:, 1])
     pieces = (counts - 1).reshape(len(contours), 4).sum(axis=1)
-    return _ContourTable(
-        bounds=np.concatenate([[0], np.cumsum(pieces)]),
-        weights=lengths[:, None] * rule.weights[None, :],
-        points=points,
-        where=locate_points(points, space),
-    )
+    side_starts = np.concatenate([[0], np.cumsum(counts)])
+    first = 0
+    while first < len(contours):
+        size = np.cumsum(pieces[first:]) * len(rule.points)
+        stop = first + max(1, int(np.searchsorted(size, CONTOUR_BLOCK_POINTS, side="right")))
+        block = slice(4 * first, 4 * stop)
+        a, b, cut = sides[block, 0], sides[block, 1], counts[block]
+        side = np.repeat(np.arange(len(cut)), cut)
+        ends = a[side] + t[side_starts[block.start] : side_starts[block.stop], None] * (b - a)[side]
+        last = np.cumsum(cut) - 1
+        p0 = np.delete(ends, last, axis=0)
+        p1 = np.delete(ends, last - cut + 1, axis=0)
+        lengths = np.hypot(*(p1 - p0).T)
+        points = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
+        points = points.reshape(-1, 2)
+        yield _ContourTable(
+            bounds=np.concatenate([[0], np.cumsum(pieces[first:stop])]),
+            weights=lengths[:, None] * rule.weights[None, :],
+            points=points,
+            where=locate_points(points, space),
+        )
+        first = stop
 
 
 def _offset_contours(delta_0: float):
@@ -371,7 +390,8 @@ def _contour_l2_norms(coeffs, space: P1Space, table: _ContourTable) -> list[floa
 
 def contour_l2_norm_discrete(coeffs, space: P1Space, contour) -> float:
     """L2 norm of a P1 function along an offset contour."""
-    return _contour_l2_norms(coeffs, space, _contour_table(space, [contour]))[0]
+    (table,) = _contour_tables(space, [contour])
+    return _contour_l2_norms(coeffs, space, table)[0]
 
 
 def _interp_error_norms(problem, coeffs, space: P1Space, table: _ContourTable):
@@ -401,8 +421,11 @@ def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpS
     """
     _check_offset_scan(delta_0)
     coeffs = nodal_interpolant(problem.u, space)
-    table = _contour_table(space, _offset_contours(delta_0))
-    norms = _interp_error_norms(problem, coeffs, space, table)
+    norms = [
+        norm
+        for table in _contour_tables(space, _offset_contours(delta_0))
+        for norm in _interp_error_norms(problem, coeffs, space, table)
+    ]
     return InterpScan(
         sup_value_error=max(v for v, _ in norms),
         sup_gradient_error=max(g for _, g in norms),
@@ -416,8 +439,10 @@ def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpS
 def _weighted_gradient_sq(cell_grad_sq, space: P1Space, delta_prime: float) -> float:
     """Integral of rho_delta' |grad phi_h|^2 from the per-triangle |grad phi_h|^2."""
     rule = triangle_quadrature(VOLUME_DEGREE)
-    weight = distance_weight(space.quadrature_points(rule), delta_prime)
-    cell_weight = 2.0 * space.areas * np.einsum("q,tq->t", rule.weights, weight)
+    cell_weight = np.empty(space.mesh.n_triangles)
+    for cells in cell_blocks(space.mesh.n_triangles):
+        weight = distance_weight(space.quadrature_points(rule, cells), delta_prime)
+        cell_weight[cells] = 2.0 * space.areas[cells] * np.einsum("q,tq->t", rule.weights, weight)
     return float(np.sum(cell_weight * cell_grad_sq))
 
 
@@ -434,22 +459,23 @@ def dual_stability_report(
     _check_method_config(cfg)
     _check_offset_scan(delta_0)
     mesh = space.mesh
-    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))  # noqa: E731
 
     theta = None
     if isinstance(cfg, NitscheConfig):
-        system = assemble_nitsche(space, cfg, zero, zero)
         rhs = assemble_dual_rhs_nitsche(space, cfg, psi)
-        phi = solve_spd(replace(system, rhs=rhs)).x
+        phi = solve_spd(LinearSystem(matrix=nitsche_matrix(space, cfg), rhs=rhs)).x
     else:
-        system = assemble_saddle(space, cfg, zero, zero)
         rhs = assemble_dual_rhs_lm(space, psi)
-        phi, theta = system.split(solve_sym_indefinite(replace(system, rhs=rhs)).x)
+        system = SaddleSystem(saddle_matrix(space, cfg), rhs, space.n_dofs, mesh.n_facets)
+        phi, theta = system.split(solve_sym_indefinite(system).x)
 
     grads = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
     cell_grad_sq = np.einsum("td,td->t", grads, grads)
-    table = _contour_table(space, _offset_contours(delta_0))
-    q3 = max(norm**2 for norm in _contour_l2_norms(phi, space, table))
+    q3 = max(
+        norm**2
+        for table in _contour_tables(space, _offset_contours(delta_0))
+        for norm in _contour_l2_norms(phi, space, table)
+    )
     q5 = None
     if theta is not None:
         q5 = mesh.h_grid**2 * float(np.sum(mesh.facet_lengths * theta**2))

@@ -28,6 +28,9 @@ from .mesh import Mesh
 VOLUME_DEGREE = 4
 EDGE_POINTS = 6
 ALL_CELLS = slice(None)
+# Triangles per block of every full-mesh volume table (load vector, error
+# norms, distance weights): the quadrature temporaries stay a block in size.
+BLOCK_TRIANGLES = 4096
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,16 @@ class P1Space:
         return pts
 
 
+def cell_blocks(n_cells: int, cells=ALL_CELLS):
+    """The triangles `cells` (a slice or an index array) of a mesh with
+    n_cells triangles, in order, as consecutive blocks of at most
+    BLOCK_TRIANGLES; slices stay slices, so a block of a table is a view."""
+    index = range(n_cells)[cells] if isinstance(cells, slice) else np.asarray(cells)
+    for lo in range(0, len(index), BLOCK_TRIANGLES):
+        block = index[lo : lo + BLOCK_TRIANGLES]
+        yield slice(block.start, block.stop, block.step) if isinstance(block, range) else block
+
+
 def nodal_interpolant(f, space: P1Space) -> np.ndarray:
     """Coefficients of the vertex interpolant of f; exact for affine f."""
     v = space.mesh.vertices
@@ -217,7 +230,11 @@ def located_gradients(coeffs, where: PointLocation, space: P1Space) -> np.ndarra
 
 
 def local_to_global(dofs, local, n: int) -> sp.csr_matrix:
-    """Sum the local (n_cells, k, k) blocks on their (n_cells, k) dofs into an n x n CSR matrix."""
+    """Sum the local (n_cells, k, k) blocks on their (n_cells, k) dofs into an n x n CSR matrix.
+
+    The COO indices keep the dtype of `dofs`; int32 mesh indices are scipy's
+    own index dtype, so the scatter makes no int64 copies.
+    """
     k = dofs.shape[1]
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
@@ -254,15 +271,22 @@ def mass_matrix(space: P1Space) -> sp.csr_matrix:
 def load_vector(
     space: P1Space, f, volume_degree: int = VOLUME_DEGREE, cells=ALL_CELLS
 ) -> np.ndarray:
-    """(f, phi_i) over the triangles `cells` with the given quadrature degree."""
+    """(f, phi_i) over the triangles `cells` with the given quadrature degree.
+
+    f and the local vectors are evaluated a block of triangles at a time
+    (`cell_blocks`), and the blocks are added in triangle order, so every
+    entry sums the same terms in the same order as a one-shot evaluation.
+    """
     rule = triangle_quadrature(volume_degree)
-    pts = space.quadrature_points(rule, cells)
-    fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    fvals = np.broadcast_to(fvals, pts.shape[:-1])
-    # physical jacobian is 2*area; reference weights already sum to 1/2
-    local = 2.0 * space.areas[cells, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, basis_at(rule))
+    phi = basis_at(rule)
     b = np.zeros(space.n_dofs)
-    np.add.at(b, space.mesh.triangles[cells].ravel(), local.ravel())
+    for block in cell_blocks(space.mesh.n_triangles, cells):
+        pts = space.quadrature_points(rule, block)
+        fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+        fvals = np.broadcast_to(fvals, pts.shape[:-1])
+        # physical jacobian is 2*area; reference weights already sum to 1/2
+        local = 2.0 * space.areas[block, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, phi)
+        np.add.at(b, space.mesh.triangles[block].ravel(), local.ravel())
     return b
 
 

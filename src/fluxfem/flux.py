@@ -113,7 +113,7 @@ def pointwise_nitsche_values(
 def _boundary_vertex_numbering(mesh: Mesh):
     """Map mesh vertex ids of boundary vertices to trace dofs."""
     ids = np.unique(mesh.facet_vertices)
-    lookup = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    lookup = np.full(mesh.n_vertices, -1, dtype=np.int32)
     lookup[ids] = np.arange(ids.size)
     return ids, lookup
 

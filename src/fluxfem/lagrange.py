@@ -66,10 +66,12 @@ class SaddleSystem:
         return x[: self.n_primal], x[self.n_primal :]
 
 
-def assemble_saddle(
-    space: P1Space, cfg: SaddleConfig, f, g, volume_degree: int = VOLUME_DEGREE
-) -> SaddleSystem:
-    """Assemble the stabilized saddle system; dimension n_vertices + n_facets."""
+def saddle_matrix(space: P1Space, cfg: SaddleConfig) -> sp.csr_matrix:
+    """The saddle matrix over [u; lambda], dimension n_vertices + n_facets.
+
+    It depends on neither f, g nor the volume degree. Every block goes
+    into one COO scatter with int32 indices.
+    """
     mesh = space.mesh
     nu, nl = space.n_dofs, mesh.n_facets
     dim = nu + nl
@@ -96,7 +98,7 @@ def assemble_saddle(
     data.append(local_uu.ravel())
 
     # (lambda, v)_F - alpha h (lambda, n.grad v)_F and its transpose
-    mdofs = nu + np.arange(nl)
+    mdofs = nu + np.arange(nl, dtype=np.int32)
     local_ul = int_phi - (ah * hf)[:, None] * ndg
     rows.append(pdofs.ravel())
     cols.append(np.repeat(mdofs, 3))
@@ -114,12 +116,20 @@ def assemble_saddle(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
     ).tocsr()
+    return symmetrize(matrix)
 
+
+def assemble_saddle(
+    space: P1Space, cfg: SaddleConfig, f, g, volume_degree: int = VOLUME_DEGREE
+) -> SaddleSystem:
+    """Assemble the stabilized saddle system for -laplace(u) = f, u = g."""
+    matrix = saddle_matrix(space, cfg)
     # the multiplier rows carry (g, mu)_G, the dual data of psi = g
     rhs = assemble_dual_rhs_lm(space, g)
-    rhs[:nu] = load_vector(space, f, volume_degree)
-
-    return SaddleSystem(matrix=symmetrize(matrix), rhs=rhs, n_primal=nu, n_multiplier=nl)
+    rhs[: space.n_dofs] = load_vector(space, f, volume_degree)
+    return SaddleSystem(
+        matrix=matrix, rhs=rhs, n_primal=space.n_dofs, n_multiplier=space.mesh.n_facets
+    )
 
 
 def assemble_dual_rhs_lm(space: P1Space, psi) -> np.ndarray:

@@ -29,15 +29,18 @@ class Mesh:
     ----------
     vertices : (n_vertices, 2) float array
         Grid points, row-major with x running fastest.
-    triangles : (n_triangles, 3) int array
+    triangles : (n_triangles, 3) int32 array
         Positively oriented vertex triples; cell (i, j) holds triangles
         2*(j*n+i) (lower) and 2*(j*n+i)+1 (upper).
-    facet_vertices : (n_facets, 2) int array
+    facet_vertices : (n_facets, 2) int32 array
         Endpoint indices per boundary facet, ordered bottom, right, top,
         left with ascending coordinate inside each side.
     facet_normals, facet_lengths, facet_parents
         Per-facet outward unit normal, length (exactly 1/n) and parent
-        triangle index.
+        triangle index (int32).
+
+    Every vertex and triangle index is below 2*(MAX_GRID_N + 1)**2 < 2**31,
+    so the index tables are int32, scipy's own sparse index dtype.
     """
 
     grid_n: int
@@ -102,21 +105,21 @@ def build_unit_square_mesh(n: int) -> Mesh:
     X, Y = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    k = np.arange(n, dtype=np.int32)
+    ii, jj = np.meshgrid(k, k, indexing="xy")
     ll = (jj * (n + 1) + ii).ravel()
     lr = ll + 1
     ul = ll + (n + 1)
     ur = ul + 1
     lower = np.column_stack([ll, lr, ur])
     upper = np.column_stack([ll, ur, ul])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    triangles = np.empty((2 * n * n, 3), dtype=np.int32)
     triangles[0::2] = lower
     triangles[1::2] = upper
 
     def vid(i, j):
         return j * (n + 1) + i
 
-    k = np.arange(n)
     cell = lambda i, j: j * n + i  # noqa: E731
 
     facet_vertices = np.concatenate(

@@ -64,10 +64,8 @@ class LinearSystem:
     rhs: np.ndarray
 
 
-def assemble_nitsche(
-    space: P1Space, cfg: NitscheConfig, f, g, volume_degree: int = VOLUME_DEGREE
-) -> LinearSystem:
-    """Assemble the symmetric Nitsche system for -laplace(u) = f, u = g.
+def nitsche_matrix(space: P1Space, cfg: NitscheConfig) -> sp.csr_matrix:
+    """The matrix of a_h; it depends on neither f, g nor the volume degree.
 
     The matrix is exactly symmetric; with beta large enough it is positive
     definite, and the solver reports "not positive definite" otherwise
@@ -84,9 +82,16 @@ def assemble_nitsche(
     cons = -(ndg[:, None, :] * int_phi[:, :, None]) - (ndg[:, :, None] * int_phi[:, None, :])
     mass_f = (pen * hf)[:, None, None] * np.einsum("q,fiq,fjq->fij", w, trace, trace)
     a = a + local_to_global(pdofs, cons + mass_f, space.n_dofs)
+    return symmetrize(a)
 
+
+def assemble_nitsche(
+    space: P1Space, cfg: NitscheConfig, f, g, volume_degree: int = VOLUME_DEGREE
+) -> LinearSystem:
+    """Assemble the symmetric Nitsche system for -laplace(u) = f, u = g."""
+    matrix = nitsche_matrix(space, cfg)
     b = _add_dual_data(load_vector(space, f, volume_degree), space, cfg, g)
-    return LinearSystem(matrix=symmetrize(a), rhs=b)
+    return LinearSystem(matrix=matrix, rhs=b)
 
 
 def assemble_dual_rhs_nitsche(space: P1Space, cfg: NitscheConfig, psi) -> np.ndarray:

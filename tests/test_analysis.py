@@ -205,7 +205,7 @@ def test_contour_quadrature_against_refined_oracle(trig):
     from fluxfem.mesh import split_segments_at_mesh_lines
 
     contours = [offset_contour(delta) for delta in (0.2, 0.25, 1.0 / 3.0)]
-    table = analysis._contour_table(space, contours)
+    (table,) = analysis._contour_tables(space, contours)
     x, w = np.polynomial.legendre.leggauss(10)
     rule = SimpleNamespace(points=0.5 * (x + 1.0), weights=0.5 * w)
     for contour, (coarse_v, coarse_g) in zip(
@@ -250,6 +250,42 @@ def test_q3_equals_the_supremum_of_single_contour_norms_bitwise(monkeypatch, n):
             for delta in np.linspace(0.0, delta_0, analysis.CONTOUR_SAMPLES)
         ]
         assert q3 == max(single)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("delta_0", [0.125, 0.4999])
+def test_interp_scan_suprema_equal_the_max_over_single_contour_tables_bitwise(trig, n, delta_0):
+    """The scan's tables hold whole contours, several tables at these n, and
+    each contour's norms are those of a table of that contour alone."""
+    space = P1Space(build_unit_square_mesh(n))
+    contours = analysis._offset_contours(delta_0)
+    assert len(list(analysis._contour_tables(space, contours))) > 1
+    coeffs = nodal_interpolant(trig.u, space)
+    single = [
+        analysis._interp_error_norms(trig, coeffs, space, table)[0]
+        for contour in contours
+        for table in analysis._contour_tables(space, [contour])
+    ]
+    scan = interp_error_scan(trig, space, delta_0)
+    assert scan.sup_value_error == max(v for v, _ in single)
+    assert scan.sup_gradient_error == max(g for _, g in single)
+
+
+@pytest.mark.parametrize("cfg", [NitscheConfig(), SaddleConfig()], ids=["nitsche", "lagrange"])
+def test_stability_report_peak_memory_at_n_128(cfg):
+    """All 33 contour tables at once and a full assembly with f = g = 0
+    peaked at 20.0 MiB; contour blocks and the matrix alone at 10.3 (Nitsche)
+    and 11.4 MiB (multipliers)."""
+    space = P1Space(build_unit_square_mesh(128))
+    psi = rademacher_boundary_field(space.mesh, 0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        dual_stability_report(space, cfg, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * 2**20
 
 
 def test_stability_report_locates_contour_points_once(monkeypatch):

@@ -245,24 +245,26 @@ def test_dual_check_builds_each_grid_once(monkeypatch):
     ],
 )
 def test_converge_builds_two_full_mesh_volume_tables_per_level(monkeypatch, flags):
-    """The load vector's table in one piece, and the error norms' table in
+    """The load vector's table and the error norms' table each come in
     blocks that cover every triangle exactly once; the variational flux's
     boundary-layer table (an index array of cells) is not a full-mesh one."""
-    full, blocks = [], []
+    tables = {}
     original = fem.P1Space.quadrature_points
 
     def counted(self, rule, cells=fem.ALL_CELLS):
-        if cells is fem.ALL_CELLS:
-            full.append(self.mesh.n_triangles)
-        elif isinstance(cells, slice):
-            blocks.append(np.arange(self.mesh.n_triangles)[cells])
+        assert cells is not fem.ALL_CELLS
+        if isinstance(cells, slice):
+            tables.setdefault(len(rule.weights), []).append(np.arange(self.mesh.n_triangles)[cells])
         return original(self, rule, cells)
 
     monkeypatch.setattr(fem.P1Space, "quadrature_points", counted)
-    monkeypatch.setattr(analysis, "NORM_BLOCK_TRIANGLES", 48)  # 128 triangles: 3 blocks
+    monkeypatch.setattr(fem, "BLOCK_TRIANGLES", 48)  # 128 triangles: 3 blocks
     assert main(["converge", "--kmin", "2", "--kmax", "2", *flags]) == 0
-    assert len(full) == 1 and len(blocks) == 3
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(full[0]))
+    # load vector then error norms, both with the degree-4 (6-point) rule
+    (blocks,) = tables.values()
+    assert len(blocks) == 6
+    for table in (blocks[:3], blocks[3:]):
+        assert np.array_equal(np.concatenate(table), np.arange(128))
 
 
 def test_converge_solver_failure_names_the_level(capsys):

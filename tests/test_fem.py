@@ -1,13 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from fluxfem import fem
 from fluxfem.fem import (
+    ALL_CELLS,
     EDGE_POINTS,
     P1Space,
+    basis_at,
     boundary_field_values,
     edge_quadrature,
+    load_vector,
+    local_to_global,
     locate_points,
     locate_triangle,
     located_gradients,
@@ -15,7 +22,9 @@ from fluxfem.fem import (
     nodal_interpolant,
     triangle_quadrature,
 )
+from fluxfem.lagrange import SaddleConfig, assemble_saddle
 from fluxfem.mesh import build_unit_square_mesh
+from fluxfem.nitsche import NitscheConfig, assemble_nitsche
 
 
 def reference_triangle_integral(a, b):
@@ -311,3 +320,94 @@ def test_locate_rejects_outside_points():
         for point in ([bad, 0.5], [0.5, bad]):
             with pytest.raises(ValueError, match="cannot be located"):
                 locate_triangle(mesh, [point])
+
+
+def _one_shot_load_vector(space, f, degree, cells):
+    """load_vector as one evaluation over all the triangles `cells`."""
+    rule = triangle_quadrature(degree)
+    pts = space.quadrature_points(rule, cells)
+    fvals = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:-1])
+    local = 2.0 * space.areas[cells, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, basis_at(rule))
+    b = np.zeros(space.n_dofs)
+    np.add.at(b, space.mesh.triangles[cells].ravel(), local.ravel())
+    return b
+
+
+def _boundary_layer(mesh):
+    """The variational flux's cells: the triangles with a boundary vertex."""
+    return np.flatnonzero(np.isin(mesh.triangles, mesh.facet_vertices).any(axis=1))
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("n", [1, 7, 45, 46, 64, 91])
+@pytest.mark.parametrize("degree", [4, 6])
+def test_blocked_load_vector_matches_one_shot_bitwise(monkeypatch, trig, degree, n, block):
+    """n = 46 is the first grid with more than one default block; a block of
+    64 triangles also splits the boundary layer's index array."""
+    if block is not None:
+        monkeypatch.setattr(fem, "BLOCK_TRIANGLES", block)
+    space = P1Space(build_unit_square_mesh(n))
+    for cells in (ALL_CELLS, _boundary_layer(space.mesh)):
+        got = load_vector(space, trig.f, degree, cells)
+        assert np.array_equal(got, _one_shot_load_vector(space, trig.f, degree, cells))
+
+
+@pytest.mark.parametrize("cells", [ALL_CELLS, slice(3, 100), np.array([5, 0, 7, 7, 2, 90])])
+def test_cell_blocks_cover_the_cells_in_order(monkeypatch, cells):
+    monkeypatch.setattr(fem, "BLOCK_TRIANGLES", 4)
+    index = np.arange(98)
+    blocks = list(fem.cell_blocks(98, cells))
+    assert all(len(index[block]) <= 4 for block in blocks)
+    assert np.array_equal(np.concatenate([index[block] for block in blocks]), index[cells])
+    assert all(isinstance(block, slice) == isinstance(cells, slice) for block in blocks)
+
+
+def test_mesh_index_tables_are_int32():
+    mesh = build_unit_square_mesh(5)
+    space = P1Space(mesh)
+    for table in (mesh.triangles, mesh.facet_vertices, mesh.facet_parents, space.facets.pdofs):
+        assert table.dtype == np.int32
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_local_to_global_matches_an_int64_coo_oracle_bitwise(n):
+    """int32 COO indices give the same CSR arrays, duplicates summed in the
+    same order, as the int64 scatter."""
+    mesh = build_unit_square_mesh(n)
+    local = np.random.default_rng(n).standard_normal((mesh.n_triangles, 3, 3))
+    dofs = mesh.triangles.astype(np.int64)
+    oracle = sp.coo_matrix(
+        (local.ravel(), (np.repeat(dofs, 3, axis=1).ravel(), np.tile(dofs, (1, 3)).ravel())),
+        shape=(mesh.n_vertices, mesh.n_vertices),
+    ).tocsr()
+    got = local_to_global(mesh.triangles, local, mesh.n_vertices)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(oracle, name))
+
+
+def _traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_vector_peak_memory_is_a_few_blocks(trig):
+    """n = 256 peaked at 28.1 MiB with one full-mesh table, 2.2 MiB in blocks."""
+    space = P1Space(build_unit_square_mesh(256))
+    assert _traced_peak_mib(lambda: load_vector(space, trig.f)) <= 8.0
+
+
+@pytest.mark.parametrize(
+    "assemble", [lambda s, p: assemble_nitsche(s, NitscheConfig(), p.f, p.g),
+                 lambda s, p: assemble_saddle(s, SaddleConfig(), p.f, p.g)],
+    ids=["nitsche", "saddle"],
+)
+def test_assembly_peak_memory_at_n_256(trig, assemble):
+    """int64 COO indices and a one-shot load vector peaked at 55.0 MiB, int32
+    indices and a blocked load vector at 37.0 MiB."""
+    space = P1Space(build_unit_square_mesh(256))
+    assert _traced_peak_mib(lambda: assemble(space, trig)) <= 46.0

@@ -68,6 +68,35 @@ def test_one_level_per_call_and_a_fixed_contour_sample_count():
     assert parameters_named("psi_field") == []
 
 
+def test_block_sizes_are_constants():
+    """Full-mesh volume tables come in fem.BLOCK_TRIANGLES blocks and offset
+    contours in analysis.CONTOUR_BLOCK_POINTS blocks; no function takes a size."""
+    assert parameters_named("block") == []
+    assert parameters_named("block_triangles") == []
+    assert parameters_named("block_points") == []
+
+
+def coo_constructors():
+    """Sorted "module.function" of each package function that builds a COO matrix."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call):
+                        func = call.func
+                        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                        if name in ("coo_matrix", "coo_array"):
+                            found.append(f"{path.stem}.{node.name}")
+    return sorted(found)
+
+
+def test_one_scatter_per_assembly_path():
+    """P1 operators scatter through fem.local_to_global; the saddle matrix
+    puts all its blocks into its own single COO."""
+    assert coo_constructors() == ["fem.local_to_global", "lagrange.saddle_matrix"]
+
+
 METHOD_NAMES = ("nitsche", "lagrange")
 
 
