@@ -125,20 +125,17 @@ class InterpScan:
 # -- boundary norms ----------------------------------------------------------
 
 
-def boundary_l2_norm(field, mesh: Mesh) -> float:
-    """L2(boundary) norm of any boundary-data object."""
-    rule = edge_quadrature()
-    vals = boundary_field_values(field, mesh, rule.points, mesh.facet_points(rule.points))
-    return float(np.sqrt(np.sum(mesh.facet_lengths[:, None] * rule.weights[None, :] * vals**2)))
+def boundary_l2_norm(field, space: P1Space) -> float:
+    """L2(boundary) norm of any boundary data, on the facet table of `space`."""
+    hw = space.mesh.facet_lengths[:, None] * space.facets.w[None, :]
+    return float(np.sqrt(np.sum(hw * boundary_field_values(field, space) ** 2)))
 
 
-def boundary_l2_error(flux, exact, mesh: Mesh) -> float:
-    """L2(boundary) distance between two boundary fields (facet quadrature)."""
-    rule = edge_quadrature()
-    t, pts = rule.points, mesh.facet_points(rule.points)
-    a = boundary_field_values(flux, mesh, t, pts)
-    b = boundary_field_values(exact, mesh, t, pts)
-    return float(np.sqrt(np.sum(mesh.facet_lengths[:, None] * rule.weights[None, :] * (a - b) ** 2)))
+def boundary_l2_error(a, b, space: P1Space) -> float:
+    """L2(boundary) distance between two boundary data, on the facet table of `space`."""
+    hw = space.mesh.facet_lengths[:, None] * space.facets.w[None, :]
+    diff = boundary_field_values(a, space) - boundary_field_values(b, space)
+    return float(np.sqrt(np.sum(hw * diff**2)))
 
 
 # -- volume/energy error norms ----------------------------------------------
@@ -182,7 +179,7 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     ends = mesh.facet_vertices
     hw = mesh.facet_lengths[:, None] * w[None, :]
     u_trace = u[ends][:, [0]] * (1.0 - t)[None, :] + u[ends][:, [1]] * t[None, :]
-    trace_diff = np.asarray(problem.u(fpts[..., 0], fpts[..., 1]), dtype=float) - u_trace
+    trace_diff = boundary_field_values(problem.g, space) - u_trace
     val_sq = float(np.sum(hw * trace_diff**2))
     sigma = problem.sigma_n(fpts[..., 0], fpts[..., 1], mesh.facet_normals[:, None, :])
     h = mesh.h_grid
@@ -279,7 +276,7 @@ def error_representation_residuals(
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
     t, w, _, _, _, pts = space.facets
-    psi_vals = [boundary_field_values(psi, mesh, t, pts) for psi in psis]
+    psi_vals = [boundary_field_values(psi, space) for psi in psis]
     hw = mesh.facet_lengths[:, None] * w[None, :]
     sigma = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
 
@@ -482,7 +479,7 @@ def dual_stability_report(
     return StabilityReport(
         grid_n=mesh.grid_n,
         h_grid=mesh.h_grid,
-        psi_norm_sq=boundary_l2_norm(psi, mesh) ** 2,
+        psi_norm_sq=boundary_l2_norm(psi, space) ** 2,
         q1=_weighted_gradient_sq(cell_grad_sq, space, mesh.h_grid),
         q2=mesh.h_grid * float(np.sum(space.areas * cell_grad_sq)),
         q3=q3,

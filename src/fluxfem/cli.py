@@ -168,7 +168,7 @@ def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
             dofs=space.n_dofs + (0 if lam is None else lam.size),
             method=config.method,
             variant=variant,
-            flux_err=boundary_l2_error(field, exact, mesh),
+            flux_err=boundary_l2_error(field, exact, space),
             energy_err=energy,
             l2_err=l2,
         )
@@ -214,7 +214,7 @@ def run_patch_test(config: StudyConfig) -> list[str]:
                 field = multiplier_flux(lam, mesh)
                 lam_exact = -exact.facet_values(np.array([0.5]))[:, 0]
                 coeff_err = max(coeff_err, float(np.max(np.abs(lam - lam_exact))))
-            flux_err = boundary_l2_error(field, exact, mesh)
+            flux_err = boundary_l2_error(field, exact, space)
             if flux_err > FLUX_TOL:
                 failures.append(f"{config.method} {tag}: flux error {flux_err:.3e}")
             if coeff_err > COEFF_TOL:

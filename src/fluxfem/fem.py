@@ -290,23 +290,25 @@ def load_vector(
     return b
 
 
-def boundary_field_values(obj, mesh, t, points):
-    """Evaluate boundary data per facet at Gauss parameters t.
+def boundary_field_values(obj, space: P1Space) -> np.ndarray:
+    """Boundary data at the facet points of `space.facets`, (n_facets, EDGE_POINTS).
 
     Accepts a callable of (x, y), an object with facet_values(t) (flux
-    fields), or an already-evaluated (n_facets, len(t)) array. Returns
-    (n_facets, len(t)); a flux field of another mesh raises ValueError.
+    fields), or an array of values at those points; a flux field of
+    another mesh raises ValueError.
     """
+    t, points = space.facets.t, space.facets.points
+    shape = points.shape[:-1]
     if hasattr(obj, "facet_values"):
         vals = np.asarray(obj.facet_values(t), dtype=float)
-        if vals.shape != (mesh.n_facets, len(t)):
-            raise ValueError(f"boundary data has {len(vals)} facets, the mesh has {mesh.n_facets}")
+        if vals.shape != shape:
+            raise ValueError(f"boundary data has {len(vals)} facets, the mesh has {shape[0]}")
         return vals
     if callable(obj):
         vals = np.asarray(obj(points[..., 0], points[..., 1]), dtype=float)
-        return np.broadcast_to(vals, points.shape[:-1])
+        return np.broadcast_to(vals, shape)
     arr = np.asarray(obj, dtype=float)
-    if arr.shape == (mesh.n_facets, len(t)):
+    if arr.shape == shape:
         return arr
     raise TypeError("boundary data must be callable, a flux field, or values at the facet points")
 

@@ -12,8 +12,12 @@ Three recoveries of the normal flux n.grad(u) on the boundary:
   the 2n^2 on an n x n grid, n >= 2);
 * minus the discrete Lagrange multiplier.
 
-Fluxes live on the disjoint union of the four sides; corners carry no
-measure in L2(boundary), so two-sided values need no reconciliation.
+Fluxes live on the disjoint union of the four sides, and corners carry
+no measure in L2(boundary). The pointwise and multiplier fluxes are
+facet-wise, so they may take two values at a corner. The variational
+flux may not: it is continuous around the whole boundary, with one trace
+dof per corner vertex. Where the exact flux jumps at a corner (the
+normal does), it therefore converges at only O(h^1/2).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import P1Space, load_vector, local_to_global, stiffness_matrix
+from .fem import P1Space, boundary_field_values, load_vector, local_to_global, stiffness_matrix
 from .mesh import Mesh
 from .nitsche import NitscheConfig
 
@@ -111,16 +115,14 @@ def pointwise_nitsche_values(
 
 
 def _boundary_vertex_numbering(mesh: Mesh):
-    """Map mesh vertex ids of boundary vertices to trace dofs."""
-    ids = np.unique(mesh.facet_vertices)
-    lookup = np.full(mesh.n_vertices, -1, dtype=np.int32)
-    lookup[ids] = np.arange(ids.size)
-    return ids, lookup
+    """Boundary vertex ids and the (n_facets, 2) int32 table `ends` of each
+    facet's trace dofs; trace dof i is vertex ids[i], one per corner too."""
+    ids, inverse = np.unique(mesh.facet_vertices, return_inverse=True)
+    return ids, inverse.reshape(mesh.facet_vertices.shape).astype(np.int32)
 
 
-def _trace_field_from_moments(mesh: Mesh, lookup, moments) -> BoundaryFluxField:
-    """Continuous boundary P1 field with the given moments on the `lookup`-numbered basis."""
-    ends = lookup[mesh.facet_vertices]
+def _trace_field_from_moments(mesh: Mesh, ends, moments) -> BoundaryFluxField:
+    """Boundary P1 field with the given moments on the trace dofs of the facet table `ends`."""
     block = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
     data = mesh.facet_lengths[:, None, None] * block[None, :, :]
     mass = local_to_global(ends, data, moments.size)
@@ -141,17 +143,15 @@ def variational_flux(u_h, g, f, space: P1Space) -> BoundaryFluxField:
     """
     mesh = space.mesh
     u = np.asarray(u_h, dtype=float)
-    ids, lookup = _boundary_vertex_numbering(mesh)
-    layer = np.flatnonzero((lookup[mesh.triangles] >= 0).any(axis=1))
+    ids, ends = _boundary_vertex_numbering(mesh)
+    layer = np.flatnonzero(np.isin(mesh.triangles, ids).any(axis=1))
     residual = stiffness_matrix(space, layer) @ u - load_vector(space, f, cells=layer)
-    t, w, pdofs, ndg, trace, points = space.facets
+    _, w, pdofs, ndg, trace, _ = space.facets
     hf = mesh.facet_lengths
     u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
-    gvals = np.asarray(g(points[..., 0], points[..., 1]), dtype=float)
-    gvals = np.broadcast_to(gvals, u_trace.shape)
-    defect = hf * np.einsum("q,fq->f", w, u_trace - gvals)
+    defect = hf * np.einsum("q,fq->f", w, u_trace - boundary_field_values(g, space))
     np.add.at(residual, pdofs.ravel(), (-ndg * defect[:, None]).ravel())
-    return _trace_field_from_moments(mesh, lookup, residual[ids])
+    return _trace_field_from_moments(mesh, ends, residual[ids])
 
 
 def project_pointwise_flux(u_h, g, space: P1Space, cfg: NitscheConfig) -> BoundaryFluxField:
@@ -163,12 +163,11 @@ def project_pointwise_flux(u_h, g, space: P1Space, cfg: NitscheConfig) -> Bounda
     mesh = space.mesh
     t, w = space.facets.t, space.facets.w
     vals = pointwise_nitsche_values(u_h, g, space, cfg, t)
-    ends = mesh.facet_vertices
     hf = mesh.facet_lengths
-    ids, lookup = _boundary_vertex_numbering(mesh)
+    ids, ends = _boundary_vertex_numbering(mesh)
     rhs = np.zeros(ids.size)
     m0 = hf * np.einsum("q,fq->f", w * (1.0 - t), vals)
     m1 = hf * np.einsum("q,fq->f", w * t, vals)
-    np.add.at(rhs, lookup[ends[:, 0]], m0)
-    np.add.at(rhs, lookup[ends[:, 1]], m1)
-    return _trace_field_from_moments(mesh, lookup, rhs)
+    np.add.at(rhs, ends[:, 0], m0)
+    np.add.at(rhs, ends[:, 1], m1)
+    return _trace_field_from_moments(mesh, ends, rhs)

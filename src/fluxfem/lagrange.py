@@ -135,10 +135,9 @@ def assemble_saddle(
 def assemble_dual_rhs_lm(space: P1Space, psi) -> np.ndarray:
     """Dual data (psi, mu)_G: zero on primal dofs, facet integrals of psi."""
     mesh = space.mesh
-    t, w, _, _, _, points = space.facets
-    psivals = boundary_field_values(psi, mesh, t, points)
+    psivals = boundary_field_values(psi, space)
     out = np.zeros(space.n_dofs + mesh.n_facets)
-    out[space.n_dofs :] = mesh.facet_lengths * np.einsum("q,fq->f", w, psivals)
+    out[space.n_dofs :] = mesh.facet_lengths * np.einsum("q,fq->f", space.facets.w, psivals)
     return out
 
 

@@ -32,7 +32,6 @@ from .fem import (
     P1Space,
     SampledField,
     boundary_field_values,
-    edge_quadrature,
     load_vector,
     local_to_global,
     mass_matrix,
@@ -105,11 +104,10 @@ def assemble_dual_rhs_nitsche(space: P1Space, cfg: NitscheConfig, psi) -> np.nda
 
 def _add_dual_data(out, space: P1Space, cfg: NitscheConfig, psi) -> np.ndarray:
     """Add m_psi(phi_i) into out[i] and return out."""
-    mesh = space.mesh
-    t, w, pdofs, ndg, trace, points = space.facets
-    hf = mesh.facet_lengths
+    _, w, pdofs, ndg, trace, _ = space.facets
+    hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
-    psivals = boundary_field_values(psi, mesh, t, points)
+    psivals = boundary_field_values(psi, space)
     int_psi = hf * np.einsum("q,fq->f", w, psivals)
     int_psi_phi = hf[:, None] * np.einsum("q,fq,fkq->fk", w, psivals, trace)
     local = pen[:, None] * int_psi_phi - ndg * int_psi[:, None]
@@ -146,7 +144,7 @@ def apply_dual_functional(space: P1Space, cfg: NitscheConfig, psivals, w: Sample
     """
     hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
-    wq = edge_quadrature().weights
+    wq = space.facets.w
     total = float(np.sum((pen * hf)[:, None] * wq[None, :] * psivals * w.value))
     total -= float(np.sum(hf[:, None] * wq[None, :] * psivals * w.normal_derivative))
     return total

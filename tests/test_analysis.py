@@ -39,13 +39,13 @@ def test_boundary_error_of_sampled_exact_field(affine):
     mesh = build_unit_square_mesh(4)
     exact = ExactFluxField(affine, mesh)
     sampled = BoundaryFluxField(coefficients=exact.facet_values(np.array([0.0, 1.0])), mesh=mesh)
-    assert boundary_l2_error(sampled, exact, mesh) <= 1e-12
+    assert boundary_l2_error(sampled, exact, P1Space(mesh)) <= 1e-12
 
 
 def test_boundary_error_against_zero_field(trig):
     mesh = build_unit_square_mesh(8)
     zero = BoundaryFluxField(coefficients=np.zeros(mesh.n_facets), mesh=mesh)
-    err = boundary_l2_error(zero, ExactFluxField(trig, mesh), mesh)
+    err = boundary_l2_error(zero, ExactFluxField(trig, mesh), P1Space(mesh))
     assert err == pytest.approx(2.0 * np.sqrt(2.0) * np.pi, abs=1e-10)
 
 
@@ -79,7 +79,7 @@ def test_half_to_quarter_error_ratio_matches_first_order(trig):
         from fluxfem.flux import nitsche_flux
 
         errs[n] = boundary_l2_error(
-            nitsche_flux(u, trig.g, space, cfg), ExactFluxField(trig, space.mesh), space.mesh
+            nitsche_flux(u, trig.g, space, cfg), ExactFluxField(trig, space.mesh), space
         )
     assert errs[16] / errs[32] == pytest.approx(2.0, abs=0.3)
 
@@ -359,8 +359,8 @@ def test_dual_stability_rejects_bad_arguments():
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda space, field, trig: boundary_l2_norm(field, space.mesh),
-        lambda space, field, trig: boundary_l2_error(field, ExactFluxField(trig, space.mesh), space.mesh),
+        lambda space, field, trig: boundary_l2_norm(field, space),
+        lambda space, field, trig: boundary_l2_error(field, ExactFluxField(trig, space.mesh), space),
         lambda space, field, trig: error_representation_residuals(trig, space, NitscheConfig(), [field]),
         lambda space, field, trig: dual_stability_report(space, NitscheConfig(), field),
         lambda space, field, trig: assemble_nitsche(space, NitscheConfig(), trig.f, field),
@@ -402,7 +402,7 @@ def test_l2_and_boundary_norm_consistency(const):
     space = P1Space(mesh)
     ones = np.ones(space.n_dofs)
     assert error_norms(const, space, ones)[1] <= 1e-14
-    assert boundary_l2_norm(lambda x, y: np.ones_like(x), mesh) == pytest.approx(2.0, abs=1e-12)
+    assert boundary_l2_norm(lambda x, y: np.ones_like(x), space) == pytest.approx(2.0, abs=1e-12)
 
 
 def _one_shot_error_norms(problem, space, u, lam=None):

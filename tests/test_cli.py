@@ -267,6 +267,39 @@ def test_converge_builds_two_full_mesh_volume_tables_per_level(monkeypatch, flag
         assert np.array_equal(np.concatenate(table), np.arange(128))
 
 
+@pytest.mark.parametrize(
+    "argv, others",
+    [
+        (["dual-check", "--method", "lagrange", "--seed", "0"], {}),
+        (["dual-check", "--method", "nitsche", "--seed", "0"], {"flux.pointwise_nitsche_values": 3}),
+        (["converge", "--kmin", "0", "--kmax", "0", "--method", "nitsche"],
+         {"flux.facet_values": 1, "flux.pointwise_nitsche_values": 1}),
+        (["converge", "--kmin", "0", "--kmax", "0", "--method", "lagrange"], {"flux.facet_values": 1}),
+    ],
+)
+def test_boundary_points_are_built_once_per_space(monkeypatch, argv, others):
+    """Boundary norms, dual data and traces read the points of `space.facets`.
+    Only the exact flux (at its own parameters, once per converge level) and
+    the pointwise Nitsche flux (also at the endpoints) place points themselves."""
+    callers, spaces = [], []
+    facet_points, init = mesh.Mesh.facet_points, fem.P1Space.__init__
+
+    def recorded(self, t):
+        frame = sys._getframe(1)
+        callers.append(f"{frame.f_globals['__name__'].removeprefix('fluxfem.')}.{frame.f_code.co_name}")
+        return facet_points(self, t)
+
+    def counted(self, space_mesh):
+        spaces.append(space_mesh)
+        init(self, space_mesh)
+
+    monkeypatch.setattr(mesh.Mesh, "facet_points", recorded)
+    monkeypatch.setattr(fem.P1Space, "__init__", counted)
+    assert main(argv) == 0
+    assert callers.count("fem._facet_table") == len(spaces) > 0
+    assert {name: callers.count(name) for name in set(callers) - {"fem._facet_table"}} == others
+
+
 def test_converge_solver_failure_names_the_level(capsys):
     assert main(["converge", "--beta", "0.1", "--kmax", "2"]) == 3
     err = capsys.readouterr().err

@@ -177,13 +177,14 @@ def test_facet_tables():
 
 def test_boundary_field_values_accepts_facet_point_values_only():
     mesh = build_unit_square_mesh(3)
-    t, *_, points = P1Space(mesh).facets
+    space = P1Space(mesh)
+    points = space.facets.points
     at_points = points[..., 0] + 2.0 * points[..., 1]
-    evaluated = boundary_field_values(lambda x, y: x + 2.0 * y, mesh, t, points)
+    evaluated = boundary_field_values(lambda x, y: x + 2.0 * y, space)
     assert np.array_equal(evaluated, at_points)
-    assert np.array_equal(boundary_field_values(at_points, mesh, t, points), at_points)
+    assert np.array_equal(boundary_field_values(at_points, space), at_points)
     with pytest.raises(TypeError, match="boundary data"):
-        boundary_field_values(np.ones(mesh.n_facets), mesh, t, points)
+        boundary_field_values(np.ones(mesh.n_facets), space)
 
 
 def test_nodal_interpolant_affine_exact(affine, rng):

@@ -98,7 +98,7 @@ def test_exact_flux_norm(trig):
     from fluxfem.analysis import boundary_l2_norm
 
     mesh = build_unit_square_mesh(8)
-    value = boundary_l2_norm(ExactFluxField(trig, mesh), mesh)
+    value = boundary_l2_norm(ExactFluxField(trig, mesh), P1Space(mesh))
     assert value == pytest.approx(2.0 * np.sqrt(2.0) * np.pi, abs=1e-10)
 
 
@@ -194,7 +194,7 @@ def test_variational_equals_projected_pointwise(trig, n):
     space, cfg, u = _solve_nitsche(trig, n)
     var = variational_flux(u, trig.g, trig.f, space)
     proj = project_pointwise_flux(u, trig.g, space, cfg)
-    assert boundary_l2_error(var, proj, space.mesh) <= 1e-9
+    assert boundary_l2_error(var, proj, space) <= 1e-9
 
 
 def test_pointwise_values_use_exact_g(trig):
@@ -217,7 +217,7 @@ def test_multiplier_flux_first_order(trig):
     errors = []
     for n in (16, 32):
         space, _, lam = _solve_saddle(trig, n, alpha=0.25)
-        errors.append(boundary_l2_error(multiplier_flux(lam, space.mesh), ExactFluxField(trig, space.mesh), space.mesh))
+        errors.append(boundary_l2_error(multiplier_flux(lam, space.mesh), ExactFluxField(trig, space.mesh), space))
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.4)
 
 
@@ -261,8 +261,8 @@ def _full_assembly_variational_flux(u, g, f, space):
     gvals = np.broadcast_to(np.asarray(g(points[..., 0], points[..., 1]), dtype=float), u_trace.shape)
     defect = mesh.facet_lengths * np.einsum("q,fq->f", w, u_trace - gvals)
     np.add.at(full, pdofs.ravel(), (-ndg * defect[:, None]).ravel())
-    ids, lookup = _boundary_vertex_numbering(mesh)
-    return _trace_field_from_moments(mesh, lookup, full[ids]).coefficients
+    ids, ends = _boundary_vertex_numbering(mesh)
+    return _trace_field_from_moments(mesh, ends, full[ids]).coefficients
 
 
 def test_variational_flux_equals_full_assembly_bitwise(trig):

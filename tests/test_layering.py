@@ -76,8 +76,8 @@ def test_block_sizes_are_constants():
     assert parameters_named("block_points") == []
 
 
-def coo_constructors():
-    """Sorted "module.function" of each package function that builds a COO matrix."""
+def callers_of(*names):
+    """Sorted "module.function" of each package function that calls one of `names`."""
     found = []
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -86,7 +86,7 @@ def coo_constructors():
                     if isinstance(call, ast.Call):
                         func = call.func
                         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                        if name in ("coo_matrix", "coo_array"):
+                        if name in names:
                             found.append(f"{path.stem}.{node.name}")
     return sorted(found)
 
@@ -94,7 +94,13 @@ def coo_constructors():
 def test_one_scatter_per_assembly_path():
     """P1 operators scatter through fem.local_to_global; the saddle matrix
     puts all its blocks into its own single COO."""
-    assert coo_constructors() == ["fem.local_to_global", "lagrange.saddle_matrix"]
+    assert callers_of("coo_matrix", "coo_array") == ["fem.local_to_global", "lagrange.saddle_matrix"]
+
+
+def test_edge_rule_is_placed_on_facets_once_and_on_contour_pieces():
+    """The edge rule is built into P1Space's facet table, which every boundary
+    integral reads, and onto the offset-contour pieces; nothing else asks for it."""
+    assert callers_of("edge_quadrature") == ["analysis._contour_tables", "fem._facet_table"]
 
 
 METHOD_NAMES = ("nitsche", "lagrange")
