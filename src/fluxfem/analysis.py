@@ -14,7 +14,13 @@ and for the multiplier flux
 Both hold for any discrete interpolants, so pi_h is nodal interpolation
 for u and the facet average for lambda. The dual-stability quantities
 are the weighted-gradient, scaled-gradient, offset-contour, and L2 terms
-bounded by |psi|^2 on the boundary, measured level by level.
+bounded by |psi|^2 on the boundary, measured level by level. They are
+integrals of a P1 function, so each has a closed form: the offset contours
+are split at the mesh lines, and the square of phi_h is integrated exactly
+on each piece from its value and gradient at the piece's midpoint; the L2
+term sums the exact element mass forms, so no mass matrix is built. Only
+the interpolation scan, whose integrand u - pi_h u is not polynomial, places
+the 6-point edge rule on the contour pieces.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .fem import (
     locate_points,
     located_gradients,
     located_values,
-    mass_matrix,
     nodal_interpolant,
     triangle_quadrature,
 )
@@ -66,8 +71,9 @@ from .nitsche import (
 IDENTITY_VOLUME_DEGREE = 6
 # Offsets delta sampled in [0, delta_0] by the offset-contour suprema.
 CONTOUR_SAMPLES = 33
-# Most Gauss points in one table of whole offset contours (one contour may
-# exceed it alone); the offset suprema take their max over the tables.
+# Most points located at once for whole offset contours (one contour may
+# exceed it alone): piece midpoints for the P1 norms, Gauss points for the
+# interpolation scan; the offset suprema take their max over the blocks.
 CONTOUR_BLOCK_POINTS = 16384
 
 
@@ -319,6 +325,60 @@ def error_representation_residuals(
 # -- offset-contour integration ------------------------------------------------
 
 
+def _contour_pieces(space: P1Space, contours, points_per_piece: int):
+    """Split every side of every contour at the mesh lines it crosses, in one
+    batch, then yield (bounds, start, end) for consecutive whole contours with
+    at most CONTOUR_BLOCK_POINTS points to locate, `points_per_piece` per piece
+    (at least one contour). Piece j runs from start[j] to end[j] inside one
+    triangle; contour c of the block owns the pieces bounds[c]:bounds[c + 1].
+    """
+    sides = np.concatenate([contour.segments for contour in contours])
+    t, counts = split_segments_at_mesh_lines(space.mesh, sides[:, 0], sides[:, 1])
+    side = np.repeat(np.arange(len(sides)), counts)
+    ends = sides[side, 0] + t[:, None] * (sides[:, 1] - sides[:, 0])[side]
+    # consecutive breakpoints bound a piece unless a side ends between them
+    same_side = np.ones(len(t) - 1, dtype=bool)
+    same_side[np.cumsum(counts)[:-1] - 1] = False
+    start, end = ends[:-1][same_side], ends[1:][same_side]
+    bounds = np.concatenate([[0], np.cumsum((counts - 1).reshape(len(contours), 4).sum(axis=1))])
+    del t, side, ends, same_side  # the generator keeps its locals while a block is in use
+    first = 0
+    while first < len(contours):
+        size = (bounds[first + 1 :] - bounds[first]) * points_per_piece
+        stop = first + max(1, int(np.searchsorted(size, CONTOUR_BLOCK_POINTS, side="right")))
+        block = bounds[first : stop + 1]
+        yield block - block[0], start[block[0] : block[-1]], end[block[0] : block[-1]]
+        first = stop
+
+
+def _p1_contour_norms(coeffs, space: P1Space, contours) -> list[float]:
+    """L2 norm of a P1 function along each contour, exact on each piece.
+
+    phi_h is linear on a piece of length L: with its value c at the midpoint
+    and its change 2d from end to end, the piece adds L (c^2 + d^2 / 3), which
+    is (L/3)(a^2 + ab + b^2) in the end values a and b. The midpoint, not an
+    end, picks the piece's triangle, because the splitter merges cuts closer
+    than its tolerance, so an end may lie in a sliver of the next triangle.
+    A contour's terms and its one sum do not depend on the rest of its block,
+    so each norm is bitwise the same in any grouping.
+    """
+    norms = []
+    for bounds, p0, p1 in _contour_pieces(space, contours, 1):
+        step = p1 - p0
+        where = locate_points(p0 + 0.5 * step, space)
+        c = located_values(coeffs, where, space)
+        g = located_gradients(coeffs, where, space)
+        d = 0.5 * (g[:, 0] * step[:, 0] + g[:, 1] * step[:, 1])
+        terms = np.hypot(*step.T) * (c * c + d * d / 3.0)
+        norms += [float(np.sqrt(np.sum(terms[i:j]))) for i, j in zip(bounds[:-1], bounds[1:])]
+    return norms
+
+
+def contour_l2_norm_discrete(coeffs, space: P1Space, contour) -> float:
+    """L2 norm of a P1 function along an offset contour."""
+    return _p1_contour_norms(coeffs, space, [contour])[0]
+
+
 class _ContourTable(NamedTuple):
     """Gauss points of consecutive whole offset contours, located once.
 
@@ -334,40 +394,23 @@ class _ContourTable(NamedTuple):
 
 
 def _contour_tables(space: P1Space, contours):
-    """Split every side of every contour at the mesh lines it crosses, in one
-    batch, then yield the tables of consecutive whole contours with at most
-    CONTOUR_BLOCK_POINTS Gauss points each (at least one contour), with the
-    edge rule placed on each piece.
+    """Yield the tables of consecutive whole contours with the edge rule
+    placed on each piece of their split sides.
 
     A contour's points and terms do not depend on the rest of its table, so
     each contour's integral is bitwise the same in any grouping.
     """
     rule = edge_quadrature()
-    sides = np.concatenate([contour.segments for contour in contours])
-    t, counts = split_segments_at_mesh_lines(space.mesh, sides[:, 0], sides[:, 1])
-    pieces = (counts - 1).reshape(len(contours), 4).sum(axis=1)
-    side_starts = np.concatenate([[0], np.cumsum(counts)])
-    first = 0
-    while first < len(contours):
-        size = np.cumsum(pieces[first:]) * len(rule.points)
-        stop = first + max(1, int(np.searchsorted(size, CONTOUR_BLOCK_POINTS, side="right")))
-        block = slice(4 * first, 4 * stop)
-        a, b, cut = sides[block, 0], sides[block, 1], counts[block]
-        side = np.repeat(np.arange(len(cut)), cut)
-        ends = a[side] + t[side_starts[block.start] : side_starts[block.stop], None] * (b - a)[side]
-        last = np.cumsum(cut) - 1
-        p0 = np.delete(ends, last, axis=0)
-        p1 = np.delete(ends, last - cut + 1, axis=0)
+    for bounds, p0, p1 in _contour_pieces(space, contours, len(rule.points)):
         lengths = np.hypot(*(p1 - p0).T)
         points = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
         points = points.reshape(-1, 2)
         yield _ContourTable(
-            bounds=np.concatenate([[0], np.cumsum(pieces[first:stop])]),
+            bounds=bounds,
             weights=lengths[:, None] * rule.weights[None, :],
             points=points,
             where=locate_points(points, space),
         )
-        first = stop
 
 
 def _offset_contours(delta_0: float):
@@ -378,17 +421,6 @@ def _contour_integrals(table: _ContourTable, integrand) -> list[float]:
     """Per contour, the integral of a per-point integrand over its own pieces."""
     terms = table.weights * integrand.reshape(table.weights.shape)
     return [float(np.sum(terms[lo:hi])) for lo, hi in zip(table.bounds[:-1], table.bounds[1:])]
-
-
-def _contour_l2_norms(coeffs, space: P1Space, table: _ContourTable) -> list[float]:
-    vals = located_values(coeffs, table.where, space)
-    return [float(np.sqrt(s)) for s in _contour_integrals(table, vals**2)]
-
-
-def contour_l2_norm_discrete(coeffs, space: P1Space, contour) -> float:
-    """L2 norm of a P1 function along an offset contour."""
-    (table,) = _contour_tables(space, [contour])
-    return _contour_l2_norms(coeffs, space, table)[0]
 
 
 def _interp_error_norms(problem, coeffs, space: P1Space, table: _ContourTable):
@@ -466,13 +498,12 @@ def dual_stability_report(
         system = SaddleSystem(saddle_matrix(space, cfg), rhs, space.n_dofs, mesh.n_facets)
         phi, theta = system.split(solve_sym_indefinite(system).x)
 
-    grads = np.einsum("ti,tid->td", phi[mesh.triangles], space.gradients)
+    nodal = phi[mesh.triangles]
+    grads = np.einsum("ti,tid->td", nodal, space.gradients)
     cell_grad_sq = np.einsum("td,td->t", grads, grads)
-    q3 = max(
-        norm**2
-        for table in _contour_tables(space, _offset_contours(delta_0))
-        for norm in _contour_l2_norms(phi, space, table)
-    )
+    q3 = max(norm**2 for norm in _p1_contour_norms(phi, space, _offset_contours(delta_0)))
+    # phi^T M phi: the exact P1 mass form of a triangle is |T|/12 ((sum phi_i)^2 + sum phi_i^2)
+    cell_mass = nodal.sum(axis=1) ** 2 + np.einsum("ti,ti->t", nodal, nodal)
     q5 = None
     if theta is not None:
         q5 = mesh.h_grid**2 * float(np.sum(mesh.facet_lengths * theta**2))
@@ -483,6 +514,6 @@ def dual_stability_report(
         q1=_weighted_gradient_sq(cell_grad_sq, space, mesh.h_grid),
         q2=mesh.h_grid * float(np.sum(space.areas * cell_grad_sq)),
         q3=q3,
-        q4=float(phi @ (mass_matrix(space) @ phi)),
+        q4=float(np.sum(space.areas / 12.0 * cell_mass)),
         q5=q5,
     )

@@ -28,7 +28,7 @@ from fluxfem.fem import (
 from fluxfem.flux import BoundaryFluxField, ExactFluxField
 from fluxfem.lagrange import SaddleConfig
 from fluxfem.linsolve import solve_spd
-from fluxfem.mesh import build_unit_square_mesh, offset_contour
+from fluxfem.mesh import build_unit_square_mesh, offset_contour, split_segments_at_mesh_lines
 from fluxfem.nitsche import NitscheConfig, assemble_nitsche
 from fluxfem.problems import ManufacturedProblem
 
@@ -202,7 +202,6 @@ def test_contour_quadrature_against_refined_oracle(trig):
     space = P1Space(build_unit_square_mesh(n))
     coeffs = nodal_interpolant(trig.u, space)
     from fluxfem.fem import locate_points, located_gradients, located_values
-    from fluxfem.mesh import split_segments_at_mesh_lines
 
     contours = [offset_contour(delta) for delta in (0.2, 0.25, 1.0 / 3.0)]
     (table,) = analysis._contour_tables(space, contours)
@@ -289,16 +288,20 @@ def test_stability_report_peak_memory_at_n_128(cfg):
 
 
 def test_stability_report_locates_contour_points_once(monkeypatch):
-    """One report splits all contour sides in one batch, locates all their
-    Gauss points in one lookup and reads phi_h there once, instead of once
-    per offset."""
-    calls = {"split": 0, "locate": 0, "values": 0}
+    """One report splits all contour sides in one batch, locates the midpoint
+    of each piece, and nothing else, in one lookup and reads the value and
+    gradient of phi_h there once, instead of once per offset or at 6 Gauss
+    points per piece."""
+    calls = {"split": 0, "locate": 0, "values": 0, "gradients": 0}
+    located = []
 
     def counted(module, name, key):
         original = getattr(module, name)
 
         def wrapper(*args):
             calls[key] += 1
+            if key == "locate":
+                located.append(np.array(args[1]))
             return original(*args)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -306,9 +309,68 @@ def test_stability_report_locates_contour_points_once(monkeypatch):
     counted(analysis, "split_segments_at_mesh_lines", "split")
     counted(fem, "locate_triangle", "locate")
     counted(analysis, "located_values", "values")
+    counted(analysis, "located_gradients", "gradients")
     mesh = build_unit_square_mesh(8)
     dual_stability_report(P1Space(mesh), NitscheConfig(), rademacher_boundary_field(mesh, 0))
-    assert calls == {"split": 1, "locate": 1, "values": 1}
+    assert calls == {"split": 1, "locate": 1, "values": 1, "gradients": 1}
+    sides = np.concatenate([contour.segments for contour in analysis._offset_contours(0.25)])
+    t, counts = split_segments_at_mesh_lines(mesh, sides[:, 0], sides[:, 1])
+    # a side of k breakpoints has k - 1 pieces
+    assert len(located[0]) == len(t) - len(sides) == 1568
+    side = np.repeat(np.arange(len(sides)), counts - 1)
+    first = np.delete(np.arange(len(t)), np.cumsum(counts) - 1)
+    mid_t = 0.5 * (t[first] + t[first + 1])
+    a, b = sides[side, 0], sides[side, 1]
+    assert np.allclose(located[0], a + mid_t[:, None] * (b - a), rtol=0.0, atol=1e-15)
+
+
+def _gauss_contour_norms(coeffs, space, contours):
+    """Per contour, the 6-point Gauss L2 norm of a P1 function on its pieces."""
+    return [
+        np.sqrt(s)
+        for table in analysis._contour_tables(space, contours)
+        for s in analysis._contour_integrals(table, fem.located_values(coeffs, table.where, space) ** 2)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 16, 23, 32, 45, 64, 128])
+def test_closed_form_contour_norms_match_gauss_norms(n):
+    """|phi_h|^2 is quadratic on each piece, so (L/3)(a^2 + ab + b^2) from
+    the end values is what the 6-point rule integrates, up to rounding."""
+    space = P1Space(build_unit_square_mesh(n))
+    for delta_0 in (0.125, 0.25, 0.3, 0.4999):
+        contours = analysis._offset_contours(delta_0)
+        for seed in range(3):
+            phi = np.random.default_rng([seed, n]).standard_normal(space.n_dofs)
+            closed = analysis._p1_contour_norms(phi, space, contours)
+            assert closed == pytest.approx(_gauss_contour_norms(phi, space, contours), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_q4_equals_the_mass_matrix_form(monkeypatch, n):
+    space = P1Space(build_unit_square_mesh(n))
+    psi = rademacher_boundary_field(space.mesh, 0)
+    for seed in range(3):
+        phi = np.random.default_rng([seed, n]).standard_normal(space.n_dofs)
+        monkeypatch.setattr(analysis, "solve_spd", lambda system: SimpleNamespace(x=phi))
+        q4 = dual_stability_report(space, NitscheConfig(), psi).q4
+        assert q4 == pytest.approx(phi @ (fem.mass_matrix(space) @ phi), rel=1e-13)
+
+
+def test_q3_peak_memory_at_n_64():
+    """The closed-form Q3 of one report, all 33 contours: the Gauss-point
+    tables peaked at 2.8 MiB, the breakpoints alone at 1.2 MiB."""
+    space = P1Space(build_unit_square_mesh(64))
+    phi = np.random.default_rng(0).standard_normal(space.n_dofs)
+    contours = analysis._offset_contours(0.25)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        max(norm**2 for norm in analysis._p1_contour_norms(phi, space, contours))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_dual_stability_zero_psi():

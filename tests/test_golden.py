@@ -51,6 +51,14 @@ CASES = {
     ],
     # alpha = 10 is outside the stable range: the spread gate fails (exit 1)
     "dual-check-lagrange-alpha10-seed3": ["dual-check", "--method", "lagrange", "--alpha", "10", "--seed", "3"],
+    # delta0 = 0.4999 crowds the contours at the inradius, where the last ones are shortest
+    "dual-check-nitsche-delta0-04999-seed7": [
+        "dual-check", "--method", "nitsche", "--delta0", "0.4999", "--seed", "7"
+    ],
+    # a shifted saddle problem with a small alpha, so Q5 is large
+    "dual-check-lagrange-alpha01-kappa10-seed11": [
+        "dual-check", "--method", "lagrange", "--alpha", "0.1", "--kappa", "10", "--seed", "11"
+    ],
     "patch-test-nitsche": ["patch-test", "--method", "nitsche"],
     "patch-test-lagrange": ["patch-test", "--method", "lagrange"],
 }

@@ -103,6 +103,18 @@ def test_edge_rule_is_placed_on_facets_once_and_on_contour_pieces():
     assert callers_of("edge_quadrature") == ["analysis._contour_tables", "fem._facet_table"]
 
 
+def test_gauss_contour_tables_serve_only_the_interpolation_scan():
+    """A P1 function's contour norms are exact from the piece midpoints; only
+    u - u_h, which is not polynomial, needs Gauss points on the pieces."""
+    assert callers_of("_contour_tables") == ["analysis.interp_error_scan"]
+
+
+def test_mass_matrix_only_in_shifted_operators():
+    """The mass matrix is the kappa shift of the two method matrices; the
+    stability report's L2 term sums per triangle instead."""
+    assert callers_of("mass_matrix") == ["lagrange.saddle_matrix", "nitsche.nitsche_matrix"]
+
+
 METHOD_NAMES = ("nitsche", "lagrange")
 
 

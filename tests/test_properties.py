@@ -1,4 +1,4 @@
-"""Property tests for point location, offsets, contour splitting and config parsing.
+"""Property tests for point location, offsets, contour splitting and norms, and config parsing.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fluxfem import analysis
+from fluxfem.analysis import contour_l2_norm_discrete
 from fluxfem.cli import MAX_LEVEL, MIN_LEVEL, StudyConfig, build_config, build_parser, main
-from fluxfem.fem import locate_triangle
+from fluxfem.fem import P1Space, locate_triangle, located_values
 from fluxfem.mesh import (
     build_unit_square_mesh,
     distance_weight,
@@ -159,6 +161,19 @@ def test_split_segments_in_a_batch_as_each_alone(n, segments):
     assert counts.sum() == len(t)
     for (p0, p1), part in zip(ends, np.split(t, np.cumsum(counts)[:-1])):
         assert part.tobytes() == split_one(mesh, p0, p1).tobytes()
+
+
+@PROPERTY
+@given(n=grid_n, delta=st.floats(min_value=0.0, max_value=0.4999), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_contour_norm_matches_gauss_norm(n, delta, seed):
+    """A P1 function's L2 norm on an offset contour from the piece end values
+    agrees with the 6-point rule on every piece."""
+    space = P1Space(build_unit_square_mesh(n))
+    phi = np.random.default_rng(seed).standard_normal(space.n_dofs)
+    contour = offset_contour(delta)
+    (table,) = analysis._contour_tables(space, [contour])
+    gauss = np.sqrt(analysis._contour_integrals(table, located_values(phi, table.where, space) ** 2)[0])
+    assert contour_l2_norm_discrete(phi, space, contour) == pytest.approx(gauss, rel=1e-13)
 
 
 BOOLEAN_SPELLINGS = ("1", "true", "yes", "on", "0", "false", "no", "off")
