@@ -15,25 +15,24 @@ Both hold for any discrete interpolants, so pi_h is nodal interpolation
 for u and the facet average for lambda. The dual-stability quantities
 are the weighted-gradient, scaled-gradient, offset-contour, and L2 terms
 bounded by |psi|^2 on the boundary, measured level by level. They are
-integrals of a P1 function, so each has a closed form: the offset contours
-are split at the mesh lines, and the square of phi_h is integrated exactly
-on each piece from its value and gradient at the piece's midpoint; the L2
-term sums the exact element mass forms, so no mass matrix is built. Only
-the interpolation scan, whose integrand u - pi_h u is not polynomial, places
-the 6-point edge rule on the contour pieces.
+integrals of a P1 function, so each has a closed form: one split cuts all
+the offset contours at the mesh lines, and the square of phi_h is
+integrated exactly on each piece from its value and gradient at the
+piece's midpoint; the L2 term sums the exact element mass forms, so no mass
+matrix is built. Only the interpolation scan, whose integrand u - pi_h u is
+not polynomial, places the 6-point edge rule on the contour pieces: it
+splits all its contours once too, then evaluates one contour at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .fem import (
     VOLUME_DEGREE,
     P1Space,
-    PointLocation,
     SampledField,
     basis_at,
     boundary_field_values,
@@ -71,10 +70,6 @@ from .nitsche import (
 IDENTITY_VOLUME_DEGREE = 6
 # Offsets delta sampled in [0, delta_0] by the offset-contour suprema.
 CONTOUR_SAMPLES = 33
-# Most points located at once for whole offset contours (one contour may
-# exceed it alone): piece midpoints for the P1 norms, Gauss points for the
-# interpolation scan; the offset suprema take their max over the blocks.
-CONTOUR_BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -325,12 +320,11 @@ def error_representation_residuals(
 # -- offset-contour integration ------------------------------------------------
 
 
-def _contour_pieces(space: P1Space, contours, points_per_piece: int):
+def _contour_pieces(space: P1Space, contours):
     """Split every side of every contour at the mesh lines it crosses, in one
-    batch, then yield (bounds, start, end) for consecutive whole contours with
-    at most CONTOUR_BLOCK_POINTS points to locate, `points_per_piece` per piece
-    (at least one contour). Piece j runs from start[j] to end[j] inside one
-    triangle; contour c of the block owns the pieces bounds[c]:bounds[c + 1].
+    batch. Returns (bounds, start, end): piece j runs from start[j] to end[j]
+    inside one triangle, up to the splitter's merge tolerance, and contour c
+    owns the pieces bounds[c]:bounds[c + 1].
     """
     sides = np.concatenate([contour.segments for contour in contours])
     t, counts = split_segments_at_mesh_lines(space.mesh, sides[:, 0], sides[:, 1])
@@ -339,16 +333,8 @@ def _contour_pieces(space: P1Space, contours, points_per_piece: int):
     # consecutive breakpoints bound a piece unless a side ends between them
     same_side = np.ones(len(t) - 1, dtype=bool)
     same_side[np.cumsum(counts)[:-1] - 1] = False
-    start, end = ends[:-1][same_side], ends[1:][same_side]
     bounds = np.concatenate([[0], np.cumsum((counts - 1).reshape(len(contours), 4).sum(axis=1))])
-    del t, side, ends, same_side  # the generator keeps its locals while a block is in use
-    first = 0
-    while first < len(contours):
-        size = (bounds[first + 1 :] - bounds[first]) * points_per_piece
-        stop = first + max(1, int(np.searchsorted(size, CONTOUR_BLOCK_POINTS, side="right")))
-        block = bounds[first : stop + 1]
-        yield block - block[0], start[block[0] : block[-1]], end[block[0] : block[-1]]
-        first = stop
+    return bounds, ends[:-1][same_side], ends[1:][same_side]
 
 
 def _p1_contour_norms(coeffs, space: P1Space, contours) -> list[float]:
@@ -359,19 +345,17 @@ def _p1_contour_norms(coeffs, space: P1Space, contours) -> list[float]:
     is (L/3)(a^2 + ab + b^2) in the end values a and b. The midpoint, not an
     end, picks the piece's triangle, because the splitter merges cuts closer
     than its tolerance, so an end may lie in a sliver of the next triangle.
-    A contour's terms and its one sum do not depend on the rest of its block,
-    so each norm is bitwise the same in any grouping.
+    A contour's terms and its one sum do not depend on the other contours,
+    so each norm is bitwise the same as that of the contour alone.
     """
-    norms = []
-    for bounds, p0, p1 in _contour_pieces(space, contours, 1):
-        step = p1 - p0
-        where = locate_points(p0 + 0.5 * step, space)
-        c = located_values(coeffs, where, space)
-        g = located_gradients(coeffs, where, space)
-        d = 0.5 * (g[:, 0] * step[:, 0] + g[:, 1] * step[:, 1])
-        terms = np.hypot(*step.T) * (c * c + d * d / 3.0)
-        norms += [float(np.sqrt(np.sum(terms[i:j]))) for i, j in zip(bounds[:-1], bounds[1:])]
-    return norms
+    bounds, p0, p1 = _contour_pieces(space, contours)
+    step = p1 - p0
+    where = locate_points(p0 + 0.5 * step, space)
+    c = located_values(coeffs, where, space)
+    g = located_gradients(coeffs, where, space)
+    d = 0.5 * (g[:, 0] * step[:, 0] + g[:, 1] * step[:, 1])
+    terms = np.hypot(*step.T) * (c * c + d * d / 3.0)
+    return [float(np.sqrt(np.sum(terms[i:j]))) for i, j in zip(bounds[:-1], bounds[1:])]
 
 
 def contour_l2_norm_discrete(coeffs, space: P1Space, contour) -> float:
@@ -379,61 +363,18 @@ def contour_l2_norm_discrete(coeffs, space: P1Space, contour) -> float:
     return _p1_contour_norms(coeffs, space, [contour])[0]
 
 
-class _ContourTable(NamedTuple):
-    """Gauss points of consecutive whole offset contours, located once.
-
-    Contour c owns the pieces bounds[c]:bounds[c + 1]; `weights` holds each
-    piece's length times the Gauss weights, (n_pieces, EDGE_POINTS), and
-    `points` the (n_pieces * EDGE_POINTS, 2) Gauss points, piece by piece.
-    """
-
-    bounds: np.ndarray
-    weights: np.ndarray
-    points: np.ndarray
-    where: PointLocation
-
-
-def _contour_tables(space: P1Space, contours):
-    """Yield the tables of consecutive whole contours with the edge rule
-    placed on each piece of their split sides.
-
-    A contour's points and terms do not depend on the rest of its table, so
-    each contour's integral is bitwise the same in any grouping.
-    """
+def _gauss_points(p0, p1):
+    """The edge rule on the pieces p0[j] -> p1[j]: (weights, points), each
+    piece's length times the Gauss weights, (n_pieces, EDGE_POINTS), and the
+    (n_pieces * EDGE_POINTS, 2) Gauss points, piece by piece."""
     rule = edge_quadrature()
-    for bounds, p0, p1 in _contour_pieces(space, contours, len(rule.points)):
-        lengths = np.hypot(*(p1 - p0).T)
-        points = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
-        points = points.reshape(-1, 2)
-        yield _ContourTable(
-            bounds=bounds,
-            weights=lengths[:, None] * rule.weights[None, :],
-            points=points,
-            where=locate_points(points, space),
-        )
+    step = p1 - p0
+    points = p0[:, None, :] + rule.points[None, :, None] * step[:, None, :]
+    return np.hypot(*step.T)[:, None] * rule.weights[None, :], points.reshape(-1, 2)
 
 
 def _offset_contours(delta_0: float):
     return [offset_contour(delta) for delta in np.linspace(0.0, delta_0, CONTOUR_SAMPLES)]
-
-
-def _contour_integrals(table: _ContourTable, integrand) -> list[float]:
-    """Per contour, the integral of a per-point integrand over its own pieces."""
-    terms = table.weights * integrand.reshape(table.weights.shape)
-    return [float(np.sum(terms[lo:hi])) for lo, hi in zip(table.bounds[:-1], table.bounds[1:])]
-
-
-def _interp_error_norms(problem, coeffs, space: P1Space, table: _ContourTable):
-    """Per contour, the (value, gradient) L2 norms of u - u_h along it."""
-    x, y = table.points[:, 0], table.points[:, 1]
-    dv = np.asarray(problem.u(x, y), dtype=float) - located_values(coeffs, table.where, space)
-    gx, gy = problem.grad_u(x, y)
-    grads = located_gradients(coeffs, table.where, space)
-    dgx = np.asarray(gx) - grads[:, 0]
-    dgy = np.asarray(gy) - grads[:, 1]
-    values = _contour_integrals(table, dv**2)
-    gradients = _contour_integrals(table, dgx**2 + dgy**2)
-    return [(float(np.sqrt(v)), float(np.sqrt(g))) for v, g in zip(values, gradients)]
 
 
 def _check_offset_scan(delta_0: float):
@@ -446,18 +387,28 @@ def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpS
 
     Scans delta over CONTOUR_SAMPLES even steps in [0, delta_0]; the value
     component decays at second order and the gradient at first order for
-    smooth u.
+    smooth u. All contours are split in one batch; the Gauss points are
+    placed, located and summed one contour at a time, so only one contour's
+    points are held at once.
     """
     _check_offset_scan(delta_0)
     coeffs = nodal_interpolant(problem.u, space)
-    norms = [
-        norm
-        for table in _contour_tables(space, _offset_contours(delta_0))
-        for norm in _interp_error_norms(problem, coeffs, space, table)
-    ]
+    bounds, start, end = _contour_pieces(space, _offset_contours(delta_0))
+    value_sq, gradient_sq = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        weights, points = _gauss_points(start[lo:hi], end[lo:hi])
+        where = locate_points(points, space)
+        x, y = points[:, 0], points[:, 1]
+        dv = np.asarray(problem.u(x, y), dtype=float) - located_values(coeffs, where, space)
+        gx, gy = problem.grad_u(x, y)
+        grads = located_gradients(coeffs, where, space)
+        dgx = np.asarray(gx) - grads[:, 0]
+        dgy = np.asarray(gy) - grads[:, 1]
+        value_sq.append(np.sum(weights * (dv**2).reshape(weights.shape)))
+        gradient_sq.append(np.sum(weights * (dgx**2 + dgy**2).reshape(weights.shape)))
     return InterpScan(
-        sup_value_error=max(v for v, _ in norms),
-        sup_gradient_error=max(g for _, g in norms),
+        sup_value_error=float(np.sqrt(max(value_sq))),
+        sup_gradient_error=float(np.sqrt(max(gradient_sq))),
         h_grid=space.mesh.h_grid,
     )
 

@@ -221,7 +221,10 @@ def split_segments_at_mesh_lines(mesh: Mesh, p0, p1) -> tuple[np.ndarray, np.nda
     Returns (t, counts): each segment's sorted breakpoint parameters in
     [0, 1] (including the ends), concatenated in segment order, and how
     many belong to each segment. Every sub-segment lies inside a single
-    triangle, so integrands stay smooth on it. Each segment's breakpoints
+    triangle, so integrands stay smooth on it, up to the 1e-12 merge
+    tolerance: cuts closer than that are merged, so a sub-segment may reach
+    into a sliver of the next triangle, and consumers pick a piece's
+    triangle from its midpoint, not from an end. Each segment's breakpoints
     are the same whatever else is in the batch.
     """
     p0 = np.asarray(p0, dtype=float).reshape(-1, 2)

@@ -193,6 +193,25 @@ def test_interp_scan_second_order_values(trig):
     assert ratio == pytest.approx(4.0, abs=0.6)
 
 
+def _interp_error_norms(problem, coeffs, space, contours):
+    """Per contour, the 6-point Gauss (value, gradient) L2 norms of u - u_h on
+    its pieces, summed as interp_error_scan sums them."""
+    bounds, p0, p1 = analysis._contour_pieces(space, contours)
+    norms = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        weights, points = analysis._gauss_points(p0[lo:hi], p1[lo:hi])
+        where = fem.locate_points(points, space)
+        x, y = points[:, 0], points[:, 1]
+        dv = problem.u(x, y) - fem.located_values(coeffs, where, space)
+        gx, gy = problem.grad_u(x, y)
+        grads = fem.located_gradients(coeffs, where, space)
+        dg_sq = (gx - grads[:, 0]) ** 2 + (gy - grads[:, 1]) ** 2
+        value_sq = np.sum(weights * (dv**2).reshape(weights.shape))
+        gradient_sq = np.sum(weights * dg_sq.reshape(weights.shape))
+        norms.append((float(np.sqrt(value_sq)), float(np.sqrt(gradient_sq))))
+    return norms
+
+
 def test_contour_quadrature_against_refined_oracle(trig):
     """Contours crossing cell diagonals keep piecewise-smooth integrands:
     splitting at mesh lines with 6 Gauss points must agree with a
@@ -204,12 +223,9 @@ def test_contour_quadrature_against_refined_oracle(trig):
     from fluxfem.fem import locate_points, located_gradients, located_values
 
     contours = [offset_contour(delta) for delta in (0.2, 0.25, 1.0 / 3.0)]
-    (table,) = analysis._contour_tables(space, contours)
     x, w = np.polynomial.legendre.leggauss(10)
     rule = SimpleNamespace(points=0.5 * (x + 1.0), weights=0.5 * w)
-    for contour, (coarse_v, coarse_g) in zip(
-        contours, analysis._interp_error_norms(trig, coeffs, space, table)
-    ):
+    for contour, (coarse_v, coarse_g) in zip(contours, _interp_error_norms(trig, coeffs, space, contours)):
         total_v = total_g = 0.0
         # recover subsegment endpoints directly from the splitter
         for a, b in contour.segments:
@@ -254,27 +270,35 @@ def test_q3_equals_the_supremum_of_single_contour_norms_bitwise(monkeypatch, n):
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("delta_0", [0.125, 0.4999])
 def test_interp_scan_suprema_equal_the_max_over_single_contour_tables_bitwise(trig, n, delta_0):
-    """The scan's tables hold whole contours, several tables at these n, and
-    each contour's norms are those of a table of that contour alone."""
+    """The scan splits all contours in one batch, and each contour's norms
+    are those of that contour split alone."""
     space = P1Space(build_unit_square_mesh(n))
     contours = analysis._offset_contours(delta_0)
-    assert len(list(analysis._contour_tables(space, contours))) > 1
     coeffs = nodal_interpolant(trig.u, space)
-    single = [
-        analysis._interp_error_norms(trig, coeffs, space, table)[0]
-        for contour in contours
-        for table in analysis._contour_tables(space, [contour])
-    ]
+    single = [_interp_error_norms(trig, coeffs, space, [contour])[0] for contour in contours]
     scan = interp_error_scan(trig, space, delta_0)
     assert scan.sup_value_error == max(v for v, _ in single)
     assert scan.sup_gradient_error == max(g for _, g in single)
 
 
+def test_interp_scan_peak_memory_at_n_64(trig):
+    """All 33 contours' Gauss points in blocks of whole contours peaked at
+    2.94 MiB; one contour's points at a time at 1.23 MiB."""
+    space = P1Space(build_unit_square_mesh(64))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        interp_error_scan(trig, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 @pytest.mark.parametrize("cfg", [NitscheConfig(), SaddleConfig()], ids=["nitsche", "lagrange"])
 def test_stability_report_peak_memory_at_n_128(cfg):
-    """All 33 contour tables at once and a full assembly with f = g = 0
-    peaked at 20.0 MiB; contour blocks and the matrix alone at 10.3 (Nitsche)
-    and 11.4 MiB (multipliers)."""
+    """The matrix alone and the closed-form contour norms, all 33 contours
+    from one split, peak at 9.40 (Nitsche) and 9.41 MiB (multipliers)."""
     space = P1Space(build_unit_square_mesh(128))
     psi = rademacher_boundary_field(space.mesh, 0)
     tracemalloc.start()
@@ -326,11 +350,11 @@ def test_stability_report_locates_contour_points_once(monkeypatch):
 
 def _gauss_contour_norms(coeffs, space, contours):
     """Per contour, the 6-point Gauss L2 norm of a P1 function on its pieces."""
-    return [
-        np.sqrt(s)
-        for table in analysis._contour_tables(space, contours)
-        for s in analysis._contour_integrals(table, fem.located_values(coeffs, table.where, space) ** 2)
-    ]
+    bounds, p0, p1 = analysis._contour_pieces(space, contours)
+    weights, points = analysis._gauss_points(p0, p1)
+    values = fem.located_values(coeffs, fem.locate_points(points, space), space)
+    terms = weights * (values**2).reshape(weights.shape)
+    return [np.sqrt(np.sum(terms[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 16, 23, 32, 45, 64, 128])

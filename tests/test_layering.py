@@ -69,8 +69,8 @@ def test_one_level_per_call_and_a_fixed_contour_sample_count():
 
 
 def test_block_sizes_are_constants():
-    """Full-mesh volume tables come in fem.BLOCK_TRIANGLES blocks and offset
-    contours in analysis.CONTOUR_BLOCK_POINTS blocks; no function takes a size."""
+    """Full-mesh volume tables come in fem.BLOCK_TRIANGLES blocks; no
+    function takes a size."""
     assert parameters_named("block") == []
     assert parameters_named("block_triangles") == []
     assert parameters_named("block_points") == []
@@ -100,13 +100,13 @@ def test_one_scatter_per_assembly_path():
 def test_edge_rule_is_placed_on_facets_once_and_on_contour_pieces():
     """The edge rule is built into P1Space's facet table, which every boundary
     integral reads, and onto the offset-contour pieces; nothing else asks for it."""
-    assert callers_of("edge_quadrature") == ["analysis._contour_tables", "fem._facet_table"]
+    assert callers_of("edge_quadrature") == ["analysis._gauss_points", "fem._facet_table"]
 
 
 def test_gauss_contour_tables_serve_only_the_interpolation_scan():
     """A P1 function's contour norms are exact from the piece midpoints; only
     u - u_h, which is not polynomial, needs Gauss points on the pieces."""
-    assert callers_of("_contour_tables") == ["analysis.interp_error_scan"]
+    assert callers_of("_gauss_points") == ["analysis.interp_error_scan"]
 
 
 def test_mass_matrix_only_in_shifted_operators():
