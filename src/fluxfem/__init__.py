@@ -7,6 +7,8 @@ tools (convergence studies, error-representation identities, dual
 stability scans) used to verify first-order flux accuracy.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     ConvergenceRecord,
     InterpScan,
@@ -70,5 +72,6 @@ from .nitsche import (
 )
 from .problems import ManufacturedProblem, affine_problem, constant_problem, trig_problem
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules that the imports above bind stay out of `from fluxfem import *`
+__all__ = [name for name in dir() if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]
 __version__ = "0.1.0"

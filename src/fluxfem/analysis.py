@@ -12,7 +12,9 @@ and for the multiplier flux
           + (psi, lambda - pi_h lambda)_G.
 
 Both hold for any discrete interpolants, so pi_h is nodal interpolation
-for u and the facet average for lambda. The dual-stability quantities
+for u and the facet average for lambda. The identity check samples
+w = u - pi_h u once and evaluates the forms on it here, the one place
+that needs them. The dual-stability quantities
 are the weighted-gradient, scaled-gradient, offset-contour, and L2 terms
 bounded by |psi|^2 on the boundary, measured level by level. They are
 integrals of a P1 function, so each has a closed form: one split cuts all
@@ -33,7 +35,6 @@ import numpy as np
 from .fem import (
     VOLUME_DEGREE,
     P1Space,
-    SampledField,
     basis_at,
     boundary_field_values,
     cell_blocks,
@@ -48,7 +49,6 @@ from .flux import BoundaryFluxField, pointwise_nitsche_values
 from .lagrange import (
     SaddleConfig,
     SaddleSystem,
-    apply_saddle_form,
     assemble_dual_rhs_lm,
     assemble_saddle,
     saddle_matrix,
@@ -58,8 +58,6 @@ from .mesh import Mesh, distance_weight, offset_contour, split_segments_at_mesh_
 from .nitsche import (
     LinearSystem,
     NitscheConfig,
-    apply_dual_functional,
-    apply_nitsche_form,
     assemble_dual_rhs_nitsche,
     assemble_nitsche,
     nitsche_matrix,
@@ -200,7 +198,8 @@ def fit_rate(records, field: str = "flux_err") -> float:
     """Least-squares slope of log(error) against log(h), over at least 3 points.
 
     `records` is a list of ConvergenceRecord (the `field` attribute is
-    fitted against h_grid) or of plain (h, error) pairs.
+    fitted against h_grid) or of plain (h, error) pairs. Every h and error
+    must be finite and positive, and at least two h distinct.
     """
     pairs = []
     for rec in records:
@@ -211,6 +210,11 @@ def fit_rate(records, field: str = "flux_err") -> float:
             pairs.append((float(h), float(e)))
     if len(pairs) < 3:
         raise ValueError(f"insufficient data: need >= 3 points, have {len(pairs)}")
+    for h, e in pairs:
+        if not (0.0 < h < np.inf and 0.0 < e < np.inf):
+            raise ValueError(f"cannot fit a rate to (h, error) = ({h!r}, {e!r}): need both finite and > 0")
+    if len({h for h, _ in pairs}) < 2:
+        raise ValueError(f"cannot fit a rate: all {len(pairs)} points have h = {pairs[0][0]!r}")
     h = np.log([p[0] for p in pairs])
     e = np.log([p[1] for p in pairs])
     return float(np.polyfit(h, e, 1)[0])
@@ -234,8 +238,11 @@ def _check_method_config(cfg):
         raise TypeError(f"cfg must be a NitscheConfig or a SaddleConfig, got {type(cfg).__name__}")
 
 
-def _sampled_interp_error(problem, space: P1Space, sign: float = 1.0) -> SampledField:
-    """sign * (u - pi_h u) sampled once for the identity forms.
+def _sampled_interp_error(problem, space: P1Space, sign: float = 1.0):
+    """w = sign * (u - pi_h u) sampled once for the identity forms, as the tuple
+    (grad, value, normal_derivative): grad (gx, gy) at the points of the
+    IDENTITY_VOLUME_DEGREE rule (n_triangles, n_q); value and n.grad w at the
+    facet points (n_facets, EDGE_POINTS).
 
     grad pi_h u is constant on each triangle, so the volume points need no
     lookup; the facet Gauss points are located once for values and gradients.
@@ -247,20 +254,72 @@ def _sampled_interp_error(problem, space: P1Space, sign: float = 1.0) -> Sampled
         gx, gy = problem.grad_u(x, y)
         return sign * (np.asarray(gx) - pi_grad[..., 0]), sign * (np.asarray(gy) - pi_grad[..., 1])
 
-    rule = triangle_quadrature(IDENTITY_VOLUME_DEGREE)
-    pts = space.quadrature_points(rule)
+    pts = space.quadrature_points(triangle_quadrature(IDENTITY_VOLUME_DEGREE))
     cell_grad = np.einsum("ti,tid->td", pi_u[mesh.triangles], space.gradients)
     fpts = space.facets.points
     x, y = fpts[..., 0], fpts[..., 1]
     where = locate_points(fpts.reshape(-1, 2), space)
     pi_vals = located_values(pi_u, where, space).reshape(x.shape)
     fx, fy = grad_gap(x, y, located_gradients(pi_u, where, space).reshape(fpts.shape))
-    return SampledField(
-        rule=rule,
-        grad=grad_gap(pts[..., 0], pts[..., 1], cell_grad[:, None, :]),
-        value=np.asarray(sign * (problem.u(x, y) - pi_vals), dtype=float),
-        normal_derivative=mesh.facet_normals[:, None, 0] * fx + mesh.facet_normals[:, None, 1] * fy,
+    return (
+        grad_gap(pts[..., 0], pts[..., 1], cell_grad[:, None, :]),
+        np.asarray(sign * (problem.u(x, y) - pi_vals), dtype=float),
+        mesh.facet_normals[:, None, 0] * fx + mesh.facet_normals[:, None, 1] * fy,
     )
+
+
+def _volume_form(space: P1Space, grad, phi) -> float:
+    """(grad w, grad phi_h) for grad w sampled as in `_sampled_interp_error`."""
+    gx, gy = grad
+    weights = triangle_quadrature(IDENTITY_VOLUME_DEGREE).weights
+    phigrad = np.einsum("ti,tid->td", phi[space.mesh.triangles], space.gradients)
+    integrand = gx * phigrad[:, None, 0] + gy * phigrad[:, None, 1]
+    return 2.0 * float(np.sum(space.areas[:, None] * weights[None, :] * integrand))
+
+
+def _nitsche_identity_form(space: P1Space, cfg: NitscheConfig, w, psivals, phi) -> float:
+    """a_h(w, phi_h) - m_psi(w) at kappa = 0 for a sampled w and psi at the facet points."""
+    grad, value, normal_derivative = w
+    total = _volume_form(space, grad, phi)
+
+    _, wq, pdofs, ndg, trace, _ = space.facets
+    hf = space.mesh.facet_lengths
+    pen = cfg.beta / hf
+    pc = phi[pdofs]
+    phi_trace = np.einsum("fkq,fk->fq", trace, pc)
+    phi_nd = np.einsum("fk,fk->f", ndg, pc)
+
+    total -= float(np.sum(hf[:, None] * wq[None, :] * normal_derivative * phi_trace))
+    total -= float(np.sum(hf * phi_nd * np.einsum("q,fq->f", wq, value)))
+    total += float(np.sum((pen * hf)[:, None] * wq[None, :] * value * phi_trace))
+
+    # m_psi(w) = beta/h (psi, w)_G - (psi, n.grad w)_G
+    m_psi = float(np.sum((pen * hf)[:, None] * wq[None, :] * psivals * value))
+    m_psi -= float(np.sum(hf[:, None] * wq[None, :] * psivals * normal_derivative))
+    return total - m_psi
+
+
+def _saddle_identity_form(space: P1Space, cfg: SaddleConfig, w, muvals, phi, theta) -> float:
+    """A_h(w, mu; phi_h, theta_h) at kappa = 0 for a sampled w, mu at the
+    facet points and a discrete second pair."""
+    grad, value, normal_derivative = w
+    total = _volume_form(space, grad, phi)
+
+    _, wq, pdofs, ndg, trace, _ = space.facets
+    hf = space.mesh.facet_lengths
+    ah = cfg.alpha * hf
+    pc = phi[pdofs]
+    phi_trace = np.einsum("fkq,fk->fq", trace, pc)
+    phi_nd = np.einsum("fk,fk->f", ndg, pc)
+
+    # b(mu, phi) + b(theta, w)
+    total += float(np.sum(hf[:, None] * wq[None, :] * muvals * phi_trace))
+    total += float(np.sum(hf * theta * np.einsum("q,fq->f", wq, value)))
+    # -alpha h (mu + n.grad w, theta + n.grad phi)_F
+    left = muvals + normal_derivative
+    right = theta[:, None] + phi_nd[:, None]
+    total -= float(np.sum((ah * hf)[:, None] * wq[None, :] * left * right))
+    return total
 
 
 def error_representation_residuals(
@@ -289,8 +348,7 @@ def error_representation_residuals(
         interp_error = _sampled_interp_error(problem, space)
 
         def form(vals, phi):
-            rhs = apply_nitsche_form(space, cfg, interp_error, phi)
-            return rhs - apply_dual_functional(space, cfg, vals, interp_error)
+            return _nitsche_identity_form(space, cfg, interp_error, vals, phi)
     else:
         system = assemble_saddle(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
         duals = [assemble_dual_rhs_lm(space, vals) for vals in psi_vals]
@@ -306,7 +364,7 @@ def error_representation_residuals(
         interp_error = _sampled_interp_error(problem, space, sign=-1.0)
 
         def form(vals, pair):
-            rhs = apply_saddle_form(space, cfg, interp_error, mu_vals, *system.split(pair))
+            rhs = _saddle_identity_form(space, cfg, interp_error, mu_vals, *system.split(pair))
             return rhs + np.sum(hw * vals * interp_gap)
 
     defects = []

@@ -2,9 +2,9 @@
 
 `P1Space` owns every table derived from the mesh: areas, basis
 gradients and the one boundary-facet table. Around it live the generic
-P1 operators (stiffness, mass, load), their one local-to-global scatter
-and the form kernels; `nitsche` and `lagrange` add only their method
-forms.
+P1 operators (stiffness, mass, load), their one local-to-global scatter,
+point location and boundary-data evaluation; `nitsche` and `lagrange`
+add only their method matrices and data.
 
 There are three quadrature rules, all with positive weights: the
 classical symmetric triangle rules of degree 4 (VOLUME_DEGREE, used by
@@ -312,24 +312,3 @@ def boundary_field_values(obj, space: P1Space) -> np.ndarray:
         return arr
     raise TypeError("boundary data must be callable, a flux field, or values at the facet points")
 
-
-class SampledField(NamedTuple):
-    """A function w sampled where the form kernels integrate it.
-
-    grad (gx, gy) at the points of the triangle rule `rule` (n_triangles,
-    n_q); value and normal_derivative (n.grad w) at the boundary-facet
-    points (n_facets, EDGE_POINTS).
-    """
-
-    rule: QuadratureRule
-    grad: tuple
-    value: np.ndarray
-    normal_derivative: np.ndarray
-
-
-def volume_form(space: P1Space, w: SampledField, phi) -> float:
-    """(grad w, grad phi_h) for a sampled w and P1 coefficients phi."""
-    gx, gy = w.grad
-    phigrad = np.einsum("ti,tid->td", phi[space.mesh.triangles], space.gradients)
-    integrand = gx * phigrad[:, None, 0] + gy * phigrad[:, None, 1]
-    return 2.0 * float(np.sum(space.areas[:, None] * w.rule.weights[None, :] * integrand))

@@ -13,8 +13,8 @@ with the residual stabilization
 which vanishes on the exact pair since lambda = -n.grad u. Unknowns are
 ordered [u; lambda] with multiplier dofs following the facet order.
 
-Only the multiplier forms live here; their P1 operators, facet table
-and form kernels are in `fem`.
+Only the multiplier config, system, matrix, assembly and dual data live
+here; the shared P1 operators and facet table are in `fem`.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ import scipy.sparse as sp
 from .fem import (
     VOLUME_DEGREE,
     P1Space,
-    SampledField,
     boundary_field_values,
     load_vector,
     mass_matrix,
     stiffness_matrix,
     symmetrize,
-    volume_form,
 )
 
 
@@ -140,32 +138,3 @@ def assemble_dual_rhs_lm(space: P1Space, psi) -> np.ndarray:
     out[space.n_dofs :] = mesh.facet_lengths * np.einsum("q,fq->f", space.facets.w, psivals)
     return out
 
-
-def apply_saddle_form(
-    space: P1Space, cfg: SaddleConfig, w: SampledField, muvals, phi_coeffs, theta_coeffs
-) -> float:
-    """A_h(w, mu; phi_h, theta_h) at kappa = 0 with a general first pair.
-
-    w is sampled as a `SampledField` and mu is given by its values at the
-    facet points, (n_facets, EDGE_POINTS); the second pair is discrete.
-    """
-    phi = np.asarray(phi_coeffs, dtype=float)
-    theta = np.asarray(theta_coeffs, dtype=float)
-
-    total = volume_form(space, w, phi)
-
-    _, wq, pdofs, ndg, trace, _ = space.facets
-    hf = space.mesh.facet_lengths
-    ah = cfg.alpha * hf
-    pc = phi[pdofs]
-    phi_trace = np.einsum("fkq,fk->fq", trace, pc)
-    phi_nd = np.einsum("fk,fk->f", ndg, pc)
-
-    # b(mu, phi) + b(theta, w)
-    total += float(np.sum(hf[:, None] * wq[None, :] * muvals * phi_trace))
-    total += float(np.sum(hf * theta * np.einsum("q,fq->f", wq, w.value)))
-    # -alpha h (mu + n.grad w, theta + n.grad phi)_F
-    left = muvals + w.normal_derivative
-    right = theta[:, None] + phi_nd[:, None]
-    total -= float(np.sum((ah * hf)[:, None] * wq[None, :] * left * right))
-    return total

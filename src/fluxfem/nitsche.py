@@ -15,8 +15,9 @@ use kappa = 0. The dual right-hand side functional is
     m_psi(v) = beta/h (psi, v)_G - (psi, n.grad v)_G.
 
 Here h is the length h_F of each boundary facet. The boundary part of
-l_h is m_g, the dual data of psi = g. Only the Nitsche forms live here;
-their P1 operators, facet table and form kernels are in `fem`.
+l_h is m_g, the dual data of psi = g. Only the Nitsche config, system,
+matrix, assembly and dual data live here; the shared P1 operators and
+facet table are in `fem`.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ import scipy.sparse as sp
 from .fem import (
     VOLUME_DEGREE,
     P1Space,
-    SampledField,
     boundary_field_values,
     load_vector,
     local_to_global,
     mass_matrix,
     stiffness_matrix,
     symmetrize,
-    volume_form,
 )
 
 
@@ -114,37 +113,3 @@ def _add_dual_data(out, space: P1Space, cfg: NitscheConfig, psi) -> np.ndarray:
     np.add.at(out, pdofs.ravel(), local.ravel())
     return out
 
-
-def apply_nitsche_form(space: P1Space, cfg: NitscheConfig, w: SampledField, phi_coeffs) -> float:
-    """a_h(w, phi_h) at kappa = 0 for a general function w sampled as a `SampledField`.
-
-    Used by the error-representation check where w = u - pi_h u is not a
-    finite element function.
-    """
-    phi = np.asarray(phi_coeffs, dtype=float)
-    total = volume_form(space, w, phi)
-
-    _, wq, pdofs, ndg, trace, _ = space.facets
-    hf = space.mesh.facet_lengths
-    pen = cfg.beta / hf
-    pc = phi[pdofs]
-    phi_trace = np.einsum("fkq,fk->fq", trace, pc)
-    phi_nd = np.einsum("fk,fk->f", ndg, pc)
-
-    total -= float(np.sum(hf[:, None] * wq[None, :] * w.normal_derivative * phi_trace))
-    total -= float(np.sum(hf * phi_nd * np.einsum("q,fq->f", wq, w.value)))
-    total += float(np.sum((pen * hf)[:, None] * wq[None, :] * w.value * phi_trace))
-    return total
-
-
-def apply_dual_functional(space: P1Space, cfg: NitscheConfig, psivals, w: SampledField) -> float:
-    """m_psi(w) = beta/h (psi, w)_G - (psi, n.grad w)_G for a sampled w.
-
-    `psivals` holds psi at the facet points, (n_facets, EDGE_POINTS).
-    """
-    hf = space.mesh.facet_lengths
-    pen = cfg.beta / hf
-    wq = space.facets.w
-    total = float(np.sum((pen * hf)[:, None] * wq[None, :] * psivals * w.value))
-    total -= float(np.sum(hf[:, None] * wq[None, :] * psivals * w.normal_derivative))
-    return total

@@ -26,10 +26,15 @@ from fluxfem.fem import (
     triangle_quadrature,
 )
 from fluxfem.flux import BoundaryFluxField, ExactFluxField
-from fluxfem.lagrange import SaddleConfig
+from fluxfem.lagrange import SaddleConfig, saddle_matrix
 from fluxfem.linsolve import solve_spd
 from fluxfem.mesh import build_unit_square_mesh, offset_contour, split_segments_at_mesh_lines
-from fluxfem.nitsche import NitscheConfig, assemble_nitsche
+from fluxfem.nitsche import (
+    NitscheConfig,
+    assemble_dual_rhs_nitsche,
+    assemble_nitsche,
+    nitsche_matrix,
+)
 from fluxfem.problems import ManufacturedProblem
 
 
@@ -59,6 +64,24 @@ def test_fit_rate_window_and_errors():
     pairs = [(0.5, 1.0), (0.2, 0.4), (0.1, 0.2), (0.05, 0.1), (0.025, 0.05)]
     with pytest.raises(ValueError, match="insufficient"):
         fit_rate(pairs[:2])
+
+
+@pytest.mark.parametrize(
+    "pairs, bad",
+    [
+        ([(0.1, 0.0), (0.05, 1.0), (0.025, 2.0)], r"\(0\.1, 0\.0\)"),
+        ([(0.1, 1.0), (0.05, -1.0), (0.025, 2.0)], r"\(0\.05, -1\.0\)"),
+        ([(0.1, 1.0), (0.05, float("nan")), (0.025, 2.0)], r"\(0\.05, nan\)"),
+        ([(0.1, 1.0), (0.05, 0.5), (float("inf"), 2.0)], r"\(inf, 2\.0\)"),
+        ([(0.0, 1.0), (0.05, 0.5), (0.025, 0.25)], r"\(0\.0, 1\.0\)"),
+        ([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)], "all 3 points have h = 0.1"),
+    ],
+)
+def test_fit_rate_refuses_data_without_a_slope(pairs, bad):
+    """A log of 0, a negative, or a non-finite value, or a single h, has no
+    fitted slope: each raises ValueError naming the data, not a warning."""
+    with pytest.raises(ValueError, match=bad):
+        fit_rate(pairs)
 
 
 def test_fit_rate_accepts_records():
@@ -176,6 +199,42 @@ def test_identity_residuals_sample_interpolation_error_once(monkeypatch, trig, m
         psis = [rademacher_boundary_field(mesh, seed) for seed in range(count)]
         _identity_residuals(method, trig, space, psis)
         assert len(calls) == 1
+
+
+def _sampled_p1(coeffs, space):
+    """A P1 function sampled as analysis._sampled_interp_error samples
+    u - pi_h u: (grad, value, normal derivative)."""
+    nq = len(triangle_quadrature(analysis.IDENTITY_VOLUME_DEGREE).weights)
+    grad = np.einsum("ti,tid->td", coeffs[space.mesh.triangles], space.gradients)
+    gx, gy = (np.broadcast_to(grad[:, None, d], (len(grad), nq)) for d in range(2))
+    _, _, pdofs, ndg, trace, _ = space.facets
+    value = np.einsum("fkq,fk->fq", trace, coeffs[pdofs])
+    normal = np.broadcast_to(np.einsum("fk,fk->f", ndg, coeffs[pdofs])[:, None], value.shape)
+    return (gx, gy), value, normal
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 17])
+def test_identity_forms_equal_the_assembled_operators_on_p1(n):
+    """On P1 arguments the identity's forms are the assembled matrices and
+    dual data: a_h(w, phi) - m_psi(w) and A_h(w, mu; phi, theta) at kappa = 0."""
+    rng = np.random.default_rng([20240811, n])
+    space = P1Space(build_unit_square_mesh(n))
+    nf = space.mesh.n_facets
+    w, phi = rng.standard_normal((2, space.n_dofs))
+    mu, theta = rng.standard_normal((2, nf))
+    psi = rng.standard_normal(space.facets.points.shape[:-1])
+    sampled = _sampled_p1(w, space)
+
+    cfg = NitscheConfig(beta=10.0)
+    form = analysis._nitsche_identity_form(space, cfg, sampled, psi, phi)
+    assembled = phi @ (nitsche_matrix(space, cfg) @ w) - assemble_dual_rhs_nitsche(space, cfg, psi) @ w
+    assert form == pytest.approx(assembled, rel=1e-12)
+
+    scfg = SaddleConfig(alpha=0.25)
+    muvals = np.broadcast_to(mu[:, None], psi.shape)
+    form = analysis._saddle_identity_form(space, scfg, sampled, muvals, phi, theta)
+    assembled = np.concatenate([phi, theta]) @ (saddle_matrix(space, scfg) @ np.concatenate([w, mu]))
+    assert form == pytest.approx(assembled, rel=1e-12)
 
 
 def test_interp_scan_affine_is_exact(affine):

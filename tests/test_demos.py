@@ -1,6 +1,8 @@
-"""Each demo runs to completion against the package in src/ without writing to stderr."""
+"""Each demo runs to completion against the package in src/ without writing
+to stderr, and README's library tour runs as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,13 @@ def test_demo_runs_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_python_blocks_run_in_order():
+    """README's python blocks are one session: each runs in the namespace the
+    blocks before it left, so the tour stays in step with the API."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -7,8 +7,11 @@ into a sibling's private names.
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import fluxfem
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fluxfem"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -34,6 +37,35 @@ def test_package_modules_found():
 def test_no_private_names_imported_from_siblings(path):
     private = [f"{module}.{name}" for module, name in package_imports(path) if name.startswith("_")]
     assert private == []
+
+
+def top_level_names(path, kinds=(ast.FunctionDef, ast.ClassDef)):
+    """Names of the top-level definitions of `kinds` in a package module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, kinds)}
+
+
+@pytest.mark.parametrize(
+    "module, functions",
+    [
+        ("nitsche", {"nitsche_matrix", "assemble_nitsche", "assemble_dual_rhs_nitsche"}),
+        ("lagrange", {"saddle_matrix", "assemble_saddle", "assemble_dual_rhs_lm"}),
+    ],
+)
+def test_method_modules_offer_only_matrix_assembly_and_dual_data(module, functions):
+    """The identity forms on a sampled w live in analysis, their one user."""
+    defined = top_level_names(PACKAGE / f"{module}.py", ast.FunctionDef)
+    assert {name for name in defined if not name.startswith("_")} == functions
+
+
+def test_fem_defines_no_sampled_field_forms():
+    assert {"SampledField", "volume_form"}.isdisjoint(top_level_names(PACKAGE / "fem.py"))
+
+
+def test_star_import_binds_no_modules():
+    """`from fluxfem import *` brings in the API, not the submodules."""
+    modules = [name for name in fluxfem.__all__ if isinstance(getattr(fluxfem, name), ModuleType)]
+    assert modules == []
 
 
 def test_lagrange_does_not_import_nitsche():
