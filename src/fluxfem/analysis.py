@@ -14,7 +14,7 @@ and for the multiplier flux
 Both hold for any discrete interpolants, so pi_h is nodal interpolation
 for u and the facet average for lambda. The identity check samples
 w = u - pi_h u once and evaluates the forms on it here, the one place
-that needs them. The dual-stability quantities
+that needs them, on `space.facets`. The dual-stability quantities
 are the weighted-gradient, scaled-gradient, offset-contour, and L2 terms
 bounded by |psi|^2 on the boundary, measured level by level. They are
 integrals of a P1 function, so each has a closed form: one split cuts all
@@ -109,7 +109,8 @@ class StabilityReport:
         qs = {"Q1": self.q1, "Q2": self.q2, "Q3": self.q3, "Q4": self.q4}
         if self.q5 is not None:
             qs["Q5"] = self.q5
-        return {name: q / self.psi_norm_sq for name, q in qs.items()}
+        # psi = 0 has ratios 0, as it has identity defects 0
+        return {name: q / self.psi_norm_sq if self.psi_norm_sq else 0.0 for name, q in qs.items()}
 
 
 @dataclass(frozen=True)
@@ -126,15 +127,13 @@ class InterpScan:
 
 def boundary_l2_norm(field, space: P1Space) -> float:
     """L2(boundary) norm of any boundary data, on the facet table of `space`."""
-    hw = space.mesh.facet_lengths[:, None] * space.facets.w[None, :]
-    return float(np.sqrt(np.sum(hw * boundary_field_values(field, space) ** 2)))
+    return float(np.sqrt(np.sum(space.facets.hw * boundary_field_values(field, space) ** 2)))
 
 
 def boundary_l2_error(a, b, space: P1Space) -> float:
     """L2(boundary) distance between two boundary data, on the facet table of `space`."""
-    hw = space.mesh.facet_lengths[:, None] * space.facets.w[None, :]
     diff = boundary_field_values(a, space) - boundary_field_values(b, space)
-    return float(np.sqrt(np.sum(hw * diff**2)))
+    return float(np.sqrt(np.sum(space.facets.hw * diff**2)))
 
 
 # -- volume/energy error norms ----------------------------------------------
@@ -174,10 +173,8 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     l2 = float(np.sqrt(2.0 * np.sum(val_terms)))
     grad_sq = float(2.0 * np.sum(grad_terms))
 
-    t, w, pdofs, ndg, _, fpts = space.facets
-    ends = mesh.facet_vertices
-    hw = mesh.facet_lengths[:, None] * w[None, :]
-    u_trace = u[ends][:, [0]] * (1.0 - t)[None, :] + u[ends][:, [1]] * t[None, :]
+    _, w, hw, pdofs, ndg, trace, fpts = space.facets
+    u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
     trace_diff = boundary_field_values(problem.g, space) - u_trace
     val_sq = float(np.sum(hw * trace_diff**2))
     sigma = problem.sigma_n(fpts[..., 0], fpts[..., 1], mesh.facet_normals[:, None, :])
@@ -238,8 +235,8 @@ def _check_method_config(cfg):
         raise TypeError(f"cfg must be a NitscheConfig or a SaddleConfig, got {type(cfg).__name__}")
 
 
-def _sampled_interp_error(problem, space: P1Space, sign: float = 1.0):
-    """w = sign * (u - pi_h u) sampled once for the identity forms, as the tuple
+def _sampled_interp_error(problem, space: P1Space):
+    """w = u - pi_h u sampled once for the identity forms, as the tuple
     (grad, value, normal_derivative): grad (gx, gy) at the points of the
     IDENTITY_VOLUME_DEGREE rule (n_triangles, n_q); value and n.grad w at the
     facet points (n_facets, EDGE_POINTS).
@@ -252,7 +249,7 @@ def _sampled_interp_error(problem, space: P1Space, sign: float = 1.0):
 
     def grad_gap(x, y, pi_grad):
         gx, gy = problem.grad_u(x, y)
-        return sign * (np.asarray(gx) - pi_grad[..., 0]), sign * (np.asarray(gy) - pi_grad[..., 1])
+        return np.asarray(gx) - pi_grad[..., 0], np.asarray(gy) - pi_grad[..., 1]
 
     pts = space.quadrature_points(triangle_quadrature(IDENTITY_VOLUME_DEGREE))
     cell_grad = np.einsum("ti,tid->td", pi_u[mesh.triangles], space.gradients)
@@ -263,7 +260,7 @@ def _sampled_interp_error(problem, space: P1Space, sign: float = 1.0):
     fx, fy = grad_gap(x, y, located_gradients(pi_u, where, space).reshape(fpts.shape))
     return (
         grad_gap(pts[..., 0], pts[..., 1], cell_grad[:, None, :]),
-        np.asarray(sign * (problem.u(x, y) - pi_vals), dtype=float),
+        np.asarray(problem.u(x, y) - pi_vals, dtype=float),
         mesh.facet_normals[:, None, 0] * fx + mesh.facet_normals[:, None, 1] * fy,
     )
 
@@ -282,20 +279,20 @@ def _nitsche_identity_form(space: P1Space, cfg: NitscheConfig, w, psivals, phi) 
     grad, value, normal_derivative = w
     total = _volume_form(space, grad, phi)
 
-    _, wq, pdofs, ndg, trace, _ = space.facets
+    _, wq, hw, pdofs, ndg, trace, _ = space.facets
     hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
     pc = phi[pdofs]
     phi_trace = np.einsum("fkq,fk->fq", trace, pc)
     phi_nd = np.einsum("fk,fk->f", ndg, pc)
 
-    total -= float(np.sum(hf[:, None] * wq[None, :] * normal_derivative * phi_trace))
+    total -= float(np.sum(hw * normal_derivative * phi_trace))
     total -= float(np.sum(hf * phi_nd * np.einsum("q,fq->f", wq, value)))
     total += float(np.sum((pen * hf)[:, None] * wq[None, :] * value * phi_trace))
 
     # m_psi(w) = beta/h (psi, w)_G - (psi, n.grad w)_G
     m_psi = float(np.sum((pen * hf)[:, None] * wq[None, :] * psivals * value))
-    m_psi -= float(np.sum(hf[:, None] * wq[None, :] * psivals * normal_derivative))
+    m_psi -= float(np.sum(hw * psivals * normal_derivative))
     return total - m_psi
 
 
@@ -305,7 +302,7 @@ def _saddle_identity_form(space: P1Space, cfg: SaddleConfig, w, muvals, phi, the
     grad, value, normal_derivative = w
     total = _volume_form(space, grad, phi)
 
-    _, wq, pdofs, ndg, trace, _ = space.facets
+    _, wq, hw, pdofs, ndg, trace, _ = space.facets
     hf = space.mesh.facet_lengths
     ah = cfg.alpha * hf
     pc = phi[pdofs]
@@ -313,7 +310,7 @@ def _saddle_identity_form(space: P1Space, cfg: SaddleConfig, w, muvals, phi, the
     phi_nd = np.einsum("fk,fk->f", ndg, pc)
 
     # b(mu, phi) + b(theta, w)
-    total += float(np.sum(hf[:, None] * wq[None, :] * muvals * phi_trace))
+    total += float(np.sum(hw * muvals * phi_trace))
     total += float(np.sum(hf * theta * np.einsum("q,fq->f", wq, value)))
     # -alpha h (mu + n.grad w, theta + n.grad phi)_F
     left = muvals + normal_derivative
@@ -335,17 +332,16 @@ def error_representation_residuals(
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
     mesh = space.mesh
-    t, w, _, _, _, pts = space.facets
+    t, w, hw, _, _, _, pts = space.facets
     psi_vals = [boundary_field_values(psi, space) for psi in psis]
-    hw = mesh.facet_lengths[:, None] * w[None, :]
     sigma = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
+    interp_error = _sampled_interp_error(problem, space)
 
     if isinstance(cfg, NitscheConfig):
         system = assemble_nitsche(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
         duals = [assemble_dual_rhs_nitsche(space, cfg, vals) for vals in psi_vals]
         u_h, *phis = solve_spd(replace(system, rhs=np.column_stack([system.rhs, *duals]))).x.T
         flux_gap = hw * (sigma - pointwise_nitsche_values(u_h, problem.g, space, cfg, t))
-        interp_error = _sampled_interp_error(problem, space)
 
         def form(vals, phi):
             return _nitsche_identity_form(space, cfg, interp_error, vals, phi)
@@ -360,12 +356,11 @@ def error_representation_residuals(
         # facet averages are the natural interpolant onto facet constants
         pi_lam = np.einsum("q,fq->f", w, lam_exact)
         interp_gap = lam_exact - pi_lam[:, None]
-        mu_vals = pi_lam[:, None] - lam_exact
-        interp_error = _sampled_interp_error(problem, space, sign=-1.0)
 
         def form(vals, pair):
-            rhs = _saddle_identity_form(space, cfg, interp_error, mu_vals, *system.split(pair))
-            return rhs + np.sum(hw * vals * interp_gap)
+            # A_h is bilinear: A_h(-w, pi_h lambda - lambda; .) = -A_h(w, lambda - pi_h lambda; .)
+            a_h = _saddle_identity_form(space, cfg, interp_error, interp_gap, *system.split(pair))
+            return np.sum(hw * vals * interp_gap) - a_h
 
     defects = []
     for vals, phi in zip(psi_vals, phis):

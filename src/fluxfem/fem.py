@@ -1,10 +1,10 @@
 """The P1 space, quadrature, and the kernels both methods share.
 
-`P1Space` owns every table derived from the mesh: areas, basis
-gradients and the one boundary-facet table. Around it live the generic
-P1 operators (stiffness, mass, load), their one local-to-global scatter,
-point location and boundary-data evaluation; `nitsche` and `lagrange`
-add only their method matrices and data.
+`P1Space` owns every table derived from the mesh: areas, basis gradients
+and the one boundary-facet table with its weights h_F w_q. Around it live
+the generic P1 operators (stiffness, mass, load), their one local-to-global
+scatter, point location and boundary-data evaluation; `nitsche` and
+`lagrange` add only their method matrices and data.
 
 There are three quadrature rules, all with positive weights: the
 classical symmetric triangle rules of degree 4 (VOLUME_DEGREE, used by
@@ -90,15 +90,16 @@ def edge_quadrature() -> QuadratureRule:
 class FacetTable(NamedTuple):
     """Tables for boundary-facet integrals.
 
-    Gauss parameters t and weights w of the edge rule on [0,1];
-    parent-triangle dofs pdofs (n_facets, 3), their normal derivatives ndg
-    (n_facets, 3) and traces at t (n_facets, 3, q); physical points
-    (n_facets, q, 2). A boundary integral is the sum over facets of
-    length * sum_q w_q * integrand(points).
+    Gauss parameters t and weights w of the edge rule on [0,1]; physical
+    weights hw = h_F w_q (n_facets, q); parent-triangle dofs pdofs
+    (n_facets, 3), their normal derivatives ndg (n_facets, 3) and traces at
+    t (n_facets, 3, q); physical points (n_facets, q, 2). A boundary
+    integral is sum(hw * integrand(points)).
     """
 
     t: np.ndarray
     w: np.ndarray
+    hw: np.ndarray
     pdofs: np.ndarray
     ndg: np.ndarray
     trace: np.ndarray
@@ -140,7 +141,8 @@ class P1Space:
         is0 = (pdofs == mesh.facet_vertices[:, [0]]).astype(float)
         is1 = (pdofs == mesh.facet_vertices[:, [1]]).astype(float)
         trace = is0[:, :, None] * (1.0 - t)[None, None, :] + is1[:, :, None] * t[None, None, :]
-        return FacetTable(t, rule.weights, pdofs, ndg, trace, mesh.facet_points(t))
+        hw = mesh.facet_lengths[:, None] * rule.weights[None, :]
+        return FacetTable(t, rule.weights, hw, pdofs, ndg, trace, mesh.facet_points(t))
 
     def quadrature_points(self, rule: QuadratureRule, cells=ALL_CELLS) -> np.ndarray:
         """Physical quadrature points of the triangles `cells`, shape (n_cells, n_q, 2)."""

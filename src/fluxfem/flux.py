@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fem import P1Space, boundary_field_values, load_vector, local_to_global, stiffness_matrix
+from .linsolve import solve_spd
 from .mesh import Mesh
-from .nitsche import NitscheConfig
+from .nitsche import LinearSystem, NitscheConfig
 
 
 @dataclass(frozen=True)
@@ -126,27 +126,27 @@ def _trace_field_from_moments(mesh: Mesh, ends, moments) -> BoundaryFluxField:
     block = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
     data = mesh.facet_lengths[:, None, None] * block[None, :, :]
     mass = local_to_global(ends, data, moments.size)
-    values = spla.spsolve(mass.tocsc(), moments)
+    values = solve_spd(LinearSystem(matrix=mass, rhs=moments)).x
     return BoundaryFluxField(coefficients=values[ends], mesh=mesh)
 
 
 def variational_flux(u_h, g, f, space: P1Space) -> BoundaryFluxField:
     """Flux defined by boundary moments of the discrete residual functional.
 
-    Solves the boundary mass system (Sigma, v)_G = (grad u_h, grad v)
-    - (u_h - g, n.grad v)_G - (f, v) over the boundary-supported P1 basis;
-    u_h must come from the plain (kappa = 0) Nitsche solve with the
-    default quadrature. The volume terms integrate over the triangles
-    with a boundary vertex only, the support of that basis, in mesh
-    order, so each moment sums the same terms in the same order as a
-    full assembly would.
+    `linsolve.solve_spd` solves the boundary mass system (Sigma, v)_G =
+    (grad u_h, grad v) - (u_h - g, n.grad v)_G - (f, v) over the
+    boundary-supported P1 basis; u_h must come from the plain (kappa = 0)
+    Nitsche solve with the default quadrature. The volume terms integrate
+    over the triangles with a boundary vertex only, the support of that
+    basis, in mesh order, so each moment sums the same terms in the same
+    order as a full assembly would.
     """
     mesh = space.mesh
     u = np.asarray(u_h, dtype=float)
     ids, ends = _boundary_vertex_numbering(mesh)
     layer = np.flatnonzero(np.isin(mesh.triangles, ids).any(axis=1))
     residual = stiffness_matrix(space, layer) @ u - load_vector(space, f, cells=layer)
-    _, w, pdofs, ndg, trace, _ = space.facets
+    _, w, _, pdofs, ndg, trace, _ = space.facets
     hf = mesh.facet_lengths
     u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
     defect = hf * np.einsum("q,fq->f", w, u_trace - boundary_field_values(g, space))

@@ -74,7 +74,7 @@ def saddle_matrix(space: P1Space, cfg: SaddleConfig) -> sp.csr_matrix:
     nu, nl = space.n_dofs, mesh.n_facets
     dim = nu + nl
 
-    _, w, pdofs, ndg, trace, _ = space.facets
+    _, w, _, pdofs, ndg, trace, _ = space.facets
     hf = mesh.facet_lengths
     ah = cfg.alpha * hf
     int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)

@@ -15,7 +15,7 @@ decides singularity; SPD and larger systems fail outright.
 
 A right-hand side of shape (n, k) is factored once; each column is then
 solved, refined and certified on its own, and the reported residual is the
-largest column residual.
+largest column residual (0 when k = 0).
 
 The pivots are read in place. SuperLU keeps each supernode's diagonal block
 in L's supernodal store, so pivot j is
@@ -256,6 +256,8 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
     # (a batched SuperLU solve can differ in the last bits); the columns of a
     # 2-D x stay contiguous.
     columns = rhs.reshape(rhs.shape[0], -1).T
+    if not len(columns):  # an (n, 0) rhs: nothing to certify
+        return SolveResult(x=np.empty(rhs.shape), residual=0.0, inertia=inertia)
     xs, residuals = zip(*(certified_column(np.ascontiguousarray(b)) for b in columns))
     x = xs[0] if rhs.ndim == 1 else np.array(xs).T
     return SolveResult(x=x, residual=float(max(residuals)), inertia=inertia)

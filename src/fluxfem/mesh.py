@@ -96,7 +96,7 @@ def build_unit_square_mesh(n: int) -> Mesh:
         If n < 1, or n exceeds MAX_GRID_N ("mesh too large"), the largest
         grid measured to solve within the memory of an 8 GB machine.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"grid subdivisions must be a positive integer, got {n!r}")
     if n > MAX_GRID_N:
         raise ValueError(f"mesh too large: n={n} exceeds cap {MAX_GRID_N}")

@@ -73,7 +73,7 @@ def nitsche_matrix(space: P1Space, cfg: NitscheConfig) -> sp.csr_matrix:
     if cfg.kappa != 0.0:
         a = a + cfg.kappa * mass_matrix(space)
 
-    _, w, pdofs, ndg, trace, _ = space.facets
+    _, w, _, pdofs, ndg, trace, _ = space.facets
     hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
     int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
@@ -103,7 +103,7 @@ def assemble_dual_rhs_nitsche(space: P1Space, cfg: NitscheConfig, psi) -> np.nda
 
 def _add_dual_data(out, space: P1Space, cfg: NitscheConfig, psi) -> np.ndarray:
     """Add m_psi(phi_i) into out[i] and return out."""
-    _, w, pdofs, ndg, trace, _ = space.facets
+    _, w, _, pdofs, ndg, trace, _ = space.facets
     hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
     psivals = boundary_field_values(psi, space)

@@ -207,7 +207,7 @@ def _sampled_p1(coeffs, space):
     nq = len(triangle_quadrature(analysis.IDENTITY_VOLUME_DEGREE).weights)
     grad = np.einsum("ti,tid->td", coeffs[space.mesh.triangles], space.gradients)
     gx, gy = (np.broadcast_to(grad[:, None, d], (len(grad), nq)) for d in range(2))
-    _, _, pdofs, ndg, trace, _ = space.facets
+    _, _, _, pdofs, ndg, trace, _ = space.facets
     value = np.einsum("fkq,fk->fq", trace, coeffs[pdofs])
     normal = np.broadcast_to(np.einsum("fk,fk->f", ndg, coeffs[pdofs])[:, None], value.shape)
     return (gx, gy), value, normal
@@ -461,6 +461,8 @@ def test_dual_stability_zero_psi():
     r = dual_stability_report(P1Space(build_unit_square_mesh(4)), NitscheConfig(), zero)
     assert (r.q1, r.q2, r.q3, r.q4) == (0.0, 0.0, 0.0, 0.0)
     assert r.psi_norm_sq == 0.0
+    # psi = 0 has ratios 0, as its identity defects are 0
+    assert r.ratios() == {"Q1": 0.0, "Q2": 0.0, "Q3": 0.0, "Q4": 0.0}
 
 
 def test_dual_stability_q3_delta0_matches_boundary_norm(trig):
@@ -566,7 +568,7 @@ def _one_shot_error_norms(problem, space, u, lam=None):
     dy = np.asarray(gy) - grads[:, None, 1]
     grad_sq = float(2.0 * np.sum(aw * (dx**2 + dy**2)))
 
-    t, w, pdofs, ndg, _, fpts = space.facets
+    t, w, _, pdofs, ndg, _, fpts = space.facets
     ends = mesh.facet_vertices
     hw = mesh.facet_lengths[:, None] * w[None, :]
     u_trace = u[ends][:, [0]] * (1.0 - t)[None, :] + u[ends][:, [1]] * t[None, :]

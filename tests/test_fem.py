@@ -159,6 +159,7 @@ def test_facet_tables():
     facets = P1Space(mesh).facets
     rule = edge_quadrature()
     assert np.array_equal(facets.t, rule.points) and np.array_equal(facets.w, rule.weights)
+    assert np.array_equal(facets.hw, mesh.facet_lengths[:, None] * rule.weights[None, :])
     assert np.array_equal(facets.points, mesh.facet_points(facets.t))
     assert facets.trace.shape == (mesh.n_facets, 3, EDGE_POINTS)
     for f, ends in enumerate(mesh.facet_vertices):

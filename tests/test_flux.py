@@ -14,7 +14,7 @@ from fluxfem.flux import (
     variational_flux,
 )
 from fluxfem.lagrange import SaddleConfig, assemble_saddle
-from fluxfem.linsolve import solve_spd, solve_sym_indefinite
+from fluxfem.linsolve import SolverError, solve_spd, solve_sym_indefinite
 from fluxfem.mesh import build_unit_square_mesh
 from fluxfem.nitsche import NitscheConfig, assemble_nitsche
 from fluxfem.problems import affine_problem
@@ -256,7 +256,7 @@ def _full_assembly_variational_flux(u, g, f, space):
     """The variational flux from the boundary rows of a full K u - b."""
     mesh = space.mesh
     full = stiffness_matrix(space) @ u - load_vector(space, f)
-    t, w, pdofs, ndg, trace, points = space.facets
+    t, w, _, pdofs, ndg, trace, points = space.facets
     u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
     gvals = np.broadcast_to(np.asarray(g(points[..., 0], points[..., 1]), dtype=float), u_trace.shape)
     defect = mesh.facet_lengths * np.einsum("q,fq->f", w, u_trace - gvals)
@@ -289,3 +289,11 @@ def test_variational_flux_evaluates_f_on_the_boundary_layer_only(trig):
 
     variational_flux(u, trig.g, counted_f, space)
     assert 0 < evaluated <= 6 * 8 * n
+
+
+def test_variational_flux_of_non_finite_data_fails_its_certified_solve(trig):
+    """The boundary mass solve is linsolve's, so NaN moments raise instead
+    of coming back as NaN coefficients."""
+    space = P1Space(build_unit_square_mesh(4))
+    with pytest.raises(SolverError, match="residual"):
+        variational_flux(np.full(space.n_dofs, np.nan), trig.g, trig.f, space)

@@ -6,12 +6,15 @@ into a sibling's private names.
 """
 
 import ast
+import inspect
+import re
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import fluxfem
+from fluxfem import analysis
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fluxfem"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -178,3 +181,32 @@ def test_volume_degree_is_a_parameter_only_where_two_degrees_are_used():
     """Assembly runs at degree 4 for the studies and 6 for the identities;
     the norms and the flux recovery use one fixed degree."""
     assert parameters_named("volume_degree") == ["assemble_nitsche", "assemble_saddle", "load_vector"]
+
+
+def scipy_imports(path):
+    """Dotted names of the scipy modules and objects a package module imports."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name.startswith("scipy"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_linsolve_is_the_one_solver_path():
+    """Every solve is factored, certified and traced in linsolve, the variational
+    flux's boundary mass system included."""
+    solvers = ("scipy.linalg", "scipy.sparse.linalg")
+    importers = {path.stem for path in MODULES for name in scipy_imports(path) if name.startswith(solvers)}
+    assert importers == {"linsolve"}
+
+
+def test_facet_weights_are_formed_once():
+    """h_F w_q is built into P1Space's facet table, and boundary integrals read
+    `facets.hw`; only products with other weights, as beta/h h_F w_q, are formed."""
+    product = re.compile(r"\b(?:hf|facet_lengths)\[:, None\] \* [\w.]+\[None, :\]")
+    assert [path.stem for path in MODULES if product.search(path.read_text(encoding="utf-8"))] == ["fem"]
+
+
+def test_error_norms_read_the_facet_trace_table():
+    """The trace of u_h comes from `facets.trace`, as in the variational flux and the identity forms."""
+    assert "facet_vertices" not in inspect.getsource(analysis.error_norms)

@@ -51,6 +51,18 @@ def test_indefinite_diagonal():
     assert result.inertia == (1, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "solve, dense", [(solve_spd, [[2.0, 1.0], [1.0, 2.0]]), (solve_sym_indefinite, [[1.0, 2.0], [2.0, -1.0]])]
+)
+def test_rhs_without_columns(solve, dense):
+    """An (n, 0) rhs is a batch of no solves: the factorization still
+    reports its inertia, and the largest of no residuals is 0."""
+    result = solve(_system(dense, np.zeros((2, 0))))
+    assert result.x.shape == (2, 0)
+    assert result.residual == 0.0
+    assert result.inertia == ((2, 0, 0) if solve is solve_spd else (1, 1, 0))
+
+
 def test_zero_rhs_gives_zero_solution(trig):
     space = P1Space(build_unit_square_mesh(4))
     system = assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)

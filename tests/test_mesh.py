@@ -82,6 +82,10 @@ def test_rejects_bad_sizes():
         build_unit_square_mesh(0)
     with pytest.raises(ValueError):
         build_unit_square_mesh(-2)
+    # a bool is an int to isinstance, but True is no grid size
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="positive integer"):
+            build_unit_square_mesh(flag)
     with pytest.raises(ValueError, match="mesh too large"):
         build_unit_square_mesh(MAX_GRID_N + 1)
 
