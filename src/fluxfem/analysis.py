@@ -38,6 +38,7 @@ from .fem import (
     basis_at,
     boundary_field_values,
     cell_blocks,
+    coefficient_vector,
     edge_quadrature,
     locate_points,
     located_gradients,
@@ -153,7 +154,9 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     evaluation.
     """
     mesh = space.mesh
-    u = np.asarray(u, dtype=float)
+    u = coefficient_vector(u, space.n_dofs)
+    if lam is not None:
+        lam = coefficient_vector(lam, mesh.n_facets)
     rule = triangle_quadrature(VOLUME_DEGREE)
     phi = basis_at(rule)
     val_terms = np.empty((mesh.n_triangles, len(rule.weights)))
@@ -183,7 +186,7 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
         nd_h = np.einsum("fk,fk->f", ndg, u[pdofs])
         nd_sq = float(np.sum(hw * (sigma - nd_h[:, None]) ** 2))
         return float(np.sqrt(grad_sq + h * nd_sq + val_sq / h)), l2
-    lam_diff = -sigma - np.asarray(lam, dtype=float)[:, None]
+    lam_diff = -sigma - lam[:, None]
     lam_sq = np.sum(mesh.facet_lengths[:, None] ** 2 * w[None, :] * lam_diff**2)
     return float(np.sqrt(grad_sq + val_sq / h + lam_sq)), l2
 

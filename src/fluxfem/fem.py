@@ -6,6 +6,10 @@ the generic P1 operators (stiffness, mass, load), their one local-to-global
 scatter, point location and boundary-data evaluation; `nitsche` and
 `lagrange` add only their method matrices and data.
 
+Assembled matrices are bitwise symmetric with no averaging pass: each
+triangle's basis gradients are (-a, 0), (a, -b) and (0, b), so every local
+product rounds alike both ways. `linsolve` refuses any matrix that is not.
+
 There are three quadrature rules, all with positive weights: the
 classical symmetric triangle rules of degree 4 (VOLUME_DEGREE, used by
 assembly and error norms) and 6 (the identity checks) on the reference
@@ -181,6 +185,14 @@ def nodal_interpolant(f, space: P1Space) -> np.ndarray:
     return coeffs
 
 
+def coefficient_vector(coeffs, size: int) -> np.ndarray:
+    """coeffs as a float array of shape (size,); any other shape raises ValueError."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (size,):
+        raise ValueError(f"coefficients sized {c.shape} do not match the space ({size})")
+    return c
+
+
 def locate_triangle(mesh: Mesh, points) -> np.ndarray:
     """Triangle index for each point of an (..., 2) array.
 
@@ -235,18 +247,16 @@ def local_to_global(dofs, local, n: int) -> sp.csr_matrix:
     """Sum the local (n_cells, k, k) blocks on their (n_cells, k) dofs into an n x n CSR matrix.
 
     The COO indices keep the dtype of `dofs`; int32 mesh indices are scipy's
-    own index dtype, so the scatter makes no int64 copies.
+    own index dtype, so the scatter makes no int64 copies. Zero sums (the
+    stiffness couplings along diagonal edges) are dropped: kept, they would
+    enter the minimum-degree graph and change the ordering and the digits.
     """
     k = dofs.shape[1]
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
-def symmetrize(a: sp.csr_matrix) -> sp.csr_matrix:
-    # (A + A^T)/2 is bitwise symmetric; assembly is symmetric up to
-    # float-summation order only.
-    return ((a + a.T) * 0.5).tocsr()
+    matrix = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def basis_at(rule: QuadratureRule) -> np.ndarray:
@@ -260,14 +270,14 @@ def stiffness_matrix(space: P1Space, cells=ALL_CELLS) -> sp.csr_matrix:
     tri = space.mesh.triangles[cells]
     grads = space.gradients[cells]
     local = np.einsum("t,tid,tjd->tij", space.areas[cells], grads, grads)
-    return symmetrize(local_to_global(tri, local, space.n_dofs))
+    return local_to_global(tri, local, space.n_dofs)
 
 
 def mass_matrix(space: P1Space) -> sp.csr_matrix:
     """Exact P1 mass matrix (area/12 * [[2,1,1],[1,2,1],[1,1,2]] per element)."""
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     local = space.areas[:, None, None] * ref[None, :, :]
-    return symmetrize(local_to_global(space.mesh.triangles, local, space.n_dofs))
+    return local_to_global(space.mesh.triangles, local, space.n_dofs)
 
 
 def load_vector(

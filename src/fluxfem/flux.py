@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import P1Space, boundary_field_values, load_vector, local_to_global, stiffness_matrix
+from .fem import (
+    P1Space,
+    boundary_field_values,
+    coefficient_vector,
+    load_vector,
+    local_to_global,
+    stiffness_matrix,
+)
 from .linsolve import solve_spd
 from .mesh import Mesh
 from .nitsche import LinearSystem, NitscheConfig
@@ -99,9 +106,7 @@ def pointwise_nitsche_values(
     carries g at the quadrature points, not its nodal interpolant.
     """
     mesh = space.mesh
-    u = np.asarray(u_h, dtype=float)
-    if u.shape != (space.n_dofs,):
-        raise ValueError(f"coefficients sized {u.shape} do not match the space ({space.n_dofs})")
+    u = coefficient_vector(u_h, space.n_dofs)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     facets = space.facets
     grad_part = np.einsum("fk,fk->f", facets.ndg, u[facets.pdofs])
@@ -142,7 +147,7 @@ def variational_flux(u_h, g, f, space: P1Space) -> BoundaryFluxField:
     order as a full assembly would.
     """
     mesh = space.mesh
-    u = np.asarray(u_h, dtype=float)
+    u = coefficient_vector(u_h, space.n_dofs)
     ids, ends = _boundary_vertex_numbering(mesh)
     layer = np.flatnonzero(np.isin(mesh.triangles, ids).any(axis=1))
     residual = stiffness_matrix(space, layer) @ u - load_vector(space, f, cells=layer)

@@ -32,7 +32,6 @@ from .fem import (
     load_vector,
     mass_matrix,
     stiffness_matrix,
-    symmetrize,
 )
 
 
@@ -68,7 +67,8 @@ def saddle_matrix(space: P1Space, cfg: SaddleConfig) -> sp.csr_matrix:
     """The saddle matrix over [u; lambda], dimension n_vertices + n_facets.
 
     It depends on neither f, g nor the volume degree. Every block goes
-    into one COO scatter with int32 indices.
+    into one COO scatter with int32 indices, whose zero sums are dropped
+    as in `fem.local_to_global`.
     """
     mesh = space.mesh
     nu, nl = space.n_dofs, mesh.n_facets
@@ -114,7 +114,8 @@ def saddle_matrix(space: P1Space, cfg: SaddleConfig) -> sp.csr_matrix:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
     ).tocsr()
-    return symmetrize(matrix)
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def assemble_saddle(

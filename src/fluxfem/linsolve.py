@@ -6,7 +6,9 @@ factorization with perm_r == perm_c is accepted: a symmetric permutation
 with diagonal pivots, so the U diagonal holds the pivots of a symmetric
 elimination. By Sylvester's law their signs give the inertia, which doubles
 as the positive definiteness check for Nitsche systems and the
-saddle-structure check for the multiplier systems.
+saddle-structure check for the multiplier systems. The law needs A = A^T
+exactly, so a matrix that differs from its transpose is refused with
+SolverError before it is factored.
 
 If the elimination breaks down, or a pivot vanishes relative to the
 largest (which cancellation under the chosen order can cause), indefinite
@@ -15,7 +17,8 @@ decides singularity; SPD and larger systems fail outright.
 
 A right-hand side of shape (n, k) is factored once; each column is then
 solved, refined and certified on its own, and the reported residual is the
-largest column residual (0 when k = 0).
+largest column residual (0 when k = 0). A right-hand side of any other
+shape raises ValueError.
 
 The pivots are read in place. SuperLU keeps each supernode's diagonal block
 in L's supernodal store, so pivot j is
@@ -204,10 +207,14 @@ def _dense_inertia(matrix: sp.csr_matrix) -> tuple[int, int, int]:
 def _solve_symmetric(matrix, rhs, tol, require_spd):
     """Factor once, then solve and certify each column of an (n,) or (n, k) rhs."""
     matrix = matrix.tocsr()
-    if not np.all(np.isfinite(matrix.data)):
-        raise SolverError("matrix has non-finite entries")
     rhs = np.asarray(rhs, dtype=float)
     n = matrix.shape[0]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ValueError(f"right-hand side of shape {rhs.shape} does not fit a {matrix.shape} matrix")
+    if not np.all(np.isfinite(matrix.data)):
+        raise SolverError("matrix has non-finite entries")
+    if (matrix != matrix.T).nnz:
+        raise SolverError("matrix is not exactly symmetric")
     lu = _pivot_factorization(matrix.tocsc())
 
     if lu is not None:

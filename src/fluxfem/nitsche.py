@@ -36,7 +36,6 @@ from .fem import (
     local_to_global,
     mass_matrix,
     stiffness_matrix,
-    symmetrize,
 )
 
 
@@ -79,8 +78,7 @@ def nitsche_matrix(space: P1Space, cfg: NitscheConfig) -> sp.csr_matrix:
     int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
     cons = -(ndg[:, None, :] * int_phi[:, :, None]) - (ndg[:, :, None] * int_phi[:, None, :])
     mass_f = (pen * hf)[:, None, None] * np.einsum("q,fiq,fjq->fij", w, trace, trace)
-    a = a + local_to_global(pdofs, cons + mass_f, space.n_dofs)
-    return symmetrize(a)
+    return a + local_to_global(pdofs, cons + mass_f, space.n_dofs)
 
 
 def assemble_nitsche(

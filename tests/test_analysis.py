@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -595,6 +596,24 @@ def test_blocked_error_norms_match_one_shot_bitwise(trig, n, with_lam):
     u = nodal_interpolant(trig.u, space) + 1e-3 * rng.standard_normal(space.n_dofs)
     lam = rng.standard_normal(space.mesh.n_facets) if with_lam else None
     assert error_norms(trig, space, u, lam) == _one_shot_error_norms(trig, space, u, lam)
+
+
+@pytest.mark.parametrize(
+    "u_size, lam_size, message",
+    [
+        (28, None, "coefficients sized (28,) do not match the space (25)"),
+        (24, None, "coefficients sized (24,) do not match the space (25)"),
+        (25, 15, "coefficients sized (15,) do not match the space (16)"),
+        (25, 17, "coefficients sized (17,) do not match the space (16)"),
+    ],
+    ids=["u-long", "u-short", "lam-short", "lam-long"],
+)
+def test_error_norms_refuse_coefficients_of_another_size(trig, u_size, lam_size, message):
+    """An unsplit saddle solution or a truncated vector is refused, not measured."""
+    space = P1Space(build_unit_square_mesh(4))  # 25 vertices, 16 facets
+    lam = None if lam_size is None else np.zeros(lam_size)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        error_norms(trig, space, np.zeros(u_size), lam)
 
 
 def test_error_norms_peak_memory_is_a_few_volume_tables(trig):

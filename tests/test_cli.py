@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from fluxfem import analysis, cli, fem, linsolve, mesh
+from fluxfem import analysis, cli, fem, linsolve, mesh, nitsche
 from fluxfem.cli import (
     MAX_LEVEL,
     MIN_LEVEL,
@@ -305,6 +306,18 @@ def test_converge_solver_failure_names_the_level(capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver failure: k=0 n=4: not positive definite")
     assert err.count("\n") == 1
+
+
+def test_nonsymmetric_matrix_exits_3(monkeypatch, capsys):
+    """A matrix off its transpose by one entry has no inertia certificate."""
+    scatter = nitsche.local_to_global
+
+    def skewed(dofs, local, n):
+        return scatter(dofs, local, n) + sp.csr_matrix(([1e-3], ([0], [1])), shape=(n, n))
+
+    monkeypatch.setattr(nitsche, "local_to_global", skewed)
+    assert main(["converge", "--kmax", "0"]) == 3
+    assert capsys.readouterr().err == "solver failure: k=0 n=4: matrix is not exactly symmetric\n"
 
 
 @pytest.mark.parametrize(

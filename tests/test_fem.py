@@ -19,7 +19,9 @@ from fluxfem.fem import (
     locate_triangle,
     located_gradients,
     located_values,
+    mass_matrix,
     nodal_interpolant,
+    stiffness_matrix,
     triangle_quadrature,
 )
 from fluxfem.lagrange import SaddleConfig, assemble_saddle
@@ -385,6 +387,18 @@ def test_local_to_global_matches_an_int64_coo_oracle_bitwise(n):
     got = local_to_global(mesh.triangles, local, mesh.n_vertices)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(oracle, name))
+
+
+@pytest.mark.parametrize("n", [*range(1, 25), 64])
+def test_stiffness_and_mass_are_exactly_symmetric_without_zeros(n):
+    """No averaging pass is needed; the stiffness couplings along the diagonal
+    edges vanish and are dropped, leaving the five-point stencil."""
+    space = P1Space(build_unit_square_mesh(n))
+    stiffness, mass = stiffness_matrix(space), mass_matrix(space)
+    for matrix in (stiffness, mass):
+        assert (matrix != matrix.T).nnz == 0
+        assert np.all(matrix.data != 0.0)
+    assert stiffness.nnz == (n + 1) ** 2 + 4 * n * (n + 1)
 
 
 def _traced_peak_mib(call):

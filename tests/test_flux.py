@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,9 @@ def test_coefficient_size_guard(trig):
         nitsche_flux(u[:-1], trig.g, space, cfg)
     with pytest.raises(ValueError, match="do not match"):
         pointwise_nitsche_values(np.append(u, 0.0), trig.g, space, cfg, [0.5])
+    for wrong, shape in ((u[:-1], "(24,)"), (np.append(u, 0.0), "(26,)"), (u[:, None], "(25, 1)")):
+        with pytest.raises(ValueError, match=re.escape(f"coefficients sized {shape} do not match the space (25)")):
+            variational_flux(wrong, trig.g, trig.f, space)
 
 
 def _nodal_g_reference(u, g, space, cfg):

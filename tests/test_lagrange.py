@@ -6,6 +6,7 @@ from fluxfem.lagrange import (
     SaddleConfig,
     assemble_dual_rhs_lm,
     assemble_saddle,
+    saddle_matrix,
 )
 from fluxfem.linsolve import SingularSystemError, solve_sym_indefinite
 from fluxfem.mesh import build_unit_square_mesh
@@ -44,11 +45,15 @@ def test_system_dimension():
     assert (system.n_primal, system.n_multiplier) == (25, 16)
 
 
-def test_matrix_exactly_symmetric(trig):
-    mesh = build_unit_square_mesh(4)
-    space = P1Space(mesh)
-    system = assemble_saddle(space, SaddleConfig(alpha=10.0), trig.f, trig.g)
-    assert (system.matrix != system.matrix.T).nnz == 0
+def test_matrix_exactly_symmetric():
+    """As assembled, with no averaging pass, and with no explicit zeros."""
+    for n in [*range(1, 25), 64]:
+        space = P1Space(build_unit_square_mesh(n))
+        for alpha in (0.25, 10.0):
+            for kappa in (0.0, 10.0):
+                matrix = saddle_matrix(space, SaddleConfig(alpha=alpha, kappa=kappa))
+                assert (matrix != matrix.T).nnz == 0
+                assert np.all(matrix.data != 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])

@@ -128,8 +128,16 @@ def callers_of(*names):
 
 def test_one_scatter_per_assembly_path():
     """P1 operators scatter through fem.local_to_global; the saddle matrix
-    puts all its blocks into its own single COO."""
+    puts all its blocks into its own single COO. Each drops its zero sums,
+    which decide the ordering's graph; Nitsche's CSR sums drop theirs."""
     assert callers_of("coo_matrix", "coo_array") == ["fem.local_to_global", "lagrange.saddle_matrix"]
+    assert callers_of("eliminate_zeros") == ["fem.local_to_global", "lagrange.saddle_matrix"]
+
+
+def test_symmetry_is_certified_not_averaged():
+    """Assembly is exactly symmetric as formed, and linsolve refuses any matrix
+    that is not; no module averages a matrix with its transpose."""
+    assert [path.stem for path in MODULES if "symmetrize" in top_level_names(path)] == []
 
 
 def test_edge_rule_is_placed_on_facets_once_and_on_contour_pieces():

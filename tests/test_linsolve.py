@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -61,6 +62,52 @@ def test_rhs_without_columns(solve, dense):
     assert result.x.shape == (2, 0)
     assert result.residual == 0.0
     assert result.inertia == ((2, 0, 0) if solve is solve_spd else (1, 1, 0))
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_sym_indefinite])
+@pytest.mark.parametrize("shape", [(3,), (1,), (3, 2), (2, 2, 2), ()])
+def test_rhs_of_another_shape_is_refused(solve, shape):
+    """x is shaped like the rhs, so only (n,) and (n, k) fit an n x n matrix."""
+    message = f"right-hand side of shape {shape} does not fit a (2, 2) matrix"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(_system([[2.0, 1.0], [1.0, 2.0]], np.ones(shape)))
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_sym_indefinite])
+@pytest.mark.parametrize("off", [0.0, np.nextafter(1.0, 2.0)], ids=["triangular", "one-ulp"])
+def test_nonsymmetric_matrix_is_refused(solve, off):
+    """Sylvester's law reads the inertia off the pivots only when A = A^T
+    exactly; [[2, 1], [0, 3]] has positive pivots but is not SPD."""
+    with pytest.raises(SolverError, match="matrix is not exactly symmetric"):
+        solve(_system([[2.0, 1.0], [off, 3.0]], [1.0, 1.0]))
+
+
+def _stored_forms_of_a_symmetric_matrix():
+    """[[4, 1, 0], [1, 3, 2], [0, 2, 5]] as stored other than canonically."""
+    unsorted = sp.csr_matrix(
+        ([1.0, 4.0, 2.0, 3.0, 1.0, 5.0, 2.0], [1, 0, 2, 1, 0, 2, 1], [0, 2, 5, 7]), shape=(3, 3)
+    )
+    duplicates = sp.coo_matrix(
+        ([4.0, 0.5, 0.5, 0.25, 3.0, 2.0, 0.75, 2.0, 5.0], ([0, 0, 0, 1, 1, 1, 1, 2, 2], [0, 1, 1, 0, 1, 2, 0, 1, 2])),
+        shape=(3, 3),
+    )
+    one_sided_zero = sp.csr_matrix(
+        ([4.0, 1.0, 0.0, 1.0, 3.0, 2.0, 2.0, 5.0], [0, 1, 2, 0, 1, 2, 1, 2], [0, 3, 6, 8]), shape=(3, 3)
+    )
+    return {"unsorted": unsorted, "duplicates": duplicates, "one-sided-zero": one_sided_zero}
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_sym_indefinite])
+@pytest.mark.parametrize("form", ["unsorted", "duplicates", "one-sided-zero"])
+def test_symmetric_matrix_stored_noncanonically_is_accepted(solve, form):
+    matrix = _stored_forms_of_a_symmetric_matrix()[form]
+    canonical = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 2.0], [0.0, 2.0, 5.0]])
+    assert np.array_equal(matrix.toarray(), canonical)
+    rhs = np.array([1.0, -2.0, 3.0])
+    expected = solve(_system(canonical, rhs))
+    result = solve(LinearSystem(matrix=matrix, rhs=rhs))
+    assert np.allclose(result.x, expected.x, rtol=0.0, atol=1e-15)
+    assert result.inertia == expected.inertia == (3, 0, 0)
 
 
 def test_zero_rhs_gives_zero_solution(trig):

@@ -8,6 +8,7 @@ from fluxfem.nitsche import (
     NitscheConfig,
     assemble_dual_rhs_nitsche,
     assemble_nitsche,
+    nitsche_matrix,
 )
 from fluxfem.problems import affine_problem
 
@@ -53,10 +54,15 @@ def test_affine_patch(affine, n):
     assert np.max(np.abs(u - exact)) <= 1e-10
 
 
-def test_matrix_exactly_symmetric(trig):
-    space = P1Space(build_unit_square_mesh(4))
-    system = assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)
-    assert (system.matrix != system.matrix.T).nnz == 0
+def test_matrix_exactly_symmetric():
+    """As assembled, with no averaging pass, and with no explicit zeros."""
+    for n in [*range(1, 25), 64]:
+        space = P1Space(build_unit_square_mesh(n))
+        for beta in (3.0, 10.0):
+            for kappa in (0.0, 10.0):
+                matrix = nitsche_matrix(space, NitscheConfig(beta=beta, kappa=kappa))
+                assert (matrix != matrix.T).nnz == 0
+                assert np.all(matrix.data != 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
