@@ -21,7 +21,7 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,8 +42,9 @@ from .mesh import MAX_GRID_N, build_unit_square_mesh
 from .nitsche import NitscheConfig, assemble_nitsche
 from .problems import affine_problem, constant_problem, trig_problem
 
-METHODS = ("nitsche", "lagrange")
-VARIANTS = ("pointwise", "variational", "multiplier")
+# Each method's flux recoveries; the first is the method's default.
+VARIANTS = {"nitsche": ("pointwise", "variational"), "lagrange": ("multiplier",)}
+METHODS = tuple(VARIANTS)
 FLUX_TOL = 1e-9
 COEFF_TOL = 1e-9
 IDENTITY_TOL = 1e-6
@@ -55,8 +56,8 @@ SLOPE_WINDOW_H = 0.1
 class StudyConfig:
     method: str = "nitsche"
     flux_variant: str = ""  # empty means the method default
-    beta: float = 10.0
-    alpha: float = 0.25
+    beta: float = NitscheConfig.beta
+    alpha: float = SaddleConfig.alpha
     kmin: int = 0
     kmax: int = 12
     delta0: float = 0.25
@@ -70,13 +71,11 @@ class StudyConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.kmin > self.kmax:
             raise ValueError(f"kmin={self.kmin} exceeds kmax={self.kmax}")
-        variant = self.resolved_variant()
-        if variant not in VARIANTS:
-            raise ValueError(f"flux variant must be one of {VARIANTS}, got {variant!r}")
-        if self.method == "lagrange" and variant != "multiplier":
-            raise ValueError("the lagrange method recovers the multiplier flux only")
-        if self.method == "nitsche" and variant == "multiplier":
-            raise ValueError("the multiplier flux requires the lagrange method")
+        if self.resolved_variant() not in VARIANTS[self.method]:
+            raise ValueError(
+                f"the {self.method} method recovers the {' or '.join(VARIANTS[self.method])} "
+                f"flux, got {self.flux_variant!r}"
+            )
         if not 0.0 < self.delta0 < 0.5:
             raise ValueError(f"delta0 must lie in (0, 1/2), got {self.delta0}")
         # the method configs own the beta, alpha and kappa rules
@@ -88,12 +87,11 @@ class StudyConfig:
             raise ValueError(
                 f"levels must lie in [{MIN_LEVEL}, {MAX_LEVEL}] (grids of 1 to "
                 f"MAX_GRID_N = {MAX_GRID_N} subdivisions), got {self.kmin}..{self.kmax}"
+                + (f"; {_SIZE_LIMIT}" if self.kmax > MAX_LEVEL else "")
             )
 
     def resolved_variant(self) -> str:
-        if self.flux_variant:
-            return self.flux_variant
-        return "multiplier" if self.method == "lagrange" else "pointwise"
+        return self.flux_variant or VARIANTS[self.method][0]
 
     def method_config(self, kappa: float = 0.0) -> NitscheConfig | SaddleConfig:
         """The method's config with shift kappa; below here its type picks the method."""
@@ -110,6 +108,12 @@ def level_grid_n(k: int) -> int:
 # Level range with 1 <= n <= MAX_GRID_N, checked on k so that no power overflows.
 MIN_LEVEL = min(k for k in range(-64, 1) if level_grid_n(k) >= 1)
 MAX_LEVEL = max(k for k in range(64) if level_grid_n(k) <= MAX_GRID_N)
+# Why the range stops there: one level alone in a fresh process (README's size
+# table); k = 18 is extrapolated from the factor's growth over k = 14..16.
+_SIZE_LIMIT = (
+    "k=17 (n=1448) took about 20 s and 3.5 GiB on a 2-vCPU 8 GB VM, "
+    "and k=18 (n=2048) would need about 5.9 GiB for its factorization alone"
+)
 
 
 def _fmt(x: float) -> str:
@@ -134,12 +138,22 @@ def _failure_site(site: str):
         raise MemoryError(f"{site}: {exc}".removesuffix(": ")) from exc
 
 
-def _solve(cfg: NitscheConfig | SaddleConfig, space: P1Space, problem):
-    """(u, lam) of the discrete problem; lam is None for Nitsche's method."""
+def _solve_level(cfg: NitscheConfig | SaddleConfig, variant: str, problem, n: int):
+    """(space, u, lam, field) on the n-grid: the discrete solution, with lam None
+    for Nitsche's method, and its flux recovered by `variant`."""
+    space = P1Space(build_unit_square_mesh(n))
     if isinstance(cfg, NitscheConfig):
-        return solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x, None
-    system = assemble_saddle(space, cfg, problem.f, problem.g)
-    return system.split(solve_sym_indefinite(system).x)
+        u, lam = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x, None
+    else:
+        system = assemble_saddle(space, cfg, problem.f, problem.g)
+        u, lam = system.split(solve_sym_indefinite(system).x)
+    if variant == "pointwise":
+        field = nitsche_flux(u, problem.g, space, cfg)
+    elif variant == "variational":
+        field = variational_flux(u, problem.g, problem.f, space)
+    else:
+        field = multiplier_flux(lam, space.mesh)
+    return space, u, lam, field
 
 
 def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
@@ -147,28 +161,18 @@ def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
     n = level_grid_n(k)
     with _failure_site(f"k={k} n={n}"):
         problem = trig_problem()
-        mesh = build_unit_square_mesh(n)
-        space = P1Space(mesh)
-        exact = ExactFluxField(problem, mesh)
         variant = config.resolved_variant()
-        cfg = config.method_config()
-        u, lam = _solve(cfg, space, problem)
-        if variant == "pointwise":
-            field = nitsche_flux(u, problem.g, space, cfg)
-        elif variant == "variational":
-            field = variational_flux(u, problem.g, problem.f, space)
-        else:
-            field = multiplier_flux(lam, mesh)
+        space, u, lam, field = _solve_level(config.method_config(), variant, problem, n)
         energy, l2 = error_norms(problem, space, u, lam)
         return ConvergenceRecord(
             k=k,
             grid_n=n,
-            h_grid=mesh.h_grid,
-            h_max=mesh.h_max,
+            h_grid=space.mesh.h_grid,
+            h_max=space.mesh.h_max,
             dofs=space.n_dofs + (0 if lam is None else lam.size),
             method=config.method,
             variant=variant,
-            flux_err=boundary_l2_error(field, exact, space),
+            flux_err=boundary_l2_error(field, ExactFluxField(problem, space.mesh), space),
             energy_err=energy,
             l2_err=l2,
         )
@@ -194,24 +198,19 @@ def records_to_csv(records) -> str:
 
 
 def run_patch_test(config: StudyConfig) -> list[str]:
-    """Constant and affine consistency checks; returns failure descriptions."""
+    """Constant and affine consistency checks with the method's default
+    recovery; returns failure descriptions."""
     failures = []
-    cfg = config.method_config()
+    cfg, variant = config.method_config(), VARIANTS[config.method][0]
     problems = [constant_problem(1.0), affine_problem(1.0, 1.0, 0.0)]
     for problem in problems:
         for n in (2, 4, 8):
-            mesh = build_unit_square_mesh(n)
-            space = P1Space(mesh)
-            exact_coeffs = nodal_interpolant(problem.u, space)
-            exact = ExactFluxField(problem, mesh)
             tag = f"{problem.name} n={n}"
             with _failure_site(f"patch-test {tag}"):
-                u, lam = _solve(cfg, space, problem)
-            coeff_err = float(np.max(np.abs(u - exact_coeffs)))
-            if lam is None:
-                field = nitsche_flux(u, problem.g, space, cfg)
-            else:
-                field = multiplier_flux(lam, mesh)
+                space, u, lam, field = _solve_level(cfg, variant, problem, n)
+            exact = ExactFluxField(problem, space.mesh)
+            coeff_err = float(np.max(np.abs(u - nodal_interpolant(problem.u, space))))
+            if lam is not None:
                 lam_exact = -exact.facet_values(np.array([0.5]))[:, 0]
                 coeff_err = max(coeff_err, float(np.max(np.abs(lam - lam_exact))))
             flux_err = boundary_l2_error(field, exact, space)
@@ -275,7 +274,7 @@ def dual_check_text(config: StudyConfig, reports, identity_rows) -> str:
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
+    values, lines = {}, {}
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, 1):
@@ -285,7 +284,10 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                values[key.replace("-", "_")] = value
+                key = key.replace("-", "_")
+                if key in lines:
+                    raise ValueError(f"{path}:{lineno}: {key} set again (first on line {lines[key]})")
+                values[key], lines[key] = value, lineno
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -311,35 +313,21 @@ def _coerce(key: str, value: str):
 
 
 def build_config(args: argparse.Namespace) -> StudyConfig:
+    """The file's values with the flags given on top, validated once."""
     values = {}
     if args.config:
         for key, value in _read_config_file(args.config).items():
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = _coerce(key, value)
-    config = StudyConfig(**values)
-    overrides = {}
     for name in _FIELD_TYPES:
-        flag = getattr(args, name, None)
-        if flag is not None and flag is not False:
-            overrides[name] = flag
-    return replace(config, **overrides) if overrides else config
+        if (flag := getattr(args, name, None)) is not None:
+            values[name] = flag
+    return StudyConfig(**values)
 
 
 # Flags each subcommand reads; a flag it would ignore is not offered, so
 # passing one is a usage error. Config-file keys are accepted by all.
-_FLAGS = {
-    "method": {"choices": METHODS},
-    "flux_variant": {"choices": VARIANTS},
-    "beta": {"type": float},
-    "alpha": {"type": float},
-    "kmin": {"type": int},
-    "kmax": {"type": int},
-    "delta0": {"type": float},
-    "kappa": {"type": float},
-    "seed": {"type": int},
-    "parallel": {"action": "store_true", "default": False},
-}
 _COMMANDS = {
     "converge": (
         "manufactured-solution convergence study",
@@ -351,6 +339,15 @@ _COMMANDS = {
         ("method", "beta", "alpha", "delta0", "kappa", "seed"),
     ),
 }
+_CHOICES = {"method": METHODS, "flux_variant": tuple(v for vs in VARIANTS.values() for v in vs)}
+
+
+def _flag_options(name: str) -> dict:
+    """argparse options for a setting's flag, parsed as its StudyConfig field;
+    an unset flag reads None, so the config file's value stands."""
+    if _FIELD_TYPES[name] == "bool":
+        return {"action": "store_true", "default": None}
+    return {"type": _PARSERS[_FIELD_TYPES[name]][0], "choices": _CHOICES.get(name)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (helptext, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
         for flag in flags:
-            cmd.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag])
+            cmd.add_argument("--" + flag.replace("_", "-"), dest=flag, **_flag_options(flag))
         cmd.add_argument("--config", help="key=value config file; flags win")
         cmd.add_argument("--out", help="output file path (default: stdout)")
         cmd.set_defaults(command_parser=cmd)

@@ -258,12 +258,11 @@ def split_segments_at_mesh_lines(mesh: Mesh, p0, p1) -> tuple[np.ndarray, np.nda
     tol = 1e-12 * max(1.0, n)
     inside = (pos > lo[seg] + tol) & (pos < hi[seg] - tol)
     seg, pos = seg[inside], pos[inside]
-    # ascending along each segment's own direction: descending pos if b < a
-    forward = b > a
-    order = np.lexsort((np.where(forward[seg], pos, -pos), seg))
-    seg, pos = seg[order], pos[order]
-    sa, sb = a[seg], b[seg]
-    cut_t = np.where(forward[seg], (pos - sa) / (sb - sa), (sa - pos) / (sa - sb))
+    # t grows from p0 to p1 whichever way the segment points, so sorting by
+    # it orders each segment's cuts along the segment.
+    cut_t = (pos - a[seg]) / (b[seg] - a[seg])
+    order = np.lexsort((cut_t, seg))
+    seg, cut_t = seg[order], cut_t[order]
 
     cuts = np.bincount(seg, minlength=len(rows))
     size = cuts + 2

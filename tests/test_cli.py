@@ -35,9 +35,9 @@ def test_config_validation():
         StudyConfig(method="galerkin")
     with pytest.raises(ValueError):
         StudyConfig(kmin=5, kmax=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the lagrange method recovers the multiplier flux, got 'pointwise'$"):
         StudyConfig(method="lagrange", flux_variant="pointwise")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the nitsche method recovers the pointwise or variational flux"):
         StudyConfig(method="nitsche", flux_variant="multiplier")
     with pytest.raises(ValueError):
         StudyConfig(delta0=0.5)
@@ -85,6 +85,76 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert rc == 0
     rows = out.read_text().strip().split("\n")
     assert len(rows) == 4  # header + k in {0, 1, 2}: the flag overrode kmax
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("kmax = -1\n", ["--kmin", "-2"]),
+        ("flux_variant = multiplier\n", ["--method", "lagrange", "--kmax", "0"]),
+    ],
+)
+def test_flags_mend_a_file_that_alone_is_invalid(tmp_path, capsys, text, flags):
+    """The file's values and the flags are merged, flags winning, and only
+    the merged settings are validated."""
+    config = tmp_path / "study.cfg"
+    config.write_text(text)
+    assert main(["converge", "--config", str(config), *flags]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("kmin = 5\n", ["--kmax", "2"], "kmin=5 exceeds kmax=2"),
+        ("method = lagrange\n", ["--flux-variant", "variational"],
+         "the lagrange method recovers the multiplier flux, got 'variational'"),
+    ],
+)
+def test_file_and_flags_invalid_together_exit_2(tmp_path, capsys, text, flags, message):
+    config = tmp_path / "study.cfg"
+    config.write_text(text)
+    assert main(["converge", "--config", str(config), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kmin = 1\nkmin = 2\n", ":2: kmin set again (first on line 1)"),
+        ("flux-variant = pointwise\n# a comment\nflux_variant = variational\n",
+         ":3: flux_variant set again (first on line 1)"),
+    ],
+)
+def test_config_key_set_twice_is_refused(tmp_path, capsys, text, message):
+    """Both spellings of a key count as one key."""
+    config = tmp_path / "study.cfg"
+    config.write_text(text)
+    assert main(["converge", "--kmax", "0", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {config}{message}\n"
+
+
+FLAG_SAMPLES = {
+    "method": "lagrange", "flux_variant": "variational", "beta": "3.5", "alpha": "0.5",
+    "kmin": "1", "kmax": "3", "delta0": "0.3", "kappa": "2", "seed": "7", "parallel": None,
+    "out": "study.csv",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command, (_, names) in cli._COMMANDS.items() for name in (*names, "out")],
+)
+def test_each_flag_sets_what_its_config_line_sets(tmp_path, command, name):
+    """A flag is parsed as its StudyConfig field, as the config file is."""
+    value = FLAG_SAMPLES[name]
+    config = tmp_path / "study.cfg"
+    config.write_text(f"{name} = {'true' if value is None else value}\n")
+    flag = ["--" + name.replace("_", "-"), *([] if value is None else [value])]
+    parser = build_parser()
+    from_flag = build_config(parser.parse_args([command, *flag]))
+    assert from_flag == build_config(parser.parse_args([command, "--config", str(config)]))
+    assert from_flag != StudyConfig()
 
 
 def test_cli_rejects_unknown_config_key(tmp_path):
@@ -475,6 +545,14 @@ def test_one_config_file_serves_every_subcommand(tmp_path):
     out = tmp_path / "patch.txt"
     assert main(["patch-test", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_text() == "patch tests passed\n"
+
+
+def test_size_refusal_quotes_what_the_levels_need(capsys):
+    assert main(["converge", "--kmax", "18"]) == 2
+    err = capsys.readouterr().err
+    assert "k=17 (n=1448) took about 20 s and 3.5 GiB" in err
+    assert "k=18 (n=2048) would need about 5.9 GiB" in err
+    assert err.count("\n") == 1
 
 
 def test_level_range_matches_size_cap():

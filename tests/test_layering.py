@@ -14,7 +14,7 @@ from types import ModuleType
 import pytest
 
 import fluxfem
-from fluxfem import analysis
+from fluxfem import analysis, cli
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fluxfem"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -159,30 +159,44 @@ def test_mass_matrix_only_in_shifted_operators():
 
 
 METHOD_NAMES = ("nitsche", "lagrange")
+VARIANT_NAMES = ("pointwise", "variational", "multiplier")
 
 
-def method_name_comparisons(node, inside_study_config=False):
-    """(line, inside StudyConfig) of each comparison against a method name."""
-    if isinstance(node, ast.ClassDef) and node.name == "StudyConfig":
-        inside_study_config = True
+def name_comparisons(names, node, owner=""):
+    """(line, enclosing top-level definition) of each comparison against one of `names`."""
+    if not owner and isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        owner = node.name
     if isinstance(node, ast.Compare):
         operands = [node.left, *node.comparators]
-        if any(isinstance(op, ast.Constant) and op.value in METHOD_NAMES for op in operands):
-            yield node.lineno, inside_study_config
+        if any(isinstance(op, ast.Constant) and op.value in names for op in operands):
+            yield node.lineno, owner
     for child in ast.iter_child_nodes(node):
-        yield from method_name_comparisons(child, inside_study_config)
+        yield from name_comparisons(names, child, owner)
+
+
+def comparison_sites(names):
+    """(module:line, "module.owner") of each comparison against one of `names`."""
+    return [
+        (f"{path.name}:{line}", f"{path.stem}.{owner}")
+        for path in MODULES
+        for line, owner in name_comparisons(names, ast.parse(path.read_text(encoding="utf-8")))
+    ]
 
 
 def test_only_study_config_compares_method_names():
     """StudyConfig turns the method name into a NitscheConfig or a
     SaddleConfig; below it the type of that config is the only switch."""
-    outside = [
-        f"{path.name}:{line}"
-        for path in MODULES
-        for line, inside in method_name_comparisons(ast.parse(path.read_text(encoding="utf-8")))
-        if not inside
-    ]
+    outside = [site for site, owner in comparison_sites(METHOD_NAMES) if owner != "cli.StudyConfig"]
     assert outside == []
+
+
+def test_only_the_level_step_compares_flux_variant_names():
+    """cli.VARIANTS is the one table of each method's recoveries; the level
+    step is the one place that picks a recovery by its name, and the flags
+    take their parsers from the StudyConfig fields, not from a table of their own."""
+    sites = comparison_sites(VARIANT_NAMES)
+    assert sites and {owner for _, owner in sites} == {"cli._solve_level"}
+    assert not hasattr(cli, "_FLAGS")
 
 
 def test_volume_degree_is_a_parameter_only_where_two_degrees_are_used():

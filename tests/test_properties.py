@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fluxfem import analysis
 from fluxfem.analysis import contour_l2_norm_discrete
-from fluxfem.cli import MAX_LEVEL, MIN_LEVEL, StudyConfig, build_config, build_parser, main
+from fluxfem.cli import MAX_LEVEL, METHODS, MIN_LEVEL, VARIANTS, StudyConfig, build_config, build_parser, main
 from fluxfem.fem import P1Space, locate_points, locate_triangle, located_values
 from fluxfem.mesh import (
     build_unit_square_mesh,
@@ -190,7 +190,9 @@ near_miss = st.one_of(
     st.tuples(st.text(one_line, max_size=2), any_case, st.text(one_line, max_size=2)).map("".join),
 )
 positive = st.floats(min_value=1e-6, max_value=1e6)
-levels = st.lists(st.integers(MIN_LEVEL, MAX_LEVEL), min_size=2, max_size=2).map(sorted)
+level = st.integers(MIN_LEVEL, MAX_LEVEL)
+# unsorted, so a file may hold kmin > kmax that a flag then mends
+levels = st.lists(level, min_size=2, max_size=2)
 config_values = st.fixed_dictionaries(
     {},
     optional={
@@ -208,6 +210,29 @@ config_values = st.fixed_dictionaries(
         "parallel": any_case,
     },
 )
+
+
+converge_flags = st.fixed_dictionaries(
+    {},
+    optional={
+        "method": st.sampled_from(METHODS),
+        "flux_variant": st.sampled_from([v for variants in VARIANTS.values() for v in variants]),
+        "beta": positive,
+        "alpha": positive,
+        "kmin": level,
+        "kmax": level,
+        "parallel": st.just(True),
+    },
+)
+
+
+def flag_args(flags):
+    """The `converge` command-line arguments that set `flags`."""
+    args = []
+    for name, value in flags.items():
+        flag = "--" + name.replace("_", "-")
+        args += [flag] if value is True else [flag, repr(value) if isinstance(value, float) else str(value)]
+    return args
 
 
 def config_lines(values):
@@ -232,12 +257,20 @@ def config_path(tmp_path_factory):
 
 
 @PROPERTY
-@given(values=config_values)
-def test_config_file_values_round_trip(config_path, values):
+@given(values=config_values, flags=converge_flags)
+def test_config_file_values_round_trip(config_path, values, flags):
+    """File values parse as their fields, flags win over them, and the merged
+    settings are validated once, whether or not the file alone is valid."""
     text, expected = config_lines(values)
     config_path.write_text(text, encoding="utf-8")
-    args = build_parser().parse_args(["converge", "--config", str(config_path)])
-    assert build_config(args) == StudyConfig(**expected)
+    args = build_parser().parse_args(["converge", "--config", str(config_path), *flag_args(flags)])
+    try:
+        merged = StudyConfig(**{**expected, **flags})
+    except ValueError:
+        with pytest.raises(ValueError):
+            build_config(args)
+    else:
+        assert build_config(args) == merged
 
 
 @PROPERTY
