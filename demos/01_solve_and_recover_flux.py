@@ -12,8 +12,7 @@ from fluxfem import (
     NitscheConfig,
     P1Space,
     SaddleConfig,
-    assemble_nitsche,
-    assemble_saddle,
+    assemble,
     boundary_l2_error,
     build_unit_square_mesh,
     multiplier_flux,
@@ -34,7 +33,7 @@ print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles, h = 1/{n
 # --- Nitsche's method: one SPD solve, two flux recoveries ---------------------
 
 cfg = NitscheConfig(beta=10.0)
-system = assemble_nitsche(space, cfg, problem.f, problem.g)
+system = assemble(space, cfg, problem.f, problem.g)
 result = solve_spd(system)
 print(f"nitsche solve: residual {result.residual:.2e}, inertia {result.inertia}")
 
@@ -45,7 +44,7 @@ print(f"variational flux error {boundary_l2_error(variational, exact, space):.4e
 
 # --- Stabilized Lagrange multipliers: the flux is minus the multiplier --------
 
-saddle = assemble_saddle(space, SaddleConfig(alpha=0.25), problem.f, problem.g)
+saddle = assemble(space, SaddleConfig(alpha=0.25), problem.f, problem.g)
 sol = solve_sym_indefinite(saddle)
 u, lam = saddle.split(sol.x)
 print(f"saddle solve: residual {sol.residual:.2e}, inertia {sol.inertia}")

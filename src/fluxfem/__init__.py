@@ -24,8 +24,10 @@ from .analysis import (
     rademacher_boundary_field,
 )
 from .fem import (
+    LinearSystem,
     P1Space,
     QuadratureRule,
+    assemble,
     edge_quadrature,
     locate_points,
     located_gradients,
@@ -41,13 +43,7 @@ from .flux import (
     project_pointwise_flux,
     variational_flux,
 )
-from .lagrange import (
-    SaddleConfig,
-    SaddleSystem,
-    assemble_dual_rhs_lm,
-    assemble_saddle,
-    saddle_matrix,
-)
+from .lagrange import SaddleConfig
 from .linsolve import (
     NotPositiveDefiniteError,
     SingularSystemError,
@@ -63,13 +59,7 @@ from .mesh import (
     distance_weight,
     offset_contour,
 )
-from .nitsche import (
-    LinearSystem,
-    NitscheConfig,
-    assemble_dual_rhs_nitsche,
-    assemble_nitsche,
-    nitsche_matrix,
-)
+from .nitsche import NitscheConfig
 from .problems import ManufacturedProblem, affine_problem, constant_problem, trig_problem
 
 # the submodules that the imports above bind stay out of `from fluxfem import *`

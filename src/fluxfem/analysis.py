@@ -34,7 +34,9 @@ import numpy as np
 
 from .fem import (
     VOLUME_DEGREE,
+    LinearSystem,
     P1Space,
+    assemble,
     basis_at,
     boundary_field_values,
     cell_blocks,
@@ -47,22 +49,10 @@ from .fem import (
     triangle_quadrature,
 )
 from .flux import BoundaryFluxField, pointwise_nitsche_values
-from .lagrange import (
-    SaddleConfig,
-    SaddleSystem,
-    assemble_dual_rhs_lm,
-    assemble_saddle,
-    saddle_matrix,
-)
+from .lagrange import SaddleConfig
 from .linsolve import solve_spd, solve_sym_indefinite
 from .mesh import Mesh, distance_weight, offset_contour, split_segments_at_mesh_lines
-from .nitsche import (
-    LinearSystem,
-    NitscheConfig,
-    assemble_dual_rhs_nitsche,
-    assemble_nitsche,
-    nitsche_matrix,
-)
+from .nitsche import NitscheConfig
 
 # Both identities hold up to the volume quadrature error of (f, phi_h) and
 # (grad(u - pi_h u), grad phi_h), so they use a finer rule than assembly.
@@ -238,6 +228,12 @@ def _check_method_config(cfg):
         raise TypeError(f"cfg must be a NitscheConfig or a SaddleConfig, got {type(cfg).__name__}")
 
 
+def _solve(system: LinearSystem):
+    """Solve by the certified solver of the system's kind: indefinite with
+    multipliers, positive definite without."""
+    return (solve_sym_indefinite if system.n_multiplier else solve_spd)(system)
+
+
 def _sampled_interp_error(problem, space: P1Space):
     """w = u - pi_h u sampled once for the identity forms, as the tuple
     (grad, value, normal_derivative): grad (gx, gy) at the points of the
@@ -340,22 +336,19 @@ def error_representation_residuals(
     sigma = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
     interp_error = _sampled_interp_error(problem, space)
 
+    system = assemble(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
+    duals = [cfg.dual_data(space, vals) for vals in psi_vals]
+    primal, *phis = _solve(replace(system, rhs=np.column_stack([system.rhs, *duals]))).x.T
+    u_h, lam_h = system.split(primal)
+
     if isinstance(cfg, NitscheConfig):
-        system = assemble_nitsche(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
-        duals = [assemble_dual_rhs_nitsche(space, cfg, vals) for vals in psi_vals]
-        u_h, *phis = solve_spd(replace(system, rhs=np.column_stack([system.rhs, *duals]))).x.T
         flux_gap = hw * (sigma - pointwise_nitsche_values(u_h, problem.g, space, cfg, t))
 
         def form(vals, phi):
             return _nitsche_identity_form(space, cfg, interp_error, vals, phi)
     else:
-        system = assemble_saddle(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)
-        duals = [assemble_dual_rhs_lm(space, vals) for vals in psi_vals]
-        primal, *phis = solve_sym_indefinite(
-            replace(system, rhs=np.column_stack([system.rhs, *duals]))
-        ).x.T
         lam_exact = -sigma
-        flux_gap = hw * (lam_exact - system.split(primal)[1][:, None])
+        flux_gap = hw * (lam_exact - lam_h[:, None])
         # facet averages are the natural interpolant onto facet constants
         pi_lam = np.einsum("q,fq->f", w, lam_exact)
         interp_gap = lam_exact - pi_lam[:, None]
@@ -496,14 +489,9 @@ def dual_stability_report(
     _check_offset_scan(delta_0)
     mesh = space.mesh
 
-    theta = None
-    if isinstance(cfg, NitscheConfig):
-        rhs = assemble_dual_rhs_nitsche(space, cfg, psi)
-        phi = solve_spd(LinearSystem(matrix=nitsche_matrix(space, cfg), rhs=rhs)).x
-    else:
-        rhs = assemble_dual_rhs_lm(space, psi)
-        system = SaddleSystem(saddle_matrix(space, cfg), rhs, space.n_dofs, mesh.n_facets)
-        phi, theta = system.split(solve_sym_indefinite(system).x)
+    rhs = cfg.dual_data(space, psi)
+    system = LinearSystem(cfg.matrix(space), rhs, space.n_dofs)
+    phi, theta = system.split(_solve(system).x)
 
     nodal = phi[mesh.triangles]
     grads = np.einsum("ti,tid->td", nodal, space.gradients)

@@ -34,12 +34,12 @@ from .analysis import (
     fit_rate,
     rademacher_boundary_field,
 )
-from .fem import P1Space, nodal_interpolant
+from .fem import P1Space, assemble, nodal_interpolant
 from .flux import ExactFluxField, multiplier_flux, nitsche_flux, variational_flux
-from .lagrange import SaddleConfig, assemble_saddle
+from .lagrange import SaddleConfig
 from .linsolve import SolverError, solve_spd, solve_sym_indefinite
 from .mesh import MAX_GRID_N, build_unit_square_mesh
-from .nitsche import NitscheConfig, assemble_nitsche
+from .nitsche import NitscheConfig
 from .problems import affine_problem, constant_problem, trig_problem
 
 # Each method's flux recoveries; the first is the method's default.
@@ -142,11 +142,9 @@ def _solve_level(cfg: NitscheConfig | SaddleConfig, variant: str, problem, n: in
     """(space, u, lam, field) on the n-grid: the discrete solution, with lam None
     for Nitsche's method, and its flux recovered by `variant`."""
     space = P1Space(build_unit_square_mesh(n))
-    if isinstance(cfg, NitscheConfig):
-        u, lam = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x, None
-    else:
-        system = assemble_saddle(space, cfg, problem.f, problem.g)
-        u, lam = system.split(solve_sym_indefinite(system).x)
+    system = assemble(space, cfg, problem.f, problem.g)
+    solve = solve_sym_indefinite if system.n_multiplier else solve_spd
+    u, lam = system.split(solve(system).x)
     if variant == "pointwise":
         field = nitsche_flux(u, problem.g, space, cfg)
     elif variant == "variational":

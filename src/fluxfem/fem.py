@@ -3,8 +3,10 @@
 `P1Space` owns every table derived from the mesh: areas, basis gradients
 and the one boundary-facet table with its weights h_F w_q. Around it live
 the generic P1 operators (stiffness, mass, load), their one local-to-global
-scatter, point location and boundary-data evaluation; `nitsche` and
-`lagrange` add only their method matrices and data.
+scatter, point location and boundary-data evaluation, and the one
+`assemble` and `LinearSystem` of both methods. `nitsche` and `lagrange`
+each add only their method config, which builds the method's matrix and
+dual data.
 
 Assembled matrices are bitwise symmetric with no averaging pass: each
 triangle's basis gradients are (-a, 0), (a, -b) and (0, b), so every local
@@ -306,8 +308,8 @@ def boundary_field_values(obj, space: P1Space) -> np.ndarray:
     """Boundary data at the facet points of `space.facets`, (n_facets, EDGE_POINTS).
 
     Accepts a callable of (x, y), an object with facet_values(t) (flux
-    fields), or an array of values at those points; a flux field of
-    another mesh raises ValueError.
+    fields), or an array of values at those points; a flux field or an
+    array of another shape raises ValueError, and a scalar TypeError.
     """
     t, points = space.facets.t, space.facets.points
     shape = points.shape[:-1]
@@ -320,7 +322,38 @@ def boundary_field_values(obj, space: P1Space) -> np.ndarray:
         vals = np.asarray(obj(points[..., 0], points[..., 1]), dtype=float)
         return np.broadcast_to(vals, shape)
     arr = np.asarray(obj, dtype=float)
-    if arr.shape == shape:
-        return arr
-    raise TypeError("boundary data must be callable, a flux field, or values at the facet points")
+    if arr.ndim == 0:
+        raise TypeError("boundary data must be callable, a flux field, or values at the facet points")
+    if arr.shape != shape:
+        raise ValueError(f"boundary values of shape {arr.shape} do not match the facet points {shape}")
+    return arr
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """Assembled sparse symmetric system over n_primal P1 dofs followed by
+    n_multiplier multiplier dofs (none for Nitsche's method)."""
+
+    matrix: sp.csr_matrix
+    rhs: np.ndarray
+    n_primal: int
+
+    @property
+    def n_multiplier(self) -> int:
+        return self.matrix.shape[0] - self.n_primal
+
+    def split(self, x):
+        """(u, lam) of a solution x; lam is None when there are no multipliers."""
+        x = np.asarray(x)
+        if not self.n_multiplier:
+            return x, None
+        return x[: self.n_primal], x[self.n_primal :]
+
+
+def assemble(space: P1Space, cfg, f, g, volume_degree: int = VOLUME_DEGREE) -> LinearSystem:
+    """The system of cfg's method for -laplace(u) = f, u = g: cfg's matrix,
+    and the load vector with cfg's dual data of g on top."""
+    return LinearSystem(
+        cfg.matrix(space), cfg.dual_data(space, g, load_vector(space, f, volume_degree)), space.n_dofs
+    )
 

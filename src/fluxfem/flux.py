@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import (
+    LinearSystem,
     P1Space,
     boundary_field_values,
     coefficient_vector,
@@ -36,7 +37,7 @@ from .fem import (
 )
 from .linsolve import solve_spd
 from .mesh import Mesh
-from .nitsche import LinearSystem, NitscheConfig
+from .nitsche import NitscheConfig
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def _trace_field_from_moments(mesh: Mesh, ends, moments) -> BoundaryFluxField:
     block = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
     data = mesh.facet_lengths[:, None, None] * block[None, :, :]
     mass = local_to_global(ends, data, moments.size)
-    values = solve_spd(LinearSystem(matrix=mass, rhs=moments)).x
+    values = solve_spd(LinearSystem(mass, moments, moments.size)).x
     return BoundaryFluxField(coefficients=values[ends], mesh=mesh)
 
 

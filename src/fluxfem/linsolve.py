@@ -280,7 +280,7 @@ def solve_spd(system) -> SolveResult:
 
 
 def solve_sym_indefinite(system) -> SolveResult:
-    """Solve a symmetric indefinite SaddleSystem, reporting pivot inertia."""
+    """Solve a symmetric indefinite LinearSystem, reporting pivot inertia."""
     return _solve_symmetric(
         system.matrix, system.rhs, INDEFINITE_RESIDUAL_TOL, require_spd=False
     )

@@ -15,9 +15,9 @@ use kappa = 0. The dual right-hand side functional is
     m_psi(v) = beta/h (psi, v)_G - (psi, n.grad v)_G.
 
 Here h is the length h_F of each boundary facet. The boundary part of
-l_h is m_g, the dual data of psi = g. Only the Nitsche config, system,
-matrix, assembly and dual data live here; the shared P1 operators and
-facet table are in `fem`.
+l_h is m_g, the dual data of psi = g. Only the Nitsche config lives here:
+it builds the matrix and the dual data, and `fem.assemble` and
+`fem.LinearSystem` serve both methods.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (
-    VOLUME_DEGREE,
     P1Space,
     boundary_field_values,
-    load_vector,
+    coefficient_vector,
     local_to_global,
     mass_matrix,
     stiffness_matrix,
@@ -52,62 +51,39 @@ class NitscheConfig:
         if not 0.0 <= self.kappa < math.inf:
             raise ValueError(f"shift kappa must be finite and nonnegative, got {self.kappa}")
 
+    def matrix(self, space: P1Space) -> sp.csr_matrix:
+        """The matrix of a_h; it depends on neither f, g nor the volume degree.
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Assembled sparse symmetric system."""
+        The matrix is exactly symmetric; with beta large enough it is positive
+        definite, and the solver reports "not positive definite" otherwise
+        (the penalty-too-small signal).
+        """
+        a = stiffness_matrix(space)
+        if self.kappa != 0.0:
+            a = a + self.kappa * mass_matrix(space)
 
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
+        _, w, _, pdofs, ndg, trace, _ = space.facets
+        hf = space.mesh.facet_lengths
+        pen = self.beta / hf
+        int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
+        cons = -(ndg[:, None, :] * int_phi[:, :, None]) - (ndg[:, :, None] * int_phi[:, None, :])
+        mass_f = (pen * hf)[:, None, None] * np.einsum("q,fiq,fjq->fij", w, trace, trace)
+        return a + local_to_global(pdofs, cons + mass_f, space.n_dofs)
 
+    def dual_data(self, space: P1Space, psi, load=None) -> np.ndarray:
+        """m_psi(phi_i) = beta/h (psi, phi_i)_G - (psi, n.grad phi_i)_G, added
+        into a copy of the vector `load` (zero if None).
 
-def nitsche_matrix(space: P1Space, cfg: NitscheConfig) -> sp.csr_matrix:
-    """The matrix of a_h; it depends on neither f, g nor the volume degree.
-
-    The matrix is exactly symmetric; with beta large enough it is positive
-    definite, and the solver reports "not positive definite" otherwise
-    (the penalty-too-small signal).
-    """
-    a = stiffness_matrix(space)
-    if cfg.kappa != 0.0:
-        a = a + cfg.kappa * mass_matrix(space)
-
-    _, w, _, pdofs, ndg, trace, _ = space.facets
-    hf = space.mesh.facet_lengths
-    pen = cfg.beta / hf
-    int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
-    cons = -(ndg[:, None, :] * int_phi[:, :, None]) - (ndg[:, :, None] * int_phi[:, None, :])
-    mass_f = (pen * hf)[:, None, None] * np.einsum("q,fiq,fjq->fij", w, trace, trace)
-    return a + local_to_global(pdofs, cons + mass_f, space.n_dofs)
-
-
-def assemble_nitsche(
-    space: P1Space, cfg: NitscheConfig, f, g, volume_degree: int = VOLUME_DEGREE
-) -> LinearSystem:
-    """Assemble the symmetric Nitsche system for -laplace(u) = f, u = g."""
-    matrix = nitsche_matrix(space, cfg)
-    b = _add_dual_data(load_vector(space, f, volume_degree), space, cfg, g)
-    return LinearSystem(matrix=matrix, rhs=b)
-
-
-def assemble_dual_rhs_nitsche(space: P1Space, cfg: NitscheConfig, psi) -> np.ndarray:
-    """Vector of m_psi(phi_i) = beta/h (psi, phi_i)_G - (psi, n.grad phi_i)_G.
-
-    Because a_h is symmetric the dual solution comes from the same matrix
-    as the primal one.
-    """
-    return _add_dual_data(np.zeros(space.n_dofs), space, cfg, psi)
-
-
-def _add_dual_data(out, space: P1Space, cfg: NitscheConfig, psi) -> np.ndarray:
-    """Add m_psi(phi_i) into out[i] and return out."""
-    _, w, _, pdofs, ndg, trace, _ = space.facets
-    hf = space.mesh.facet_lengths
-    pen = cfg.beta / hf
-    psivals = boundary_field_values(psi, space)
-    int_psi = hf * np.einsum("q,fq->f", w, psivals)
-    int_psi_phi = hf[:, None] * np.einsum("q,fq,fkq->fk", w, psivals, trace)
-    local = pen[:, None] * int_psi_phi - ndg * int_psi[:, None]
-    np.add.at(out, pdofs.ravel(), local.ravel())
-    return out
-
+        Because a_h is symmetric the dual solution comes from the same matrix
+        as the primal one.
+        """
+        out = np.zeros(space.n_dofs) if load is None else coefficient_vector(load, space.n_dofs).copy()
+        _, w, _, pdofs, ndg, trace, _ = space.facets
+        hf = space.mesh.facet_lengths
+        pen = self.beta / hf
+        psivals = boundary_field_values(psi, space)
+        int_psi = hf * np.einsum("q,fq->f", w, psivals)
+        int_psi_phi = hf[:, None] * np.einsum("q,fq,fkq->fk", w, psivals, trace)
+        local = pen[:, None] * int_psi_phi - ndg * int_psi[:, None]
+        np.add.at(out, pdofs.ravel(), local.ravel())
+        return out

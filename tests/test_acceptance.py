@@ -48,7 +48,7 @@ from fluxfem.analysis import (
     rademacher_boundary_field,
 )
 from fluxfem.cli import StudyConfig, level_grid_n, records_to_csv, run_convergence, run_patch_test
-from fluxfem.fem import P1Space
+from fluxfem.fem import P1Space, assemble
 from fluxfem.flux import (
     ExactFluxField,
     multiplier_flux,
@@ -56,10 +56,10 @@ from fluxfem.flux import (
     project_pointwise_flux,
     variational_flux,
 )
-from fluxfem.lagrange import SaddleConfig, assemble_saddle
+from fluxfem.lagrange import SaddleConfig
 from fluxfem.linsolve import solve_spd, solve_sym_indefinite
 from fluxfem.mesh import build_unit_square_mesh
-from fluxfem.nitsche import NitscheConfig, assemble_nitsche
+from fluxfem.nitsche import NitscheConfig
 from fluxfem.problems import trig_problem
 
 BETA = 10.0
@@ -95,7 +95,7 @@ def nitsche_study(problem):
         space = P1Space(build_unit_square_mesh(n))
         mesh = space.mesh
         exact = ExactFluxField(problem, mesh)
-        u = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x
+        u = solve_spd(assemble(space, cfg, problem.f, problem.g)).x
         pointwise = nitsche_flux(u, problem.g, space, cfg)
         variational = variational_flux(u, problem.g, problem.f, space)
         projected = project_pointwise_flux(u, problem.g, space, cfg)
@@ -116,7 +116,7 @@ def _lagrange_rows(problem, alpha):
     for n in LEVELS:
         mesh = build_unit_square_mesh(n)
         space = P1Space(mesh)
-        system = assemble_saddle(space, SaddleConfig(alpha=alpha), problem.f, problem.g)
+        system = assemble(space, SaddleConfig(alpha=alpha), problem.f, problem.g)
         u, lam = system.split(solve_sym_indefinite(system).x)
         triple, l2 = error_norms(problem, space, u, lam)
         rows[n] = {

@@ -19,23 +19,21 @@ from fluxfem.analysis import (
     rademacher_boundary_field,
 )
 from fluxfem.fem import (
+    EDGE_POINTS,
     VOLUME_DEGREE,
+    LinearSystem,
     P1Space,
+    assemble,
     basis_at,
     edge_quadrature,
     nodal_interpolant,
     triangle_quadrature,
 )
 from fluxfem.flux import BoundaryFluxField, ExactFluxField
-from fluxfem.lagrange import SaddleConfig, saddle_matrix
+from fluxfem.lagrange import SaddleConfig
 from fluxfem.linsolve import solve_spd
 from fluxfem.mesh import build_unit_square_mesh, offset_contour, split_segments_at_mesh_lines
-from fluxfem.nitsche import (
-    NitscheConfig,
-    assemble_dual_rhs_nitsche,
-    assemble_nitsche,
-    nitsche_matrix,
-)
+from fluxfem.nitsche import NitscheConfig
 from fluxfem.problems import ManufacturedProblem
 
 
@@ -99,7 +97,7 @@ def test_half_to_quarter_error_ratio_matches_first_order(trig):
     for n in (16, 32):
         space = P1Space(build_unit_square_mesh(n))
         cfg = NitscheConfig(beta=10.0)
-        u = solve_spd(assemble_nitsche(space, cfg, trig.f, trig.g)).x
+        u = solve_spd(assemble(space, cfg, trig.f, trig.g)).x
         from fluxfem.flux import nitsche_flux
 
         errs[n] = boundary_l2_error(
@@ -228,13 +226,13 @@ def test_identity_forms_equal_the_assembled_operators_on_p1(n):
 
     cfg = NitscheConfig(beta=10.0)
     form = analysis._nitsche_identity_form(space, cfg, sampled, psi, phi)
-    assembled = phi @ (nitsche_matrix(space, cfg) @ w) - assemble_dual_rhs_nitsche(space, cfg, psi) @ w
+    assembled = phi @ (cfg.matrix(space) @ w) - cfg.dual_data(space, psi) @ w
     assert form == pytest.approx(assembled, rel=1e-12)
 
     scfg = SaddleConfig(alpha=0.25)
     muvals = np.broadcast_to(mu[:, None], psi.shape)
     form = analysis._saddle_identity_form(space, scfg, sampled, muvals, phi, theta)
-    assembled = np.concatenate([phi, theta]) @ (saddle_matrix(space, scfg) @ np.concatenate([w, mu]))
+    assembled = np.concatenate([phi, theta]) @ (scfg.matrix(space) @ np.concatenate([w, mu]))
     assert form == pytest.approx(assembled, rel=1e-12)
 
 
@@ -472,11 +470,9 @@ def test_dual_stability_q3_delta0_matches_boundary_norm(trig):
     mesh = build_unit_square_mesh(8)
     space = P1Space(mesh)
     cfg = NitscheConfig(beta=10.0)
-    from fluxfem.nitsche import LinearSystem, assemble_dual_rhs_nitsche
-
-    system = assemble_nitsche(space, cfg, trig.f, trig.g)
+    system = assemble(space, cfg, trig.f, trig.g)
     psi = rademacher_boundary_field(mesh, 0)
-    phi = solve_spd(LinearSystem(matrix=system.matrix, rhs=assemble_dual_rhs_nitsche(space, cfg, psi))).x
+    phi = solve_spd(LinearSystem(system.matrix, cfg.dual_data(space, psi), space.n_dofs)).x
     ends = mesh.facet_vertices
     rule = edge_quadrature()
     trace_vals = phi[ends][:, [0]] * (1 - rule.points)[None, :] + phi[ends][:, [1]] * rule.points[None, :]
@@ -511,17 +507,40 @@ def test_dual_stability_rejects_bad_arguments():
         lambda space, field, trig: boundary_l2_error(field, ExactFluxField(trig, space.mesh), space),
         lambda space, field, trig: error_representation_residuals(trig, space, NitscheConfig(), [field]),
         lambda space, field, trig: dual_stability_report(space, NitscheConfig(), field),
-        lambda space, field, trig: assemble_nitsche(space, NitscheConfig(), trig.f, field),
+        lambda space, field, trig: assemble(space, NitscheConfig(), trig.f, field),
     ],
     ids=["boundary_l2_norm", "boundary_l2_error", "identity", "dual_stability", "assemble_nitsche"],
 )
-@pytest.mark.parametrize("kind", ["flux_field", "exact_flux"])
+@pytest.mark.parametrize("kind", ["flux_field", "exact_flux", "facet_values"])
 def test_boundary_data_from_another_mesh_is_rejected(trig, entry, kind):
     coarse = build_unit_square_mesh(8)
-    field = rademacher_boundary_field(coarse) if kind == "flux_field" else ExactFluxField(trig, coarse)
+    field = {
+        "flux_field": rademacher_boundary_field(coarse),
+        "exact_flux": ExactFluxField(trig, coarse),
+        "facet_values": np.ones((coarse.n_facets, EDGE_POINTS)),
+    }[kind]
+    message = (
+        r"boundary values of shape \(32, 6\) do not match the facet points \(64, 6\)"
+        if kind == "facet_values"
+        else "boundary data has 32 facets, the mesh has 64"
+    )
     space = P1Space(build_unit_square_mesh(16))
-    with pytest.raises(ValueError, match="boundary data has 32 facets, the mesh has 64"):
+    with pytest.raises(ValueError, match=message):
         entry(space, field, trig)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda space, psi: boundary_l2_norm(psi, space),
+        lambda space, psi: dual_stability_report(space, NitscheConfig(), psi),
+    ],
+    ids=["boundary_l2_norm", "dual_stability"],
+)
+def test_scalar_boundary_data_is_a_type_error(entry):
+    """A 0-d value is no boundary data at all, not data of another mesh."""
+    with pytest.raises(TypeError, match="boundary data must be callable"):
+        entry(P1Space(build_unit_square_mesh(8)), 1.0)
 
 
 def test_interp_scan_rejects_bad_arguments_before_any_work(monkeypatch, trig):

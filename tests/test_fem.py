@@ -24,9 +24,9 @@ from fluxfem.fem import (
     stiffness_matrix,
     triangle_quadrature,
 )
-from fluxfem.lagrange import SaddleConfig, assemble_saddle
+from fluxfem.lagrange import SaddleConfig
 from fluxfem.mesh import build_unit_square_mesh
-from fluxfem.nitsche import NitscheConfig, assemble_nitsche
+from fluxfem.nitsche import NitscheConfig
 
 
 def reference_triangle_integral(a, b):
@@ -186,8 +186,18 @@ def test_boundary_field_values_accepts_facet_point_values_only():
     evaluated = boundary_field_values(lambda x, y: x + 2.0 * y, space)
     assert np.array_equal(evaluated, at_points)
     assert np.array_equal(boundary_field_values(at_points, space), at_points)
-    with pytest.raises(TypeError, match="boundary data"):
+    with pytest.raises(ValueError, match=r"shape \(12,\) do not match the facet points \(12, 6\)"):
         boundary_field_values(np.ones(mesh.n_facets), space)
+    with pytest.raises(TypeError, match="boundary data"):
+        boundary_field_values(1.0, space)
+
+
+def test_boundary_values_of_another_mesh_name_both_shapes():
+    """An array of values at another mesh's facet points is boundary data of
+    another mesh: a ValueError naming both shapes, as for a flux field."""
+    space = P1Space(build_unit_square_mesh(8))
+    with pytest.raises(ValueError, match=r"shape \(16, 6\) do not match the facet points \(32, 6\)"):
+        boundary_field_values(np.ones((16, 6)), space)
 
 
 def test_nodal_interpolant_affine_exact(affine, rng):
@@ -418,8 +428,8 @@ def test_load_vector_peak_memory_is_a_few_blocks(trig):
 
 
 @pytest.mark.parametrize(
-    "assemble", [lambda s, p: assemble_nitsche(s, NitscheConfig(), p.f, p.g),
-                 lambda s, p: assemble_saddle(s, SaddleConfig(), p.f, p.g)],
+    "assemble", [lambda s, p: fem.assemble(s, NitscheConfig(), p.f, p.g),
+                 lambda s, p: fem.assemble(s, SaddleConfig(), p.f, p.g)],
     ids=["nitsche", "saddle"],
 )
 def test_assembly_peak_memory_at_n_256(trig, assemble):
@@ -427,3 +437,65 @@ def test_assembly_peak_memory_at_n_256(trig, assemble):
     indices and a blocked load vector at 37.0 MiB."""
     space = P1Space(build_unit_square_mesh(256))
     assert _traced_peak_mib(lambda: assemble(space, trig)) <= 46.0
+
+
+# -- one interface for both methods --------------------------------------------
+
+METHOD_CONFIGS = [NitscheConfig(), NitscheConfig(beta=3.7, kappa=2.0), SaddleConfig(), SaddleConfig(alpha=0.1, kappa=2.0)]
+
+
+def test_split_returns_no_multiplier_without_multiplier_dofs():
+    matrix = sp.identity(5, format="csr")
+    x = np.arange(5.0)
+    u, lam = fem.LinearSystem(matrix, np.zeros(5), 5).split(x)
+    assert np.array_equal(u, x) and lam is None
+    system = fem.LinearSystem(matrix, np.zeros(5), 3)
+    assert system.n_multiplier == 2
+    u, lam = system.split(x)
+    assert np.array_equal(u, [0.0, 1.0, 2.0]) and np.array_equal(lam, [3.0, 4.0])
+
+
+@pytest.mark.parametrize("cfg", METHOD_CONFIGS, ids=repr)
+def test_assembled_system_has_the_config_matrix_and_dofs(trig, cfg):
+    space = P1Space(build_unit_square_mesh(5))
+    system = fem.assemble(space, cfg, trig.f, trig.g)
+    assert system.n_primal == space.n_dofs
+    assert system.n_multiplier == (0 if isinstance(cfg, NitscheConfig) else space.mesh.n_facets)
+    assert (system.matrix != cfg.matrix(space)).nnz == 0
+    assert system.rhs.shape == (system.matrix.shape[0],)
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+@pytest.mark.parametrize("cfg", METHOD_CONFIGS, ids=repr)
+def test_assembled_rhs_is_the_dual_data_of_g_on_the_load_bitwise(trig, cfg, degree):
+    """The primal right-hand side is cfg's dual data of g over the load vector,
+    and the load vector passed in is left as it was."""
+    space = P1Space(build_unit_square_mesh(7))
+    load = load_vector(space, trig.f, degree)
+    kept = load.copy()
+    rhs = fem.assemble(space, cfg, trig.f, trig.g, degree).rhs
+    assert np.array_equal(rhs, cfg.dual_data(space, trig.g, load))
+    assert np.array_equal(load, kept)
+
+
+@pytest.mark.parametrize("cfg", METHOD_CONFIGS, ids=repr)
+def test_boundary_rows_of_the_assembled_rhs_are_the_dual_data_of_g(trig, cfg):
+    """Rows that no triangle's load reaches carry the dual data of g alone: with
+    f = 0 every row; with the trig load the multiplier rows."""
+    space = P1Space(build_unit_square_mesh(6))
+    zero = lambda x, y: np.zeros_like(x)  # noqa: E731
+    dual = cfg.dual_data(space, trig.g)
+    assert np.array_equal(fem.assemble(space, cfg, zero, trig.g).rhs, dual)
+    rhs = fem.assemble(space, cfg, trig.f, trig.g).rhs
+    assert np.array_equal(rhs[space.n_dofs :], dual[space.n_dofs :])
+    assert not np.array_equal(rhs[: space.n_dofs], dual[: space.n_dofs])
+
+
+@pytest.mark.parametrize("cfg", [NitscheConfig(), SaddleConfig()], ids=repr)
+@pytest.mark.parametrize("size", [1, 24, 26])
+def test_dual_data_refuses_a_load_of_another_size(trig, cfg, size):
+    """A load vector must have one entry per P1 dof (25 at n = 4); one entry
+    would otherwise broadcast over the multiplier system's primal rows."""
+    space = P1Space(build_unit_square_mesh(4))
+    with pytest.raises(ValueError, match=rf"sized \({size},\) do not match the space \(25\)"):
+        cfg.dual_data(space, trig.g, np.ones(size))

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fluxfem.fem import P1Space, edge_quadrature, load_vector, stiffness_matrix
+from fluxfem.fem import P1Space, assemble, edge_quadrature, load_vector, stiffness_matrix
 from fluxfem.flux import (
     BoundaryFluxField,
     ExactFluxField,
@@ -15,24 +15,24 @@ from fluxfem.flux import (
     project_pointwise_flux,
     variational_flux,
 )
-from fluxfem.lagrange import SaddleConfig, assemble_saddle
+from fluxfem.lagrange import SaddleConfig
 from fluxfem.linsolve import SolverError, solve_spd, solve_sym_indefinite
 from fluxfem.mesh import build_unit_square_mesh
-from fluxfem.nitsche import NitscheConfig, assemble_nitsche
+from fluxfem.nitsche import NitscheConfig
 from fluxfem.problems import affine_problem
 
 
 def _solve_nitsche(problem, n, beta=10.0):
     space = P1Space(build_unit_square_mesh(n))
     cfg = NitscheConfig(beta=beta)
-    u = solve_spd(assemble_nitsche(space, cfg, problem.f, problem.g)).x
+    u = solve_spd(assemble(space, cfg, problem.f, problem.g)).x
     return space, cfg, u
 
 
 def _solve_saddle(problem, n, alpha=10.0):
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
-    system = assemble_saddle(space, SaddleConfig(alpha=alpha), problem.f, problem.g)
+    system = assemble(space, SaddleConfig(alpha=alpha), problem.f, problem.g)
     u, lam = system.split(solve_sym_indefinite(system).x)
     return space, u, lam
 

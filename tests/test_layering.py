@@ -48,17 +48,34 @@ def top_level_names(path, kinds=(ast.FunctionDef, ast.ClassDef)):
     return {node.name for node in tree.body if isinstance(node, kinds)}
 
 
+def public_methods(path):
+    """{class: its public methods} of each public top-level definition of a module,
+    with None for a public top-level function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.name: {
+            item.name for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+        }
+        if isinstance(node, ast.ClassDef)
+        else None
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
 @pytest.mark.parametrize(
     "module, functions",
     [
-        ("nitsche", {"nitsche_matrix", "assemble_nitsche", "assemble_dual_rhs_nitsche"}),
-        ("lagrange", {"saddle_matrix", "assemble_saddle", "assemble_dual_rhs_lm"}),
+        ("nitsche", {"NitscheConfig": {"matrix", "dual_data"}}),
+        ("lagrange", {"SaddleConfig": {"matrix", "dual_data"}}),
     ],
 )
 def test_method_modules_offer_only_matrix_assembly_and_dual_data(module, functions):
-    """The identity forms on a sampled w live in analysis, their one user."""
-    defined = top_level_names(PACKAGE / f"{module}.py", ast.FunctionDef)
-    assert {name for name in defined if not name.startswith("_")} == functions
+    """Each method module defines its config class alone, and the config offers
+    only its matrix and its dual data: `fem.assemble` and `fem.LinearSystem`
+    serve both methods, and the identity forms on a sampled w live in
+    analysis, their one user."""
+    assert public_methods(PACKAGE / f"{module}.py") == functions
 
 
 def test_fem_defines_no_sampled_field_forms():
@@ -130,8 +147,8 @@ def test_one_scatter_per_assembly_path():
     """P1 operators scatter through fem.local_to_global; the saddle matrix
     puts all its blocks into its own single COO. Each drops its zero sums,
     which decide the ordering's graph; Nitsche's CSR sums drop theirs."""
-    assert callers_of("coo_matrix", "coo_array") == ["fem.local_to_global", "lagrange.saddle_matrix"]
-    assert callers_of("eliminate_zeros") == ["fem.local_to_global", "lagrange.saddle_matrix"]
+    assert callers_of("coo_matrix", "coo_array") == ["fem.local_to_global", "lagrange.matrix"]
+    assert callers_of("eliminate_zeros") == ["fem.local_to_global", "lagrange.matrix"]
 
 
 def test_symmetry_is_certified_not_averaged():
@@ -155,7 +172,7 @@ def test_gauss_contour_tables_serve_only_the_interpolation_scan():
 def test_mass_matrix_only_in_shifted_operators():
     """The mass matrix is the kappa shift of the two method matrices; the
     stability report's L2 term sums per triangle instead."""
-    assert callers_of("mass_matrix") == ["lagrange.saddle_matrix", "nitsche.nitsche_matrix"]
+    assert callers_of("mass_matrix") == ["lagrange.matrix", "nitsche.matrix"]
 
 
 METHOD_NAMES = ("nitsche", "lagrange")
@@ -183,6 +200,31 @@ def comparison_sites(names):
     ]
 
 
+def isinstance_sites(names):
+    """"module.owner" of each isinstance call against one of `names`, owner being
+    the enclosing top-level definition."""
+    found = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "isinstance":
+                    kinds = call.args[1]
+                    kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                    if any(getattr(kind, "id", "") in names for kind in kinds):
+                        found.append(f"{path.stem}.{node.name}")
+    return sorted(found)
+
+
+def test_method_configs_are_switched_on_only_by_the_identity():
+    """Below the command line every path asks the config for its matrix and its
+    dual data; only the config check and the identity's choice of form test
+    its type."""
+    assert isinstance_sites({"NitscheConfig", "SaddleConfig"}) == [
+        "analysis._check_method_config",
+        "analysis.error_representation_residuals",
+    ]
+
+
 def test_only_study_config_compares_method_names():
     """StudyConfig turns the method name into a NitscheConfig or a
     SaddleConfig; below it the type of that config is the only switch."""
@@ -202,7 +244,7 @@ def test_only_the_level_step_compares_flux_variant_names():
 def test_volume_degree_is_a_parameter_only_where_two_degrees_are_used():
     """Assembly runs at degree 4 for the studies and 6 for the identities;
     the norms and the flux recovery use one fixed degree."""
-    assert parameters_named("volume_degree") == ["assemble_nitsche", "assemble_saddle", "load_vector"]
+    assert parameters_named("volume_degree") == ["assemble", "load_vector"]
 
 
 def scipy_imports(path):

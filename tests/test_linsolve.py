@@ -8,8 +8,8 @@ import scipy.sparse as sp
 
 from fluxfem import linsolve
 from fluxfem.analysis import rademacher_boundary_field
-from fluxfem.fem import P1Space
-from fluxfem.lagrange import SaddleConfig, SaddleSystem, assemble_dual_rhs_lm, assemble_saddle
+from fluxfem.fem import LinearSystem, P1Space, assemble
+from fluxfem.lagrange import SaddleConfig
 from fluxfem.linsolve import (
     INDEFINITE_RESIDUAL_TOL,
     SPD_RESIDUAL_TOL,
@@ -22,17 +22,13 @@ from fluxfem.linsolve import (
     solve_sym_indefinite,
 )
 from fluxfem.mesh import build_unit_square_mesh
-from fluxfem.nitsche import LinearSystem, NitscheConfig, assemble_dual_rhs_nitsche, assemble_nitsche
+from fluxfem.nitsche import NitscheConfig
 
 
-def _system(dense, rhs):
-    return LinearSystem(matrix=sp.csr_matrix(np.asarray(dense, dtype=float)), rhs=np.asarray(rhs, dtype=float))
-
-
-def _saddle(dense, rhs, n_primal):
+def _system(dense, rhs, n_primal=None):
+    """A LinearSystem of a dense matrix; n_primal defaults to the dimension (no multipliers)."""
     matrix = sp.csr_matrix(np.asarray(dense, dtype=float))
-    rhs = np.asarray(rhs, dtype=float)
-    return SaddleSystem(matrix=matrix, rhs=rhs, n_primal=n_primal, n_multiplier=matrix.shape[0] - n_primal)
+    return LinearSystem(matrix, np.asarray(rhs, dtype=float), matrix.shape[0] if n_primal is None else n_primal)
 
 
 def test_identity_solve():
@@ -47,7 +43,7 @@ def test_two_by_two_hand_solve():
 
 
 def test_indefinite_diagonal():
-    result = solve_sym_indefinite(_saddle([[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0], 1))
+    result = solve_sym_indefinite(_system([[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0], 1))
     assert np.allclose(result.x, [1.0, -1.0], atol=1e-14)
     assert result.inertia == (1, 1, 0)
 
@@ -105,15 +101,15 @@ def test_symmetric_matrix_stored_noncanonically_is_accepted(solve, form):
     assert np.array_equal(matrix.toarray(), canonical)
     rhs = np.array([1.0, -2.0, 3.0])
     expected = solve(_system(canonical, rhs))
-    result = solve(LinearSystem(matrix=matrix, rhs=rhs))
+    result = solve(LinearSystem(matrix, rhs, matrix.shape[0]))
     assert np.allclose(result.x, expected.x, rtol=0.0, atol=1e-15)
     assert result.inertia == expected.inertia == (3, 0, 0)
 
 
 def test_zero_rhs_gives_zero_solution(trig):
     space = P1Space(build_unit_square_mesh(4))
-    system = assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)
-    result = solve_spd(LinearSystem(matrix=system.matrix, rhs=np.zeros(space.n_dofs)))
+    system = assemble(space, NitscheConfig(beta=10.0), trig.f, trig.g)
+    result = solve_spd(LinearSystem(system.matrix, np.zeros(space.n_dofs), space.n_dofs))
     assert np.all(result.x == 0.0)
 
 
@@ -121,14 +117,14 @@ def test_saddle_zero_data_gives_zero():
     zero = lambda x, y: np.zeros_like(x)  # noqa: E731
     mesh = build_unit_square_mesh(4)
     space = P1Space(mesh)
-    system = assemble_saddle(space, SaddleConfig(alpha=10.0), zero, zero)
+    system = assemble(space, SaddleConfig(alpha=10.0), zero, zero)
     result = solve_sym_indefinite(system)
     assert np.max(np.abs(result.x)) <= 1e-12
 
 
 def test_singular_system_detected():
     with pytest.raises(SingularSystemError):
-        solve_sym_indefinite(_saddle([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], 1))
+        solve_sym_indefinite(_system([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], 1))
 
 
 @pytest.mark.parametrize("rhs", [[np.nan, 1.0], [[1.0, np.nan], [1.0, 1.0]]])
@@ -153,7 +149,7 @@ def test_non_finite_matrix_fails_before_factorization(monkeypatch, solve, bad):
 
 def test_residual_certificate_attached(trig):
     space = P1Space(build_unit_square_mesh(8))
-    system = assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)
+    system = assemble(space, NitscheConfig(beta=10.0), trig.f, trig.g)
     result = solve_spd(system)
     assert isinstance(result, SolveResult)
     direct = np.linalg.norm(system.matrix @ result.x - system.rhs) / np.linalg.norm(system.rhs)
@@ -165,7 +161,7 @@ def test_deterministic_solutions(trig):
     def once():
         mesh = build_unit_square_mesh(8)
         space = P1Space(mesh)
-        system = assemble_saddle(space, SaddleConfig(alpha=10.0), trig.f, trig.g)
+        system = assemble(space, SaddleConfig(alpha=10.0), trig.f, trig.g)
         return solve_sym_indefinite(system).x
 
     first, second = once(), once()
@@ -178,7 +174,7 @@ def test_dense_fallback_inertia_on_forced_zero_pivot(trig):
     full inertia and a certified solution."""
     mesh = build_unit_square_mesh(4)
     space = P1Space(mesh)
-    system = assemble_saddle(space, SaddleConfig(alpha=1.0), trig.f, trig.g)
+    system = assemble(space, SaddleConfig(alpha=1.0), trig.f, trig.g)
     assert np.any(system.matrix.diagonal() == 0.0)
     result = solve_sym_indefinite(system)
     assert sum(result.inertia) == space.n_dofs + mesh.n_facets
@@ -189,7 +185,7 @@ def test_dense_fallback_inertia_on_forced_zero_pivot(trig):
 def test_dense_fallback_refines_with_its_own_solve(trig, monkeypatch):
     """A fallback solve off by 1e-6 is refined with that same solve down to
     about 1e-12, rather than certified four times at 1e-6 and refused."""
-    system = assemble_saddle(P1Space(build_unit_square_mesh(4)), SaddleConfig(alpha=0.25), trig.f, trig.g)
+    system = assemble(P1Space(build_unit_square_mesh(4)), SaddleConfig(alpha=0.25), trig.f, trig.g)
     splu = linsolve.spla.splu
 
     def perturbed(matrix, **kwargs):
@@ -210,9 +206,9 @@ def test_minimum_degree_ordering_is_symmetric_and_fill_reducing(trig, method):
     mesh = build_unit_square_mesh(64)
     space = P1Space(mesh)
     if method == "nitsche":
-        system = assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)
+        system = assemble(space, NitscheConfig(beta=10.0), trig.f, trig.g)
     else:
-        system = assemble_saddle(space, SaddleConfig(alpha=0.25), trig.f, trig.g)
+        system = assemble(space, SaddleConfig(alpha=0.25), trig.f, trig.g)
     lu = _pivot_factorization(system.matrix.tocsc())
     assert lu is not None
     assert np.array_equal(lu.perm_r, lu.perm_c)
@@ -226,7 +222,7 @@ def test_critical_stabilization_singular_through_dense_fallback(trig, n):
     pivot), so the Bunch-Kaufman fallback gives the verdict."""
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
-    system = assemble_saddle(space, SaddleConfig(alpha=0.5), trig.f, trig.g)
+    system = assemble(space, SaddleConfig(alpha=0.5), trig.f, trig.g)
     lu = _pivot_factorization(system.matrix.tocsc())
     if lu is not None:
         pivots = np.abs(lu.U.diagonal())
@@ -241,13 +237,9 @@ def _six_column_system(method, n, alpha, trig):
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
     psis = [rademacher_boundary_field(mesh, seed=s) for s in range(4)]
-    if method == "nitsche":
-        cfg = NitscheConfig(beta=10.0)
-        system = assemble_nitsche(space, cfg, trig.f, trig.g)
-        duals = [assemble_dual_rhs_nitsche(space, cfg, psi) for psi in psis]
-    else:
-        system = assemble_saddle(space, SaddleConfig(alpha=alpha), trig.f, trig.g)
-        duals = [assemble_dual_rhs_lm(space, psi) for psi in psis]
+    cfg = NitscheConfig(beta=10.0) if method == "nitsche" else SaddleConfig(alpha=alpha)
+    system = assemble(space, cfg, trig.f, trig.g)
+    duals = [cfg.dual_data(space, psi) for psi in psis]
     rhs = np.column_stack([system.rhs, *duals, np.zeros_like(system.rhs)])
     return system, replace(system, rhs=rhs)
 
@@ -288,8 +280,8 @@ def test_multi_column_solve_matches_single_columns(trig, monkeypatch, method, n,
 def _pivot_system(kind, n, trig):
     space = P1Space(build_unit_square_mesh(n))
     if kind == "nitsche":
-        return assemble_nitsche(space, NitscheConfig(beta=10.0), trig.f, trig.g)
-    return assemble_saddle(space, SaddleConfig(alpha=float(kind.removeprefix("alpha="))), trig.f, trig.g)
+        return assemble(space, NitscheConfig(beta=10.0), trig.f, trig.g)
+    return assemble(space, SaddleConfig(alpha=float(kind.removeprefix("alpha="))), trig.f, trig.g)
 
 
 @pytest.mark.parametrize("n", [4, 8, 33, 64, 128])
