@@ -2,11 +2,12 @@
 
 `P1Space` owns every table derived from the mesh: areas, basis gradients
 and the one boundary-facet table with its weights h_F w_q. Around it live
-the generic P1 operators (stiffness, mass, load), their one local-to-global
-scatter, point location and boundary-data evaluation, and the one
-`assemble` and `LinearSystem` of both methods. `nitsche` and `lagrange`
-each add only their method config, which builds the method's matrix and
-dual data.
+the generic P1 operators (stiffness, mass, load), the volume matrix of
+both methods, the one local-to-global scatter that builds every matrix,
+point location and boundary-data evaluation, and the one `assemble` and
+`LinearSystem` of both methods. `nitsche` and `lagrange` each add only
+their method config: its facet terms on the volume matrix, and its dual
+data.
 
 Assembled matrices are bitwise symmetric with no averaging pass: each
 triangle's basis gradients are (-a, 0), (a, -b) and (0, b), so every local
@@ -235,28 +236,40 @@ def locate_points(points, space: P1Space) -> PointLocation:
 
 def located_values(coeffs, where: PointLocation, space: P1Space) -> np.ndarray:
     """Values (m,) of a P1 function at located points."""
-    nodal = np.asarray(coeffs, dtype=float)[space.mesh.triangles[where.triangles]]
+    nodal = coefficient_vector(coeffs, space.n_dofs)[space.mesh.triangles[where.triangles]]
     return np.einsum("mi,mi->m", where.barycentric, nodal)
 
 
 def located_gradients(coeffs, where: PointLocation, space: P1Space) -> np.ndarray:
     """Gradients (m, 2) of a P1 function at located points, one-sided on edges."""
-    nodal = np.asarray(coeffs, dtype=float)[space.mesh.triangles[where.triangles]]
+    nodal = coefficient_vector(coeffs, space.n_dofs)[space.mesh.triangles[where.triangles]]
     return np.einsum("mi,mid->md", nodal, space.gradients[where.triangles])
 
 
-def local_to_global(dofs, local, n: int) -> sp.csr_matrix:
-    """Sum the local (n_cells, k, k) blocks on their (n_cells, k) dofs into an n x n CSR matrix.
+def local_to_global(n: int, *blocks) -> sp.csr_matrix:
+    """Sum local blocks into an n x n CSR matrix; the package's one scatter.
 
-    The COO indices keep the dtype of `dofs`; int32 mesh indices are scipy's
-    own index dtype, so the scatter makes no int64 copies. Zero sums (the
-    stiffness couplings along diagonal edges) are dropped: kept, they would
-    enter the minimum-degree graph and change the ordering and the digits.
+    Each block is (rows (m, r), cols (m, c), values (m, r, c)), and
+    values[i, a, b] goes to (rows[i, a], cols[i, b]). The entries enter one
+    COO block after block, in the order given; SciPy sums duplicates in an
+    order set by that order, so the layout fixes the last bits. The COO
+    indices keep the dtype of the index arrays; int32 mesh indices are
+    scipy's own index dtype, so the scatter makes no int64 copies, and a
+    one-wide block's indices are views. Zero sums (the stiffness couplings
+    along diagonal edges) are dropped: kept, they would enter the
+    minimum-degree graph and change the ordering and the digits.
     """
-    k = dofs.shape[1]
-    rows = np.repeat(dofs, k, axis=1).ravel()
-    cols = np.tile(dofs, (1, k)).ravel()
-    matrix = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    flat = [
+        (
+            np.broadcast_to(rows[:, :, None], values.shape).reshape(-1),
+            np.broadcast_to(cols[:, None, :], values.shape).reshape(-1),
+            values.reshape(-1),
+        )
+        for rows, cols, values in blocks
+    ]
+    # a single block is not concatenated: that would copy its whole COO
+    rows, cols, values = flat[0] if len(flat) == 1 else (np.concatenate(part) for part in zip(*flat))
+    matrix = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
     matrix.eliminate_zeros()
     return matrix
 
@@ -272,14 +285,21 @@ def stiffness_matrix(space: P1Space, cells=ALL_CELLS) -> sp.csr_matrix:
     tri = space.mesh.triangles[cells]
     grads = space.gradients[cells]
     local = np.einsum("t,tid,tjd->tij", space.areas[cells], grads, grads)
-    return local_to_global(tri, local, space.n_dofs)
+    return local_to_global(space.n_dofs, (tri, tri, local))
 
 
 def mass_matrix(space: P1Space) -> sp.csr_matrix:
     """Exact P1 mass matrix (area/12 * [[2,1,1],[1,2,1],[1,1,2]] per element)."""
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     local = space.areas[:, None, None] * ref[None, :, :]
-    return local_to_global(space.mesh.triangles, local, space.n_dofs)
+    tri = space.mesh.triangles
+    return local_to_global(space.n_dofs, (tri, tri, local))
+
+
+def volume_matrix(space: P1Space, kappa: float) -> sp.csr_matrix:
+    """The volume form (grad u, grad v) + kappa (u, v) of both methods."""
+    a = stiffness_matrix(space)
+    return a + kappa * mass_matrix(space) if kappa != 0.0 else a
 
 
 def load_vector(
@@ -332,11 +352,19 @@ def boundary_field_values(obj, space: P1Space) -> np.ndarray:
 @dataclass(frozen=True)
 class LinearSystem:
     """Assembled sparse symmetric system over n_primal P1 dofs followed by
-    n_multiplier multiplier dofs (none for Nitsche's method)."""
+    n_multiplier multiplier dofs (none for Nitsche's method). A non-square
+    matrix, or n_primal outside [0, dimension], raises ValueError."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n_primal: int
+
+    def __post_init__(self):
+        rows, cols = self.matrix.shape
+        if rows != cols:
+            raise ValueError(f"matrix of {rows} rows and {cols} columns is not square")
+        if not 0 <= self.n_primal <= rows:
+            raise ValueError(f"{self.n_primal} primal dofs do not fit a matrix of dimension {rows}")
 
     @property
     def n_multiplier(self) -> int:
@@ -344,7 +372,9 @@ class LinearSystem:
 
     def split(self, x):
         """(u, lam) of a solution x; lam is None when there are no multipliers."""
-        x = np.asarray(x)
+        x, dim = np.asarray(x), self.matrix.shape[0]
+        if x.shape[:1] != (dim,):
+            raise ValueError(f"solution of shape {x.shape} does not fit a matrix of dimension {dim}")
         if not self.n_multiplier:
             return x, None
         return x[: self.n_primal], x[self.n_primal :]

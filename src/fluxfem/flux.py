@@ -131,7 +131,7 @@ def _trace_field_from_moments(mesh: Mesh, ends, moments) -> BoundaryFluxField:
     """Boundary P1 field with the given moments on the trace dofs of the facet table `ends`."""
     block = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
     data = mesh.facet_lengths[:, None, None] * block[None, :, :]
-    mass = local_to_global(ends, data, moments.size)
+    mass = local_to_global(moments.size, (ends, ends, data))
     values = solve_spd(LinearSystem(mass, moments, moments.size)).x
     return BoundaryFluxField(coefficients=values[ends], mesh=mesh)
 

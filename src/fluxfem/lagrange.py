@@ -14,9 +14,10 @@ which vanishes on the exact pair since lambda = -n.grad u. Unknowns are
 ordered [u; lambda] with multiplier dofs following the facet order.
 
 The right-hand side of the primal problem is the dual data of psi = g
-over the load vector. Only the multiplier config lives here: it builds the
-matrix and the dual data, and `fem.assemble` and `fem.LinearSystem` serve
-both methods.
+over the load vector. Only the multiplier config lives here: it scatters
+the facet blocks together with `fem.volume_matrix` through
+`fem.local_to_global`, and builds the dual data; `fem.assemble` and
+`fem.LinearSystem` serve both methods.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import P1Space, boundary_field_values, coefficient_vector, mass_matrix, stiffness_matrix
+from .fem import P1Space, boundary_field_values, coefficient_vector, local_to_global, volume_matrix
 
 
 @dataclass(frozen=True)
@@ -46,56 +47,33 @@ class SaddleConfig:
     def matrix(self, space: P1Space) -> sp.csr_matrix:
         """The saddle matrix over [u; lambda], dimension n_vertices + n_facets.
 
-        It depends on neither f, g nor the volume degree. Every block goes
-        into one COO scatter with int32 indices, whose zero sums are dropped
-        as in `fem.local_to_global`.
+        It depends on neither f, g nor the volume degree. The volume
+        matrix's entries and then the four facet blocks go through
+        `fem.local_to_global` as one scatter, in this order; a coarser
+        layout, such as one 4x4 block per facet, sums duplicates in
+        another order and changes the last bits.
         """
         mesh = space.mesh
         nu, nl = space.n_dofs, mesh.n_facets
-        dim = nu + nl
+        volume = volume_matrix(space, self.kappa).tocoo()
 
         _, w, _, pdofs, ndg, trace, _ = space.facets
         hf = mesh.facet_lengths
         ah = self.alpha * hf
         int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
-
-        rows, cols, data = [], [], []
-
-        a_uu = stiffness_matrix(space)
-        if self.kappa != 0.0:
-            a_uu = a_uu + self.kappa * mass_matrix(space)
-        coo = a_uu.tocoo()
-        rows.append(coo.row)
-        cols.append(coo.col)
-        data.append(coo.data)
-
-        # -alpha h (n.grad u, n.grad v)_F : 3x3 block on the parent dofs
-        local_uu = -(ah * hf)[:, None, None] * ndg[:, :, None] * ndg[:, None, :]
-        rows.append(np.repeat(pdofs, 3, axis=1).ravel())
-        cols.append(np.tile(pdofs, (1, 3)).ravel())
-        data.append(local_uu.ravel())
-
-        # (lambda, v)_F - alpha h (lambda, n.grad v)_F and its transpose
-        mdofs = nu + np.arange(nl, dtype=np.int32)
+        mdofs = nu + np.arange(nl, dtype=np.int32)[:, None]
         local_ul = int_phi - (ah * hf)[:, None] * ndg
-        rows.append(pdofs.ravel())
-        cols.append(np.repeat(mdofs, 3))
-        data.append(local_ul.ravel())
-        rows.append(np.repeat(mdofs, 3))
-        cols.append(pdofs.ravel())
-        data.append(local_ul.ravel())
-
-        # -alpha h (lambda, mu)_F : diagonal
-        rows.append(mdofs)
-        cols.append(mdofs)
-        data.append(-ah * hf)
-
-        matrix = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        ).tocsr()
-        matrix.eliminate_zeros()
-        return matrix
+        return local_to_global(
+            nu + nl,
+            (volume.row[:, None], volume.col[:, None], volume.data[:, None, None]),
+            # -alpha h (n.grad u, n.grad v)_F : 3x3 block on the parent dofs
+            (pdofs, pdofs, -(ah * hf)[:, None, None] * ndg[:, :, None] * ndg[:, None, :]),
+            # (lambda, v)_F - alpha h (lambda, n.grad v)_F and its transpose
+            (pdofs, mdofs, local_ul[:, :, None]),
+            (mdofs, pdofs, local_ul[:, None, :]),
+            # -alpha h (lambda, mu)_F : diagonal
+            (mdofs, mdofs, (-ah * hf)[:, None, None]),
+        )
 
     def dual_data(self, space: P1Space, psi, load=None) -> np.ndarray:
         """Over [u; lambda]: the vector `load` (zero if None) on the primal

@@ -16,8 +16,8 @@ use kappa = 0. The dual right-hand side functional is
 
 Here h is the length h_F of each boundary facet. The boundary part of
 l_h is m_g, the dual data of psi = g. Only the Nitsche config lives here:
-it builds the matrix and the dual data, and `fem.assemble` and
-`fem.LinearSystem` serve both methods.
+it adds its facet terms to `fem.volume_matrix` and builds the dual data;
+`fem.assemble` and `fem.LinearSystem` serve both methods.
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (
-    P1Space,
-    boundary_field_values,
-    coefficient_vector,
-    local_to_global,
-    mass_matrix,
-    stiffness_matrix,
-)
+from .fem import P1Space, boundary_field_values, coefficient_vector, local_to_global, volume_matrix
 
 
 @dataclass(frozen=True)
@@ -58,17 +51,14 @@ class NitscheConfig:
         definite, and the solver reports "not positive definite" otherwise
         (the penalty-too-small signal).
         """
-        a = stiffness_matrix(space)
-        if self.kappa != 0.0:
-            a = a + self.kappa * mass_matrix(space)
-
+        a = volume_matrix(space, self.kappa)
         _, w, _, pdofs, ndg, trace, _ = space.facets
         hf = space.mesh.facet_lengths
         pen = self.beta / hf
         int_phi = hf[:, None] * np.einsum("q,fkq->fk", w, trace)
         cons = -(ndg[:, None, :] * int_phi[:, :, None]) - (ndg[:, :, None] * int_phi[:, None, :])
         mass_f = (pen * hf)[:, None, None] * np.einsum("q,fiq,fjq->fij", w, trace, trace)
-        return a + local_to_global(pdofs, cons + mass_f, space.n_dofs)
+        return a + local_to_global(space.n_dofs, (pdofs, pdofs, cons + mass_f))
 
     def dual_data(self, space: P1Space, psi, load=None) -> np.ndarray:
         """m_psi(phi_i) = beta/h (psi, phi_i)_G - (psi, n.grad phi_i)_G, added

@@ -26,6 +26,9 @@ from fluxfem.fem import (
     assemble,
     basis_at,
     edge_quadrature,
+    locate_points,
+    located_gradients,
+    located_values,
     nodal_interpolant,
     triangle_quadrature,
 )
@@ -633,6 +636,23 @@ def test_error_norms_refuse_coefficients_of_another_size(trig, u_size, lam_size,
     lam = None if lam_size is None else np.zeros(lam_size)
     with pytest.raises(ValueError, match=re.escape(message)):
         error_norms(trig, space, np.zeros(u_size), lam)
+
+
+@pytest.mark.parametrize("size", [24, 26, 41])
+def test_point_evaluation_refuses_coefficients_of_another_size(size):
+    """At n = 4 an unsplit saddle solution [u; lambda] has 25 + 16 = 41
+    entries; it once evaluated to 1.0 with a contour norm of 1.789."""
+    space = P1Space(build_unit_square_mesh(4))
+    coeffs = np.ones(size)
+    where = locate_points([[0.3, 0.6]], space)
+    message = f"coefficients sized ({size},) do not match the space (25)"
+    for evaluate in (
+        lambda: located_values(coeffs, where, space),
+        lambda: located_gradients(coeffs, where, space),
+        lambda: contour_l2_norm_discrete(coeffs, space, offset_contour(0.1)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate()
 
 
 def test_error_norms_peak_memory_is_a_few_volume_tables(trig):

@@ -382,8 +382,8 @@ def test_nonsymmetric_matrix_exits_3(monkeypatch, capsys):
     """A matrix off its transpose by one entry has no inertia certificate."""
     scatter = nitsche.local_to_global
 
-    def skewed(dofs, local, n):
-        return scatter(dofs, local, n) + sp.csr_matrix(([1e-3], ([0], [1])), shape=(n, n))
+    def skewed(n, *blocks):
+        return scatter(n, *blocks) + sp.csr_matrix(([1e-3], ([0], [1])), shape=(n, n))
 
     monkeypatch.setattr(nitsche, "local_to_global", skewed)
     assert main(["converge", "--kmax", "0"]) == 3

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -383,18 +384,46 @@ def test_mesh_index_tables_are_int32():
         assert table.dtype == np.int32
 
 
+def _int64_oracle(dim, rows, cols, data):
+    return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
 @pytest.mark.parametrize("n", [1, 7, 64])
 def test_local_to_global_matches_an_int64_coo_oracle_bitwise(n):
     """int32 COO indices give the same CSR arrays, duplicates summed in the
-    same order, as the int64 scatter."""
+    same order, as the int64 scatter; rectangular blocks scattered together
+    enter one COO entry by entry, block after block."""
     mesh = build_unit_square_mesh(n)
-    local = np.random.default_rng(n).standard_normal((mesh.n_triangles, 3, 3))
+    rng = np.random.default_rng(n)
+    local = rng.standard_normal((mesh.n_triangles, 3, 3))
     dofs = mesh.triangles.astype(np.int64)
-    oracle = sp.coo_matrix(
-        (local.ravel(), (np.repeat(dofs, 3, axis=1).ravel(), np.tile(dofs, (1, 3)).ravel())),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    ).tocsr()
-    got = local_to_global(mesh.triangles, local, mesh.n_vertices)
+    oracle = _int64_oracle(
+        mesh.n_vertices, np.repeat(dofs, 3, axis=1).ravel(), np.tile(dofs, (1, 3)).ravel(), local.ravel()
+    )
+    got = local_to_global(mesh.n_vertices, (mesh.triangles, mesh.triangles, local))
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(oracle, name))
+
+    # square, (m, 3) x (m, 1), (m, 1) x (m, 3) and 1 x 1 blocks; the two
+    # triangles of a grid cell share one extra dof, so every block has duplicates
+    extra = mesh.n_vertices + np.arange(mesh.n_triangles, dtype=np.int32) // 2
+    right, below, diag = (rng.standard_normal(shape) for shape in [(mesh.n_triangles, 3)] * 2 + [mesh.n_triangles])
+    dim = mesh.n_vertices + mesh.n_triangles // 2
+    got = local_to_global(
+        dim,
+        (mesh.triangles, mesh.triangles, local),
+        (mesh.triangles, extra[:, None], right[:, :, None]),
+        (extra[:, None], mesh.triangles, below[:, None, :]),
+        (extra[:, None], extra[:, None], diag[:, None, None]),
+    )
+    wide = np.repeat(extra.astype(np.int64), 3)
+    oracle = _int64_oracle(
+        dim,
+        np.concatenate([np.repeat(dofs, 3, axis=1).ravel(), dofs.ravel(), wide, extra]),
+        np.concatenate([np.tile(dofs, (1, 3)).ravel(), wide, dofs.ravel(), extra]),
+        np.concatenate([local.ravel(), right.ravel(), below.ravel(), diag]),
+    )
+    assert got.indices.dtype == np.int32
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(oracle, name))
 
@@ -453,6 +482,33 @@ def test_split_returns_no_multiplier_without_multiplier_dofs():
     assert system.n_multiplier == 2
     u, lam = system.split(x)
     assert np.array_equal(u, [0.0, 1.0, 2.0]) and np.array_equal(lam, [3.0, 4.0])
+    u, lam = fem.LinearSystem(matrix, np.zeros(5), 0).split(x)
+    assert len(u) == 0 and np.array_equal(lam, x)
+
+
+@pytest.mark.parametrize(
+    "shape, n_primal, message",
+    [
+        ((3, 3), 5, "5 primal dofs do not fit a matrix of dimension 3"),
+        ((3, 3), -1, "-1 primal dofs do not fit a matrix of dimension 3"),
+        ((3, 4), 3, "matrix of 3 rows and 4 columns is not square"),
+    ],
+    ids=["too-many-primal", "negative-primal", "non-square"],
+)
+def test_linear_system_refuses_sizes_that_do_not_fit(shape, n_primal, message):
+    """n_primal = 5 of a 3 x 3 matrix once gave n_multiplier = -2, which is
+    truthy, so a solver picked the indefinite path for a pure primal system."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fem.LinearSystem(sp.csr_matrix(shape), np.ones(3), n_primal)
+
+
+@pytest.mark.parametrize("n_primal", [2, 3])
+@pytest.mark.parametrize("x", [np.arange(2.0), np.arange(4.0), np.float64(1.0)], ids=["short", "long", "scalar"])
+def test_split_refuses_a_solution_of_another_dimension(n_primal, x):
+    system = fem.LinearSystem(sp.identity(3, format="csr"), np.ones(3), n_primal)
+    message = f"solution of shape {np.shape(x)} does not fit a matrix of dimension 3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        system.split(x)
 
 
 @pytest.mark.parametrize("cfg", METHOD_CONFIGS, ids=repr)

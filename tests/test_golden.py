@@ -10,22 +10,36 @@ regenerates the files in the same change, with
 
 and records the largest relative change of any printed number in
 CHANGES.md.
+
+The same command writes `matrix_fingerprints.json`: the sha256 of the
+CSR arrays (`indptr`, `indices`, `data` and their dtypes) of each
+assembled operator on the grids n = 1..32 and 64. SciPy sums duplicate
+COO entries in an order set by the order of the entries, so the last
+bits of a matrix, and the minimum-degree ordering after them, pin the
+layout of every scatter.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fluxfem.cli import main
+from fluxfem.fem import P1Space, mass_matrix, stiffness_matrix
+from fluxfem.lagrange import SaddleConfig
+from fluxfem.mesh import build_unit_square_mesh
+from fluxfem.nitsche import NitscheConfig
 
 GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
+MATRIX_FINGERPRINTS = GOLDEN / "matrix_fingerprints.json"
 
 CONVERGE = ["converge", "--kmin", "0", "--kmax", "8"]
 # k = 12 (n = 256) pins the bytes of the largest default level
@@ -80,8 +94,44 @@ def test_cli_output_matches_golden(name):
     assert code == json.loads(EXIT_CODES.read_text())[name]
 
 
+# the saddle matrices at (n, alpha, kappa) = (2, 0.1, 10) and (5, 0.5, 10)
+# change bits when the facet blocks are scattered as one 4x4 block
+FINGERPRINT_SIZES = [*range(1, 33), 64]
+NITSCHE_CONFIGS = [NitscheConfig(beta, kappa) for beta in (1.0, 10.0) for kappa in (0.0, 10.0)]
+SADDLE_CONFIGS = [SaddleConfig(alpha, kappa) for alpha in (0.1, 0.25, 0.5, 10.0) for kappa in (0.0, 10.0)]
+
+
+def fingerprint(matrix) -> str:
+    """sha256 of a CSR matrix's indptr, indices and data, each with its dtype."""
+    digest = hashlib.sha256()
+    for array in (matrix.indptr, matrix.indices, matrix.data):
+        digest.update(array.dtype.str.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def matrix_fingerprints():
+    """{operator and grid: fingerprint} of every pinned assembled matrix."""
+    prints = {}
+    for n in FINGERPRINT_SIZES:
+        space = P1Space(build_unit_square_mesh(n))
+        prints[f"stiffness n={n}"] = fingerprint(stiffness_matrix(space))
+        prints[f"mass n={n}"] = fingerprint(mass_matrix(space))
+        for cfg in NITSCHE_CONFIGS + SADDLE_CONFIGS:
+            prints[f"{cfg!r} n={n}"] = fingerprint(cfg.matrix(space))
+    return prints
+
+
+def test_assembled_matrices_match_golden_fingerprints():
+    golden = json.loads(MATRIX_FINGERPRINTS.read_text())
+    prints = matrix_fingerprints()
+    assert sorted(prints) == sorted(golden)
+    assert [name for name in golden if prints[name] != golden[name]] == []
+
+
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
+    MATRIX_FINGERPRINTS.write_text(json.dumps(matrix_fingerprints(), indent=2) + "\n")
     codes = {}
     for name, argv in sorted(CASES.items()):
         stdout, stderr, codes[name] = run_case(argv)

@@ -144,11 +144,11 @@ def callers_of(*names):
 
 
 def test_one_scatter_per_assembly_path():
-    """P1 operators scatter through fem.local_to_global; the saddle matrix
-    puts all its blocks into its own single COO. Each drops its zero sums,
-    which decide the ordering's graph; Nitsche's CSR sums drop theirs."""
-    assert callers_of("coo_matrix", "coo_array") == ["fem.local_to_global", "lagrange.matrix"]
-    assert callers_of("eliminate_zeros") == ["fem.local_to_global", "lagrange.matrix"]
+    """Every matrix, the saddle matrix too, scatters its local blocks through
+    fem.local_to_global, which drops the zero sums that would enter the
+    ordering's graph; Nitsche's CSR sums drop theirs."""
+    assert callers_of("coo_matrix", "coo_array") == ["fem.local_to_global"]
+    assert callers_of("eliminate_zeros") == ["fem.local_to_global"]
 
 
 def test_symmetry_is_certified_not_averaged():
@@ -170,9 +170,9 @@ def test_gauss_contour_tables_serve_only_the_interpolation_scan():
 
 
 def test_mass_matrix_only_in_shifted_operators():
-    """The mass matrix is the kappa shift of the two method matrices; the
-    stability report's L2 term sums per triangle instead."""
-    assert callers_of("mass_matrix") == ["lagrange.matrix", "nitsche.matrix"]
+    """The mass matrix is the kappa shift of the one volume operator of both
+    methods; the stability report's L2 term sums per triangle instead."""
+    assert callers_of("mass_matrix") == ["fem.volume_matrix"]
 
 
 METHOD_NAMES = ("nitsche", "lagrange")
