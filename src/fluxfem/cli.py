@@ -111,7 +111,7 @@ MAX_LEVEL = max(k for k in range(64) if level_grid_n(k) <= MAX_GRID_N)
 # Why the range stops there: one level alone in a fresh process (README's size
 # table); k = 18 is extrapolated from the factor's growth over k = 14..16.
 _SIZE_LIMIT = (
-    "k=17 (n=1448) took about 20 s and 3.5 GiB on a 2-vCPU 8 GB VM, "
+    "k=17 (n=1448) took about 20 s and 3.0 GiB on a 2-vCPU 8 GB VM, "
     "and k=18 (n=2048) would need about 5.9 GiB for its factorization alone"
 )
 

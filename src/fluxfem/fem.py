@@ -352,7 +352,8 @@ def boundary_field_values(obj, space: P1Space) -> np.ndarray:
 @dataclass(frozen=True)
 class LinearSystem:
     """Assembled sparse symmetric system over n_primal P1 dofs followed by
-    n_multiplier multiplier dofs (none for Nitsche's method). A non-square
+    n_multiplier multiplier dofs (none for Nitsche's method). A matrix that
+    is not a scipy sparse matrix raises TypeError; a non-square or 0 x 0
     matrix, or n_primal outside [0, dimension], raises ValueError."""
 
     matrix: sp.csr_matrix
@@ -360,9 +361,13 @@ class LinearSystem:
     n_primal: int
 
     def __post_init__(self):
+        if not sp.issparse(self.matrix):
+            raise TypeError(f"matrix must be a scipy sparse matrix, got {type(self.matrix).__name__}")
         rows, cols = self.matrix.shape
         if rows != cols:
             raise ValueError(f"matrix of {rows} rows and {cols} columns is not square")
+        if not rows:
+            raise ValueError("matrix of dimension 0 has no dofs to solve for")
         if not 0 <= self.n_primal <= rows:
             raise ValueError(f"{self.n_primal} primal dofs do not fit a matrix of dimension {rows}")
 

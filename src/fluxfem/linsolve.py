@@ -33,6 +33,16 @@ reader first checks them: the object is a scipy SuperLU, L is stored
 supernodal (SLU_SC) in doubles (SLU_D), nrow == ncol == m == n == the
 matrix dimension, and nzval_colptr[n] <= lu.nnz. If any check fails it
 falls back to `lu.U.diagonal()`, which gives the same pivots bit for bit.
+
+Factoring makes no copy of A. Once A = A^T is certified, A's CSR arrays
+are also its CSC arrays, so SuperLU gets `matrix.T`, a CSC view of them.
+A matrix with unsorted or duplicate indices is first made canonical on a
+copy, because `splu` sums duplicates in place. The matrix is factored in
+float64: real input of another dtype is converted and complex input is
+refused with ValueError. Right before `splu`, glibc's `malloc_trim(0)`
+hands back to the system the free heap pages that assembly's temporaries
+left behind, so the factor and SuperLU's workspace do not stack on top of
+them; where the C library has no `malloc_trim`, nothing is trimmed.
 """
 
 from __future__ import annotations
@@ -54,6 +64,20 @@ DENSE_FALLBACK_MAX_DIM = 6000
 # SuperLU's Stype_t and Dtype_t tags of a supernodal store of doubles
 SLU_SC = 3
 SLU_D = 1
+
+
+def _find_malloc_trim():
+    """glibc's malloc_trim, or None where the C library has no such function."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_malloc_trim = _find_malloc_trim()
 
 
 class SolverError(Exception):
@@ -157,8 +181,11 @@ def _pivot_factorization(matrix: sp.csc_matrix):
     A zero pivot makes SuperLU either leave the diagonal (perm_r differs
     from perm_c) or give up; both mean the symmetric elimination broke
     down, not that the matrix is singular. A failed SuperLU allocation
-    raises MemoryError that names the matrix's dimension and nnz.
+    raises MemoryError that names the matrix's dimension and nnz. The
+    heap is trimmed first, so the factor starts from live data only.
     """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     try:
         lu = spla.splu(
             matrix,
@@ -206,7 +233,9 @@ def _dense_inertia(matrix: sp.csr_matrix) -> tuple[int, int, int]:
 
 def _solve_symmetric(matrix, rhs, tol, require_spd):
     """Factor once, then solve and certify each column of an (n,) or (n, k) rhs."""
-    matrix = matrix.tocsr()
+    if matrix.dtype.kind == "c":
+        raise ValueError(f"matrix of dtype {matrix.dtype} is not real; linsolve factors in float64")
+    matrix = matrix.tocsr().astype(np.float64, copy=False)
     rhs = np.asarray(rhs, dtype=float)
     n = matrix.shape[0]
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
@@ -215,7 +244,10 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
         raise SolverError("matrix has non-finite entries")
     if (matrix != matrix.T).nnz:
         raise SolverError("matrix is not exactly symmetric")
-    lu = _pivot_factorization(matrix.tocsc())
+    if not matrix.has_canonical_format:  # splu would sum the caller's arrays in place
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    lu = _pivot_factorization(matrix.T)  # A = A^T, so this CSC view holds A
 
     if lu is not None:
         pivots = _pivots(lu, n)
@@ -236,7 +268,7 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
             )
         inertia = _dense_inertia(matrix)
         try:
-            solve = spla.splu(matrix.tocsc()).solve
+            solve = spla.splu(matrix.T).solve
         except RuntimeError as exc:
             raise SingularSystemError(f"singular system: {exc}") from exc
 

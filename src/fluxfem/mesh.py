@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Largest grid (level k = 17, 2*n**2 triangles) measured to solve on an 8 GB
-# machine: about 20 s and 3.5 GiB peak for either method.
+# machine: about 20 s and 3.0 GiB peak for either method.
 MAX_GRID_N = 1448
 
 

@@ -550,7 +550,7 @@ def test_one_config_file_serves_every_subcommand(tmp_path):
 def test_size_refusal_quotes_what_the_levels_need(capsys):
     assert main(["converge", "--kmax", "18"]) == 2
     err = capsys.readouterr().err
-    assert "k=17 (n=1448) took about 20 s and 3.5 GiB" in err
+    assert "k=17 (n=1448) took about 20 s and 3.0 GiB" in err
     assert "k=18 (n=2048) would need about 5.9 GiB" in err
     assert err.count("\n") == 1
 

@@ -487,19 +487,22 @@ def test_split_returns_no_multiplier_without_multiplier_dofs():
 
 
 @pytest.mark.parametrize(
-    "shape, n_primal, message",
+    "matrix, n_primal, error, message",
     [
-        ((3, 3), 5, "5 primal dofs do not fit a matrix of dimension 3"),
-        ((3, 3), -1, "-1 primal dofs do not fit a matrix of dimension 3"),
-        ((3, 4), 3, "matrix of 3 rows and 4 columns is not square"),
+        (sp.csr_matrix((3, 3)), 5, ValueError, "5 primal dofs do not fit a matrix of dimension 3"),
+        (sp.csr_matrix((3, 3)), -1, ValueError, "-1 primal dofs do not fit a matrix of dimension 3"),
+        (sp.csr_matrix((3, 4)), 3, ValueError, "matrix of 3 rows and 4 columns is not square"),
+        (sp.csr_matrix((0, 0)), 0, ValueError, "matrix of dimension 0 has no dofs to solve for"),
+        (np.eye(3), 3, TypeError, "matrix must be a scipy sparse matrix, got ndarray"),
     ],
-    ids=["too-many-primal", "negative-primal", "non-square"],
+    ids=["too-many-primal", "negative-primal", "non-square", "empty", "dense"],
 )
-def test_linear_system_refuses_sizes_that_do_not_fit(shape, n_primal, message):
+def test_linear_system_refuses_sizes_that_do_not_fit(matrix, n_primal, error, message):
     """n_primal = 5 of a 3 x 3 matrix once gave n_multiplier = -2, which is
-    truthy, so a solver picked the indefinite path for a pure primal system."""
-    with pytest.raises(ValueError, match=re.escape(message)):
-        fem.LinearSystem(sp.csr_matrix(shape), np.ones(3), n_primal)
+    truthy, so a solver picked the indefinite path for a pure primal system;
+    a dense or 0 x 0 matrix once failed only inside the solver."""
+    with pytest.raises(error, match=re.escape(message)):
+        fem.LinearSystem(matrix, np.ones(3), n_primal)
 
 
 @pytest.mark.parametrize("n_primal", [2, 3])

@@ -106,6 +106,49 @@ def test_symmetric_matrix_stored_noncanonically_is_accepted(solve, form):
     assert result.inertia == expected.inertia == (3, 0, 0)
 
 
+@pytest.mark.parametrize("solve", [solve_spd, solve_sym_indefinite])
+def test_noncanonical_csr_solves_like_its_canonical_copy_and_stays_as_it_is(solve):
+    """SuperLU sums duplicates in place, so a CSR with unsorted indices and
+    duplicates is made canonical on a copy; the caller's arrays keep their bytes."""
+    matrix = sp.csr_matrix(
+        ([0.5, 4.0, 0.5, 1.25, 1.0, 3.0, 0.75, 5.0, 1.25, 0.75], [1, 0, 1, 2, 0, 1, 2, 2, 1, 1], [0, 3, 7, 10]),
+        shape=(3, 3),
+    )
+    assert not matrix.has_canonical_format
+    canonical = matrix.copy()
+    canonical.sum_duplicates()
+    assert np.array_equal(canonical.toarray(), [[4.0, 1.0, 0.0], [1.0, 3.0, 2.0], [0.0, 2.0, 5.0]])
+    stored = [a.copy() for a in (matrix.data, matrix.indices, matrix.indptr)]
+    rhs = np.array([1.0, -2.0, 3.0])
+    expected = solve(LinearSystem(canonical, rhs, 3))
+    result = solve(LinearSystem(matrix, rhs, 3))
+    assert result.x.tobytes() == expected.x.tobytes()
+    assert result.residual == expected.residual
+    assert result.inertia == expected.inertia == (3, 0, 0)
+    for before, after in zip(stored, (matrix.data, matrix.indices, matrix.indptr)):
+        assert before.tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_sym_indefinite])
+def test_float32_matrix_is_factored_in_float64(solve):
+    """SuperLU would factor a float32 matrix in single precision, and the
+    float64 refinement then failed to cast; it now solves as its float64 copy."""
+    dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 2.0], [0.0, 2.0, 5.0]])
+    rhs = np.array([1.0, -2.0, 3.0])
+    expected = solve(_system(dense, rhs))
+    result = solve(LinearSystem(sp.csr_matrix(dense.astype(np.float32)), rhs, 3))
+    assert result.x.tobytes() == expected.x.tobytes()
+    assert result.inertia == expected.inertia
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_sym_indefinite])
+def test_complex_matrix_is_refused(solve):
+    """Inertia is read off real pivots; a complex matrix has none to read."""
+    matrix = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex))
+    with pytest.raises(ValueError, match="matrix of dtype complex128 is not real"):
+        solve(LinearSystem(matrix, np.ones(2), 2))
+
+
 def test_zero_rhs_gives_zero_solution(trig):
     space = P1Space(build_unit_square_mesh(4))
     system = assemble(space, NitscheConfig(beta=10.0), trig.f, trig.g)
@@ -323,6 +366,43 @@ def test_pivot_reader_fallback_gives_the_same_solve(trig, monkeypatch, kind):
     monkeypatch.setattr(linsolve, "_supernodal_store", failed_check)
     result = solve(system)
     assert checked == [system.matrix.shape[0]]
+    assert result.x.tobytes() == expected.x.tobytes()
+    assert result.residual == expected.residual
+    assert result.inertia == expected.inertia
+
+
+@pytest.mark.parametrize("kind", ["nitsche", "alpha=0.25"])
+def test_superlu_factors_the_system_arrays_on_a_trimmed_heap(trig, monkeypatch, kind):
+    """A certified-symmetric CSR is its own CSC, so SuperLU gets the
+    system's arrays, not a copy; the heap is trimmed right before."""
+    system = _pivot_system(kind, 8, trig)
+    events, splu = [], linsolve.spla.splu
+
+    def recording_splu(matrix, *args, **kwargs):
+        events.append(matrix)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "_malloc_trim", lambda pad: events.append(("trim", pad)))
+    monkeypatch.setattr(linsolve.spla, "splu", recording_splu)
+    (solve_spd if kind == "nitsche" else solve_sym_indefinite)(system)
+    trim, csc = events
+    assert trim == ("trim", 0)
+    assert csc.format == "csc"
+    assert np.shares_memory(csc.data, system.matrix.data)
+    assert np.shares_memory(csc.indices, system.matrix.indices)
+
+
+@pytest.mark.parametrize("kind", ["nitsche", "alpha=0.25"])
+def test_solve_without_malloc_trim_gives_the_same_bits(trig, monkeypatch, kind):
+    """Where the C library has no malloc_trim nothing is trimmed, and the
+    solve is bitwise the trimmed one."""
+    system = _pivot_system(kind, 16, trig)
+    solve = solve_spd if kind == "nitsche" else solve_sym_indefinite
+    expected = solve(system)
+    monkeypatch.setattr(linsolve.ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert linsolve._find_malloc_trim() is None
+    monkeypatch.setattr(linsolve, "_malloc_trim", None)
+    result = solve(system)
     assert result.x.tobytes() == expected.x.tobytes()
     assert result.residual == expected.residual
     assert result.inertia == expected.inertia
