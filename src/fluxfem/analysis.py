@@ -137,11 +137,11 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     trace). With the multiplier coefficients `lam` it is the natural saddle
     norm of (u - u_h, lambda - lambda_h), where lambda = -sigma_n.
 
-    The volume integrands are evaluated a block of triangles at a time
-    (`fem.cell_blocks`) into two (n_triangles, n_q) tables, each summed by
-    one np.sum, so the quadrature temporaries stay a block in size while the
-    reduction, and so every bit of both norms, is that of a one-shot
-    evaluation.
+    The triangle geometry and the volume integrands are evaluated a block of
+    triangles at a time (`fem.cell_blocks`) into two (n_triangles, n_q)
+    tables, each summed by one np.sum, so the geometry and quadrature
+    temporaries stay a block in size while the reduction, and so every bit
+    of both norms, is that of a one-shot evaluation.
     """
     mesh = space.mesh
     u = coefficient_vector(u, space.n_dofs)
@@ -153,13 +153,14 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     grad_terms = np.empty_like(val_terms)
     for cells in cell_blocks(mesh.n_triangles):
         pts = space.quadrature_points(rule, cells)
-        aw = space.areas[cells, None] * rule.weights[None, :]
+        areas, cell_grads = space.cell_geometry(cells)
+        aw = areas[:, None] * rule.weights[None, :]
         u_tri = u[mesh.triangles[cells]]
         uh = np.einsum("qk,tk->tq", phi, u_tri)
         diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh
         val_terms[cells] = aw * diff**2
         gx, gy = problem.grad_u(pts[..., 0], pts[..., 1])
-        grads = np.einsum("ti,tid->td", u_tri, space.gradients[cells])
+        grads = np.einsum("ti,tid->td", u_tri, cell_grads)
         dx = np.asarray(gx) - grads[:, None, 0]
         dy = np.asarray(gy) - grads[:, None, 1]
         grad_terms[cells] = aw * (dx**2 + dy**2)
@@ -251,7 +252,8 @@ def _sampled_interp_error(problem, space: P1Space):
         return np.asarray(gx) - pi_grad[..., 0], np.asarray(gy) - pi_grad[..., 1]
 
     pts = space.quadrature_points(triangle_quadrature(IDENTITY_VOLUME_DEGREE))
-    cell_grad = np.einsum("ti,tid->td", pi_u[mesh.triangles], space.gradients)
+    _, grads = space.cell_geometry()
+    cell_grad = np.einsum("ti,tid->td", pi_u[mesh.triangles], grads)
     fpts = space.facets.points
     x, y = fpts[..., 0], fpts[..., 1]
     where = locate_points(fpts.reshape(-1, 2), space)
@@ -268,9 +270,10 @@ def _volume_form(space: P1Space, grad, phi) -> float:
     """(grad w, grad phi_h) for grad w sampled as in `_sampled_interp_error`."""
     gx, gy = grad
     weights = triangle_quadrature(IDENTITY_VOLUME_DEGREE).weights
-    phigrad = np.einsum("ti,tid->td", phi[space.mesh.triangles], space.gradients)
+    areas, grads = space.cell_geometry()
+    phigrad = np.einsum("ti,tid->td", phi[space.mesh.triangles], grads)
     integrand = gx * phigrad[:, None, 0] + gy * phigrad[:, None, 1]
-    return 2.0 * float(np.sum(space.areas[:, None] * weights[None, :] * integrand))
+    return 2.0 * float(np.sum(areas[:, None] * weights[None, :] * integrand))
 
 
 def _nitsche_identity_form(space: P1Space, cfg: NitscheConfig, w, psivals, phi) -> float:
@@ -471,7 +474,8 @@ def _weighted_gradient_sq(cell_grad_sq, space: P1Space, delta_prime: float) -> f
     cell_weight = np.empty(space.mesh.n_triangles)
     for cells in cell_blocks(space.mesh.n_triangles):
         weight = distance_weight(space.quadrature_points(rule, cells), delta_prime)
-        cell_weight[cells] = 2.0 * space.areas[cells] * np.einsum("q,tq->t", rule.weights, weight)
+        areas, _ = space.cell_geometry(cells)
+        cell_weight[cells] = 2.0 * areas * np.einsum("q,tq->t", rule.weights, weight)
     return float(np.sum(cell_weight * cell_grad_sq))
 
 
@@ -494,7 +498,8 @@ def dual_stability_report(
     phi, theta = system.split(_solve(system).x)
 
     nodal = phi[mesh.triangles]
-    grads = np.einsum("ti,tid->td", nodal, space.gradients)
+    areas, cell_grads = space.cell_geometry()
+    grads = np.einsum("ti,tid->td", nodal, cell_grads)
     cell_grad_sq = np.einsum("td,td->t", grads, grads)
     q3 = max(norm**2 for norm in _p1_contour_norms(phi, space, _offset_contours(delta_0)))
     # phi^T M phi: the exact P1 mass form of a triangle is |T|/12 ((sum phi_i)^2 + sum phi_i^2)
@@ -507,8 +512,8 @@ def dual_stability_report(
         h_grid=mesh.h_grid,
         psi_norm_sq=boundary_l2_norm(psi, space) ** 2,
         q1=_weighted_gradient_sq(cell_grad_sq, space, mesh.h_grid),
-        q2=mesh.h_grid * float(np.sum(space.areas * cell_grad_sq)),
+        q2=mesh.h_grid * float(np.sum(areas * cell_grad_sq)),
         q3=q3,
-        q4=float(np.sum(space.areas / 12.0 * cell_mass)),
+        q4=float(np.sum(areas / 12.0 * cell_mass)),
         q5=q5,
     )

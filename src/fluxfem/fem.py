@@ -1,7 +1,8 @@
 """The P1 space, quadrature, and the kernels both methods share.
 
-`P1Space` owns every table derived from the mesh: areas, basis gradients
-and the one boundary-facet table with its weights h_F w_q. Around it live
+`P1Space` keeps one table derived from the mesh, the boundary-facet table
+with its weights h_F w_q, and derives triangle areas and basis gradients
+for any block of triangles on request. Around it live
 the generic P1 operators (stiffness, mass, load), the volume matrix of
 both methods, the one local-to-global scatter that builds every matrix,
 point location and boundary-data evaluation, and the one `assemble` and
@@ -35,8 +36,9 @@ from .mesh import Mesh
 VOLUME_DEGREE = 4
 EDGE_POINTS = 6
 ALL_CELLS = slice(None)
-# Triangles per block of every full-mesh volume table (load vector, error
-# norms, distance weights): the quadrature temporaries stay a block in size.
+# Triangles per block of every full-mesh volume loop (assembly, load vector,
+# error norms, distance weights): triangle geometry and quadrature
+# temporaries stay a block in size.
 BLOCK_TRIANGLES = 4096
 
 
@@ -116,35 +118,50 @@ class FacetTable(NamedTuple):
 class P1Space:
     """Continuous piecewise linears; one dof per mesh vertex.
 
-    Builds each table derived from the mesh once: per-triangle areas and
-    constant basis gradients (rows 1 and 2 are the inverse affine map,
-    which point location reads), and the boundary-facet table `facets`.
+    Keeps one table derived from the mesh, the boundary-facet table
+    `facets`. Nothing sized by the triangles is kept: `cell_geometry`
+    derives areas and basis gradients for the triangles a caller asks for,
+    so no such table stays live while a system is factored.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.n_dofs = mesh.n_vertices
-        v = mesh.vertices[mesh.triangles]
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        self.areas = 0.5 * det
-        grads = np.empty((mesh.n_triangles, 3, 2))
-        grads[:, 1, 0] = e2[:, 1]
-        grads[:, 1, 1] = -e2[:, 0]
-        grads[:, 2, 0] = -e1[:, 1]
-        grads[:, 2, 1] = e1[:, 0]
-        grads[:, 1:] /= det[:, None, None]
-        grads[:, 0] = -grads[:, 1] - grads[:, 2]
-        self.gradients = grads
         self.facets = self._facet_table()
+
+    def cell_geometry(self, cells=ALL_CELLS) -> tuple[np.ndarray, np.ndarray]:
+        """(areas (m,), basis gradients (m, 3, 2)) of the m triangles `cells`,
+        a slice or an index array.
+
+        Rows 1 and 2 of the gradients are the inverse affine map, which
+        point location reads; the gradients are a view of a (3, 2, m) array.
+        Every value depends on its own triangle only, so any block gives
+        bitwise the values of a whole-mesh evaluation.
+        """
+        tri = self.mesh.triangles[cells]
+        # edges e[k] = v_{k+1} - v_0 and the gradients on contiguous
+        # per-coordinate arrays: the operations of a (m, 3, 2) layout in a
+        # quarter of its time
+        e = np.empty((2, 2, len(tri)))
+        for d in range(2):
+            c = self.mesh.vertices[tri.T, d]
+            np.subtract(c[1:], c[0], out=e[:, d])
+        det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+        grads = np.empty((3, 2, len(tri)))
+        np.divide(e[1, 1], det, out=grads[1, 0])
+        np.divide(-e[1, 0], det, out=grads[1, 1])
+        np.divide(-e[0, 1], det, out=grads[2, 0])
+        np.divide(e[0, 0], det, out=grads[2, 1])
+        np.subtract(-grads[1], grads[2], out=grads[0])
+        return 0.5 * det, grads.transpose(2, 0, 1)
 
     def _facet_table(self) -> FacetTable:
         mesh = self.mesh
         rule = edge_quadrature()
         t = rule.points
         pdofs = mesh.triangles[mesh.facet_parents]
-        ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, self.gradients[mesh.facet_parents])
+        _, grads = self.cell_geometry(mesh.facet_parents)
+        ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, grads)
         is0 = (pdofs == mesh.facet_vertices[:, [0]]).astype(float)
         is1 = (pdofs == mesh.facet_vertices[:, [1]]).astype(float)
         trace = is0[:, :, None] * (1.0 - t)[None, None, :] + is1[:, :, None] * t[None, None, :]
@@ -176,6 +193,21 @@ def cell_blocks(n_cells: int, cells=ALL_CELLS):
     for lo in range(0, len(index), BLOCK_TRIANGLES):
         block = index[lo : lo + BLOCK_TRIANGLES]
         yield slice(block.start, block.stop, block.step) if isinstance(block, range) else block
+
+
+def _per_cell(space: P1Space, cells, shape, kernel) -> np.ndarray:
+    """Stack kernel(rows, areas, gradients) over the triangles `cells` into an
+    (n_cells, *shape) array, each block of `cell_blocks` with its own
+    geometry; rows is the block's slice of the output."""
+    n_cells = len(range(space.mesh.n_triangles)[cells]) if isinstance(cells, slice) else len(cells)
+    out = np.empty((n_cells, *shape))
+    lo = 0
+    for block in cell_blocks(space.mesh.n_triangles, cells):
+        areas, grads = space.cell_geometry(block)
+        rows = slice(lo, lo + len(areas))
+        out[rows] = kernel(rows, areas, grads)
+        lo = rows.stop
+    return out
 
 
 def nodal_interpolant(f, space: P1Space) -> np.ndarray:
@@ -228,8 +260,12 @@ def locate_points(points, space: P1Space) -> PointLocation:
     pts = np.asarray(points, dtype=float)
     mesh = space.mesh
     tri = locate_triangle(mesh, pts)
-    origins = mesh.vertices[mesh.triangles[tri, 0]]
-    local = np.einsum("mij,mj->mi", space.gradients[tri, 1:], pts - origins)
+
+    def inverse_map(rows, _, grads):
+        origins = mesh.vertices[mesh.triangles[tri[rows], 0]]
+        return np.einsum("mij,mj->mi", grads[:, 1:], pts[rows] - origins)
+
+    local = _per_cell(space, tri, (2,), inverse_map)
     bary = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
     return PointLocation(tri, bary)
 
@@ -242,8 +278,12 @@ def located_values(coeffs, where: PointLocation, space: P1Space) -> np.ndarray:
 
 def located_gradients(coeffs, where: PointLocation, space: P1Space) -> np.ndarray:
     """Gradients (m, 2) of a P1 function at located points, one-sided on edges."""
-    nodal = coefficient_vector(coeffs, space.n_dofs)[space.mesh.triangles[where.triangles]]
-    return np.einsum("mi,mid->md", nodal, space.gradients[where.triangles])
+    coeffs = coefficient_vector(coeffs, space.n_dofs)
+
+    def gradient(rows, _, grads):
+        return np.einsum("mi,mid->md", coeffs[space.mesh.triangles[where.triangles[rows]]], grads)
+
+    return _per_cell(space, where.triangles, (2,), gradient)
 
 
 def local_to_global(n: int, *blocks) -> sp.csr_matrix:
@@ -280,18 +320,25 @@ def basis_at(rule: QuadratureRule) -> np.ndarray:
     return np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
 
 
+def _stiffness_kernel(rows, areas, grads):
+    # a*gi0*gj0 + a*gi1*gj1: the products and the sum of the einsum
+    # "t,tid,tjd->tij" in its order, written out so that no choice of
+    # einsum loop can change a bit
+    gx, gy = grads[..., 0], grads[..., 1]
+    ax, ay = areas[:, None] * gx, areas[:, None] * gy
+    return ax[:, :, None] * gx[:, None, :] + ay[:, :, None] * gy[:, None, :]
+
+
 def stiffness_matrix(space: P1Space, cells=ALL_CELLS) -> sp.csr_matrix:
     """Pure grad-grad matrix of the triangles `cells`, no boundary terms."""
     tri = space.mesh.triangles[cells]
-    grads = space.gradients[cells]
-    local = np.einsum("t,tid,tjd->tij", space.areas[cells], grads, grads)
-    return local_to_global(space.n_dofs, (tri, tri, local))
+    return local_to_global(space.n_dofs, (tri, tri, _per_cell(space, cells, (3, 3), _stiffness_kernel)))
 
 
 def mass_matrix(space: P1Space) -> sp.csr_matrix:
     """Exact P1 mass matrix (area/12 * [[2,1,1],[1,2,1],[1,1,2]] per element)."""
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = space.areas[:, None, None] * ref[None, :, :]
+    local = _per_cell(space, ALL_CELLS, (3, 3), lambda rows, areas, _: areas[:, None, None] * ref)
     tri = space.mesh.triangles
     return local_to_global(space.n_dofs, (tri, tri, local))
 
@@ -307,8 +354,8 @@ def load_vector(
 ) -> np.ndarray:
     """(f, phi_i) over the triangles `cells` with the given quadrature degree.
 
-    f and the local vectors are evaluated a block of triangles at a time
-    (`cell_blocks`), and the blocks are added in triangle order, so every
+    f, the areas and the local vectors are evaluated a block of triangles at
+    a time (`cell_blocks`), and the blocks are added in triangle order, so every
     entry sums the same terms in the same order as a one-shot evaluation.
     """
     rule = triangle_quadrature(volume_degree)
@@ -317,9 +364,16 @@ def load_vector(
     for block in cell_blocks(space.mesh.n_triangles, cells):
         pts = space.quadrature_points(rule, block)
         fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-        fvals = np.broadcast_to(fvals, pts.shape[:-1])
+        wf = rule.weights * np.broadcast_to(fvals, pts.shape[:-1])
+        # sum over q of (w_q f_q) phi_qk from zero in q order: the products
+        # and the sum of the einsum "q,tq,qk->tk", on (3, n_cells) rows at a
+        # third of its time
+        integral = np.zeros((3, len(wf)))
+        for wf_q, phi_q in zip(wf.T, phi):
+            integral += phi_q[:, None] * wf_q
+        areas, _ = space.cell_geometry(block)
         # physical jacobian is 2*area; reference weights already sum to 1/2
-        local = 2.0 * space.areas[block, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, phi)
+        local = 2.0 * areas[:, None] * integral.T
         np.add.at(b, space.mesh.triangles[block].ravel(), local.ravel())
     return b
 

@@ -207,7 +207,7 @@ def _sampled_p1(coeffs, space):
     """A P1 function sampled as analysis._sampled_interp_error samples
     u - pi_h u: (grad, value, normal derivative)."""
     nq = len(triangle_quadrature(analysis.IDENTITY_VOLUME_DEGREE).weights)
-    grad = np.einsum("ti,tid->td", coeffs[space.mesh.triangles], space.gradients)
+    grad = np.einsum("ti,tid->td", coeffs[space.mesh.triangles], space.cell_geometry()[1])
     gx, gy = (np.broadcast_to(grad[:, None, d], (len(grad), nq)) for d in range(2))
     _, _, _, pdofs, ndg, trace, _ = space.facets
     value = np.einsum("fkq,fk->fq", trace, coeffs[pdofs])
@@ -581,12 +581,13 @@ def _one_shot_error_norms(problem, space, u, lam=None):
     u = np.asarray(u, dtype=float)
     rule = triangle_quadrature(VOLUME_DEGREE)
     pts = space.quadrature_points(rule)
-    aw = space.areas[:, None] * rule.weights[None, :]
+    areas, cell_grads = space.cell_geometry()
+    aw = areas[:, None] * rule.weights[None, :]
     uh = np.einsum("qk,tk->tq", basis_at(rule), u[mesh.triangles])
     diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh
     l2 = float(np.sqrt(2.0 * np.sum(aw * diff**2)))
     gx, gy = problem.grad_u(pts[..., 0], pts[..., 1])
-    grads = np.einsum("ti,tid->td", u[mesh.triangles], space.gradients)
+    grads = np.einsum("ti,tid->td", u[mesh.triangles], cell_grads)
     dx = np.asarray(gx) - grads[:, None, 0]
     dy = np.asarray(gy) - grads[:, None, 1]
     grad_sq = float(2.0 * np.sum(aw * (dx**2 + dy**2)))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fluxfem import fem
+from fluxfem import fem, linsolve
+from fluxfem.cli import main
 from fluxfem.fem import (
     ALL_CELLS,
     EDGE_POINTS,
@@ -124,7 +125,7 @@ def test_partition_of_unity_and_gradient_sum(rng):
         assert abs(values.sum() - 1.0) <= 1e-13
         assert np.max(np.abs(grads.sum(axis=0))) <= 1e-12
     # vectorized tables agree with the per-triangle computation
-    assert np.max(np.abs(space.gradients.sum(axis=1))) <= 1e-12
+    assert np.max(np.abs(space.cell_geometry()[1].sum(axis=1))) <= 1e-12
 
 
 def test_space_dof_maps():
@@ -259,7 +260,7 @@ def test_quadrature_and_facet_points_locate_to_their_own_triangles(n):
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
     coeffs = np.random.default_rng([3, n]).standard_normal(space.n_dofs)
-    cell_grad = np.einsum("ti,tid->td", coeffs[mesh.triangles], space.gradients)
+    cell_grad = np.einsum("ti,tid->td", coeffs[mesh.triangles], space.cell_geometry()[1])
     for degree in (4, 6):
         n_q = len(triangle_quadrature(degree).weights)
         where = locate_points(space.quadrature_points(triangle_quadrature(degree)).reshape(-1, 2), space)
@@ -286,13 +287,14 @@ def _inverse_maps(mesh):
 
 @pytest.mark.parametrize("n", [1, 7, 64])
 def test_locate_points_matches_the_inverse_map_oracle_bitwise(n):
-    """The gradient table holds the inverse maps in rows 1 and 2 and their
+    """The basis gradients hold the inverse maps in rows 1 and 2 and their
     negated sum in row 0; point location reads them for the same bits."""
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
     binv = _inverse_maps(mesh)
-    assert np.array_equal(space.gradients[:, 1:], binv)
-    assert np.array_equal(space.gradients[:, 0], -binv[:, 0] - binv[:, 1])
+    _, grads = space.cell_geometry()
+    assert np.array_equal(grads[:, 1:], binv)
+    assert np.array_equal(grads[:, 0], -binv[:, 0] - binv[:, 1])
     rng = np.random.default_rng([5, n])
     pts = np.vstack([rng.random((500, 2)), space.facets.points.reshape(-1, 2), mesh.vertices])
     where = locate_points(pts, space)
@@ -342,7 +344,8 @@ def _one_shot_load_vector(space, f, degree, cells):
     rule = triangle_quadrature(degree)
     pts = space.quadrature_points(rule, cells)
     fvals = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:-1])
-    local = 2.0 * space.areas[cells, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, basis_at(rule))
+    areas, _ = space.cell_geometry(cells)
+    local = 2.0 * areas[:, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, basis_at(rule))
     b = np.zeros(space.n_dofs)
     np.add.at(b, space.mesh.triangles[cells].ravel(), local.ravel())
     return b
@@ -466,6 +469,37 @@ def test_assembly_peak_memory_at_n_256(trig, assemble):
     indices and a blocked load vector at 37.0 MiB."""
     space = P1Space(build_unit_square_mesh(256))
     assert _traced_peak_mib(lambda: assemble(space, trig)) <= 46.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--method", "nitsche", "--flux-variant", "variational"], ["--method", "lagrange", "--alpha", "0.25"]],
+    ids=["nitsche", "lagrange"],
+)
+def test_live_memory_when_a_level_is_factored_at_n_256(monkeypatch, capsys, argv):
+    """SuperLU starts on the system, the mesh and the facet table: 7.5 MiB
+    traced at the Nitsche level solve, 14.5 MiB while P1Space kept
+    per-triangle areas and gradients."""
+    factor, live = linsolve._pivot_factorization, []
+
+    def traced(matrix):
+        live.append(tracemalloc.get_traced_memory()[0] / 2**20)
+        return factor(matrix)
+
+    monkeypatch.setattr(linsolve, "_pivot_factorization", traced)
+    tracemalloc.start()
+    try:
+        assert main(["converge", "--kmin", "12", "--kmax", "12", *argv]) == 0
+    finally:
+        tracemalloc.stop()
+    assert live and max(live) <= 9.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_space_keeps_no_table_sized_by_the_triangles(n):
+    space = P1Space(build_unit_square_mesh(n))
+    arrays = [value for value in (*vars(space).values(), *space.facets) if isinstance(value, np.ndarray)]
+    assert [a.shape for a in arrays if a.shape[:1] == (space.mesh.n_triangles,)] == []
 
 
 # -- one interface for both methods --------------------------------------------

@@ -131,20 +131,20 @@ def test_variational_flux_moment_identity(trig):
             if vid not in tri:
                 continue
             local = list(tri).index(vid)
-            grads = space.gradients[t_index]
+            (area,), (grads,) = space.cell_geometry([t_index])
             coeffs = u[tri]
-            rhs += space.areas[t_index] * float(grads[local] @ (coeffs @ grads))
+            rhs += area * float(grads[local] @ (coeffs @ grads))
             pts = space.quadrature_points(triangle_quadrature(4))[t_index]
             xi = vol.points
             bary = np.column_stack([1 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
             fv = trig.f(pts[:, 0], pts[:, 1])
-            rhs -= 2.0 * space.areas[t_index] * np.sum(vol.weights * fv * bary[:, local])
+            rhs -= 2.0 * area * np.sum(vol.weights * fv * bary[:, local])
         for k, parent in enumerate(mesh.facet_parents):
             tri = mesh.triangles[parent]
             if vid not in tri:
                 continue
             local = list(tri).index(vid)
-            ndg = mesh.facet_normals[k] @ space.gradients[parent][local]
+            ndg = mesh.facet_normals[k] @ space.cell_geometry([parent])[1][0, local]
             p0, p1 = mesh.vertices[mesh.facet_vertices[k]]
             pts = p0[None, :] + rule.points[:, None] * (p1 - p0)[None, :]
             a, b = mesh.facet_vertices[k]

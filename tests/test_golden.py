@@ -16,7 +16,10 @@ CSR arrays (`indptr`, `indices`, `data` and their dtypes) of each
 assembled operator on the grids n = 1..32 and 64. SciPy sums duplicate
 COO entries in an order set by the order of the entries, so the last
 bits of a matrix, and the minimum-degree ordering after them, pin the
-layout of every scatter.
+layout of every scatter. It also writes `load_fingerprints.json`: the
+sha256 of the load vector of the trig problem (at both volume degrees)
+and of each config's dual data of its g, on the same grids, which pins
+the order of every product and sum in the vector kernels.
 """
 
 from __future__ import annotations
@@ -32,14 +35,16 @@ import numpy as np
 import pytest
 
 from fluxfem.cli import main
-from fluxfem.fem import P1Space, mass_matrix, stiffness_matrix
+from fluxfem.fem import P1Space, load_vector, mass_matrix, stiffness_matrix
 from fluxfem.lagrange import SaddleConfig
 from fluxfem.mesh import build_unit_square_mesh
 from fluxfem.nitsche import NitscheConfig
+from fluxfem.problems import trig_problem
 
 GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
 MATRIX_FINGERPRINTS = GOLDEN / "matrix_fingerprints.json"
+LOAD_FINGERPRINTS = GOLDEN / "load_fingerprints.json"
 
 CONVERGE = ["converge", "--kmin", "0", "--kmax", "8"]
 # k = 12 (n = 256) pins the bytes of the largest default level
@@ -101,13 +106,18 @@ NITSCHE_CONFIGS = [NitscheConfig(beta, kappa) for beta in (1.0, 10.0) for kappa 
 SADDLE_CONFIGS = [SaddleConfig(alpha, kappa) for alpha in (0.1, 0.25, 0.5, 10.0) for kappa in (0.0, 10.0)]
 
 
-def fingerprint(matrix) -> str:
-    """sha256 of a CSR matrix's indptr, indices and data, each with its dtype."""
+def fingerprint(*arrays) -> str:
+    """sha256 of the arrays, each with its dtype."""
     digest = hashlib.sha256()
-    for array in (matrix.indptr, matrix.indices, matrix.data):
+    for array in arrays:
         digest.update(array.dtype.str.encode())
         digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
+
+
+def matrix_fingerprint(matrix) -> str:
+    """sha256 of a CSR matrix's indptr, indices and data, each with its dtype."""
+    return fingerprint(matrix.indptr, matrix.indices, matrix.data)
 
 
 def matrix_fingerprints():
@@ -115,23 +125,44 @@ def matrix_fingerprints():
     prints = {}
     for n in FINGERPRINT_SIZES:
         space = P1Space(build_unit_square_mesh(n))
-        prints[f"stiffness n={n}"] = fingerprint(stiffness_matrix(space))
-        prints[f"mass n={n}"] = fingerprint(mass_matrix(space))
+        prints[f"stiffness n={n}"] = matrix_fingerprint(stiffness_matrix(space))
+        prints[f"mass n={n}"] = matrix_fingerprint(mass_matrix(space))
         for cfg in NITSCHE_CONFIGS + SADDLE_CONFIGS:
-            prints[f"{cfg!r} n={n}"] = fingerprint(cfg.matrix(space))
+            prints[f"{cfg!r} n={n}"] = matrix_fingerprint(cfg.matrix(space))
     return prints
 
 
-def test_assembled_matrices_match_golden_fingerprints():
-    golden = json.loads(MATRIX_FINGERPRINTS.read_text())
-    prints = matrix_fingerprints()
+def load_fingerprints():
+    """{vector and grid: fingerprint} of every pinned load vector and dual data."""
+    trig = trig_problem()
+    prints = {}
+    for n in FINGERPRINT_SIZES:
+        space = P1Space(build_unit_square_mesh(n))
+        for degree in (4, 6):
+            prints[f"load degree={degree} n={n}"] = fingerprint(load_vector(space, trig.f, degree))
+        for cfg in NITSCHE_CONFIGS + SADDLE_CONFIGS:
+            prints[f"{cfg!r} dual_data n={n}"] = fingerprint(cfg.dual_data(space, trig.g))
+    return prints
+
+
+def _mismatches(path, prints):
+    golden = json.loads(path.read_text())
     assert sorted(prints) == sorted(golden)
-    assert [name for name in golden if prints[name] != golden[name]] == []
+    return [name for name in golden if prints[name] != golden[name]]
+
+
+def test_assembled_matrices_match_golden_fingerprints():
+    assert _mismatches(MATRIX_FINGERPRINTS, matrix_fingerprints()) == []
+
+
+def test_load_vectors_and_dual_data_match_golden_fingerprints():
+    assert _mismatches(LOAD_FINGERPRINTS, load_fingerprints()) == []
 
 
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     MATRIX_FINGERPRINTS.write_text(json.dumps(matrix_fingerprints(), indent=2) + "\n")
+    LOAD_FINGERPRINTS.write_text(json.dumps(load_fingerprints(), indent=2) + "\n")
     codes = {}
     for name, argv in sorted(CASES.items()):
         stdout, stderr, codes[name] = run_case(argv)
