@@ -130,6 +130,33 @@ def boundary_l2_error(a, b, space: P1Space) -> float:
 # -- volume/energy error norms ----------------------------------------------
 
 
+def _cell_gradient(nodal, grads):
+    """The constant gradient (2, m) of a P1 function with nodal values (3, m)
+    on triangles with basis gradients (3, 2, m): the products and sums of the
+    einsum "ti,tid->td" in its order, (p0 + p1) + p2."""
+    return (nodal[0] * grads[0] + nodal[1] * grads[1]) + nodal[2] * grads[2]
+
+
+def _block_error_terms(problem, geometry, nodal, phi, weights, val_terms, grad_terms):
+    """Write the volume integrands of `error_norms` on one block of triangles,
+    |T| w_q (u - u_h)^2 and |T| w_q |grad(u - u_h)|^2, into the (n_q, m)
+    arrays val_terms and grad_terms, from the block's `CellGeometry` and
+    the nodal values (3, m) of u_h. The block's temporaries die on return."""
+    areas, grads, (x, y) = geometry
+    aw = weights[:, None] * areas
+    # u - u_h at the points, u_h with the products and sums of the einsum
+    # "qk,tk->tq" in the order its two-lane loop takes them, (p0 + p2) + p1
+    diff = np.asarray(problem.u(x, y), dtype=float) - (
+        (phi[:, 0, None] * nodal[0] + phi[:, 2, None] * nodal[2]) + phi[:, 1, None] * nodal[1]
+    )
+    np.multiply(aw, diff**2, out=val_terms)
+    gx, gy = problem.grad_u(x, y)
+    grad_x, grad_y = _cell_gradient(nodal, grads)
+    dx = np.asarray(gx) - grad_x
+    dy = np.asarray(gy) - grad_y
+    np.multiply(aw, dx**2 + dy**2, out=grad_terms)
+
+
 def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     """(energy, L2) norms of the error of u_h = u; one volume table serves both.
 
@@ -138,10 +165,10 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     norm of (u - u_h, lambda - lambda_h), where lambda = -sigma_n.
 
     The triangle geometry and the volume integrands are evaluated a block of
-    triangles at a time (`fem.cell_blocks`) into two (n_triangles, n_q)
-    tables, each summed by one np.sum, so the geometry and quadrature
-    temporaries stay a block in size while the reduction, and so every bit
-    of both norms, is that of a one-shot evaluation.
+    triangles at a time (`fem.cell_blocks`), on (n_q, m) rows, into two
+    (n_triangles, n_q) tables, each summed by one np.sum, so the geometry
+    and quadrature temporaries stay a block in size while the reduction, and
+    so every bit of both norms, is that of a one-shot evaluation.
     """
     mesh = space.mesh
     u = coefficient_vector(u, space.n_dofs)
@@ -152,18 +179,11 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     val_terms = np.empty((mesh.n_triangles, len(rule.weights)))
     grad_terms = np.empty_like(val_terms)
     for cells in cell_blocks(mesh.n_triangles):
-        pts = space.quadrature_points(rule, cells)
-        areas, cell_grads = space.cell_geometry(cells)
-        aw = areas[:, None] * rule.weights[None, :]
-        u_tri = u[mesh.triangles[cells]]
-        uh = np.einsum("qk,tk->tq", phi, u_tri)
-        diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh
-        val_terms[cells] = aw * diff**2
-        gx, gy = problem.grad_u(pts[..., 0], pts[..., 1])
-        grads = np.einsum("ti,tid->td", u_tri, cell_grads)
-        dx = np.asarray(gx) - grads[:, None, 0]
-        dy = np.asarray(gy) - grads[:, None, 1]
-        grad_terms[cells] = aw * (dx**2 + dy**2)
+        # each block's terms go to the tables triangle-major, the order np.sum reads
+        _block_error_terms(
+            problem, space.geometry(cells, rule), u[mesh.triangles[cells].T], phi, rule.weights,
+            val_terms[cells].T, grad_terms[cells].T,
+        )
     l2 = float(np.sqrt(2.0 * np.sum(val_terms)))
     grad_sq = float(2.0 * np.sum(grad_terms))
 
@@ -238,7 +258,7 @@ def _solve(system: LinearSystem):
 def _sampled_interp_error(problem, space: P1Space):
     """w = u - pi_h u sampled once for the identity forms, as the tuple
     (grad, value, normal_derivative): grad (gx, gy) at the points of the
-    IDENTITY_VOLUME_DEGREE rule (n_triangles, n_q); value and n.grad w at the
+    IDENTITY_VOLUME_DEGREE rule as (n_q, n_triangles) rows; value and n.grad w at the
     facet points (n_facets, EDGE_POINTS).
 
     grad pi_h u is constant on each triangle, so the volume points need no
@@ -247,20 +267,20 @@ def _sampled_interp_error(problem, space: P1Space):
     mesh = space.mesh
     pi_u = nodal_interpolant(problem.u, space)
 
-    def grad_gap(x, y, pi_grad):
+    def grad_gap(x, y, pi_grad_x, pi_grad_y):
         gx, gy = problem.grad_u(x, y)
-        return np.asarray(gx) - pi_grad[..., 0], np.asarray(gy) - pi_grad[..., 1]
+        return np.asarray(gx) - pi_grad_x, np.asarray(gy) - pi_grad_y
 
-    pts = space.quadrature_points(triangle_quadrature(IDENTITY_VOLUME_DEGREE))
-    _, grads = space.cell_geometry()
-    cell_grad = np.einsum("ti,tid->td", pi_u[mesh.triangles], grads)
+    _, grads, (qx, qy) = space.geometry(rule=triangle_quadrature(IDENTITY_VOLUME_DEGREE))
+    cell_grad = _cell_gradient(pi_u[mesh.triangles.T], grads)
     fpts = space.facets.points
     x, y = fpts[..., 0], fpts[..., 1]
     where = locate_points(fpts.reshape(-1, 2), space)
     pi_vals = located_values(pi_u, where, space).reshape(x.shape)
-    fx, fy = grad_gap(x, y, located_gradients(pi_u, where, space).reshape(fpts.shape))
+    pi_grads = located_gradients(pi_u, where, space).reshape(fpts.shape)
+    fx, fy = grad_gap(x, y, pi_grads[..., 0], pi_grads[..., 1])
     return (
-        grad_gap(pts[..., 0], pts[..., 1], cell_grad[:, None, :]),
+        grad_gap(qx, qy, *cell_grad),
         np.asarray(problem.u(x, y) - pi_vals, dtype=float),
         mesh.facet_normals[:, None, 0] * fx + mesh.facet_normals[:, None, 1] * fy,
     )
@@ -270,10 +290,13 @@ def _volume_form(space: P1Space, grad, phi) -> float:
     """(grad w, grad phi_h) for grad w sampled as in `_sampled_interp_error`."""
     gx, gy = grad
     weights = triangle_quadrature(IDENTITY_VOLUME_DEGREE).weights
-    areas, grads = space.cell_geometry()
-    phigrad = np.einsum("ti,tid->td", phi[space.mesh.triangles], grads)
-    integrand = gx * phigrad[:, None, 0] + gy * phigrad[:, None, 1]
-    return 2.0 * float(np.sum(areas[:, None] * weights[None, :] * integrand))
+    areas, grads, _ = space.geometry()
+    phigrad_x, phigrad_y = _cell_gradient(phi[space.mesh.triangles.T], grads)
+    integrand = gx * phigrad_x + gy * phigrad_y
+    # summed triangle-major, as an (n_triangles, n_q) table
+    terms = np.empty(integrand.shape[::-1])
+    np.multiply(weights[:, None] * areas, integrand, out=terms.T)
+    return 2.0 * float(np.sum(terms))
 
 
 def _nitsche_identity_form(space: P1Space, cfg: NitscheConfig, w, psivals, phi) -> float:
@@ -471,11 +494,14 @@ def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpS
 def _weighted_gradient_sq(cell_grad_sq, space: P1Space, delta_prime: float) -> float:
     """Integral of rho_delta' |grad phi_h|^2 from the per-triangle |grad phi_h|^2."""
     rule = triangle_quadrature(VOLUME_DEGREE)
+    w = rule.weights[:, None]
     cell_weight = np.empty(space.mesh.n_triangles)
     for cells in cell_blocks(space.mesh.n_triangles):
-        weight = distance_weight(space.quadrature_points(rule, cells), delta_prime)
-        areas, _ = space.cell_geometry(cells)
-        cell_weight[cells] = 2.0 * areas * np.einsum("q,tq->t", rule.weights, weight)
+        areas, _, points = space.geometry(cells, rule)
+        p = w * distance_weight(points.transpose(1, 2, 0), delta_prime)
+        # the products and sums of the einsum "q,tq->t" over the 6 points,
+        # in the order of its two-lane loop
+        cell_weight[cells] = 2.0 * areas * (((p[0] + p[2]) + p[4]) + ((p[1] + p[3]) + p[5]))
     return float(np.sum(cell_weight * cell_grad_sq))
 
 

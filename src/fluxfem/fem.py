@@ -115,13 +115,24 @@ class FacetTable(NamedTuple):
     points: np.ndarray
 
 
+class CellGeometry(NamedTuple):
+    """Geometry of m triangles, component-major so that every kernel reads
+    contiguous rows of length m: areas (m,), basis gradients grads[k, d]
+    (3, 2, m), and the physical quadrature points of a rule as coordinate
+    rows points[d] (2, n_q, m), or None without a rule."""
+
+    areas: np.ndarray
+    grads: np.ndarray
+    points: np.ndarray | None
+
+
 class P1Space:
     """Continuous piecewise linears; one dof per mesh vertex.
 
     Keeps one table derived from the mesh, the boundary-facet table
-    `facets`. Nothing sized by the triangles is kept: `cell_geometry`
-    derives areas and basis gradients for the triangles a caller asks for,
-    so no such table stays live while a system is factored.
+    `facets`. Nothing sized by the triangles is kept: `geometry` derives
+    areas, basis gradients and quadrature points for the triangles a caller
+    asks for, so no such table stays live while a system is factored.
     """
 
     def __init__(self, mesh: Mesh):
@@ -129,31 +140,48 @@ class P1Space:
         self.n_dofs = mesh.n_vertices
         self.facets = self._facet_table()
 
-    def cell_geometry(self, cells=ALL_CELLS) -> tuple[np.ndarray, np.ndarray]:
-        """(areas (m,), basis gradients (m, 3, 2)) of the m triangles `cells`,
-        a slice or an index array.
+    def geometry(self, cells=ALL_CELLS, rule: QuadratureRule | None = None) -> CellGeometry:
+        """Areas, basis gradients and, given a rule, the physical quadrature
+        points of the m triangles `cells`, a slice or an index array, as
+        component-major rows (see `CellGeometry`).
 
-        Rows 1 and 2 of the gradients are the inverse affine map, which
-        point location reads; the gradients are a view of a (3, 2, m) array.
-        Every value depends on its own triangle only, so any block gives
-        bitwise the values of a whole-mesh evaluation.
+        The vertex coordinates are gathered once and copied component-major,
+        and the edges e1 = v1 - v0 and e2 = v2 - v0 of that copy give both
+        the gradients and the points v0 + xi0 e1 + xi1 e2. Every value
+        depends on its own triangle only, so any block gives bitwise the
+        values of a whole-mesh evaluation.
         """
         tri = self.mesh.triangles[cells]
-        # edges e[k] = v_{k+1} - v_0 and the gradients on contiguous
-        # per-coordinate arrays: the operations of a (m, 3, 2) layout in a
-        # quarter of its time
-        e = np.empty((2, 2, len(tri)))
-        for d in range(2):
-            c = self.mesh.vertices[tri.T, d]
-            np.subtract(c[1:], c[0], out=e[:, d])
-        det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+        # c[d, k]: coordinate d of vertex k, one contiguous row per pair
+        c = self.mesh.vertices.take(tri.T, axis=0).transpose(2, 0, 1).copy()
+        edges = c[:, 1:] - c[:, :1]
+        (x1, x2), (y1, y2) = edges
+        det = x1 * y2 - y1 * x2
         grads = np.empty((3, 2, len(tri)))
-        np.divide(e[1, 1], det, out=grads[1, 0])
-        np.divide(-e[1, 0], det, out=grads[1, 1])
-        np.divide(-e[0, 1], det, out=grads[2, 0])
-        np.divide(e[0, 0], det, out=grads[2, 1])
+        np.divide(y2, det, out=grads[1, 0])
+        np.divide(-x2, det, out=grads[1, 1])
+        np.divide(-y1, det, out=grads[2, 0])
+        np.divide(x1, det, out=grads[2, 1])
         np.subtract(-grads[1], grads[2], out=grads[0])
-        return 0.5 * det, grads.transpose(2, 0, 1)
+        points = None
+        if rule is not None:
+            xi0, xi1 = rule.points[:, 0, None], rule.points[:, 1, None]
+            points = np.empty((2, len(xi0), len(tri)))
+            for row, origin, (e1, e2) in zip(points, c[:, 0], edges):
+                np.multiply(xi0, e1, out=row)
+                row += origin
+                row += xi1 * e2
+        return CellGeometry(0.5 * det, grads, points)
+
+    def cell_geometry(self, cells=ALL_CELLS) -> tuple[np.ndarray, np.ndarray]:
+        """(areas (m,), basis gradients (m, 3, 2)) of the m triangles `cells`:
+        `geometry` with the gradients viewed triangle-major.
+
+        Rows 1 and 2 of the gradients are the inverse affine map, which
+        point location reads.
+        """
+        areas, grads, _ = self.geometry(cells)
+        return areas, grads.transpose(2, 0, 1)
 
     def _facet_table(self) -> FacetTable:
         mesh = self.mesh
@@ -169,20 +197,9 @@ class P1Space:
         return FacetTable(t, rule.weights, hw, pdofs, ndg, trace, mesh.facet_points(t))
 
     def quadrature_points(self, rule: QuadratureRule, cells=ALL_CELLS) -> np.ndarray:
-        """Physical quadrature points of the triangles `cells`, shape (n_cells, n_q, 2)."""
-        tri = self.mesh.triangles[cells]
-        xi0, xi1 = rule.points[:, 0], rule.points[:, 1]
-        pts = np.empty((len(tri), len(xi0), 2))
-        # x and y separately on contiguous (n_cells, n_q) arrays: the same
-        # operations as a broadcast over a length-2 axis, at about half the time
-        for d in range(2):
-            c = self.mesh.vertices[tri, d]
-            pts[..., d] = (
-                c[:, 0, None]
-                + xi0 * (c[:, 1] - c[:, 0])[:, None]
-                + xi1 * (c[:, 2] - c[:, 0])[:, None]
-            )
-        return pts
+        """Physical quadrature points of the triangles `cells`, shape
+        (n_cells, n_q, 2): `geometry`'s coordinate rows viewed triangle-major."""
+        return self.geometry(cells, rule).points.transpose(2, 1, 0)
 
 
 def cell_blocks(n_cells: int, cells=ALL_CELLS):
@@ -196,16 +213,17 @@ def cell_blocks(n_cells: int, cells=ALL_CELLS):
 
 
 def _per_cell(space: P1Space, cells, shape, kernel) -> np.ndarray:
-    """Stack kernel(rows, areas, gradients) over the triangles `cells` into an
-    (n_cells, *shape) array, each block of `cell_blocks` with its own
-    geometry; rows is the block's slice of the output."""
+    """Fill an (n_cells, *shape) array over the triangles `cells` by
+    kernel(rows, geometry, out), each block of `cell_blocks` with its own
+    `CellGeometry`; rows is the block's slice of the output and out that
+    slice, which the kernel writes."""
     n_cells = len(range(space.mesh.n_triangles)[cells]) if isinstance(cells, slice) else len(cells)
     out = np.empty((n_cells, *shape))
     lo = 0
     for block in cell_blocks(space.mesh.n_triangles, cells):
-        areas, grads = space.cell_geometry(block)
-        rows = slice(lo, lo + len(areas))
-        out[rows] = kernel(rows, areas, grads)
+        geometry = space.geometry(block)
+        rows = slice(lo, lo + len(geometry.areas))
+        kernel(rows, geometry, out[rows])
         lo = rows.stop
     return out
 
@@ -261,9 +279,9 @@ def locate_points(points, space: P1Space) -> PointLocation:
     mesh = space.mesh
     tri = locate_triangle(mesh, pts)
 
-    def inverse_map(rows, _, grads):
+    def inverse_map(rows, geometry, out):
         origins = mesh.vertices[mesh.triangles[tri[rows], 0]]
-        return np.einsum("mij,mj->mi", grads[:, 1:], pts[rows] - origins)
+        out[...] = np.einsum("mij,mj->mi", geometry.grads[1:].transpose(2, 0, 1), pts[rows] - origins)
 
     local = _per_cell(space, tri, (2,), inverse_map)
     bary = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
@@ -280,8 +298,9 @@ def located_gradients(coeffs, where: PointLocation, space: P1Space) -> np.ndarra
     """Gradients (m, 2) of a P1 function at located points, one-sided on edges."""
     coeffs = coefficient_vector(coeffs, space.n_dofs)
 
-    def gradient(rows, _, grads):
-        return np.einsum("mi,mid->md", coeffs[space.mesh.triangles[where.triangles[rows]]], grads)
+    def gradient(rows, geometry, out):
+        nodal = coeffs[space.mesh.triangles[where.triangles[rows]]]
+        out[...] = np.einsum("mi,mid->md", nodal, geometry.grads.transpose(2, 0, 1))
 
     return _per_cell(space, where.triangles, (2,), gradient)
 
@@ -320,13 +339,16 @@ def basis_at(rule: QuadratureRule) -> np.ndarray:
     return np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
 
 
-def _stiffness_kernel(rows, areas, grads):
+def _stiffness_kernel(rows, geometry, out):
     # a*gi0*gj0 + a*gi1*gj1: the products and the sum of the einsum
     # "t,tid,tjd->tij" in its order, written out so that no choice of
-    # einsum loop can change a bit
-    gx, gy = grads[..., 0], grads[..., 1]
-    ax, ay = areas[:, None] * gx, areas[:, None] * gy
-    return ax[:, :, None] * gx[:, None, :] + ay[:, :, None] * gy[:, None, :]
+    # einsum loop can change a bit. The block's (3, 3, m) products of
+    # contiguous gradient rows are copied straight into its (m, 3, 3) rows
+    # of the output, the layout the scatter reads.
+    areas, grads, _ = geometry
+    gx, gy = grads[:, 0], grads[:, 1]
+    ax, ay = areas * gx, areas * gy
+    out[...] = (ax[:, None] * gx[None] + ay[:, None] * gy[None]).transpose(2, 0, 1)
 
 
 def stiffness_matrix(space: P1Space, cells=ALL_CELLS) -> sp.csr_matrix:
@@ -338,7 +360,11 @@ def stiffness_matrix(space: P1Space, cells=ALL_CELLS) -> sp.csr_matrix:
 def mass_matrix(space: P1Space) -> sp.csr_matrix:
     """Exact P1 mass matrix (area/12 * [[2,1,1],[1,2,1],[1,1,2]] per element)."""
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = _per_cell(space, ALL_CELLS, (3, 3), lambda rows, areas, _: areas[:, None, None] * ref)
+
+    def kernel(rows, geometry, out):
+        np.multiply(geometry.areas[:, None, None], ref, out=out)
+
+    local = _per_cell(space, ALL_CELLS, (3, 3), kernel)
     tri = space.mesh.triangles
     return local_to_global(space.n_dofs, (tri, tri, local))
 
@@ -362,18 +388,19 @@ def load_vector(
     phi = basis_at(rule)
     b = np.zeros(space.n_dofs)
     for block in cell_blocks(space.mesh.n_triangles, cells):
-        pts = space.quadrature_points(rule, block)
-        fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-        wf = rule.weights * np.broadcast_to(fvals, pts.shape[:-1])
+        areas, _, (x, y) = space.geometry(block, rule)
+        wf = rule.weights[:, None] * np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
         # sum over q of (w_q f_q) phi_qk from zero in q order: the products
         # and the sum of the einsum "q,tq,qk->tk", on (3, n_cells) rows at a
         # third of its time
-        integral = np.zeros((3, len(wf)))
-        for wf_q, phi_q in zip(wf.T, phi):
+        integral = np.zeros((3, len(areas)))
+        for wf_q, phi_q in zip(wf, phi):
             integral += phi_q[:, None] * wf_q
-        areas, _ = space.cell_geometry(block)
-        # physical jacobian is 2*area; reference weights already sum to 1/2
-        local = 2.0 * areas[:, None] * integral.T
+        # physical jacobian is 2*area; reference weights already sum to 1/2.
+        # The local vectors are written triangle-major, the order in which
+        # np.add.at sums them.
+        local = np.empty((len(areas), 3))
+        np.multiply(2.0 * areas, integral, out=local.T)
         np.add.at(b, space.mesh.triangles[block].ravel(), local.ravel())
     return b
 

@@ -127,6 +127,16 @@ def _boundary_vertex_numbering(mesh: Mesh):
     return ids, inverse.reshape(mesh.facet_vertices.shape).astype(np.int32)
 
 
+def _boundary_layer(mesh: Mesh, ids) -> np.ndarray:
+    """Indices, ascending, of the triangles with a vertex among `ids`: a
+    vertex mask read at each vertex column of the triangles, not a sorted
+    search."""
+    marked = np.zeros(mesh.n_vertices, dtype=bool)
+    marked[ids] = True
+    tri = mesh.triangles
+    return np.flatnonzero(marked[tri[:, 0]] | marked[tri[:, 1]] | marked[tri[:, 2]])
+
+
 def _trace_field_from_moments(mesh: Mesh, ends, moments) -> BoundaryFluxField:
     """Boundary P1 field with the given moments on the trace dofs of the facet table `ends`."""
     block = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
@@ -150,7 +160,7 @@ def variational_flux(u_h, g, f, space: P1Space) -> BoundaryFluxField:
     mesh = space.mesh
     u = coefficient_vector(u_h, space.n_dofs)
     ids, ends = _boundary_vertex_numbering(mesh)
-    layer = np.flatnonzero(np.isin(mesh.triangles, ids).any(axis=1))
+    layer = _boundary_layer(mesh, ids)
     residual = stiffness_matrix(space, layer) @ u - load_vector(space, f, cells=layer)
     _, w, _, pdofs, ndg, trace, _ = space.facets
     hf = mesh.facet_lengths

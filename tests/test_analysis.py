@@ -208,7 +208,7 @@ def _sampled_p1(coeffs, space):
     u - pi_h u: (grad, value, normal derivative)."""
     nq = len(triangle_quadrature(analysis.IDENTITY_VOLUME_DEGREE).weights)
     grad = np.einsum("ti,tid->td", coeffs[space.mesh.triangles], space.cell_geometry()[1])
-    gx, gy = (np.broadcast_to(grad[:, None, d], (len(grad), nq)) for d in range(2))
+    gx, gy = (np.broadcast_to(grad[:, d], (nq, len(grad))) for d in range(2))
     _, _, _, pdofs, ndg, trace, _ = space.facets
     value = np.einsum("fkq,fk->fq", trace, coeffs[pdofs])
     normal = np.broadcast_to(np.einsum("fk,fk->f", ndg, coeffs[pdofs])[:, None], value.shape)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from fluxfem import fem, linsolve
+from fluxfem.analysis import error_norms
 from fluxfem.cli import main
 from fluxfem.fem import (
     ALL_CELLS,
@@ -145,17 +146,44 @@ def _broadcast_quadrature_points(space, rule):
     )
 
 
+def _broadcast_geometry(space):
+    """Areas (m,) and basis gradients (m, 3, 2) by broadcasts over the
+    coordinate axis: gradients 1 and 2 are the rows of the inverse Jacobian."""
+    v = space.mesh.vertices[space.mesh.triangles]
+    e = v[:, 1:] - v[:, :1]
+    det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+    g1 = np.stack([e[:, 1, 1] / det, -e[:, 1, 0] / det], axis=1)
+    g2 = np.stack([-e[:, 0, 1] / det, e[:, 0, 0] / det], axis=1)
+    return 0.5 * det, np.stack([-g1 - g2, g1, g2], axis=1)
+
+
 @pytest.mark.parametrize("n", [1, 7, 64])
 @pytest.mark.parametrize("degree", [4, 6])
 def test_quadrature_points_equal_the_broadcast_formula_bitwise(degree, n):
+    """The triangle-major views and the component-major rows of `geometry`
+    are bitwise the broadcast formulas, for slices and index arrays of cells."""
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
     rule = triangle_quadrature(degree)
     pts = space.quadrature_points(rule)
     assert pts.shape == (mesh.n_triangles, len(rule.weights), 2)
-    assert np.array_equal(pts, _broadcast_quadrature_points(space, rule))
-    cells = np.arange(0, mesh.n_triangles, 3)
-    assert np.array_equal(space.quadrature_points(rule, cells), pts[cells])
+    expected_pts = _broadcast_quadrature_points(space, rule)
+    assert np.array_equal(pts, expected_pts)
+    expected_areas, expected_grads = _broadcast_geometry(space)
+    areas, grads = space.cell_geometry()
+    assert np.array_equal(areas, expected_areas) and np.array_equal(grads, expected_grads)
+    half = mesh.n_triangles // 2
+    for cells in (fem.ALL_CELLS, slice(half, None), slice(1, None, 2), np.arange(0, mesh.n_triangles, 3)):
+        assert np.array_equal(space.quadrature_points(rule, cells), pts[cells])
+        geometry = space.geometry(cells, rule)
+        m = len(expected_areas[cells])
+        assert geometry.points.shape == (2, len(rule.weights), m)
+        assert geometry.grads.shape == (3, 2, m)
+        assert all(row.flags.c_contiguous for row in geometry.points)
+        assert np.array_equal(geometry.points, expected_pts[cells].transpose(2, 1, 0))
+        assert np.array_equal(geometry.grads, expected_grads[cells].transpose(1, 2, 0))
+        assert np.array_equal(geometry.areas, expected_areas[cells])
+        assert space.geometry(cells).points is None
 
 
 def test_facet_tables():
@@ -457,6 +485,22 @@ def test_load_vector_peak_memory_is_a_few_blocks(trig):
     """n = 256 peaked at 28.1 MiB with one full-mesh table, 2.2 MiB in blocks."""
     space = P1Space(build_unit_square_mesh(256))
     assert _traced_peak_mib(lambda: load_vector(space, trig.f)) <= 8.0
+
+
+@pytest.mark.parametrize(
+    "kernel, bound_mib",
+    [
+        (lambda space, trig: load_vector(space, trig.f), 2.7),
+        (lambda space, trig: error_norms(trig, space, fem.nodal_interpolant(trig.u, space)), 15.1),
+        (lambda space, trig: stiffness_matrix(space), 37.1),
+    ],
+    ids=["load_vector", "error_norms", "stiffness_matrix"],
+)
+def test_volume_kernel_peak_memory_at_n_256(trig, kernel, bound_mib):
+    """Bounds at the peaks of the triangle-major kernels, 2.69, 15.10 and
+    37.02 MiB: the component-major rows add no temporary the size of the mesh."""
+    space = P1Space(build_unit_square_mesh(256))
+    assert _traced_peak_mib(lambda: kernel(space, trig)) <= bound_mib
 
 
 @pytest.mark.parametrize(

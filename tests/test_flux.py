@@ -7,6 +7,7 @@ from fluxfem.fem import P1Space, assemble, edge_quadrature, load_vector, stiffne
 from fluxfem.flux import (
     BoundaryFluxField,
     ExactFluxField,
+    _boundary_layer,
     _boundary_vertex_numbering,
     _trace_field_from_moments,
     multiplier_flux,
@@ -278,6 +279,17 @@ def test_variational_flux_equals_full_assembly_bitwise(trig):
         u = np.random.default_rng(n).standard_normal(space.n_dofs)
         field = variational_flux(u, trig.g, trig.f, space)
         assert np.array_equal(field.coefficients, _full_assembly_variational_flux(u, trig.g, trig.f, space)), n
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_boundary_layer_from_a_vertex_mask_equals_the_sorted_search(n):
+    """The layer read off a boolean vertex mask is the np.isin layer: the same
+    triangles, ascending, in an index array of the same dtype."""
+    mesh = build_unit_square_mesh(n)
+    ids, _ = _boundary_vertex_numbering(mesh)
+    layer = _boundary_layer(mesh, ids)
+    expected = np.flatnonzero(np.isin(mesh.triangles, ids).any(axis=1))
+    assert layer.dtype == expected.dtype and np.array_equal(layer, expected)
 
 
 def test_variational_flux_evaluates_f_on_the_boundary_layer_only(trig):

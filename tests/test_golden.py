@@ -19,7 +19,11 @@ bits of a matrix, and the minimum-degree ordering after them, pin the
 layout of every scatter. It also writes `load_fingerprints.json`: the
 sha256 of the load vector of the trig problem (at both volume degrees)
 and of each config's dual data of its g, on the same grids, which pins
-the order of every product and sum in the vector kernels.
+the order of every product and sum in the vector kernels. And it writes
+`error_norm_fingerprints.json`: `float.hex` of the (energy, L2) error
+norms of the trig problem, without and with multipliers, for seeded
+coefficients on the same grids, which pins every bit of the blocked
+volume sums in `error_norms`.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fluxfem.analysis import error_norms
 from fluxfem.cli import main
-from fluxfem.fem import P1Space, load_vector, mass_matrix, stiffness_matrix
+from fluxfem.fem import P1Space, load_vector, mass_matrix, nodal_interpolant, stiffness_matrix
 from fluxfem.lagrange import SaddleConfig
 from fluxfem.mesh import build_unit_square_mesh
 from fluxfem.nitsche import NitscheConfig
@@ -45,6 +50,7 @@ GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
 MATRIX_FINGERPRINTS = GOLDEN / "matrix_fingerprints.json"
 LOAD_FINGERPRINTS = GOLDEN / "load_fingerprints.json"
+ERROR_NORM_FINGERPRINTS = GOLDEN / "error_norm_fingerprints.json"
 
 CONVERGE = ["converge", "--kmin", "0", "--kmax", "8"]
 # k = 12 (n = 256) pins the bytes of the largest default level
@@ -145,6 +151,22 @@ def load_fingerprints():
     return prints
 
 
+def error_norm_fingerprints():
+    """{norm and grid: [float.hex(energy), float.hex(L2)]} of the error norms of
+    a perturbed interpolant of the trig solution, without multipliers (Nitsche's
+    norm) and with seeded ones (the saddle norm)."""
+    trig = trig_problem()
+    prints = {}
+    for n in FINGERPRINT_SIZES:
+        space = P1Space(build_unit_square_mesh(n))
+        rng = np.random.default_rng(n)
+        u = nodal_interpolant(trig.u, space) + 1e-3 * rng.standard_normal(space.n_dofs)
+        lam = rng.standard_normal(space.mesh.n_facets)
+        prints[f"nitsche n={n}"] = [norm.hex() for norm in error_norms(trig, space, u)]
+        prints[f"saddle n={n}"] = [norm.hex() for norm in error_norms(trig, space, u, lam)]
+    return prints
+
+
 def _mismatches(path, prints):
     golden = json.loads(path.read_text())
     assert sorted(prints) == sorted(golden)
@@ -159,10 +181,15 @@ def test_load_vectors_and_dual_data_match_golden_fingerprints():
     assert _mismatches(LOAD_FINGERPRINTS, load_fingerprints()) == []
 
 
+def test_error_norms_match_golden_fingerprints():
+    assert _mismatches(ERROR_NORM_FINGERPRINTS, error_norm_fingerprints()) == []
+
+
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     MATRIX_FINGERPRINTS.write_text(json.dumps(matrix_fingerprints(), indent=2) + "\n")
     LOAD_FINGERPRINTS.write_text(json.dumps(load_fingerprints(), indent=2) + "\n")
+    ERROR_NORM_FINGERPRINTS.write_text(json.dumps(error_norm_fingerprints(), indent=2) + "\n")
     codes = {}
     for name, argv in sorted(CASES.items()):
         stdout, stderr, codes[name] = run_case(argv)
