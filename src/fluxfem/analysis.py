@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fem import (
+    ALL_CELLS,
     VOLUME_DEGREE,
     LinearSystem,
     P1Space,
@@ -46,6 +47,7 @@ from .fem import (
     located_gradients,
     located_values,
     nodal_interpolant,
+    per_cell,
     triangle_quadrature,
 )
 from .flux import BoundaryFluxField, pointwise_nitsche_values
@@ -257,9 +259,11 @@ def _solve(system: LinearSystem):
 
 def _sampled_interp_error(problem, space: P1Space):
     """w = u - pi_h u sampled once for the identity forms, as the tuple
-    (grad, value, normal_derivative): grad (gx, gy) at the points of the
-    IDENTITY_VOLUME_DEGREE rule as (n_q, n_triangles) rows; value and n.grad w at the
-    facet points (n_facets, EDGE_POINTS).
+    (geometry, grad, value, normal_derivative): geometry (areas, grads),
+    the level's triangle areas and basis gradients, which the volume form
+    reads for every psi; grad (gx, gy) at the points of the IDENTITY_VOLUME_DEGREE
+    rule as (n_q, n_triangles) rows; value and n.grad w at the facet points
+    (n_facets, EDGE_POINTS).
 
     grad pi_h u is constant on each triangle, so the volume points need no
     lookup; the facet Gauss points are located once for values and gradients.
@@ -271,7 +275,7 @@ def _sampled_interp_error(problem, space: P1Space):
         gx, gy = problem.grad_u(x, y)
         return np.asarray(gx) - pi_grad_x, np.asarray(gy) - pi_grad_y
 
-    _, grads, (qx, qy) = space.geometry(rule=triangle_quadrature(IDENTITY_VOLUME_DEGREE))
+    areas, grads, (qx, qy) = space.geometry(rule=triangle_quadrature(IDENTITY_VOLUME_DEGREE))
     cell_grad = _cell_gradient(pi_u[mesh.triangles.T], grads)
     fpts = space.facets.points
     x, y = fpts[..., 0], fpts[..., 1]
@@ -280,17 +284,17 @@ def _sampled_interp_error(problem, space: P1Space):
     pi_grads = located_gradients(pi_u, where, space).reshape(fpts.shape)
     fx, fy = grad_gap(x, y, pi_grads[..., 0], pi_grads[..., 1])
     return (
+        (areas, grads),
         grad_gap(qx, qy, *cell_grad),
         np.asarray(problem.u(x, y) - pi_vals, dtype=float),
         mesh.facet_normals[:, None, 0] * fx + mesh.facet_normals[:, None, 1] * fy,
     )
 
 
-def _volume_form(space: P1Space, grad, phi) -> float:
-    """(grad w, grad phi_h) for grad w sampled as in `_sampled_interp_error`."""
-    gx, gy = grad
+def _volume_form(space: P1Space, geometry, grad, phi) -> float:
+    """(grad w, grad phi_h) for geometry and grad w sampled as in `_sampled_interp_error`."""
+    (areas, grads), (gx, gy) = geometry, grad
     weights = triangle_quadrature(IDENTITY_VOLUME_DEGREE).weights
-    areas, grads, _ = space.geometry()
     phigrad_x, phigrad_y = _cell_gradient(phi[space.mesh.triangles.T], grads)
     integrand = gx * phigrad_x + gy * phigrad_y
     # summed triangle-major, as an (n_triangles, n_q) table
@@ -301,8 +305,8 @@ def _volume_form(space: P1Space, grad, phi) -> float:
 
 def _nitsche_identity_form(space: P1Space, cfg: NitscheConfig, w, psivals, phi) -> float:
     """a_h(w, phi_h) - m_psi(w) at kappa = 0 for a sampled w and psi at the facet points."""
-    grad, value, normal_derivative = w
-    total = _volume_form(space, grad, phi)
+    geometry, grad, value, normal_derivative = w
+    total = _volume_form(space, geometry, grad, phi)
 
     _, wq, hw, pdofs, ndg, trace, _ = space.facets
     hf = space.mesh.facet_lengths
@@ -324,8 +328,8 @@ def _nitsche_identity_form(space: P1Space, cfg: NitscheConfig, w, psivals, phi) 
 def _saddle_identity_form(space: P1Space, cfg: SaddleConfig, w, muvals, phi, theta) -> float:
     """A_h(w, mu; phi_h, theta_h) at kappa = 0 for a sampled w, mu at the
     facet points and a discrete second pair."""
-    grad, value, normal_derivative = w
-    total = _volume_form(space, grad, phi)
+    geometry, grad, value, normal_derivative = w
+    total = _volume_form(space, geometry, grad, phi)
 
     _, wq, hw, pdofs, ndg, trace, _ = space.facets
     hf = space.mesh.facet_lengths
@@ -494,15 +498,15 @@ def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpS
 def _weighted_gradient_sq(cell_grad_sq, space: P1Space, delta_prime: float) -> float:
     """Integral of rho_delta' |grad phi_h|^2 from the per-triangle |grad phi_h|^2."""
     rule = triangle_quadrature(VOLUME_DEGREE)
-    w = rule.weights[:, None]
-    cell_weight = np.empty(space.mesh.n_triangles)
-    for cells in cell_blocks(space.mesh.n_triangles):
-        areas, _, points = space.geometry(cells, rule)
-        p = w * distance_weight(points.transpose(1, 2, 0), delta_prime)
+
+    def cell_weight(rows, geometry, out):
+        areas, _, points = geometry
+        p = rule.weights[:, None] * distance_weight(points.transpose(1, 2, 0), delta_prime)
         # the products and sums of the einsum "q,tq->t" over the 6 points,
         # in the order of its two-lane loop
-        cell_weight[cells] = 2.0 * areas * (((p[0] + p[2]) + p[4]) + ((p[1] + p[3]) + p[5]))
-    return float(np.sum(cell_weight * cell_grad_sq))
+        out[...] = 2.0 * areas * (((p[0] + p[2]) + p[4]) + ((p[1] + p[3]) + p[5]))
+
+    return float(np.sum(per_cell(space, ALL_CELLS, (), cell_weight, rule) * cell_grad_sq))
 
 
 def dual_stability_report(
@@ -524,8 +528,8 @@ def dual_stability_report(
     phi, theta = system.split(_solve(system).x)
 
     nodal = phi[mesh.triangles]
-    areas, cell_grads = space.cell_geometry()
-    grads = np.einsum("ti,tid->td", nodal, cell_grads)
+    areas, cell_grads, _ = space.geometry()
+    grads = np.einsum("ti,tid->td", nodal, cell_grads.transpose(2, 0, 1))
     cell_grad_sq = np.einsum("td,td->t", grads, grads)
     q3 = max(norm**2 for norm in _p1_contour_norms(phi, space, _offset_contours(delta_0)))
     # phi^T M phi: the exact P1 mass form of a triangle is |T|/12 ((sum phi_i)^2 + sum phi_i^2)

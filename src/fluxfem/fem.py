@@ -118,7 +118,8 @@ class FacetTable(NamedTuple):
 class CellGeometry(NamedTuple):
     """Geometry of m triangles, component-major so that every kernel reads
     contiguous rows of length m: areas (m,), basis gradients grads[k, d]
-    (3, 2, m), and the physical quadrature points of a rule as coordinate
+    (3, 2, m), whose rows 1 and 2 are the inverse affine map that point
+    location reads, and the physical quadrature points of a rule as coordinate
     rows points[d] (2, n_q, m), or None without a rule."""
 
     areas: np.ndarray
@@ -173,33 +174,18 @@ class P1Space:
                 row += xi1 * e2
         return CellGeometry(0.5 * det, grads, points)
 
-    def cell_geometry(self, cells=ALL_CELLS) -> tuple[np.ndarray, np.ndarray]:
-        """(areas (m,), basis gradients (m, 3, 2)) of the m triangles `cells`:
-        `geometry` with the gradients viewed triangle-major.
-
-        Rows 1 and 2 of the gradients are the inverse affine map, which
-        point location reads.
-        """
-        areas, grads, _ = self.geometry(cells)
-        return areas, grads.transpose(2, 0, 1)
-
     def _facet_table(self) -> FacetTable:
         mesh = self.mesh
         rule = edge_quadrature()
         t = rule.points
         pdofs = mesh.triangles[mesh.facet_parents]
-        _, grads = self.cell_geometry(mesh.facet_parents)
-        ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, grads)
+        grads = self.geometry(mesh.facet_parents).grads
+        ndg = np.einsum("fd,fkd->fk", mesh.facet_normals, grads.transpose(2, 0, 1))
         is0 = (pdofs == mesh.facet_vertices[:, [0]]).astype(float)
         is1 = (pdofs == mesh.facet_vertices[:, [1]]).astype(float)
         trace = is0[:, :, None] * (1.0 - t)[None, None, :] + is1[:, :, None] * t[None, None, :]
         hw = mesh.facet_lengths[:, None] * rule.weights[None, :]
         return FacetTable(t, rule.weights, hw, pdofs, ndg, trace, mesh.facet_points(t))
-
-    def quadrature_points(self, rule: QuadratureRule, cells=ALL_CELLS) -> np.ndarray:
-        """Physical quadrature points of the triangles `cells`, shape
-        (n_cells, n_q, 2): `geometry`'s coordinate rows viewed triangle-major."""
-        return self.geometry(cells, rule).points.transpose(2, 1, 0)
 
 
 def cell_blocks(n_cells: int, cells=ALL_CELLS):
@@ -212,16 +198,16 @@ def cell_blocks(n_cells: int, cells=ALL_CELLS):
         yield slice(block.start, block.stop, block.step) if isinstance(block, range) else block
 
 
-def _per_cell(space: P1Space, cells, shape, kernel) -> np.ndarray:
+def per_cell(space: P1Space, cells, shape, kernel, rule: QuadratureRule | None = None) -> np.ndarray:
     """Fill an (n_cells, *shape) array over the triangles `cells` by
     kernel(rows, geometry, out), each block of `cell_blocks` with its own
-    `CellGeometry`; rows is the block's slice of the output and out that
-    slice, which the kernel writes."""
+    `CellGeometry`, with the points of `rule` if one is given; rows is the
+    block's slice of the output and out that slice, which the kernel writes."""
     n_cells = len(range(space.mesh.n_triangles)[cells]) if isinstance(cells, slice) else len(cells)
     out = np.empty((n_cells, *shape))
     lo = 0
     for block in cell_blocks(space.mesh.n_triangles, cells):
-        geometry = space.geometry(block)
+        geometry = space.geometry(block, rule)
         rows = slice(lo, lo + len(geometry.areas))
         kernel(rows, geometry, out[rows])
         lo = rows.stop
@@ -283,7 +269,7 @@ def locate_points(points, space: P1Space) -> PointLocation:
         origins = mesh.vertices[mesh.triangles[tri[rows], 0]]
         out[...] = np.einsum("mij,mj->mi", geometry.grads[1:].transpose(2, 0, 1), pts[rows] - origins)
 
-    local = _per_cell(space, tri, (2,), inverse_map)
+    local = per_cell(space, tri, (2,), inverse_map)
     bary = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
     return PointLocation(tri, bary)
 
@@ -302,7 +288,7 @@ def located_gradients(coeffs, where: PointLocation, space: P1Space) -> np.ndarra
         nodal = coeffs[space.mesh.triangles[where.triangles[rows]]]
         out[...] = np.einsum("mi,mid->md", nodal, geometry.grads.transpose(2, 0, 1))
 
-    return _per_cell(space, where.triangles, (2,), gradient)
+    return per_cell(space, where.triangles, (2,), gradient)
 
 
 def local_to_global(n: int, *blocks) -> sp.csr_matrix:
@@ -354,7 +340,7 @@ def _stiffness_kernel(rows, geometry, out):
 def stiffness_matrix(space: P1Space, cells=ALL_CELLS) -> sp.csr_matrix:
     """Pure grad-grad matrix of the triangles `cells`, no boundary terms."""
     tri = space.mesh.triangles[cells]
-    return local_to_global(space.n_dofs, (tri, tri, _per_cell(space, cells, (3, 3), _stiffness_kernel)))
+    return local_to_global(space.n_dofs, (tri, tri, per_cell(space, cells, (3, 3), _stiffness_kernel)))
 
 
 def mass_matrix(space: P1Space) -> sp.csr_matrix:
@@ -364,7 +350,7 @@ def mass_matrix(space: P1Space) -> sp.csr_matrix:
     def kernel(rows, geometry, out):
         np.multiply(geometry.areas[:, None, None], ref, out=out)
 
-    local = _per_cell(space, ALL_CELLS, (3, 3), kernel)
+    local = per_cell(space, ALL_CELLS, (3, 3), kernel)
     tri = space.mesh.triangles
     return local_to_global(space.n_dofs, (tri, tri, local))
 

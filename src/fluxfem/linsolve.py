@@ -8,7 +8,8 @@ elimination. By Sylvester's law their signs give the inertia, which doubles
 as the positive definiteness check for Nitsche systems and the
 saddle-structure check for the multiplier systems. The law needs A = A^T
 exactly, so a matrix that differs from its transpose is refused with
-SolverError before it is factored.
+SolverError before it is factored. The certificate compares the canonical
+CSR arrays of A and A^T, and their entries only where those arrays differ.
 
 If the elimination breaks down, or a pivot vanishes relative to the
 largest (which cancellation under the chosen order can cause), indefinite
@@ -231,6 +232,13 @@ def _dense_inertia(matrix: sp.csr_matrix) -> tuple[int, int, int]:
     return int(np.sum(eigs > 0.0)), int(np.sum(eigs < 0.0)), 0
 
 
+def _is_symmetric(matrix: sp.csr_matrix) -> bool:
+    """A = A^T for a canonical CSR A; A^T's copy dies here, before the factorization."""
+    at = matrix.T.tocsr()  # its arrays are A's if A = A^T, unless A stores a zero on one side only
+    same = all(np.array_equal(getattr(matrix, k), getattr(at, k)) for k in ("indptr", "indices", "data"))
+    return same or not (matrix != at).nnz
+
+
 def _solve_symmetric(matrix, rhs, tol, require_spd):
     """Factor once, then solve and certify each column of an (n,) or (n, k) rhs."""
     if matrix.dtype.kind == "c":
@@ -242,11 +250,11 @@ def _solve_symmetric(matrix, rhs, tol, require_spd):
         raise ValueError(f"right-hand side of shape {rhs.shape} does not fit a {matrix.shape} matrix")
     if not np.all(np.isfinite(matrix.data)):
         raise SolverError("matrix has non-finite entries")
-    if (matrix != matrix.T).nnz:
-        raise SolverError("matrix is not exactly symmetric")
     if not matrix.has_canonical_format:  # splu would sum the caller's arrays in place
         matrix = matrix.copy()
         matrix.sum_duplicates()
+    if not _is_symmetric(matrix):
+        raise SolverError("matrix is not exactly symmetric")
     lu = _pivot_factorization(matrix.T)  # A = A^T, so this CSC view holds A
 
     if lu is not None:

@@ -203,16 +203,41 @@ def test_identity_residuals_sample_interpolation_error_once(monkeypatch, trig, m
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("method", ["nitsche", "lagrange"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_identity_residuals_make_one_whole_mesh_geometry_pass(monkeypatch, trig, method, n):
+    """The sample of u - pi_h u carries the level's areas and gradients, so
+    the volume form of every psi reads them: one `geometry` call over the
+    default cells per level, the degree-6 one, however many psi there are."""
+    whole_mesh = []
+    original = P1Space.geometry
+
+    def counted(self, cells=fem.ALL_CELLS, rule=None):
+        if cells is fem.ALL_CELLS:
+            whole_mesh.append(rule)
+        return original(self, cells, rule)
+
+    space = P1Space(build_unit_square_mesh(n))
+    monkeypatch.setattr(P1Space, "geometry", counted)
+    for count in (1, 5):
+        whole_mesh.clear()
+        psis = [rademacher_boundary_field(space.mesh, seed) for seed in range(count)]
+        _identity_residuals(method, trig, space, psis)
+        assert len(whole_mesh) == 1
+        assert whole_mesh[0] is triangle_quadrature(analysis.IDENTITY_VOLUME_DEGREE)
+
+
 def _sampled_p1(coeffs, space):
     """A P1 function sampled as analysis._sampled_interp_error samples
-    u - pi_h u: (grad, value, normal derivative)."""
+    u - pi_h u: (geometry, grad, value, normal derivative)."""
     nq = len(triangle_quadrature(analysis.IDENTITY_VOLUME_DEGREE).weights)
-    grad = np.einsum("ti,tid->td", coeffs[space.mesh.triangles], space.cell_geometry()[1])
+    areas, grads, _ = space.geometry()
+    grad = np.einsum("ti,tid->td", coeffs[space.mesh.triangles], grads.transpose(2, 0, 1))
     gx, gy = (np.broadcast_to(grad[:, d], (nq, len(grad))) for d in range(2))
     _, _, _, pdofs, ndg, trace, _ = space.facets
     value = np.einsum("fkq,fk->fq", trace, coeffs[pdofs])
     normal = np.broadcast_to(np.einsum("fk,fk->f", ndg, coeffs[pdofs])[:, None], value.shape)
-    return (gx, gy), value, normal
+    return (areas, grads), (gx, gy), value, normal
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 17])
@@ -580,8 +605,8 @@ def _one_shot_error_norms(problem, space, u, lam=None):
     mesh = space.mesh
     u = np.asarray(u, dtype=float)
     rule = triangle_quadrature(VOLUME_DEGREE)
-    pts = space.quadrature_points(rule)
-    areas, cell_grads = space.cell_geometry()
+    areas, cell_grads, pts = space.geometry(rule=rule)
+    cell_grads, pts = cell_grads.transpose(2, 0, 1), pts.transpose(2, 1, 0)
     aw = areas[:, None] * rule.weights[None, :]
     uh = np.einsum("qk,tk->tq", basis_at(rule), u[mesh.triangles])
     diff = np.asarray(problem.u(pts[..., 0], pts[..., 1]), dtype=float) - uh

@@ -126,7 +126,7 @@ def test_partition_of_unity_and_gradient_sum(rng):
         assert abs(values.sum() - 1.0) <= 1e-13
         assert np.max(np.abs(grads.sum(axis=0))) <= 1e-12
     # vectorized tables agree with the per-triangle computation
-    assert np.max(np.abs(space.cell_geometry()[1].sum(axis=1))) <= 1e-12
+    assert np.max(np.abs(space.geometry().grads.transpose(2, 0, 1).sum(axis=1))) <= 1e-12
 
 
 def test_space_dof_maps():
@@ -160,22 +160,24 @@ def _broadcast_geometry(space):
 @pytest.mark.parametrize("n", [1, 7, 64])
 @pytest.mark.parametrize("degree", [4, 6])
 def test_quadrature_points_equal_the_broadcast_formula_bitwise(degree, n):
-    """The triangle-major views and the component-major rows of `geometry`
-    are bitwise the broadcast formulas, for slices and index arrays of cells."""
+    """The component-major rows of `geometry`, and their triangle-major
+    views, are bitwise the broadcast formulas, for slices and index arrays
+    of cells."""
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
     rule = triangle_quadrature(degree)
-    pts = space.quadrature_points(rule)
+    pts = space.geometry(rule=rule).points.transpose(2, 1, 0)
     assert pts.shape == (mesh.n_triangles, len(rule.weights), 2)
     expected_pts = _broadcast_quadrature_points(space, rule)
     assert np.array_equal(pts, expected_pts)
     expected_areas, expected_grads = _broadcast_geometry(space)
-    areas, grads = space.cell_geometry()
+    areas, grads, _ = space.geometry()
+    grads = grads.transpose(2, 0, 1)
     assert np.array_equal(areas, expected_areas) and np.array_equal(grads, expected_grads)
     half = mesh.n_triangles // 2
     for cells in (fem.ALL_CELLS, slice(half, None), slice(1, None, 2), np.arange(0, mesh.n_triangles, 3)):
-        assert np.array_equal(space.quadrature_points(rule, cells), pts[cells])
         geometry = space.geometry(cells, rule)
+        assert np.array_equal(geometry.points.transpose(2, 1, 0), pts[cells])
         m = len(expected_areas[cells])
         assert geometry.points.shape == (2, len(rule.weights), m)
         assert geometry.grads.shape == (3, 2, m)
@@ -288,10 +290,11 @@ def test_quadrature_and_facet_points_locate_to_their_own_triangles(n):
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
     coeffs = np.random.default_rng([3, n]).standard_normal(space.n_dofs)
-    cell_grad = np.einsum("ti,tid->td", coeffs[mesh.triangles], space.cell_geometry()[1])
+    cell_grad = np.einsum("ti,tid->td", coeffs[mesh.triangles], space.geometry().grads.transpose(2, 0, 1))
     for degree in (4, 6):
         n_q = len(triangle_quadrature(degree).weights)
-        where = locate_points(space.quadrature_points(triangle_quadrature(degree)).reshape(-1, 2), space)
+        pts = space.geometry(rule=triangle_quadrature(degree)).points.transpose(2, 1, 0)
+        where = locate_points(pts.reshape(-1, 2), space)
         assert np.array_equal(where.triangles, np.repeat(np.arange(mesh.n_triangles), n_q))
         located = located_gradients(coeffs, where, space)
         assert located.tobytes() == np.repeat(cell_grad, n_q, axis=0).tobytes()
@@ -320,7 +323,7 @@ def test_locate_points_matches_the_inverse_map_oracle_bitwise(n):
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
     binv = _inverse_maps(mesh)
-    _, grads = space.cell_geometry()
+    grads = space.geometry().grads.transpose(2, 0, 1)
     assert np.array_equal(grads[:, 1:], binv)
     assert np.array_equal(grads[:, 0], -binv[:, 0] - binv[:, 1])
     rng = np.random.default_rng([5, n])
@@ -370,9 +373,9 @@ def test_locate_rejects_outside_points():
 def _one_shot_load_vector(space, f, degree, cells):
     """load_vector as one evaluation over all the triangles `cells`."""
     rule = triangle_quadrature(degree)
-    pts = space.quadrature_points(rule, cells)
+    pts = space.geometry(cells, rule).points.transpose(2, 1, 0)
     fvals = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:-1])
-    areas, _ = space.cell_geometry(cells)
+    areas = space.geometry(cells).areas
     local = 2.0 * areas[:, None] * np.einsum("q,tq,qk->tk", rule.weights, fvals, basis_at(rule))
     b = np.zeros(space.n_dofs)
     np.add.at(b, space.mesh.triangles[cells].ravel(), local.ravel())

@@ -132,10 +132,10 @@ def test_variational_flux_moment_identity(trig):
             if vid not in tri:
                 continue
             local = list(tri).index(vid)
-            (area,), (grads,) = space.cell_geometry([t_index])
+            (area,), grads, pts = space.geometry([t_index], triangle_quadrature(4))
+            grads, pts = grads[..., 0], pts[..., 0].T
             coeffs = u[tri]
             rhs += area * float(grads[local] @ (coeffs @ grads))
-            pts = space.quadrature_points(triangle_quadrature(4))[t_index]
             xi = vol.points
             bary = np.column_stack([1 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
             fv = trig.f(pts[:, 0], pts[:, 1])
@@ -145,7 +145,7 @@ def test_variational_flux_moment_identity(trig):
             if vid not in tri:
                 continue
             local = list(tri).index(vid)
-            ndg = mesh.facet_normals[k] @ space.cell_geometry([parent])[1][0, local]
+            ndg = mesh.facet_normals[k] @ space.geometry([parent]).grads[local, :, 0]
             p0, p1 = mesh.vertices[mesh.facet_vertices[k]]
             pts = p0[None, :] + rule.points[:, None] * (p1 - p0)[None, :]
             a, b = mesh.facet_vertices[k]

@@ -23,7 +23,11 @@ the order of every product and sum in the vector kernels. And it writes
 `error_norm_fingerprints.json`: `float.hex` of the (energy, L2) error
 norms of the trig problem, without and with multipliers, for seeded
 coefficients on the same grids, which pins every bit of the blocked
-volume sums in `error_norms`.
+volume sums in `error_norms`. Last, it writes `dual_fingerprints.json`:
+`float.hex` of every `StabilityReport` field at n = 8..64 and of each
+identity defect at n = 8..32, the levels of `dual-check`, for its seeded
+boundary data, which pins every bit of the dual-check paths behind the
+12 printed digits.
 """
 
 from __future__ import annotations
@@ -38,7 +42,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluxfem.analysis import error_norms
+from fluxfem.analysis import (
+    dual_stability_report,
+    error_norms,
+    error_representation_residuals,
+    rademacher_boundary_field,
+)
 from fluxfem.cli import main
 from fluxfem.fem import P1Space, load_vector, mass_matrix, nodal_interpolant, stiffness_matrix
 from fluxfem.lagrange import SaddleConfig
@@ -51,6 +60,7 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 MATRIX_FINGERPRINTS = GOLDEN / "matrix_fingerprints.json"
 LOAD_FINGERPRINTS = GOLDEN / "load_fingerprints.json"
 ERROR_NORM_FINGERPRINTS = GOLDEN / "error_norm_fingerprints.json"
+DUAL_FINGERPRINTS = GOLDEN / "dual_fingerprints.json"
 
 CONVERGE = ["converge", "--kmin", "0", "--kmax", "8"]
 # k = 12 (n = 256) pins the bytes of the largest default level
@@ -167,6 +177,34 @@ def error_norm_fingerprints():
     return prints
 
 
+DUAL_CONFIGS = [NitscheConfig(), NitscheConfig(kappa=10.0), SaddleConfig(), SaddleConfig(kappa=10.0)]
+DUAL_SEEDS = (0, 3)
+
+
+def dual_fingerprints():
+    """{quantity, config, seed and grid: float.hex} of the stability reports
+    at n = 8..64 (int fields as they are, a missing q5 as None) and of the
+    five identity defects at n = 8..32, the latter for the unshifted configs
+    only, with the boundary data `dual-check` draws."""
+    trig = trig_problem()
+    prints = {}
+    for n in (8, 16, 32, 64):
+        space = P1Space(build_unit_square_mesh(n))
+        for cfg in DUAL_CONFIGS:
+            for seed in DUAL_SEEDS:
+                psi = rademacher_boundary_field(space.mesh, seed)
+                report = dual_stability_report(space, cfg, psi)
+                prints[f"stability {cfg!r} seed={seed} n={n}"] = {
+                    name: value.hex() if isinstance(value, float) else value
+                    for name, value in vars(report).items()
+                }
+                if cfg.kappa == 0.0 and n <= 32:
+                    psis = [rademacher_boundary_field(space.mesh, seed + s) for s in range(5)]
+                    defects = error_representation_residuals(trig, space, cfg, psis)
+                    prints[f"identity {cfg!r} seed={seed} n={n}"] = [d.hex() for d in defects]
+    return prints
+
+
 def _mismatches(path, prints):
     golden = json.loads(path.read_text())
     assert sorted(prints) == sorted(golden)
@@ -185,11 +223,16 @@ def test_error_norms_match_golden_fingerprints():
     assert _mismatches(ERROR_NORM_FINGERPRINTS, error_norm_fingerprints()) == []
 
 
+def test_dual_check_quantities_match_golden_fingerprints():
+    assert _mismatches(DUAL_FINGERPRINTS, dual_fingerprints()) == []
+
+
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     MATRIX_FINGERPRINTS.write_text(json.dumps(matrix_fingerprints(), indent=2) + "\n")
     LOAD_FINGERPRINTS.write_text(json.dumps(load_fingerprints(), indent=2) + "\n")
     ERROR_NORM_FINGERPRINTS.write_text(json.dumps(error_norm_fingerprints(), indent=2) + "\n")
+    DUAL_FINGERPRINTS.write_text(json.dumps(dual_fingerprints(), indent=2) + "\n")
     codes = {}
     for name, argv in sorted(CASES.items()):
         stdout, stderr, codes[name] = run_case(argv)

@@ -78,6 +78,12 @@ def test_method_modules_offer_only_matrix_assembly_and_dual_data(module, functio
     assert public_methods(PACKAGE / f"{module}.py") == functions
 
 
+def test_p1_space_has_one_geometry_method():
+    """Areas, basis gradients and quadrature points come from one entry
+    point, in one component-major layout."""
+    assert public_methods(PACKAGE / "fem.py")["P1Space"] == {"geometry"}
+
+
 def test_fem_defines_no_sampled_field_forms():
     assert {"SampledField", "volume_form"}.isdisjoint(top_level_names(PACKAGE / "fem.py"))
 

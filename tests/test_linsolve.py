@@ -78,6 +78,32 @@ def test_nonsymmetric_matrix_is_refused(solve, off):
         solve(_system([[2.0, 1.0], [off, 3.0]], [1.0, 1.0]))
 
 
+def _asymmetric_forms():
+    """Matrices that differ from their transpose in one stored entry, with
+    the same sparsity pattern on both sides."""
+    one_ulp = NitscheConfig().matrix(P1Space(build_unit_square_mesh(4)))
+    first_off_diagonal = np.flatnonzero(one_ulp.indices[: one_ulp.indptr[1]] != 0)[0]
+    one_ulp.data[first_off_diagonal] = np.nextafter(one_ulp.data[first_off_diagonal], np.inf)
+    # 2 at (0, 2) against an explicit zero stored at (2, 0)
+    one_sided_nonzero = sp.csr_matrix(
+        ([4.0, 1.0, 2.0, 1.0, 3.0, 2.0, 0.0, 2.0, 5.0], [0, 1, 2, 0, 1, 2, 0, 1, 2], [0, 3, 6, 9]), shape=(3, 3)
+    )
+    return {"one-ulp": one_ulp, "one-sided-nonzero": one_sided_nonzero}
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_sym_indefinite])
+@pytest.mark.parametrize("form", ["one-ulp", "one-sided-nonzero"])
+def test_matrix_asymmetric_in_one_stored_value_is_refused(solve, form):
+    """A and A^T have the same pattern but not the same values, so the
+    certificate falls back to comparing the entries, and refuses A."""
+    matrix = _asymmetric_forms()[form]
+    transpose = matrix.T.tocsr()
+    assert np.array_equal(matrix.indices, transpose.indices) and np.array_equal(matrix.indptr, transpose.indptr)
+    assert (matrix != matrix.T).nnz == 2
+    with pytest.raises(SolverError, match="matrix is not exactly symmetric"):
+        solve(LinearSystem(matrix, np.ones(matrix.shape[0]), matrix.shape[0]))
+
+
 def _stored_forms_of_a_symmetric_matrix():
     """[[4, 1, 0], [1, 3, 2], [0, 2, 5]] as stored other than canonically."""
     unsorted = sp.csr_matrix(

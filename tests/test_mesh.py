@@ -34,7 +34,7 @@ def test_mesh_sizes():
 @pytest.mark.parametrize("n", [1, 3, 4, 8, 13])
 def test_area_and_boundary_length_sums(n):
     mesh = build_unit_square_mesh(n)
-    areas, _ = P1Space(mesh).cell_geometry()
+    areas = P1Space(mesh).geometry().areas
     assert np.all(areas > 0.0)
     assert abs(areas.sum() - 1.0) <= 1e-12
     assert abs(mesh.facet_lengths.sum() - 4.0) <= 1e-12
@@ -125,7 +125,7 @@ def test_shifted_weight_vanishes_on_boundary_layer(n):
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
     rule = triangle_quadrature(6)
-    pts = space.quadrature_points(rule)
+    pts = space.geometry(rule=rule).points.transpose(2, 1, 0)
     corners = mesh.vertices[mesh.triangles]
     mids = 0.5 * (corners + np.roll(corners, 1, axis=1))
     on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
