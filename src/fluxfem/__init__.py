@@ -29,9 +29,7 @@ from .fem import (
     QuadratureRule,
     assemble,
     edge_quadrature,
-    locate_points,
-    located_gradients,
-    located_values,
+    evaluate_p1,
     nodal_interpolant,
     triangle_quadrature,
 )

@@ -16,14 +16,16 @@ for u and the facet average for lambda. The identity check samples
 w = u - pi_h u once and evaluates the forms on it here, the one place
 that needs them, on `space.facets`. The dual-stability quantities
 are the weighted-gradient, scaled-gradient, offset-contour, and L2 terms
-bounded by |psi|^2 on the boundary, measured level by level. They are
-integrals of a P1 function, so each has a closed form: one split cuts all
-the offset contours at the mesh lines, and the square of phi_h is
+bounded by |psi|^2 on the boundary, measured level by level. The three
+cell terms come from one pass over the triangles; the L2 term sums the
+exact element mass forms, so no mass matrix is built. The contour term is
+the integral of a P1 function, so it has a closed form: one split cuts
+all the offset contours at the mesh lines, and the square of phi_h is
 integrated exactly on each piece from its value and gradient at the
-piece's midpoint; the L2 term sums the exact element mass forms, so no mass
-matrix is built. Only the interpolation scan, whose integrand u - pi_h u is
-not polynomial, places the 6-point edge rule on the contour pieces: it
-splits all its contours once too, then evaluates one contour at a time.
+piece's midpoint, both from one `fem.evaluate_p1` call. Only the
+interpolation scan, whose integrand u - pi_h u is not polynomial, places
+the 6-point edge rule on the contour pieces: it splits all its contours
+once too, then evaluates one contour at a time.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ from .fem import (
     cell_blocks,
     coefficient_vector,
     edge_quadrature,
-    locate_points,
-    located_gradients,
-    located_values,
+    evaluate_p1,
     nodal_interpolant,
     per_cell,
     triangle_quadrature,
@@ -257,6 +257,16 @@ def _solve(system: LinearSystem):
     return (solve_sym_indefinite if system.n_multiplier else solve_spd)(system)
 
 
+def _interp_error_at(problem, pi_u, points, space: P1Space):
+    """w = u - pi_h u and the components of grad w at an (m, 2) array of
+    points, for pi_h u with the coefficients pi_u: (value, gx, gy), each (m,)."""
+    values, grads = evaluate_p1(pi_u, points, space)
+    x, y = points[:, 0], points[:, 1]
+    gx, gy = problem.grad_u(x, y)
+    value = np.asarray(problem.u(x, y), dtype=float) - values
+    return value, np.asarray(gx) - grads[:, 0], np.asarray(gy) - grads[:, 1]
+
+
 def _sampled_interp_error(problem, space: P1Space):
     """w = u - pi_h u sampled once for the identity forms, as the tuple
     (geometry, grad, value, normal_derivative): geometry (areas, grads),
@@ -266,54 +276,49 @@ def _sampled_interp_error(problem, space: P1Space):
     (n_facets, EDGE_POINTS).
 
     grad pi_h u is constant on each triangle, so the volume points need no
-    lookup; the facet Gauss points are located once for values and gradients.
+    lookup; the facet Gauss points are evaluated once for values and gradients.
     """
     mesh = space.mesh
     pi_u = nodal_interpolant(problem.u, space)
-
-    def grad_gap(x, y, pi_grad_x, pi_grad_y):
-        gx, gy = problem.grad_u(x, y)
-        return np.asarray(gx) - pi_grad_x, np.asarray(gy) - pi_grad_y
-
     areas, grads, (qx, qy) = space.geometry(rule=triangle_quadrature(IDENTITY_VOLUME_DEGREE))
-    cell_grad = _cell_gradient(pi_u[mesh.triangles.T], grads)
+    cell_gx, cell_gy = _cell_gradient(pi_u[mesh.triangles.T], grads)
+    gx, gy = problem.grad_u(qx, qy)
     fpts = space.facets.points
-    x, y = fpts[..., 0], fpts[..., 1]
-    where = locate_points(fpts.reshape(-1, 2), space)
-    pi_vals = located_values(pi_u, where, space).reshape(x.shape)
-    pi_grads = located_gradients(pi_u, where, space).reshape(fpts.shape)
-    fx, fy = grad_gap(x, y, pi_grads[..., 0], pi_grads[..., 1])
+    errors = _interp_error_at(problem, pi_u, fpts.reshape(-1, 2), space)
+    value, fx, fy = (error.reshape(fpts.shape[:-1]) for error in errors)
     return (
         (areas, grads),
-        grad_gap(qx, qy, *cell_grad),
-        np.asarray(problem.u(x, y) - pi_vals, dtype=float),
+        (np.asarray(gx) - cell_gx, np.asarray(gy) - cell_gy),
+        value,
         mesh.facet_normals[:, None, 0] * fx + mesh.facet_normals[:, None, 1] * fy,
     )
 
 
-def _volume_form(space: P1Space, geometry, grad, phi) -> float:
-    """(grad w, grad phi_h) for geometry and grad w sampled as in `_sampled_interp_error`."""
-    (areas, grads), (gx, gy) = geometry, grad
+def _phi_terms(space: P1Space, w, phi):
+    """What both identity forms read of phi_h: (volume, trace, normal_derivative),
+    the volume term (grad w, grad phi_h) for w sampled as in
+    `_sampled_interp_error`, and phi_h's trace (n_facets, EDGE_POINTS) and
+    normal derivative (n_facets,) on the facets."""
+    (areas, grads), (gx, gy), _, _ = w
     weights = triangle_quadrature(IDENTITY_VOLUME_DEGREE).weights
     phigrad_x, phigrad_y = _cell_gradient(phi[space.mesh.triangles.T], grads)
     integrand = gx * phigrad_x + gy * phigrad_y
     # summed triangle-major, as an (n_triangles, n_q) table
     terms = np.empty(integrand.shape[::-1])
     np.multiply(weights[:, None] * areas, integrand, out=terms.T)
-    return 2.0 * float(np.sum(terms))
+    facets = space.facets
+    pc = phi[facets.pdofs]
+    volume = 2.0 * float(np.sum(terms))
+    return volume, np.einsum("fkq,fk->fq", facets.trace, pc), np.einsum("fk,fk->f", facets.ndg, pc)
 
 
 def _nitsche_identity_form(space: P1Space, cfg: NitscheConfig, w, psivals, phi) -> float:
     """a_h(w, phi_h) - m_psi(w) at kappa = 0 for a sampled w and psi at the facet points."""
-    geometry, grad, value, normal_derivative = w
-    total = _volume_form(space, geometry, grad, phi)
-
-    _, wq, hw, pdofs, ndg, trace, _ = space.facets
+    _, _, value, normal_derivative = w
+    total, phi_trace, phi_nd = _phi_terms(space, w, phi)
+    wq, hw = space.facets.w, space.facets.hw
     hf = space.mesh.facet_lengths
     pen = cfg.beta / hf
-    pc = phi[pdofs]
-    phi_trace = np.einsum("fkq,fk->fq", trace, pc)
-    phi_nd = np.einsum("fk,fk->f", ndg, pc)
 
     total -= float(np.sum(hw * normal_derivative * phi_trace))
     total -= float(np.sum(hf * phi_nd * np.einsum("q,fq->f", wq, value)))
@@ -328,15 +333,11 @@ def _nitsche_identity_form(space: P1Space, cfg: NitscheConfig, w, psivals, phi) 
 def _saddle_identity_form(space: P1Space, cfg: SaddleConfig, w, muvals, phi, theta) -> float:
     """A_h(w, mu; phi_h, theta_h) at kappa = 0 for a sampled w, mu at the
     facet points and a discrete second pair."""
-    geometry, grad, value, normal_derivative = w
-    total = _volume_form(space, geometry, grad, phi)
-
-    _, wq, hw, pdofs, ndg, trace, _ = space.facets
+    _, _, value, normal_derivative = w
+    total, phi_trace, phi_nd = _phi_terms(space, w, phi)
+    wq, hw = space.facets.w, space.facets.hw
     hf = space.mesh.facet_lengths
     ah = cfg.alpha * hf
-    pc = phi[pdofs]
-    phi_trace = np.einsum("fkq,fk->fq", trace, pc)
-    phi_nd = np.einsum("fk,fk->f", ndg, pc)
 
     # b(mu, phi) + b(theta, w)
     total += float(np.sum(hw * muvals * phi_trace))
@@ -429,9 +430,7 @@ def _p1_contour_norms(coeffs, space: P1Space, contours) -> list[float]:
     """
     bounds, p0, p1 = _contour_pieces(space, contours)
     step = p1 - p0
-    where = locate_points(p0 + 0.5 * step, space)
-    c = located_values(coeffs, where, space)
-    g = located_gradients(coeffs, where, space)
+    c, g = evaluate_p1(coeffs, p0 + 0.5 * step, space)
     d = 0.5 * (g[:, 0] * step[:, 0] + g[:, 1] * step[:, 1])
     terms = np.hypot(*step.T) * (c * c + d * d / 3.0)
     return [float(np.sqrt(np.sum(terms[i:j]))) for i, j in zip(bounds[:-1], bounds[1:])]
@@ -467,7 +466,7 @@ def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpS
     Scans delta over CONTOUR_SAMPLES even steps in [0, delta_0]; the value
     component decays at second order and the gradient at first order for
     smooth u. All contours are split in one batch; the Gauss points are
-    placed, located and summed one contour at a time, so only one contour's
+    placed, evaluated and summed one contour at a time, so only one contour's
     points are held at once.
     """
     _check_offset_scan(delta_0)
@@ -476,13 +475,7 @@ def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpS
     value_sq, gradient_sq = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         weights, points = _gauss_points(start[lo:hi], end[lo:hi])
-        where = locate_points(points, space)
-        x, y = points[:, 0], points[:, 1]
-        dv = np.asarray(problem.u(x, y), dtype=float) - located_values(coeffs, where, space)
-        gx, gy = problem.grad_u(x, y)
-        grads = located_gradients(coeffs, where, space)
-        dgx = np.asarray(gx) - grads[:, 0]
-        dgy = np.asarray(gy) - grads[:, 1]
+        dv, dgx, dgy = _interp_error_at(problem, coeffs, points, space)
         value_sq.append(np.sum(weights * (dv**2).reshape(weights.shape)))
         gradient_sq.append(np.sum(weights * (dgx**2 + dgy**2).reshape(weights.shape)))
     return InterpScan(
@@ -493,20 +486,6 @@ def interp_error_scan(problem, space: P1Space, delta_0: float = 0.25) -> InterpS
 
 
 # -- dual stability -------------------------------------------------------------
-
-
-def _weighted_gradient_sq(cell_grad_sq, space: P1Space, delta_prime: float) -> float:
-    """Integral of rho_delta' |grad phi_h|^2 from the per-triangle |grad phi_h|^2."""
-    rule = triangle_quadrature(VOLUME_DEGREE)
-
-    def cell_weight(rows, geometry, out):
-        areas, _, points = geometry
-        p = rule.weights[:, None] * distance_weight(points.transpose(1, 2, 0), delta_prime)
-        # the products and sums of the einsum "q,tq->t" over the 6 points,
-        # in the order of its two-lane loop
-        out[...] = 2.0 * areas * (((p[0] + p[2]) + p[4]) + ((p[1] + p[3]) + p[5]))
-
-    return float(np.sum(per_cell(space, ALL_CELLS, (), cell_weight, rule) * cell_grad_sq))
 
 
 def dual_stability_report(
@@ -527,23 +506,40 @@ def dual_stability_report(
     system = LinearSystem(cfg.matrix(space), rhs, space.n_dofs)
     phi, theta = system.split(_solve(system).x)
 
-    nodal = phi[mesh.triangles]
-    areas, cell_grads, _ = space.geometry()
-    grads = np.einsum("ti,tid->td", nodal, cell_grads.transpose(2, 0, 1))
-    cell_grad_sq = np.einsum("td,td->t", grads, grads)
+    h = mesh.h_grid
+    rule = triangle_quadrature(VOLUME_DEGREE)
+
+    def cell_terms(rows, geometry, out):
+        # the Q1, Q2 and Q4 integrands of each triangle (over all cells the
+        # rows are the triangle indices), every sum in the order of the
+        # einsum that once gave it
+        areas, grads, points = geometry
+        nodal = phi[mesh.triangles[rows].T]
+        gx, gy = _cell_gradient(nodal, grads)
+        grad_sq = gx * gx + gy * gy
+        # the shifted weight: the products and sums of the einsum "q,tq->t"
+        # over the 6 points, in the order of its two-lane loop
+        p = rule.weights[:, None] * distance_weight(points.transpose(1, 2, 0), h)
+        weight = 2.0 * areas * (((p[0] + p[2]) + p[4]) + ((p[1] + p[3]) + p[5]))
+        # the exact P1 mass form |T|/12 ((sum phi_i)^2 + sum phi_i^2), the
+        # first sum (p0 + p1) + p2, the second (p0 + p2) + p1
+        square_sum = (nodal[0] * nodal[0] + nodal[2] * nodal[2]) + nodal[1] * nodal[1]
+        out[:, 0] = weight * grad_sq
+        out[:, 1] = areas * grad_sq
+        out[:, 2] = areas / 12.0 * (((nodal[0] + nodal[1]) + nodal[2]) ** 2 + square_sum)
+
+    q1, q2, q4 = (float(np.sum(terms)) for terms in per_cell(space, ALL_CELLS, (3,), cell_terms, rule).T)
     q3 = max(norm**2 for norm in _p1_contour_norms(phi, space, _offset_contours(delta_0)))
-    # phi^T M phi: the exact P1 mass form of a triangle is |T|/12 ((sum phi_i)^2 + sum phi_i^2)
-    cell_mass = nodal.sum(axis=1) ** 2 + np.einsum("ti,ti->t", nodal, nodal)
     q5 = None
     if theta is not None:
-        q5 = mesh.h_grid**2 * float(np.sum(mesh.facet_lengths * theta**2))
+        q5 = h**2 * float(np.sum(mesh.facet_lengths * theta**2))
     return StabilityReport(
         grid_n=mesh.grid_n,
-        h_grid=mesh.h_grid,
+        h_grid=h,
         psi_norm_sq=boundary_l2_norm(psi, space) ** 2,
-        q1=_weighted_gradient_sq(cell_grad_sq, space, mesh.h_grid),
-        q2=mesh.h_grid * float(np.sum(areas * cell_grad_sq)),
+        q1=q1,
+        q2=h * q2,
         q3=q3,
-        q4=float(np.sum(areas / 12.0 * cell_mass)),
+        q4=q4,
         q5=q5,
     )

@@ -2,13 +2,13 @@
 
 `P1Space` keeps one table derived from the mesh, the boundary-facet table
 with its weights h_F w_q, and derives triangle areas and basis gradients
-for any block of triangles on request. Around it live
-the generic P1 operators (stiffness, mass, load), the volume matrix of
-both methods, the one local-to-global scatter that builds every matrix,
-point location and boundary-data evaluation, and the one `assemble` and
-`LinearSystem` of both methods. `nitsche` and `lagrange` each add only
-their method config: its facet terms on the volume matrix, and its dual
-data.
+for any block of triangles on request. Around it live the generic P1
+operators (stiffness, mass, load), the volume matrix of both methods, the
+one local-to-global scatter that builds every matrix, point location and
+the one point evaluator of a P1 function (`evaluate_p1`), boundary-data
+evaluation, and the one `assemble` and `LinearSystem` of both methods.
+`nitsche` and `lagrange` each add only their method config: its facet
+terms on the volume matrix, and its dual data.
 
 Assembled matrices are bitwise symmetric with no averaging pass: each
 triangle's basis gradients are (-a, 0), (a, -b) and (0, b), so every local
@@ -37,8 +37,8 @@ VOLUME_DEGREE = 4
 EDGE_POINTS = 6
 ALL_CELLS = slice(None)
 # Triangles per block of every full-mesh volume loop (assembly, load vector,
-# error norms, distance weights): triangle geometry and quadrature
-# temporaries stay a block in size.
+# error norms, the dual-stability cell terms): triangle geometry and
+# quadrature temporaries stay a block in size.
 BLOCK_TRIANGLES = 4096
 
 
@@ -252,43 +252,27 @@ def locate_triangle(mesh: Mesh, points) -> np.ndarray:
     return 2 * (iy * n + ix) + (t > s)
 
 
-class PointLocation(NamedTuple):
-    """Triangle index (m,) and barycentric weights (m, 3) of m points."""
-
-    triangles: np.ndarray
-    barycentric: np.ndarray
-
-
-def locate_points(points, space: P1Space) -> PointLocation:
-    """Locate an (m, 2) array of points once, for any number of P1 functions."""
+def evaluate_p1(coeffs, points, space: P1Space) -> tuple[np.ndarray, np.ndarray]:
+    """Values (m,) and gradients (m, 2) of a P1 function at an (m, 2) array of
+    points, gradients one-sided on edges: one `per_cell` pass over the
+    triangles that `locate_triangle` finds, whose rows of the basis gradients
+    give both the inverse maps and the gradients."""
+    coeffs = coefficient_vector(coeffs, space.n_dofs)
     pts = np.asarray(points, dtype=float)
     mesh = space.mesh
     tri = locate_triangle(mesh, pts)
 
-    def inverse_map(rows, geometry, out):
-        origins = mesh.vertices[mesh.triangles[tri[rows], 0]]
-        out[...] = np.einsum("mij,mj->mi", geometry.grads[1:].transpose(2, 0, 1), pts[rows] - origins)
+    def kernel(rows, geometry, out):
+        vertices = mesh.triangles[tri[rows]]
+        grads = geometry.grads.transpose(2, 0, 1)
+        local = np.einsum("mij,mj->mi", grads[:, 1:], pts[rows] - mesh.vertices[vertices[:, 0]])
+        barycentric = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
+        nodal = coeffs[vertices]
+        out[:, 0] = np.einsum("mi,mi->m", barycentric, nodal)
+        out[:, 1:] = np.einsum("mi,mid->md", nodal, grads)
 
-    local = per_cell(space, tri, (2,), inverse_map)
-    bary = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
-    return PointLocation(tri, bary)
-
-
-def located_values(coeffs, where: PointLocation, space: P1Space) -> np.ndarray:
-    """Values (m,) of a P1 function at located points."""
-    nodal = coefficient_vector(coeffs, space.n_dofs)[space.mesh.triangles[where.triangles]]
-    return np.einsum("mi,mi->m", where.barycentric, nodal)
-
-
-def located_gradients(coeffs, where: PointLocation, space: P1Space) -> np.ndarray:
-    """Gradients (m, 2) of a P1 function at located points, one-sided on edges."""
-    coeffs = coefficient_vector(coeffs, space.n_dofs)
-
-    def gradient(rows, geometry, out):
-        nodal = coeffs[space.mesh.triangles[where.triangles[rows]]]
-        out[...] = np.einsum("mi,mid->md", nodal, geometry.grads.transpose(2, 0, 1))
-
-    return per_cell(space, where.triangles, (2,), gradient)
+    values_and_gradients = per_cell(space, tri, (3,), kernel)
+    return values_and_gradients[:, 0], values_and_gradients[:, 1:]
 
 
 def local_to_global(n: int, *blocks) -> sp.csr_matrix:

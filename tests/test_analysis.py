@@ -26,9 +26,7 @@ from fluxfem.fem import (
     assemble,
     basis_at,
     edge_quadrature,
-    locate_points,
-    located_gradients,
-    located_values,
+    evaluate_p1,
     nodal_interpolant,
     triangle_quadrature,
 )
@@ -286,11 +284,10 @@ def _interp_error_norms(problem, coeffs, space, contours):
     norms = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         weights, points = analysis._gauss_points(p0[lo:hi], p1[lo:hi])
-        where = fem.locate_points(points, space)
+        values, grads = evaluate_p1(coeffs, points, space)
         x, y = points[:, 0], points[:, 1]
-        dv = problem.u(x, y) - fem.located_values(coeffs, where, space)
+        dv = problem.u(x, y) - values
         gx, gy = problem.grad_u(x, y)
-        grads = fem.located_gradients(coeffs, where, space)
         dg_sq = (gx - grads[:, 0]) ** 2 + (gy - grads[:, 1]) ** 2
         value_sq = np.sum(weights * (dv**2).reshape(weights.shape))
         gradient_sq = np.sum(weights * dg_sq.reshape(weights.shape))
@@ -306,8 +303,6 @@ def test_contour_quadrature_against_refined_oracle(trig):
     n = 8
     space = P1Space(build_unit_square_mesh(n))
     coeffs = nodal_interpolant(trig.u, space)
-    from fluxfem.fem import locate_points, located_gradients, located_values
-
     contours = [offset_contour(delta) for delta in (0.2, 0.25, 1.0 / 3.0)]
     x, w = np.polynomial.legendre.leggauss(10)
     rule = SimpleNamespace(points=0.5 * (x + 1.0), weights=0.5 * w)
@@ -323,9 +318,7 @@ def test_contour_quadrature_against_refined_oracle(trig):
                     q1 = lo + (hi - lo) * (j + 1) / 16.0
                     pts = q0[None, :] + rule.points[:, None] * (q1 - q0)[None, :]
                     seg_len = np.hypot(*(q1 - q0))
-                    where = locate_points(pts, space)
-                    vals = located_values(coeffs, where, space)
-                    grads = located_gradients(coeffs, where, space)
+                    vals, grads = evaluate_p1(coeffs, pts, space)
                     dv = trig.u(pts[:, 0], pts[:, 1]) - vals
                     gx, gy = trig.grad_u(pts[:, 0], pts[:, 1])
                     dgx = gx - grads[:, 0]
@@ -398,11 +391,10 @@ def test_stability_report_peak_memory_at_n_128(cfg):
 
 
 def test_stability_report_locates_contour_points_once(monkeypatch):
-    """One report splits all contour sides in one batch, locates the midpoint
-    of each piece, and nothing else, in one lookup and reads the value and
-    gradient of phi_h there once, instead of once per offset or at 6 Gauss
-    points per piece."""
-    calls = {"split": 0, "locate": 0, "values": 0, "gradients": 0}
+    """One report splits all contour sides in one batch, and evaluates phi_h
+    at the midpoint of each piece, and nothing else, in one call with one
+    lookup, instead of once per offset or at 6 Gauss points per piece."""
+    calls = {"split": 0, "locate": 0, "evaluate": 0}
     located = []
 
     def counted(module, name, key):
@@ -418,11 +410,10 @@ def test_stability_report_locates_contour_points_once(monkeypatch):
 
     counted(analysis, "split_segments_at_mesh_lines", "split")
     counted(fem, "locate_triangle", "locate")
-    counted(analysis, "located_values", "values")
-    counted(analysis, "located_gradients", "gradients")
+    counted(analysis, "evaluate_p1", "evaluate")
     mesh = build_unit_square_mesh(8)
     dual_stability_report(P1Space(mesh), NitscheConfig(), rademacher_boundary_field(mesh, 0))
-    assert calls == {"split": 1, "locate": 1, "values": 1, "gradients": 1}
+    assert calls == {"split": 1, "locate": 1, "evaluate": 1}
     sides = np.concatenate([contour.segments for contour in analysis._offset_contours(0.25)])
     t, counts = split_segments_at_mesh_lines(mesh, sides[:, 0], sides[:, 1])
     # a side of k breakpoints has k - 1 pieces
@@ -434,11 +425,32 @@ def test_stability_report_locates_contour_points_once(monkeypatch):
     assert np.allclose(located[0], a + mid_t[:, None] * (b - a), rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("cfg", [NitscheConfig(), SaddleConfig()], ids=["nitsche", "lagrange"])
+def test_stability_report_derives_each_geometry_row_once_per_use(monkeypatch, cfg):
+    """At n = 64 one report derives the geometry of each of the 8192
+    triangles twice, for the stiffness matrix and in the one cell pass of
+    Q1, Q2 and Q4, and that of the triangle of each of the 9408 contour
+    midpoints once, where values and gradients are read together."""
+    space = P1Space(build_unit_square_mesh(64))
+    psi = rademacher_boundary_field(space.mesh, 0)
+    rows = {"slices": 0, "index arrays": 0}
+    original = P1Space.geometry
+
+    def counted(self, cells=fem.ALL_CELLS, rule=None):
+        geometry = original(self, cells, rule)
+        rows["slices" if isinstance(cells, slice) else "index arrays"] += len(geometry.areas)
+        return geometry
+
+    monkeypatch.setattr(P1Space, "geometry", counted)
+    dual_stability_report(space, cfg, psi)
+    assert rows == {"slices": 2 * 8192, "index arrays": 9408}
+
+
 def _gauss_contour_norms(coeffs, space, contours):
     """Per contour, the 6-point Gauss L2 norm of a P1 function on its pieces."""
     bounds, p0, p1 = analysis._contour_pieces(space, contours)
     weights, points = analysis._gauss_points(p0, p1)
-    values = fem.located_values(coeffs, fem.locate_points(points, space), space)
+    values, _ = evaluate_p1(coeffs, points, space)
     terms = weights * (values**2).reshape(weights.shape)
     return [np.sqrt(np.sum(terms[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -670,11 +682,9 @@ def test_point_evaluation_refuses_coefficients_of_another_size(size):
     entries; it once evaluated to 1.0 with a contour norm of 1.789."""
     space = P1Space(build_unit_square_mesh(4))
     coeffs = np.ones(size)
-    where = locate_points([[0.3, 0.6]], space)
     message = f"coefficients sized ({size},) do not match the space (25)"
     for evaluate in (
-        lambda: located_values(coeffs, where, space),
-        lambda: located_gradients(coeffs, where, space),
+        lambda: evaluate_p1(coeffs, [[0.3, 0.6]], space),
         lambda: contour_l2_norm_discrete(coeffs, space, offset_contour(0.1)),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):

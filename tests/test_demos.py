@@ -1,5 +1,6 @@
 """Each demo runs to completion against the package in src/ without writing
-to stderr, and README's library tour runs as written."""
+to stderr and prints the bytes of its golden stdout, and README's library
+tour runs as written. `python tests/test_golden.py` rewrites the goldens."""
 
 import os
 import re
@@ -11,6 +12,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMO_GOLDEN = ROOT / "tests" / "golden" / "demos"
+
+
+def run_demo(demo):
+    """The finished process of one demo run against the package in src/, its
+    output as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=300)
 
 
 def test_demos_present():
@@ -19,12 +28,10 @@ def test_demos_present():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    proc = run_demo(demo)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (DEMO_GOLDEN / f"{demo.stem}.stdout").read_bytes()
 
 
 def test_readme_python_blocks_run_in_order():

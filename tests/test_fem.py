@@ -16,12 +16,10 @@ from fluxfem.fem import (
     basis_at,
     boundary_field_values,
     edge_quadrature,
+    evaluate_p1,
     load_vector,
     local_to_global,
-    locate_points,
     locate_triangle,
-    located_gradients,
-    located_values,
     mass_matrix,
     nodal_interpolant,
     stiffness_matrix,
@@ -237,8 +235,7 @@ def test_nodal_interpolant_affine_exact(affine, rng):
     space = P1Space(mesh)
     coeffs = nodal_interpolant(affine.u, space)
     pts = rng.uniform(0.0, 1.0, size=(40, 2))
-    where = locate_points(pts, space)
-    values, grads = located_values(coeffs, where, space), located_gradients(coeffs, where, space)
+    values, grads = evaluate_p1(coeffs, pts, space)
     assert np.max(np.abs(values - affine.u(pts[:, 0], pts[:, 1]))) <= 1e-13
     assert np.max(np.abs(grads - [1.0, 1.0])) <= 1e-12
 
@@ -274,18 +271,18 @@ def test_located_evaluation_affine(affine):
     mesh = build_unit_square_mesh(4)
     space = P1Space(mesh)
     coeffs = nodal_interpolant(affine.u, space)
-    where = locate_points([[0.3, 0.4]], space)
-    assert located_values(coeffs, where, space)[0] == pytest.approx(0.7, abs=1e-14)
-    assert np.allclose(located_gradients(coeffs, where, space)[0], (1.0, 1.0), atol=1e-13)
-    zero = np.zeros(space.n_dofs)
-    assert located_values(zero, where, space)[0] == 0.0
-    assert np.allclose(located_gradients(zero, where, space)[0], (0.0, 0.0))
+    values, grads = evaluate_p1(coeffs, [[0.3, 0.4]], space)
+    assert values[0] == pytest.approx(0.7, abs=1e-14)
+    assert np.allclose(grads[0], (1.0, 1.0), atol=1e-13)
+    values, grads = evaluate_p1(np.zeros(space.n_dofs), [[0.3, 0.4]], space)
+    assert values[0] == 0.0
+    assert np.allclose(grads[0], (0.0, 0.0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 11, 16, 23, 32, 45, 64, 128])
 def test_quadrature_and_facet_points_locate_to_their_own_triangles(n):
     """The points of triangle t's volume rule locate to t and the facet Gauss
-    points to each facet's parent, so a per-triangle gradient is the located
+    points to each facet's parent, so a per-triangle gradient is the evaluated
     gradient bit for bit."""
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
@@ -294,12 +291,11 @@ def test_quadrature_and_facet_points_locate_to_their_own_triangles(n):
     for degree in (4, 6):
         n_q = len(triangle_quadrature(degree).weights)
         pts = space.geometry(rule=triangle_quadrature(degree)).points.transpose(2, 1, 0)
-        where = locate_points(pts.reshape(-1, 2), space)
-        assert np.array_equal(where.triangles, np.repeat(np.arange(mesh.n_triangles), n_q))
-        located = located_gradients(coeffs, where, space)
-        assert located.tobytes() == np.repeat(cell_grad, n_q, axis=0).tobytes()
-    where = locate_points(mesh.facet_points(edge_quadrature().points).reshape(-1, 2), space)
-    assert np.array_equal(where.triangles, np.repeat(mesh.facet_parents, EDGE_POINTS))
+        assert np.array_equal(locate_triangle(mesh, pts.reshape(-1, 2)), np.repeat(np.arange(mesh.n_triangles), n_q))
+        _, evaluated = evaluate_p1(coeffs, pts.reshape(-1, 2), space)
+        assert evaluated.tobytes() == np.repeat(cell_grad, n_q, axis=0).tobytes()
+    facet_points = mesh.facet_points(edge_quadrature().points).reshape(-1, 2)
+    assert np.array_equal(locate_triangle(mesh, facet_points), np.repeat(mesh.facet_parents, EDGE_POINTS))
 
 
 def _inverse_maps(mesh):
@@ -317,9 +313,10 @@ def _inverse_maps(mesh):
 
 
 @pytest.mark.parametrize("n", [1, 7, 64])
-def test_locate_points_matches_the_inverse_map_oracle_bitwise(n):
+def test_evaluate_p1_matches_the_inverse_map_oracle_bitwise(n):
     """The basis gradients hold the inverse maps in rows 1 and 2 and their
-    negated sum in row 0; point location reads them for the same bits."""
+    negated sum in row 0; point evaluation reads them, block by block, for
+    the values and gradients of one-shot tables of the inverse maps."""
     mesh = build_unit_square_mesh(n)
     space = P1Space(mesh)
     binv = _inverse_maps(mesh)
@@ -328,11 +325,16 @@ def test_locate_points_matches_the_inverse_map_oracle_bitwise(n):
     assert np.array_equal(grads[:, 0], -binv[:, 0] - binv[:, 1])
     rng = np.random.default_rng([5, n])
     pts = np.vstack([rng.random((500, 2)), space.facets.points.reshape(-1, 2), mesh.vertices])
-    where = locate_points(pts, space)
+    coeffs = rng.standard_normal(space.n_dofs)
+    values, gradients = evaluate_p1(coeffs, pts, space)
+    tri = locate_triangle(mesh, pts)
     origins = mesh.vertices[mesh.triangles][:, 0]
-    local = np.einsum("mij,mj->mi", binv[where.triangles], pts - origins[where.triangles])
-    oracle = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
-    assert where.barycentric.tobytes() == oracle.tobytes()
+    local = np.einsum("mij,mj->mi", binv[tri], pts - origins[tri])
+    barycentric = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
+    nodal = coeffs[mesh.triangles[tri]]
+    oracle_grads = np.concatenate([(-binv[:, 0] - binv[:, 1])[:, None], binv], axis=1)[tri]
+    assert values.tobytes() == np.einsum("mi,mi->m", barycentric, nodal).tobytes()
+    assert gradients.tobytes() == np.einsum("mi,mid->md", nodal, oracle_grads).tobytes()
 
 
 def test_one_sided_gradients_across_interior_edge():
@@ -354,7 +356,7 @@ def test_one_sided_gradients_across_interior_edge():
     left = locate_triangle(mesh, [[0.499999, 0.25]])[0]
     right = locate_triangle(mesh, [[0.500001, 0.25]])[0]
     assert left != right
-    gl, gr = located_gradients(coeffs, locate_points([[0.499999, 0.25], [0.500001, 0.25]], space), space)
+    gl, gr = evaluate_p1(coeffs, [[0.499999, 0.25], [0.500001, 0.25]], space)[1]
     assert np.allclose(gl, affine_gradient(left), atol=1e-9)
     assert np.allclose(gr, affine_gradient(right), atol=1e-9)
     assert not np.allclose(gl, gr)

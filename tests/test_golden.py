@@ -27,7 +27,11 @@ volume sums in `error_norms`. Last, it writes `dual_fingerprints.json`:
 `float.hex` of every `StabilityReport` field at n = 8..64 and of each
 identity defect at n = 8..32, the levels of `dual-check`, for its seeded
 boundary data, which pins every bit of the dual-check paths behind the
-12 printed digits.
+12 printed digits. It writes `scan_fingerprints.json`: `float.hex` of both
+suprema of `interp_error_scan` for the trig problem at n = 8..64 and
+delta_0 = 0.25 and 0.4999, which pins every bit of the point evaluation
+behind the 4 digits that demo 05 prints. And it writes each demo's stdout to
+`demos/<demo>.stdout`, which `test_demos` compares byte for byte.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from fluxfem.analysis import (
     dual_stability_report,
     error_norms,
     error_representation_residuals,
+    interp_error_scan,
     rademacher_boundary_field,
 )
 from fluxfem.cli import main
@@ -54,6 +59,7 @@ from fluxfem.lagrange import SaddleConfig
 from fluxfem.mesh import build_unit_square_mesh
 from fluxfem.nitsche import NitscheConfig
 from fluxfem.problems import trig_problem
+from test_demos import DEMO_GOLDEN, DEMOS, run_demo
 
 GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
@@ -61,6 +67,7 @@ MATRIX_FINGERPRINTS = GOLDEN / "matrix_fingerprints.json"
 LOAD_FINGERPRINTS = GOLDEN / "load_fingerprints.json"
 ERROR_NORM_FINGERPRINTS = GOLDEN / "error_norm_fingerprints.json"
 DUAL_FINGERPRINTS = GOLDEN / "dual_fingerprints.json"
+SCAN_FINGERPRINTS = GOLDEN / "scan_fingerprints.json"
 
 CONVERGE = ["converge", "--kmin", "0", "--kmax", "8"]
 # k = 12 (n = 256) pins the bytes of the largest default level
@@ -205,6 +212,19 @@ def dual_fingerprints():
     return prints
 
 
+def scan_fingerprints():
+    """{grid and delta_0: [float.hex(sup value error), float.hex(sup gradient
+    error)]} of the interpolation-error scan of the trig problem."""
+    trig = trig_problem()
+    prints = {}
+    for n in (8, 16, 32, 64):
+        space = P1Space(build_unit_square_mesh(n))
+        for delta_0 in (0.25, 0.4999):
+            scan = interp_error_scan(trig, space, delta_0)
+            prints[f"scan n={n} delta_0={delta_0}"] = [scan.sup_value_error.hex(), scan.sup_gradient_error.hex()]
+    return prints
+
+
 def _mismatches(path, prints):
     golden = json.loads(path.read_text())
     assert sorted(prints) == sorted(golden)
@@ -227,12 +247,23 @@ def test_dual_check_quantities_match_golden_fingerprints():
     assert _mismatches(DUAL_FINGERPRINTS, dual_fingerprints()) == []
 
 
+def test_interp_scan_suprema_match_golden_fingerprints():
+    assert _mismatches(SCAN_FINGERPRINTS, scan_fingerprints()) == []
+
+
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     MATRIX_FINGERPRINTS.write_text(json.dumps(matrix_fingerprints(), indent=2) + "\n")
     LOAD_FINGERPRINTS.write_text(json.dumps(load_fingerprints(), indent=2) + "\n")
     ERROR_NORM_FINGERPRINTS.write_text(json.dumps(error_norm_fingerprints(), indent=2) + "\n")
     DUAL_FINGERPRINTS.write_text(json.dumps(dual_fingerprints(), indent=2) + "\n")
+    SCAN_FINGERPRINTS.write_text(json.dumps(scan_fingerprints(), indent=2) + "\n")
+    DEMO_GOLDEN.mkdir(exist_ok=True)
+    for demo in DEMOS:
+        proc = run_demo(demo)
+        if proc.returncode or proc.stderr:
+            raise RuntimeError(f"{demo.name} failed: {proc.stderr}")
+        (DEMO_GOLDEN / f"{demo.stem}.stdout").write_bytes(proc.stdout)
     codes = {}
     for name, argv in sorted(CASES.items()):
         stdout, stderr, codes[name] = run_case(argv)

@@ -84,6 +84,14 @@ def test_p1_space_has_one_geometry_method():
     assert public_methods(PACKAGE / "fem.py")["P1Space"] == {"geometry"}
 
 
+def test_fem_has_one_p1_point_evaluator():
+    """A P1 function is evaluated at points by `evaluate_p1` alone, which
+    locates the points and reads values and gradients in one pass."""
+    fem_names = top_level_names(PACKAGE / "fem.py")
+    assert "evaluate_p1" in fem_names
+    assert {"PointLocation", "locate_points", "located_values", "located_gradients"}.isdisjoint(fem_names)
+
+
 def test_fem_defines_no_sampled_field_forms():
     assert {"SampledField", "volume_form"}.isdisjoint(top_level_names(PACKAGE / "fem.py"))
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fluxfem import analysis
 from fluxfem.analysis import contour_l2_norm_discrete
 from fluxfem.cli import MAX_LEVEL, METHODS, MIN_LEVEL, VARIANTS, StudyConfig, build_config, build_parser, main
-from fluxfem.fem import P1Space, locate_points, locate_triangle, located_values
+from fluxfem.fem import P1Space, evaluate_p1, locate_triangle
 from fluxfem.mesh import (
     build_unit_square_mesh,
     distance_weight,
@@ -173,7 +173,7 @@ def test_closed_form_contour_norm_matches_gauss_norm(n, delta, seed):
     contour = offset_contour(delta)
     _, p0, p1 = analysis._contour_pieces(space, [contour])
     weights, points = analysis._gauss_points(p0, p1)
-    values = located_values(phi, locate_points(points, space), space)
+    values, _ = evaluate_p1(phi, points, space)
     gauss = np.sqrt(np.sum(weights * (values**2).reshape(weights.shape)))
     assert contour_l2_norm_discrete(phi, space, contour) == pytest.approx(gauss, rel=1e-13)
 
