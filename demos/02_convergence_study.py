@@ -14,12 +14,12 @@ nitsche = StudyConfig(method="nitsche", flux_variant="pointwise", kmin=2, kmax=8
 records = run_convergence(nitsche)
 print(records_to_csv(records))
 window = [r for r in records if r.h_grid <= 0.1]
-print(f"pointwise flux slope on h <= 0.1: {fit_rate(window):.4f}")
-print(f"energy-norm slope on h <= 0.1:   {fit_rate(window, field='energy_err'):.4f}")
+print(f"pointwise flux slope on h <= 0.1: {fit_rate([(r.h_grid, r.flux_err) for r in window]):.4f}")
+print(f"energy-norm slope on h <= 0.1:   {fit_rate([(r.h_grid, r.energy_err) for r in window]):.4f}")
 print()
 
 lagrange = StudyConfig(method="lagrange", alpha=0.25, kmin=2, kmax=8)
 records = run_convergence(lagrange)
 window = [r for r in records if r.h_grid <= 0.1]
-print(f"multiplier flux slope (alpha=0.25): {fit_rate(window):.4f}")
-print(f"triple-norm slope (alpha=0.25):     {fit_rate(window, field='energy_err'):.4f}")
+print(f"multiplier flux slope (alpha=0.25): {fit_rate([(r.h_grid, r.flux_err) for r in window]):.4f}")
+print(f"triple-norm slope (alpha=0.25):     {fit_rate([(r.h_grid, r.energy_err) for r in window]):.4f}")

@@ -15,7 +15,6 @@ from .analysis import (
     StabilityReport,
     boundary_l2_error,
     boundary_l2_norm,
-    contour_l2_norm_discrete,
     dual_stability_report,
     error_norms,
     error_representation_residuals,

@@ -42,7 +42,6 @@ from .fem import (
     assemble,
     basis_at,
     boundary_field_values,
-    cell_blocks,
     coefficient_vector,
     edge_quadrature,
     evaluate_p1,
@@ -139,26 +138,6 @@ def _cell_gradient(nodal, grads):
     return (nodal[0] * grads[0] + nodal[1] * grads[1]) + nodal[2] * grads[2]
 
 
-def _block_error_terms(problem, geometry, nodal, phi, weights, val_terms, grad_terms):
-    """Write the volume integrands of `error_norms` on one block of triangles,
-    |T| w_q (u - u_h)^2 and |T| w_q |grad(u - u_h)|^2, into the (n_q, m)
-    arrays val_terms and grad_terms, from the block's `CellGeometry` and
-    the nodal values (3, m) of u_h. The block's temporaries die on return."""
-    areas, grads, (x, y) = geometry
-    aw = weights[:, None] * areas
-    # u - u_h at the points, u_h with the products and sums of the einsum
-    # "qk,tk->tq" in the order its two-lane loop takes them, (p0 + p2) + p1
-    diff = np.asarray(problem.u(x, y), dtype=float) - (
-        (phi[:, 0, None] * nodal[0] + phi[:, 2, None] * nodal[2]) + phi[:, 1, None] * nodal[1]
-    )
-    np.multiply(aw, diff**2, out=val_terms)
-    gx, gy = problem.grad_u(x, y)
-    grad_x, grad_y = _cell_gradient(nodal, grads)
-    dx = np.asarray(gx) - grad_x
-    dy = np.asarray(gy) - grad_y
-    np.multiply(aw, dx**2 + dy**2, out=grad_terms)
-
-
 def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     """(energy, L2) norms of the error of u_h = u; one volume table serves both.
 
@@ -166,11 +145,11 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     trace). With the multiplier coefficients `lam` it is the natural saddle
     norm of (u - u_h, lambda - lambda_h), where lambda = -sigma_n.
 
-    The triangle geometry and the volume integrands are evaluated a block of
-    triangles at a time (`fem.cell_blocks`), on (n_q, m) rows, into two
-    (n_triangles, n_q) tables, each summed by one np.sum, so the geometry
-    and quadrature temporaries stay a block in size while the reduction, and
-    so every bit of both norms, is that of a one-shot evaluation.
+    The integrands |T| w_q (u - u_h)^2 and |T| w_q |grad(u - u_h)|^2 are
+    evaluated a block of triangles at a time (`fem.per_cell`) into two
+    (n_triangles, n_q) tables, each summed by one np.sum, so the quadrature
+    temporaries stay a block in size while the reduction, and so every bit
+    of both norms, is that of a one-shot evaluation.
     """
     mesh = space.mesh
     u = coefficient_vector(u, space.n_dofs)
@@ -180,12 +159,26 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     phi = basis_at(rule)
     val_terms = np.empty((mesh.n_triangles, len(rule.weights)))
     grad_terms = np.empty_like(val_terms)
-    for cells in cell_blocks(mesh.n_triangles):
-        # each block's terms go to the tables triangle-major, the order np.sum reads
-        _block_error_terms(
-            problem, space.geometry(cells, rule), u[mesh.triangles[cells].T], phi, rule.weights,
-            val_terms[cells].T, grad_terms[cells].T,
+
+    def block_terms(rows, geometry):
+        # over all cells the rows are the triangle indices; each block's
+        # terms go to the tables triangle-major, the order np.sum reads
+        areas, grads, (x, y) = geometry
+        nodal = u[mesh.triangles[rows].T]
+        aw = rule.weights[:, None] * areas
+        # u - u_h at the points, u_h with the products and sums of the einsum
+        # "qk,tk->tq" in the order its two-lane loop takes them, (p0 + p2) + p1
+        diff = np.asarray(problem.u(x, y), dtype=float) - (
+            (phi[:, 0, None] * nodal[0] + phi[:, 2, None] * nodal[2]) + phi[:, 1, None] * nodal[1]
         )
+        np.multiply(aw, diff**2, out=val_terms[rows].T)
+        gx, gy = problem.grad_u(x, y)
+        grad_x, grad_y = _cell_gradient(nodal, grads)
+        dx = np.asarray(gx) - grad_x
+        dy = np.asarray(gy) - grad_y
+        np.multiply(aw, dx**2 + dy**2, out=grad_terms[rows].T)
+
+    per_cell(space, ALL_CELLS, block_terms, rule)
     l2 = float(np.sqrt(2.0 * np.sum(val_terms)))
     grad_sq = float(2.0 * np.sum(grad_terms))
 
@@ -207,20 +200,12 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
 # -- rate fitting -------------------------------------------------------------
 
 
-def fit_rate(records, field: str = "flux_err") -> float:
-    """Least-squares slope of log(error) against log(h), over at least 3 points.
-
-    `records` is a list of ConvergenceRecord (the `field` attribute is
-    fitted against h_grid) or of plain (h, error) pairs. Every h and error
-    must be finite and positive, and at least two h distinct.
+def fit_rate(pairs) -> float:
+    """Least-squares slope of log(error) against log(h) over at least 3
+    (h, error) pairs. Every h and error must be finite and positive, and at
+    least two h distinct.
     """
-    pairs = []
-    for rec in records:
-        if isinstance(rec, ConvergenceRecord):
-            pairs.append((rec.h_grid, getattr(rec, field)))
-        else:
-            h, e = rec
-            pairs.append((float(h), float(e)))
+    pairs = [(float(h), float(e)) for h, e in pairs]
     if len(pairs) < 3:
         raise ValueError(f"insufficient data: need >= 3 points, have {len(pairs)}")
     for h, e in pairs:
@@ -436,11 +421,6 @@ def _p1_contour_norms(coeffs, space: P1Space, contours) -> list[float]:
     return [float(np.sqrt(np.sum(terms[i:j]))) for i, j in zip(bounds[:-1], bounds[1:])]
 
 
-def contour_l2_norm_discrete(coeffs, space: P1Space, contour) -> float:
-    """L2 norm of a P1 function along an offset contour."""
-    return _p1_contour_norms(coeffs, space, [contour])[0]
-
-
 def _gauss_points(p0, p1):
     """The edge rule on the pieces p0[j] -> p1[j]: (weights, points), each
     piece's length times the Gauss weights, (n_pieces, EDGE_POINTS), and the
@@ -509,7 +489,9 @@ def dual_stability_report(
     h = mesh.h_grid
     rule = triangle_quadrature(VOLUME_DEGREE)
 
-    def cell_terms(rows, geometry, out):
+    terms = np.empty((mesh.n_triangles, 3))
+
+    def cell_terms(rows, geometry):
         # the Q1, Q2 and Q4 integrands of each triangle (over all cells the
         # rows are the triangle indices), every sum in the order of the
         # einsum that once gave it
@@ -524,11 +506,12 @@ def dual_stability_report(
         # the exact P1 mass form |T|/12 ((sum phi_i)^2 + sum phi_i^2), the
         # first sum (p0 + p1) + p2, the second (p0 + p2) + p1
         square_sum = (nodal[0] * nodal[0] + nodal[2] * nodal[2]) + nodal[1] * nodal[1]
-        out[:, 0] = weight * grad_sq
-        out[:, 1] = areas * grad_sq
-        out[:, 2] = areas / 12.0 * (((nodal[0] + nodal[1]) + nodal[2]) ** 2 + square_sum)
+        terms[rows, 0] = weight * grad_sq
+        terms[rows, 1] = areas * grad_sq
+        terms[rows, 2] = areas / 12.0 * (((nodal[0] + nodal[1]) + nodal[2]) ** 2 + square_sum)
 
-    q1, q2, q4 = (float(np.sum(terms)) for terms in per_cell(space, ALL_CELLS, (3,), cell_terms, rule).T)
+    per_cell(space, ALL_CELLS, cell_terms, rule)
+    q1, q2, q4 = (float(np.sum(column)) for column in terms.T)
     q3 = max(norm**2 for norm in _p1_contour_norms(phi, space, _offset_contours(delta_0)))
     q5 = None
     if theta is not None:

@@ -388,7 +388,7 @@ def main(argv=None) -> int:
             _emit(records_to_csv(records), config.out)
             window = [r for r in records if r.h_grid <= SLOPE_WINDOW_H]
             if len(window) >= 3:
-                slope = fit_rate(window)
+                slope = fit_rate([(r.h_grid, r.flux_err) for r in window])
                 print(f"fitted flux slope (h_grid <= {SLOPE_WINDOW_H}): {slope:.4f}")
             return 0
         if args.command == "patch-test":

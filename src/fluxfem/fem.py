@@ -36,9 +36,9 @@ from .mesh import Mesh
 VOLUME_DEGREE = 4
 EDGE_POINTS = 6
 ALL_CELLS = slice(None)
-# Triangles per block of every full-mesh volume loop (assembly, load vector,
-# error norms, the dual-stability cell terms): triangle geometry and
-# quadrature temporaries stay a block in size.
+# Triangles per block of `per_cell`, the one loop over triangles (assembly,
+# load vector, error norms, the dual-stability cell terms, point evaluation):
+# triangle geometry and quadrature temporaries stay a block in size.
 BLOCK_TRIANGLES = 4096
 
 
@@ -188,30 +188,19 @@ class P1Space:
         return FacetTable(t, rule.weights, hw, pdofs, ndg, trace, mesh.facet_points(t))
 
 
-def cell_blocks(n_cells: int, cells=ALL_CELLS):
-    """The triangles `cells` (a slice or an index array) of a mesh with
-    n_cells triangles, in order, as consecutive blocks of at most
-    BLOCK_TRIANGLES; slices stay slices, so a block of a table is a view."""
-    index = range(n_cells)[cells] if isinstance(cells, slice) else np.asarray(cells)
+def per_cell(space: P1Space, cells, kernel, rule: QuadratureRule | None = None) -> None:
+    """Call kernel(rows, geometry) on the triangles `cells` (a slice or an
+    index array) in order, a block of at most BLOCK_TRIANGLES at a time:
+    geometry is the block's `CellGeometry`, with the points of `rule` if one
+    is given, and rows the block's slice of a table over `cells`, which the
+    caller allocates and the kernel writes."""
+    index = range(space.mesh.n_triangles)[cells] if isinstance(cells, slice) else np.asarray(cells)
     for lo in range(0, len(index), BLOCK_TRIANGLES):
         block = index[lo : lo + BLOCK_TRIANGLES]
-        yield slice(block.start, block.stop, block.step) if isinstance(block, range) else block
-
-
-def per_cell(space: P1Space, cells, shape, kernel, rule: QuadratureRule | None = None) -> np.ndarray:
-    """Fill an (n_cells, *shape) array over the triangles `cells` by
-    kernel(rows, geometry, out), each block of `cell_blocks` with its own
-    `CellGeometry`, with the points of `rule` if one is given; rows is the
-    block's slice of the output and out that slice, which the kernel writes."""
-    n_cells = len(range(space.mesh.n_triangles)[cells]) if isinstance(cells, slice) else len(cells)
-    out = np.empty((n_cells, *shape))
-    lo = 0
-    for block in cell_blocks(space.mesh.n_triangles, cells):
-        geometry = space.geometry(block, rule)
-        rows = slice(lo, lo + len(geometry.areas))
-        kernel(rows, geometry, out[rows])
-        lo = rows.stop
-    return out
+        rows = slice(lo, lo + len(block))
+        if isinstance(block, range):  # a range down to 0 stops at -1, which a slice reads as its end
+            block = slice(block.start, block.stop if block.stop >= 0 else None, block.step)
+        kernel(rows, space.geometry(block, rule))
 
 
 def nodal_interpolant(f, space: P1Space) -> np.ndarray:
@@ -262,16 +251,18 @@ def evaluate_p1(coeffs, points, space: P1Space) -> tuple[np.ndarray, np.ndarray]
     mesh = space.mesh
     tri = locate_triangle(mesh, pts)
 
-    def kernel(rows, geometry, out):
+    values_and_gradients = np.empty((len(tri), 3))
+
+    def kernel(rows, geometry):
         vertices = mesh.triangles[tri[rows]]
         grads = geometry.grads.transpose(2, 0, 1)
         local = np.einsum("mij,mj->mi", grads[:, 1:], pts[rows] - mesh.vertices[vertices[:, 0]])
         barycentric = np.column_stack([1.0 - local[:, 0] - local[:, 1], local[:, 0], local[:, 1]])
         nodal = coeffs[vertices]
-        out[:, 0] = np.einsum("mi,mi->m", barycentric, nodal)
-        out[:, 1:] = np.einsum("mi,mid->md", nodal, grads)
+        values_and_gradients[rows, 0] = np.einsum("mi,mi->m", barycentric, nodal)
+        values_and_gradients[rows, 1:] = np.einsum("mi,mid->md", nodal, grads)
 
-    values_and_gradients = per_cell(space, tri, (3,), kernel)
+    per_cell(space, tri, kernel)
     return values_and_gradients[:, 0], values_and_gradients[:, 1:]
 
 
@@ -309,33 +300,36 @@ def basis_at(rule: QuadratureRule) -> np.ndarray:
     return np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
 
 
-def _stiffness_kernel(rows, geometry, out):
-    # a*gi0*gj0 + a*gi1*gj1: the products and the sum of the einsum
-    # "t,tid,tjd->tij" in its order, written out so that no choice of
-    # einsum loop can change a bit. The block's (3, 3, m) products of
-    # contiguous gradient rows are copied straight into its (m, 3, 3) rows
-    # of the output, the layout the scatter reads.
-    areas, grads, _ = geometry
-    gx, gy = grads[:, 0], grads[:, 1]
-    ax, ay = areas * gx, areas * gy
-    out[...] = (ax[:, None] * gx[None] + ay[:, None] * gy[None]).transpose(2, 0, 1)
-
-
 def stiffness_matrix(space: P1Space, cells=ALL_CELLS) -> sp.csr_matrix:
     """Pure grad-grad matrix of the triangles `cells`, no boundary terms."""
     tri = space.mesh.triangles[cells]
-    return local_to_global(space.n_dofs, (tri, tri, per_cell(space, cells, (3, 3), _stiffness_kernel)))
+    local = np.empty((len(tri), 3, 3))
+
+    def kernel(rows, geometry):
+        # a*gi0*gj0 + a*gi1*gj1: the products and the sum of the einsum
+        # "t,tid,tjd->tij" in its order, written out so that no choice of
+        # einsum loop can change a bit. The block's (3, 3, m) products of
+        # contiguous gradient rows are copied straight into its (m, 3, 3)
+        # rows of the table, the layout the scatter reads.
+        areas, grads, _ = geometry
+        gx, gy = grads[:, 0], grads[:, 1]
+        ax, ay = areas * gx, areas * gy
+        local[rows] = (ax[:, None] * gx[None] + ay[:, None] * gy[None]).transpose(2, 0, 1)
+
+    per_cell(space, cells, kernel)
+    return local_to_global(space.n_dofs, (tri, tri, local))
 
 
 def mass_matrix(space: P1Space) -> sp.csr_matrix:
     """Exact P1 mass matrix (area/12 * [[2,1,1],[1,2,1],[1,1,2]] per element)."""
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-
-    def kernel(rows, geometry, out):
-        np.multiply(geometry.areas[:, None, None], ref, out=out)
-
-    local = per_cell(space, ALL_CELLS, (3, 3), kernel)
     tri = space.mesh.triangles
+    local = np.empty((len(tri), 3, 3))
+
+    def kernel(rows, geometry):
+        np.multiply(geometry.areas[:, None, None], ref, out=local[rows])
+
+    per_cell(space, ALL_CELLS, kernel)
     return local_to_global(space.n_dofs, (tri, tri, local))
 
 
@@ -351,14 +345,16 @@ def load_vector(
     """(f, phi_i) over the triangles `cells` with the given quadrature degree.
 
     f, the areas and the local vectors are evaluated a block of triangles at
-    a time (`cell_blocks`), and the blocks are added in triangle order, so every
+    a time (`per_cell`), and the blocks are added in triangle order, so every
     entry sums the same terms in the same order as a one-shot evaluation.
     """
     rule = triangle_quadrature(volume_degree)
     phi = basis_at(rule)
+    tri = space.mesh.triangles[cells]
     b = np.zeros(space.n_dofs)
-    for block in cell_blocks(space.mesh.n_triangles, cells):
-        areas, _, (x, y) = space.geometry(block, rule)
+
+    def kernel(rows, geometry):
+        areas, _, (x, y) = geometry
         wf = rule.weights[:, None] * np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
         # sum over q of (w_q f_q) phi_qk from zero in q order: the products
         # and the sum of the einsum "q,tq,qk->tk", on (3, n_cells) rows at a
@@ -371,7 +367,9 @@ def load_vector(
         # np.add.at sums them.
         local = np.empty((len(areas), 3))
         np.multiply(2.0 * areas, integral, out=local.T)
-        np.add.at(b, space.mesh.triangles[block].ravel(), local.ravel())
+        np.add.at(b, tri[rows].ravel(), local.ravel())
+
+    per_cell(space, cells, kernel, rule)
     return b
 
 

@@ -7,10 +7,8 @@ import pytest
 
 from fluxfem import analysis, fem
 from fluxfem.analysis import (
-    ConvergenceRecord,
     boundary_l2_error,
     boundary_l2_norm,
-    contour_l2_norm_discrete,
     dual_stability_report,
     error_norms,
     error_representation_residuals,
@@ -82,14 +80,6 @@ def test_fit_rate_refuses_data_without_a_slope(pairs, bad):
     fitted slope: each raises ValueError naming the data, not a warning."""
     with pytest.raises(ValueError, match=bad):
         fit_rate(pairs)
-
-
-def test_fit_rate_accepts_records():
-    records = [
-        ConvergenceRecord(k, 2**k, 2.0**-k, 2.0**-k, 0, "nitsche", "pointwise", 2.0**-k, 1.0, 1.0)
-        for k in range(3, 7)
-    ]
-    assert fit_rate(records) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_half_to_quarter_error_ratio_matches_first_order(trig):
@@ -340,7 +330,7 @@ def test_q3_equals_the_supremum_of_single_contour_norms_bitwise(monkeypatch, n):
     for delta_0 in (0.125, 0.25, 0.3, 0.4999):
         q3 = dual_stability_report(space, NitscheConfig(), psi, delta_0).q3
         single = [
-            contour_l2_norm_discrete(phi, space, offset_contour(delta)) ** 2
+            analysis._p1_contour_norms(phi, space, [offset_contour(delta)])[0] ** 2
             for delta in np.linspace(0.0, delta_0, analysis.CONTOUR_SAMPLES)
         ]
         assert q3 == max(single)
@@ -362,7 +352,7 @@ def test_interp_scan_suprema_equal_the_max_over_single_contour_tables_bitwise(tr
 
 def test_interp_scan_peak_memory_at_n_64(trig):
     """All 33 contours' Gauss points in blocks of whole contours peaked at
-    2.94 MiB; one contour's points at a time at 1.23 MiB."""
+    2.94 MiB; one contour's points at a time at 1.04 MiB."""
     space = P1Space(build_unit_square_mesh(64))
     tracemalloc.start()
     try:
@@ -517,7 +507,7 @@ def test_dual_stability_q3_delta0_matches_boundary_norm(trig):
     rule = edge_quadrature()
     trace_vals = phi[ends][:, [0]] * (1 - rule.points)[None, :] + phi[ends][:, [1]] * rule.points[None, :]
     direct = np.sqrt(np.sum(mesh.facet_lengths[:, None] * rule.weights[None, :] * trace_vals**2))
-    contour = contour_l2_norm_discrete(phi, space, offset_contour(0.0))
+    contour = analysis._p1_contour_norms(phi, space, [offset_contour(0.0)])[0]
     assert contour == pytest.approx(direct, rel=1e-12)
 
 
@@ -685,7 +675,7 @@ def test_point_evaluation_refuses_coefficients_of_another_size(size):
     message = f"coefficients sized ({size},) do not match the space (25)"
     for evaluate in (
         lambda: evaluate_p1(coeffs, [[0.3, 0.6]], space),
-        lambda: contour_l2_norm_discrete(coeffs, space, offset_contour(0.1)),
+        lambda: analysis._p1_contour_norms(coeffs, space, [offset_contour(0.1)]),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate()

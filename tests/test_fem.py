@@ -403,14 +403,24 @@ def test_blocked_load_vector_matches_one_shot_bitwise(monkeypatch, trig, degree,
         assert np.array_equal(got, _one_shot_load_vector(space, trig.f, degree, cells))
 
 
-@pytest.mark.parametrize("cells", [ALL_CELLS, slice(3, 100), np.array([5, 0, 7, 7, 2, 90])])
-def test_cell_blocks_cover_the_cells_in_order(monkeypatch, cells):
+@pytest.mark.parametrize(
+    "cells", [ALL_CELLS, slice(3, 100), np.array([5, 0, 7, 7, 2, 90]), slice(None, None, -1), slice(100, 3, -3)]
+)
+def test_per_cell_walks_the_cells_in_order_in_blocks(monkeypatch, cells):
+    """The kernel's rows tile the table over `cells` in order, a block of at
+    most BLOCK_TRIANGLES at a time, and each block's geometry is bitwise that
+    of a one-shot evaluation at those rows."""
     monkeypatch.setattr(fem, "BLOCK_TRIANGLES", 4)
-    index = np.arange(98)
-    blocks = list(fem.cell_blocks(98, cells))
-    assert all(len(index[block]) <= 4 for block in blocks)
-    assert np.array_equal(np.concatenate([index[block] for block in blocks]), index[cells])
-    assert all(isinstance(block, slice) == isinstance(cells, slice) for block in blocks)
+    space = P1Space(build_unit_square_mesh(8))  # 128 triangles
+    whole = space.geometry(cells)
+    calls = []
+    fem.per_cell(space, cells, lambda rows, geometry: calls.append((rows, geometry)))
+    assert [rows.start for rows, _ in calls] == [0, *(rows.stop for rows, _ in calls[:-1])]
+    assert calls[-1][0].stop == len(whole.areas)
+    for rows, geometry in calls:
+        assert len(geometry.areas) == rows.stop - rows.start <= 4
+        assert geometry.areas.tobytes() == whole.areas[rows].tobytes()
+        assert geometry.grads.tobytes() == whole.grads[..., rows].tobytes()
 
 
 def test_mesh_index_tables_are_int32():

@@ -9,7 +9,9 @@ regenerates the files in the same change, with
     PYTHONPATH=src python tests/test_golden.py
 
 and records the largest relative change of any printed number in
-CHANGES.md.
+CHANGES.md. The files are bit-exact only on the numpy and scipy of
+GOLDEN_VERSIONS, which `.github/workflows/tier1.yml` pins; `regenerate`
+refuses to run on any other.
 
 The same command writes `matrix_fingerprints.json`: the sha256 of the
 CSR arrays (`indptr`, `indices`, `data` and their dtypes) of each
@@ -40,11 +42,13 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from fluxfem.analysis import (
     dual_stability_report,
@@ -61,6 +65,9 @@ from fluxfem.nitsche import NitscheConfig
 from fluxfem.problems import trig_problem
 from test_demos import DEMO_GOLDEN, DEMOS, run_demo
 
+# the goldens depend on numpy's einsum loop order and on scipy's SuperLU layout
+GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
 MATRIX_FINGERPRINTS = GOLDEN / "matrix_fingerprints.json"
@@ -251,7 +258,26 @@ def test_interp_scan_suprema_match_golden_fingerprints():
     assert _mismatches(SCAN_FINGERPRINTS, scan_fingerprints()) == []
 
 
+def test_workflow_pins_the_golden_versions():
+    pins = dict(re.findall(r"\b(numpy|scipy)==(\S+)", WORKFLOW.read_text()))
+    assert pins == GOLDEN_VERSIONS
+
+
+def test_regenerate_refuses_other_versions(monkeypatch):
+    monkeypatch.setitem(globals(), "GOLDEN_VERSIONS", {"numpy": "1.0.0", "scipy": "0.1.0"})
+    # were the versions not checked, nothing would be written: the first table fails
+    monkeypatch.setitem(globals(), "matrix_fingerprints", lambda: pytest.fail("regenerate ran"))
+    with pytest.raises(RuntimeError, match=r"numpy 1\.0\.0 and scipy 0\.1\.0"):
+        regenerate()
+
+
 def regenerate():
+    running = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if running != GOLDEN_VERSIONS:
+        raise RuntimeError(
+            f"the goldens are pinned to numpy {GOLDEN_VERSIONS['numpy']} and scipy "
+            f"{GOLDEN_VERSIONS['scipy']}; this is numpy {running['numpy']} and scipy {running['scipy']}"
+        )
     GOLDEN.mkdir(exist_ok=True)
     MATRIX_FINGERPRINTS.write_text(json.dumps(matrix_fingerprints(), indent=2) + "\n")
     LOAD_FINGERPRINTS.write_text(json.dumps(load_fingerprints(), indent=2) + "\n")

@@ -183,6 +183,22 @@ def test_gauss_contour_tables_serve_only_the_interpolation_scan():
     assert callers_of("_gauss_points") == ["analysis.interp_error_scan"]
 
 
+def test_one_cell_walker():
+    """Every volume loop runs through fem.per_cell, the one reader of
+    BLOCK_TRIANGLES; besides it, only the facet parents and the identity's
+    one whole-mesh degree-6 sample ask P1Space for geometry."""
+    assert callers_of("geometry") == ["analysis._sampled_interp_error", "fem._facet_table", "fem.per_cell"]
+    assert "cell_blocks" not in top_level_names(PACKAGE / "fem.py")
+    readers = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(name, ast.Name) and name.id == "BLOCK_TRIANGLES" for name in ast.walk(node))
+    ]
+    assert readers == ["fem.per_cell"]
+
+
 def test_mass_matrix_only_in_shifted_operators():
     """The mass matrix is the kappa shift of the one volume operator of both
     methods; the stability report's L2 term sums per triangle instead."""

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluxfem import analysis
-from fluxfem.analysis import contour_l2_norm_discrete
 from fluxfem.cli import MAX_LEVEL, METHODS, MIN_LEVEL, VARIANTS, StudyConfig, build_config, build_parser, main
 from fluxfem.fem import P1Space, evaluate_p1, locate_triangle
 from fluxfem.mesh import (
@@ -175,7 +174,7 @@ def test_closed_form_contour_norm_matches_gauss_norm(n, delta, seed):
     weights, points = analysis._gauss_points(p0, p1)
     values, _ = evaluate_p1(phi, points, space)
     gauss = np.sqrt(np.sum(weights * (values**2).reshape(weights.shape)))
-    assert contour_l2_norm_discrete(phi, space, contour) == pytest.approx(gauss, rel=1e-13)
+    assert analysis._p1_contour_norms(phi, space, [contour])[0] == pytest.approx(gauss, rel=1e-13)
 
 
 BOOLEAN_SPELLINGS = ("1", "true", "yes", "on", "0", "false", "no", "off")
