@@ -8,13 +8,13 @@
 import numpy as np
 
 from fluxfem import (
-    ExactFluxField,
     NitscheConfig,
     P1Space,
     SaddleConfig,
     assemble,
     boundary_l2_error,
     build_unit_square_mesh,
+    exact_flux,
     multiplier_flux,
     nitsche_flux,
     solve_spd,
@@ -27,7 +27,7 @@ problem = trig_problem()
 n = 32
 mesh = build_unit_square_mesh(n)
 space = P1Space(mesh)
-exact = ExactFluxField(problem, mesh)
+exact = exact_flux(problem, space)  # sigma_n at the facet Gauss points
 print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles, h = 1/{n}")
 
 # --- Nitsche's method: one SPD solve, two flux recoveries ---------------------

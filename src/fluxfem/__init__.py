@@ -34,7 +34,7 @@ from .fem import (
 )
 from .flux import (
     BoundaryFluxField,
-    ExactFluxField,
+    exact_flux,
     multiplier_flux,
     nitsche_flux,
     project_pointwise_flux,

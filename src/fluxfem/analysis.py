@@ -49,7 +49,7 @@ from .fem import (
     per_cell,
     triangle_quadrature,
 )
-from .flux import BoundaryFluxField, pointwise_nitsche_values
+from .flux import BoundaryFluxField, exact_flux, pointwise_nitsche_values
 from .lagrange import SaddleConfig
 from .linsolve import solve_spd, solve_sym_indefinite
 from .mesh import Mesh, distance_weight, offset_contour, split_segments_at_mesh_lines
@@ -182,11 +182,11 @@ def error_norms(problem, space: P1Space, u, lam=None) -> tuple[float, float]:
     l2 = float(np.sqrt(2.0 * np.sum(val_terms)))
     grad_sq = float(2.0 * np.sum(grad_terms))
 
-    _, w, hw, pdofs, ndg, trace, fpts = space.facets
+    _, w, hw, pdofs, ndg, trace, _ = space.facets
     u_trace = np.einsum("fkq,fk->fq", trace, u[pdofs])
     trace_diff = boundary_field_values(problem.g, space) - u_trace
     val_sq = float(np.sum(hw * trace_diff**2))
-    sigma = problem.sigma_n(fpts[..., 0], fpts[..., 1], mesh.facet_normals[:, None, :])
+    sigma = exact_flux(problem, space)
     h = mesh.h_grid
     if lam is None:
         nd_h = np.einsum("fk,fk->f", ndg, u[pdofs])
@@ -346,10 +346,9 @@ def error_representation_residuals(
     _check_method_config(cfg)
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
-    mesh = space.mesh
-    t, w, hw, _, _, _, pts = space.facets
+    t, w, hw, *_ = space.facets
     psi_vals = [boundary_field_values(psi, space) for psi in psis]
-    sigma = problem.sigma_n(pts[..., 0], pts[..., 1], mesh.facet_normals[:, None, :])
+    sigma = exact_flux(problem, space)
     interp_error = _sampled_interp_error(problem, space)
 
     system = assemble(space, cfg, problem.f, problem.g, IDENTITY_VOLUME_DEGREE)

@@ -35,7 +35,7 @@ from .analysis import (
     rademacher_boundary_field,
 )
 from .fem import P1Space, assemble, nodal_interpolant
-from .flux import ExactFluxField, multiplier_flux, nitsche_flux, variational_flux
+from .flux import exact_flux, multiplier_flux, nitsche_flux, variational_flux
 from .lagrange import SaddleConfig
 from .linsolve import SolverError, solve_spd, solve_sym_indefinite
 from .mesh import MAX_GRID_N, build_unit_square_mesh
@@ -170,7 +170,7 @@ def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
             dofs=space.n_dofs + (0 if lam is None else lam.size),
             method=config.method,
             variant=variant,
-            flux_err=boundary_l2_error(field, ExactFluxField(problem, space.mesh), space),
+            flux_err=boundary_l2_error(field, exact_flux(problem, space), space),
             energy_err=energy,
             l2_err=l2,
         )
@@ -206,11 +206,11 @@ def run_patch_test(config: StudyConfig) -> list[str]:
             tag = f"{problem.name} n={n}"
             with _failure_site(f"patch-test {tag}"):
                 space, u, lam, field = _solve_level(cfg, variant, problem, n)
-            exact = ExactFluxField(problem, space.mesh)
+            exact = exact_flux(problem, space)
             coeff_err = float(np.max(np.abs(u - nodal_interpolant(problem.u, space))))
             if lam is not None:
-                lam_exact = -exact.facet_values(np.array([0.5]))[:, 0]
-                coeff_err = max(coeff_err, float(np.max(np.abs(lam - lam_exact))))
+                # lambda = -sigma_n, constant on each facet for the affine problems
+                coeff_err = max(coeff_err, float(np.max(np.abs(lam + exact[:, 0]))))
             flux_err = boundary_l2_error(field, exact, space)
             if flux_err > FLUX_TOL:
                 failures.append(f"{config.method} {tag}: flux error {flux_err:.3e}")

@@ -18,6 +18,9 @@ facet-wise, so they may take two values at a corner. The variational
 flux may not: it is continuous around the whole boundary, with one trace
 dof per corner vertex. Where the exact flux jumps at a corner (the
 normal does), it therefore converges at only O(h^1/2).
+
+The exact flux is an array: sigma_n at the facet Gauss points of
+`space.facets`, which every boundary error reads and none of which is a corner.
 """
 
 from __future__ import annotations
@@ -68,19 +71,10 @@ class BoundaryFluxField:
         return c[:, [0]] * (1.0 - t)[None, :] + c[:, [1]] * t[None, :]
 
 
-class ExactFluxField:
-    """Exact boundary flux n.grad(u) of a manufactured problem."""
-
-    def __init__(self, problem, mesh: Mesh):
-        self.problem = problem
-        self.mesh = mesh
-
-    def facet_values(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        pts = self.mesh.facet_points(t)
-        return self.problem.sigma_n(
-            pts[..., 0], pts[..., 1], self.mesh.facet_normals[:, None, :]
-        )
+def exact_flux(problem, space: P1Space) -> np.ndarray:
+    """sigma_n = n.grad(u) of a manufactured problem at the facet points, (n_facets, EDGE_POINTS)."""
+    points = space.facets.points
+    return problem.sigma_n(points[..., 0], points[..., 1], space.mesh.facet_normals[:, None, :])
 
 
 def multiplier_flux(lam_coeffs, mesh: Mesh) -> BoundaryFluxField:

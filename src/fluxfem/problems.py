@@ -6,7 +6,7 @@ the boundary, so every error quantity downstream has an exact reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -31,15 +31,8 @@ class ManufacturedProblem:
 
 
 def constant_problem(value: float = 1.0) -> ManufacturedProblem:
-    return ManufacturedProblem(
-        name=f"constant({value})",
-        u=lambda x, y: value * np.ones_like(np.asarray(x, dtype=float)),
-        grad_u=lambda x, y: (
-            np.zeros_like(np.asarray(x, dtype=float)),
-            np.zeros_like(np.asarray(x, dtype=float)),
-        ),
-        f=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-    )
+    """u = value: the affine problem with zero slope."""
+    return replace(affine_problem(0.0, 0.0, value), name=f"constant({value})")
 
 
 def affine_problem(a: float = 1.0, b: float = 1.0, c: float = 0.0) -> ManufacturedProblem:

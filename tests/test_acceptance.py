@@ -50,7 +50,7 @@ from fluxfem.analysis import (
 from fluxfem.cli import StudyConfig, level_grid_n, records_to_csv, run_convergence, run_patch_test
 from fluxfem.fem import P1Space, assemble
 from fluxfem.flux import (
-    ExactFluxField,
+    exact_flux,
     multiplier_flux,
     nitsche_flux,
     project_pointwise_flux,
@@ -94,7 +94,7 @@ def nitsche_study(problem):
     for n in LEVELS:
         space = P1Space(build_unit_square_mesh(n))
         mesh = space.mesh
-        exact = ExactFluxField(problem, mesh)
+        exact = exact_flux(problem, space)
         u = solve_spd(assemble(space, cfg, problem.f, problem.g)).x
         pointwise = nitsche_flux(u, problem.g, space, cfg)
         variational = variational_flux(u, problem.g, problem.f, space)
@@ -122,7 +122,7 @@ def _lagrange_rows(problem, alpha):
         rows[n] = {
             "h": mesh.h_grid,
             "flux_multiplier": boundary_l2_error(
-                multiplier_flux(lam, mesh), ExactFluxField(problem, mesh), space
+                multiplier_flux(lam, mesh), exact_flux(problem, space), space
             ),
             "triple": triple,
             "l2": l2,
@@ -345,8 +345,8 @@ def test_criterion_7_interpolation_scan(problem):
 
 
 def test_criterion_8_exact_flux_norm(problem):
-    mesh = build_unit_square_mesh(4)
-    value = boundary_l2_norm(ExactFluxField(problem, mesh), P1Space(mesh))
+    space = P1Space(build_unit_square_mesh(4))
+    value = boundary_l2_norm(exact_flux(problem, space), space)
     print(f"criterion 8: |sigma| = {value!r}")
     assert value == pytest.approx(2.0 * np.sqrt(2.0) * np.pi, abs=1e-10)
 

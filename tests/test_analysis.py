@@ -28,7 +28,7 @@ from fluxfem.fem import (
     nodal_interpolant,
     triangle_quadrature,
 )
-from fluxfem.flux import BoundaryFluxField, ExactFluxField
+from fluxfem.flux import BoundaryFluxField, exact_flux
 from fluxfem.lagrange import SaddleConfig
 from fluxfem.linsolve import solve_spd
 from fluxfem.mesh import build_unit_square_mesh, offset_contour, split_segments_at_mesh_lines
@@ -39,16 +39,19 @@ from fluxfem.problems import ManufacturedProblem
 def test_boundary_error_of_sampled_exact_field(affine):
     """Sampling the exact affine flux into a facet-wise linear field is
     exact, so the distance to the exact field vanishes."""
-    mesh = build_unit_square_mesh(4)
-    exact = ExactFluxField(affine, mesh)
-    sampled = BoundaryFluxField(coefficients=exact.facet_values(np.array([0.0, 1.0])), mesh=mesh)
-    assert boundary_l2_error(sampled, exact, P1Space(mesh)) <= 1e-12
+    space = P1Space(build_unit_square_mesh(4))
+    mesh = space.mesh
+    ends = mesh.facet_points(np.array([0.0, 1.0]))
+    sampled = BoundaryFluxField(
+        coefficients=affine.sigma_n(ends[..., 0], ends[..., 1], mesh.facet_normals[:, None, :]), mesh=mesh
+    )
+    assert boundary_l2_error(sampled, exact_flux(affine, space), space) <= 1e-12
 
 
 def test_boundary_error_against_zero_field(trig):
-    mesh = build_unit_square_mesh(8)
-    zero = BoundaryFluxField(coefficients=np.zeros(mesh.n_facets), mesh=mesh)
-    err = boundary_l2_error(zero, ExactFluxField(trig, mesh), P1Space(mesh))
+    space = P1Space(build_unit_square_mesh(8))
+    zero = BoundaryFluxField(coefficients=np.zeros(space.mesh.n_facets), mesh=space.mesh)
+    err = boundary_l2_error(zero, exact_flux(trig, space), space)
     assert err == pytest.approx(2.0 * np.sqrt(2.0) * np.pi, abs=1e-10)
 
 
@@ -92,7 +95,7 @@ def test_half_to_quarter_error_ratio_matches_first_order(trig):
         from fluxfem.flux import nitsche_flux
 
         errs[n] = boundary_l2_error(
-            nitsche_flux(u, trig.g, space, cfg), ExactFluxField(trig, space.mesh), space
+            nitsche_flux(u, trig.g, space, cfg), exact_flux(trig, space), space
         )
     assert errs[16] / errs[32] == pytest.approx(2.0, abs=0.3)
 
@@ -534,7 +537,7 @@ def test_dual_stability_rejects_bad_arguments():
     "entry",
     [
         lambda space, field, trig: boundary_l2_norm(field, space),
-        lambda space, field, trig: boundary_l2_error(field, ExactFluxField(trig, space.mesh), space),
+        lambda space, field, trig: boundary_l2_error(field, exact_flux(trig, space), space),
         lambda space, field, trig: error_representation_residuals(trig, space, NitscheConfig(), [field]),
         lambda space, field, trig: dual_stability_report(space, NitscheConfig(), field),
         lambda space, field, trig: assemble(space, NitscheConfig(), trig.f, field),
@@ -546,12 +549,12 @@ def test_boundary_data_from_another_mesh_is_rejected(trig, entry, kind):
     coarse = build_unit_square_mesh(8)
     field = {
         "flux_field": rademacher_boundary_field(coarse),
-        "exact_flux": ExactFluxField(trig, coarse),
+        "exact_flux": exact_flux(trig, P1Space(coarse)),
         "facet_values": np.ones((coarse.n_facets, EDGE_POINTS)),
     }[kind]
     message = (
         r"boundary values of shape \(32, 6\) do not match the facet points \(64, 6\)"
-        if kind == "facet_values"
+        if kind in ("exact_flux", "facet_values")
         else "boundary data has 32 facets, the mesh has 64"
     )
     space = P1Space(build_unit_square_mesh(16))

@@ -345,14 +345,14 @@ def test_converge_builds_two_full_mesh_volume_tables_per_level(monkeypatch, flag
         (["dual-check", "--method", "lagrange", "--seed", "0"], {}),
         (["dual-check", "--method", "nitsche", "--seed", "0"], {"flux.pointwise_nitsche_values": 3}),
         (["converge", "--kmin", "0", "--kmax", "0", "--method", "nitsche"],
-         {"flux.facet_values": 1, "flux.pointwise_nitsche_values": 1}),
-        (["converge", "--kmin", "0", "--kmax", "0", "--method", "lagrange"], {"flux.facet_values": 1}),
+         {"flux.pointwise_nitsche_values": 1}),
+        (["converge", "--kmin", "0", "--kmax", "0", "--method", "lagrange"], {}),
     ],
 )
 def test_boundary_points_are_built_once_per_space(monkeypatch, argv, others):
-    """Boundary norms, dual data and traces read the points of `space.facets`.
-    Only the exact flux (at its own parameters, once per converge level) and
-    the pointwise Nitsche flux (also at the endpoints) place points themselves."""
+    """Boundary norms, dual data, traces and the exact flux read the points of
+    `space.facets`. Only the pointwise Nitsche flux (also at the endpoints)
+    places facet points itself."""
     callers, spaces = [], []
     facet_points, init = mesh.Mesh.facet_points, fem.P1Space.__init__
 

@@ -6,10 +6,10 @@ import pytest
 from fluxfem.fem import P1Space, assemble, edge_quadrature, load_vector, stiffness_matrix
 from fluxfem.flux import (
     BoundaryFluxField,
-    ExactFluxField,
     _boundary_layer,
     _boundary_vertex_numbering,
     _trace_field_from_moments,
+    exact_flux,
     multiplier_flux,
     nitsche_flux,
     pointwise_nitsche_values,
@@ -86,7 +86,8 @@ def test_exact_flux_pointwise_values(trig):
     """Bottom side carries sigma = -2*pi*sin(2*pi*x): zero at x = 0.5 and
     -2*pi at x = 0.25 (facets 2 and 1 of the n = 4 mesh at s = 0)."""
     mesh = build_unit_square_mesh(4)
-    at_start = ExactFluxField(trig, mesh).facet_values([0.0])[:, 0]
+    starts = mesh.facet_points(np.array([0.0]))[:, 0]
+    at_start = trig.sigma_n(starts[:, 0], starts[:, 1], mesh.facet_normals)
     assert at_start[2] == pytest.approx(0.0, abs=1e-12)
     assert at_start[1] == pytest.approx(-2.0 * np.pi, abs=1e-12)
 
@@ -94,14 +95,15 @@ def test_exact_flux_pointwise_values(trig):
 def test_exact_flux_midpoints(trig):
     mesh = build_unit_square_mesh(2)
     # the end of facet 0 is x = 0.5 on the bottom edge: sigma = -2*pi*sin(pi) = 0
-    assert ExactFluxField(trig, mesh).facet_values([1.0])[0, 0] == pytest.approx(0.0, abs=1e-12)
+    (x, y), = mesh.facet_points(np.array([1.0]))[0]
+    assert trig.sigma_n(x, y, mesh.facet_normals[0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exact_flux_norm(trig):
     from fluxfem.analysis import boundary_l2_norm
 
-    mesh = build_unit_square_mesh(8)
-    value = boundary_l2_norm(ExactFluxField(trig, mesh), P1Space(mesh))
+    space = P1Space(build_unit_square_mesh(8))
+    value = boundary_l2_norm(exact_flux(trig, space), space)
     assert value == pytest.approx(2.0 * np.sqrt(2.0) * np.pi, abs=1e-10)
 
 
@@ -220,7 +222,7 @@ def test_multiplier_flux_first_order(trig):
     errors = []
     for n in (16, 32):
         space, _, lam = _solve_saddle(trig, n, alpha=0.25)
-        errors.append(boundary_l2_error(multiplier_flux(lam, space.mesh), ExactFluxField(trig, space.mesh), space))
+        errors.append(boundary_l2_error(multiplier_flux(lam, space.mesh), exact_flux(trig, space), space))
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.4)
 
 

@@ -68,6 +68,7 @@ from test_demos import DEMO_GOLDEN, DEMOS, run_demo
 # the goldens depend on numpy's einsum loop order and on scipy's SuperLU layout
 GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+ROADMAP = Path(__file__).resolve().parents[1] / "ROADMAP.md"
 GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
 MATRIX_FINGERPRINTS = GOLDEN / "matrix_fingerprints.json"
@@ -261,6 +262,15 @@ def test_interp_scan_suprema_match_golden_fingerprints():
 def test_workflow_pins_the_golden_versions():
     pins = dict(re.findall(r"\b(numpy|scipy)==(\S+)", WORKFLOW.read_text()))
     assert pins == GOLDEN_VERSIONS
+
+
+def test_workflow_runs_the_roadmap_tier1_command():
+    """The workflow's pytest step and ROADMAP.md's tier-1 line are one command,
+    and the job stops long before GitHub's 6-hour default."""
+    workflow = WORKFLOW.read_text()
+    (verify,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", ROADMAP.read_text(), re.M)
+    assert re.findall(r"^ +run: (.*-m pytest.*)$", workflow, re.M) == [verify]
+    assert re.findall(r"^ +timeout-minutes: (\d+)$", workflow, re.M) == ["20"]
 
 
 def test_regenerate_refuses_other_versions(monkeypatch):

@@ -199,6 +199,20 @@ def test_one_cell_walker():
     assert readers == ["fem.per_cell"]
 
 
+def test_exact_flux_is_evaluated_in_one_place():
+    """sigma_n is read only on the facet table, through flux.exact_flux, so no
+    rule can ask for it at a corner; besides the table itself, only the
+    pointwise Nitsche flux, which also serves t = (0, 1), places facet points."""
+    assert callers_of("sigma_n") == ["flux.exact_flux"]
+    assert "ExactFluxField" not in top_level_names(PACKAGE / "flux.py")
+    assert not hasattr(fluxfem, "ExactFluxField")
+    assert callers_of("facet_points") == ["fem._facet_table", "flux.pointwise_nitsche_values"]
+
+
+def test_constant_problem_is_the_affine_one():
+    assert "problems.constant_problem" in callers_of("affine_problem")
+
+
 def test_mass_matrix_only_in_shifted_operators():
     """The mass matrix is the kappa shift of the one volume operator of both
     methods; the stability report's L2 term sums per triangle instead."""
