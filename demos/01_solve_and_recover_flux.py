@@ -37,6 +37,8 @@ system = assemble(space, cfg, problem.f, problem.g)
 result = solve_spd(system)
 print(f"nitsche solve: residual {result.residual:.2e}, inertia {result.inertia}")
 
+# each recovery returns its flux at the same points as the exact one, an
+# (n_facets, 6) array, so the errors are differences of arrays
 pointwise = nitsche_flux(result.x, problem.g, space, cfg)
 variational = variational_flux(result.x, problem.g, problem.f, space)
 print(f"pointwise flux error   {boundary_l2_error(pointwise, exact, space):.4e}")

@@ -33,7 +33,6 @@ from .fem import (
     triangle_quadrature,
 )
 from .flux import (
-    BoundaryFluxField,
     exact_flux,
     multiplier_flux,
     nitsche_flux,

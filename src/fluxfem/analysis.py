@@ -36,6 +36,7 @@ import numpy as np
 
 from .fem import (
     ALL_CELLS,
+    EDGE_POINTS,
     VOLUME_DEGREE,
     LinearSystem,
     P1Space,
@@ -49,7 +50,7 @@ from .fem import (
     per_cell,
     triangle_quadrature,
 )
-from .flux import BoundaryFluxField, exact_flux, pointwise_nitsche_values
+from .flux import exact_flux, pointwise_nitsche_values
 from .lagrange import SaddleConfig
 from .linsolve import solve_spd, solve_sym_indefinite
 from .mesh import Mesh, distance_weight, offset_contour, split_segments_at_mesh_lines
@@ -221,11 +222,12 @@ def fit_rate(pairs) -> float:
 # -- seeded rough boundary data ----------------------------------------------
 
 
-def rademacher_boundary_field(mesh: Mesh, seed: int = 0):
-    """Independent per-facet values in {-1, +1}, deterministic per (seed, n)."""
+def rademacher_boundary_field(mesh: Mesh, seed: int = 0) -> np.ndarray:
+    """Independent per-facet values in {-1, +1}, deterministic per (seed, n),
+    at the facet points: (n_facets, EDGE_POINTS)."""
     rng = np.random.default_rng([seed, mesh.grid_n])
     values = 2.0 * rng.integers(0, 2, mesh.n_facets) - 1.0
-    return BoundaryFluxField(coefficients=values, mesh=mesh)
+    return np.repeat(values[:, None], EDGE_POINTS, axis=1)
 
 
 # -- error representation identities ------------------------------------------
@@ -346,7 +348,7 @@ def error_representation_residuals(
     _check_method_config(cfg)
     if cfg.kappa != 0.0:
         raise ValueError("the identity holds for the unshifted problem (kappa = 0)")
-    t, w, hw, *_ = space.facets
+    _, w, hw, *_ = space.facets
     psi_vals = [boundary_field_values(psi, space) for psi in psis]
     sigma = exact_flux(problem, space)
     interp_error = _sampled_interp_error(problem, space)
@@ -357,7 +359,7 @@ def error_representation_residuals(
     u_h, lam_h = system.split(primal)
 
     if isinstance(cfg, NitscheConfig):
-        flux_gap = hw * (sigma - pointwise_nitsche_values(u_h, problem.g, space, cfg, t))
+        flux_gap = hw * (sigma - pointwise_nitsche_values(u_h, problem.g, space, cfg))
 
         def form(vals, phi):
             return _nitsche_identity_form(space, cfg, interp_error, vals, phi)

@@ -139,19 +139,19 @@ def _failure_site(site: str):
 
 
 def _solve_level(cfg: NitscheConfig | SaddleConfig, variant: str, problem, n: int):
-    """(space, u, lam, field) on the n-grid: the discrete solution, with lam None
-    for Nitsche's method, and its flux recovered by `variant`."""
+    """(space, u, lam, flux) on the n-grid: the discrete solution, with lam None
+    for Nitsche's method, and its flux at the facet points recovered by `variant`."""
     space = P1Space(build_unit_square_mesh(n))
     system = assemble(space, cfg, problem.f, problem.g)
     solve = solve_sym_indefinite if system.n_multiplier else solve_spd
     u, lam = system.split(solve(system).x)
     if variant == "pointwise":
-        field = nitsche_flux(u, problem.g, space, cfg)
+        flux = nitsche_flux(u, problem.g, space, cfg)
     elif variant == "variational":
-        field = variational_flux(u, problem.g, problem.f, space)
+        flux = variational_flux(u, problem.g, problem.f, space)
     else:
-        field = multiplier_flux(lam, space.mesh)
-    return space, u, lam, field
+        flux = multiplier_flux(lam, space.mesh)
+    return space, u, lam, flux
 
 
 def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
@@ -160,7 +160,7 @@ def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
     with _failure_site(f"k={k} n={n}"):
         problem = trig_problem()
         variant = config.resolved_variant()
-        space, u, lam, field = _solve_level(config.method_config(), variant, problem, n)
+        space, u, lam, flux = _solve_level(config.method_config(), variant, problem, n)
         energy, l2 = error_norms(problem, space, u, lam)
         return ConvergenceRecord(
             k=k,
@@ -170,7 +170,7 @@ def run_level(config: StudyConfig, k: int) -> ConvergenceRecord:
             dofs=space.n_dofs + (0 if lam is None else lam.size),
             method=config.method,
             variant=variant,
-            flux_err=boundary_l2_error(field, exact_flux(problem, space), space),
+            flux_err=boundary_l2_error(flux, exact_flux(problem, space), space),
             energy_err=energy,
             l2_err=l2,
         )
@@ -205,13 +205,13 @@ def run_patch_test(config: StudyConfig) -> list[str]:
         for n in (2, 4, 8):
             tag = f"{problem.name} n={n}"
             with _failure_site(f"patch-test {tag}"):
-                space, u, lam, field = _solve_level(cfg, variant, problem, n)
+                space, u, lam, flux = _solve_level(cfg, variant, problem, n)
             exact = exact_flux(problem, space)
             coeff_err = float(np.max(np.abs(u - nodal_interpolant(problem.u, space))))
             if lam is not None:
                 # lambda = -sigma_n, constant on each facet for the affine problems
                 coeff_err = max(coeff_err, float(np.max(np.abs(lam + exact[:, 0]))))
-            flux_err = boundary_l2_error(field, exact, space)
+            flux_err = boundary_l2_error(flux, exact, space)
             if flux_err > FLUX_TOL:
                 failures.append(f"{config.method} {tag}: flux error {flux_err:.3e}")
             if coeff_err > COEFF_TOL:

@@ -376,23 +376,18 @@ def load_vector(
 def boundary_field_values(obj, space: P1Space) -> np.ndarray:
     """Boundary data at the facet points of `space.facets`, (n_facets, EDGE_POINTS).
 
-    Accepts a callable of (x, y), an object with facet_values(t) (flux
-    fields), or an array of values at those points; a flux field or an
-    array of another shape raises ValueError, and a scalar TypeError.
+    Accepts a callable of (x, y) or an array of values at those points, the
+    format of every flux; an array of another shape raises ValueError, and a
+    scalar TypeError.
     """
-    t, points = space.facets.t, space.facets.points
+    points = space.facets.points
     shape = points.shape[:-1]
-    if hasattr(obj, "facet_values"):
-        vals = np.asarray(obj.facet_values(t), dtype=float)
-        if vals.shape != shape:
-            raise ValueError(f"boundary data has {len(vals)} facets, the mesh has {shape[0]}")
-        return vals
     if callable(obj):
         vals = np.asarray(obj(points[..., 0], points[..., 1]), dtype=float)
         return np.broadcast_to(vals, shape)
     arr = np.asarray(obj, dtype=float)
     if arr.ndim == 0:
-        raise TypeError("boundary data must be callable, a flux field, or values at the facet points")
+        raise TypeError("boundary data must be callable or values at the facet points")
     if arr.shape != shape:
         raise ValueError(f"boundary values of shape {arr.shape} do not match the facet points {shape}")
     return arr

@@ -28,7 +28,7 @@ from fluxfem.fem import (
     nodal_interpolant,
     triangle_quadrature,
 )
-from fluxfem.flux import BoundaryFluxField, exact_flux
+from fluxfem.flux import exact_flux
 from fluxfem.lagrange import SaddleConfig
 from fluxfem.linsolve import solve_spd
 from fluxfem.mesh import build_unit_square_mesh, offset_contour, split_segments_at_mesh_lines
@@ -37,20 +37,21 @@ from fluxfem.problems import ManufacturedProblem
 
 
 def test_boundary_error_of_sampled_exact_field(affine):
-    """Sampling the exact affine flux into a facet-wise linear field is
-    exact, so the distance to the exact field vanishes."""
+    """Sampling the exact affine flux at the facet ends and interpolating it
+    linearly to the facet points is exact, so the distance to the exact
+    flux vanishes."""
     space = P1Space(build_unit_square_mesh(4))
     mesh = space.mesh
     ends = mesh.facet_points(np.array([0.0, 1.0]))
-    sampled = BoundaryFluxField(
-        coefficients=affine.sigma_n(ends[..., 0], ends[..., 1], mesh.facet_normals[:, None, :]), mesh=mesh
-    )
+    c = affine.sigma_n(ends[..., 0], ends[..., 1], mesh.facet_normals[:, None, :])
+    t = space.facets.t
+    sampled = c[:, [0]] * (1.0 - t) + c[:, [1]] * t
     assert boundary_l2_error(sampled, exact_flux(affine, space), space) <= 1e-12
 
 
 def test_boundary_error_against_zero_field(trig):
     space = P1Space(build_unit_square_mesh(8))
-    zero = BoundaryFluxField(coefficients=np.zeros(space.mesh.n_facets), mesh=space.mesh)
+    zero = np.zeros((space.mesh.n_facets, EDGE_POINTS))
     err = boundary_l2_error(zero, exact_flux(trig, space), space)
     assert err == pytest.approx(2.0 * np.sqrt(2.0) * np.pi, abs=1e-10)
 
@@ -516,12 +517,15 @@ def test_dual_stability_q3_delta0_matches_boundary_norm(trig):
 
 def test_rademacher_field_deterministic():
     mesh = build_unit_square_mesh(8)
-    a = rademacher_boundary_field(mesh, 3).coefficients
-    b = rademacher_boundary_field(mesh, 3).coefficients
-    c = rademacher_boundary_field(mesh, 4).coefficients
+    a = rademacher_boundary_field(mesh, 3)
+    b = rademacher_boundary_field(mesh, 3)
+    c = rademacher_boundary_field(mesh, 4)
+    assert a.shape == (mesh.n_facets, EDGE_POINTS) and a.dtype == np.float64
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert set(np.unique(a)) <= {-1.0, 1.0}
+    # one value per facet, at every facet point
+    assert np.array_equal(a, np.repeat(a[:, :1], EDGE_POINTS, axis=1))
 
 
 def test_dual_stability_rejects_bad_arguments():
@@ -552,11 +556,7 @@ def test_boundary_data_from_another_mesh_is_rejected(trig, entry, kind):
         "exact_flux": exact_flux(trig, P1Space(coarse)),
         "facet_values": np.ones((coarse.n_facets, EDGE_POINTS)),
     }[kind]
-    message = (
-        r"boundary values of shape \(32, 6\) do not match the facet points \(64, 6\)"
-        if kind in ("exact_flux", "facet_values")
-        else "boundary data has 32 facets, the mesh has 64"
-    )
+    message = r"boundary values of shape \(32, 6\) do not match the facet points \(64, 6\)"
     space = P1Space(build_unit_square_mesh(16))
     with pytest.raises(ValueError, match=message):
         entry(space, field, trig)

@@ -224,7 +224,7 @@ def test_boundary_field_values_accepts_facet_point_values_only():
 
 def test_boundary_values_of_another_mesh_name_both_shapes():
     """An array of values at another mesh's facet points is boundary data of
-    another mesh: a ValueError naming both shapes, as for a flux field."""
+    another mesh: a ValueError naming both shapes."""
     space = P1Space(build_unit_square_mesh(8))
     with pytest.raises(ValueError, match=r"shape \(16, 6\) do not match the facet points \(32, 6\)"):
         boundary_field_values(np.ones((16, 6)), space)

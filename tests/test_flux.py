@@ -3,11 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from fluxfem.fem import P1Space, assemble, edge_quadrature, load_vector, stiffness_matrix
+from fluxfem import flux
+from fluxfem.cli import MAX_LEVEL, MIN_LEVEL, level_grid_n
+from fluxfem.fem import EDGE_POINTS, P1Space, assemble, edge_quadrature, load_vector, stiffness_matrix
 from fluxfem.flux import (
-    BoundaryFluxField,
     _boundary_layer,
     _boundary_vertex_numbering,
+    _facet_linear,
     _trace_field_from_moments,
     exact_flux,
     multiplier_flux,
@@ -38,30 +40,34 @@ def _solve_saddle(problem, n, alpha=10.0):
     return space, u, lam
 
 
-def test_field_validation():
-    mesh = build_unit_square_mesh(2)
-    for shape in [(7,), (8, 3), (8, 2, 1)]:
-        with pytest.raises(ValueError):
-            BoundaryFluxField(coefficients=np.zeros(shape), mesh=mesh)
-
-
-def test_field_evaluation_shapes():
-    mesh = build_unit_square_mesh(2)
-    lin = BoundaryFluxField(coefficients=np.tile([0.0, 1.0], (8, 1)), mesh=mesh)
-    vals = lin.facet_values([0.0, 0.5, 1.0])
-    assert vals.shape == (8, 3)
-    assert np.allclose(vals, [0.0, 0.5, 1.0])
-    const = BoundaryFluxField(coefficients=np.arange(8.0), mesh=mesh)
-    assert np.allclose(const.facet_values([0.25, 0.75])[3], 3.0)
+def test_every_recovery_returns_values_at_the_facet_points(trig):
+    """A flux is a float array (n_facets, EDGE_POINTS) on `space.facets`,
+    like the exact flux; the facet-wise linear ones take their end values
+    to the facet points as c0 (1 - t) + c1 t."""
+    space, cfg, u = _solve_nitsche(trig, 4)
+    _, _, lam = _solve_saddle(trig, 4)
+    fluxes = [
+        nitsche_flux(u, trig.g, space, cfg),
+        pointwise_nitsche_values(u, trig.g, space, cfg),
+        variational_flux(u, trig.g, trig.f, space),
+        project_pointwise_flux(u, trig.g, space, cfg),
+        multiplier_flux(lam, space.mesh),
+    ]
+    for values in fluxes:
+        assert values.shape == (16, EDGE_POINTS) and values.dtype == np.float64
+    assert np.array_equal(fluxes[-1], np.repeat(-lam[:, None], EDGE_POINTS, axis=1))
+    t = space.facets.t
+    ends = np.column_stack([np.arange(16.0), -np.arange(16.0)])
+    assert np.allclose(_facet_linear(ends, space), np.arange(16.0)[:, None] * (1.0 - 2.0 * t))
 
 
 def test_constant_problem_all_fluxes_vanish(const):
     space, cfg, u = _solve_nitsche(const, 4)
     mesh = space.mesh
-    assert np.max(np.abs(nitsche_flux(u, const.g, space, cfg).coefficients)) <= 1e-10
-    assert np.max(np.abs(variational_flux(u, const.g, const.f, space).coefficients)) <= 1e-10
+    assert np.max(np.abs(nitsche_flux(u, const.g, space, cfg))) <= 1e-10
+    assert np.max(np.abs(variational_flux(u, const.g, const.f, space))) <= 1e-10
     _, _, lam = _solve_saddle(const, 4)
-    assert np.max(np.abs(multiplier_flux(lam, mesh).coefficients)) <= 1e-10
+    assert np.max(np.abs(multiplier_flux(lam, mesh))) <= 1e-10
 
 
 def test_affine_patch_pointwise_flux(affine):
@@ -69,17 +75,17 @@ def test_affine_patch_pointwise_flux(affine):
     and the penalty part cancels."""
     space, cfg, u = _solve_nitsche(affine, 4)
     mesh = space.mesh
-    field = nitsche_flux(u, affine.g, space, cfg)
+    values = nitsche_flux(u, affine.g, space, cfg)
     expected = mesh.facet_normals @ np.array([1.0, 1.0])
-    assert np.max(np.abs(field.coefficients - expected[:, None])) <= 1e-10
+    assert np.max(np.abs(values - expected[:, None])) <= 1e-10
 
 
 def test_affine_patch_multiplier_flux():
     problem = affine_problem(1.0, 0.0, 0.0)
     space, _, lam = _solve_saddle(problem, 4)
     mesh = space.mesh
-    field = multiplier_flux(lam, mesh)
-    assert np.max(np.abs(field.coefficients - mesh.facet_normals[:, 0])) <= 1e-9
+    values = multiplier_flux(lam, mesh)
+    assert np.max(np.abs(values - mesh.facet_normals[:, [0]])) <= 1e-9
 
 
 def test_exact_flux_pointwise_values(trig):
@@ -112,7 +118,7 @@ def test_variational_flux_moment_identity(trig):
     boundary-vertex basis function, rebuilt here with independent loops."""
     space, cfg, u = _solve_nitsche(trig, 4)
     mesh = space.mesh
-    field = variational_flux(u, trig.g, trig.f, space)
+    values = variational_flux(u, trig.g, trig.f, space)
 
     from fluxfem.fem import triangle_quadrature
 
@@ -125,7 +131,7 @@ def test_variational_flux_moment_identity(trig):
         for k, (a, b) in enumerate(mesh.facet_vertices):
             if vid not in (a, b):
                 continue
-            tvals = field.facet_values(rule.points)[k]
+            tvals = values[k]  # at the edge rule's points
             phi = 1.0 - rule.points if vid == a else rule.points
             lhs += mesh.facet_lengths[k] * np.sum(rule.weights * tvals * phi)
         # right side: (grad u_h, grad phi) - (u_h - g, n.grad phi)_G - (f, phi)
@@ -157,13 +163,21 @@ def test_variational_flux_moment_identity(trig):
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_affine_variational_flux_matches_dense_projection_oracle(affine):
+def test_affine_variational_flux_matches_dense_projection_oracle(affine, monkeypatch):
     """For u = x + y the exact-g pointwise flux is the side-wise constant
     n.(1,1); project it with a dense independently assembled boundary
-    mass system and compare."""
+    mass system and compare, at the trace dofs and at the facet points."""
     space, cfg, u = _solve_nitsche(affine, 4)
     mesh = space.mesh
-    field = variational_flux(u, affine.g, affine.f, space)
+    solves = []
+
+    def recorded(*args):
+        solves.append(_trace_field_from_moments(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(flux, "_trace_field_from_moments", recorded)
+    values = variational_flux(u, affine.g, affine.f, space)
+    (dofs,) = solves
 
     boundary_ids = list(np.unique(mesh.facet_vertices))
     index = {v: i for i, v in enumerate(boundary_ids)}
@@ -181,15 +195,18 @@ def test_affine_variational_flux_matches_dense_projection_oracle(affine):
         rhs[ia] += side_value[k] * h / 2.0
         rhs[ib] += side_value[k] * h / 2.0
     projected = np.linalg.solve(mass, rhs)
+    # the trace dofs are the boundary vertices in ascending order, as `index`
+    assert dofs == pytest.approx(projected, abs=1e-9)
+    t = space.facets.t
     for k, (a, b) in enumerate(mesh.facet_vertices):
-        assert field.coefficients[k, 0] == pytest.approx(projected[index[int(a)]], abs=1e-9)
-        assert field.coefficients[k, 1] == pytest.approx(projected[index[int(b)]], abs=1e-9)
+        at_points = projected[index[int(a)]] * (1.0 - t) + projected[index[int(b)]] * t
+        assert values[k] == pytest.approx(at_points, abs=1e-9)
     # corners carry the projected jump average: the (-1, +1) jump at
     # (1, 0) is antisymmetric, so the corner value is exactly zero
-    corner = field.coefficients[3, 1]
+    corner = dofs[index[int(mesh.facet_vertices[3, 1])]]
     assert corner == pytest.approx(0.0, abs=1e-9)
     # ringing decays away from the corners toward the side constant
-    assert field.coefficients[2, 0] == pytest.approx(-1.0, abs=0.1)
+    assert dofs[index[int(mesh.facet_vertices[2, 0])]] == pytest.approx(-1.0, abs=0.1)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -206,14 +223,13 @@ def test_pointwise_values_use_exact_g(trig):
     """On facet interiors the exact-g evaluation differs from the nodal-g
     facet-wise linear field by the g interpolation error."""
     space, cfg, u = _solve_nitsche(trig, 4)
-    field = nitsche_flux(u, trig.g, space, cfg)
-    t = np.array([0.5])
-    nodal = field.facet_values(t)
-    exactg = pointwise_nitsche_values(u, trig.g, space, cfg, t)
+    nodal = nitsche_flux(u, trig.g, space, cfg)
+    exactg = pointwise_nitsche_values(u, trig.g, space, cfg)
     assert np.max(np.abs(nodal - exactg)) > 1e-3  # beta/h amplifies the gap
-    ends = field.facet_values(np.array([0.0, 1.0]))
-    exact_ends = pointwise_nitsche_values(u, trig.g, space, cfg, np.array([0.0, 1.0]))
-    assert np.max(np.abs(ends - exact_ends)) <= 1e-10  # nodal g agrees at vertices
+    # with g's facet-wise linear interpolant for g the two agree
+    xy = space.mesh.vertices[space.mesh.facet_vertices]
+    g_interpolant = _facet_linear(trig.g(xy[..., 0], xy[..., 1]), space)
+    assert np.max(np.abs(nodal - pointwise_nitsche_values(u, g_interpolant, space, cfg))) <= 1e-10
 
 
 def test_multiplier_flux_first_order(trig):
@@ -231,33 +247,49 @@ def test_coefficient_size_guard(trig):
     with pytest.raises(ValueError, match="do not match"):
         nitsche_flux(u[:-1], trig.g, space, cfg)
     with pytest.raises(ValueError, match="do not match"):
-        pointwise_nitsche_values(np.append(u, 0.0), trig.g, space, cfg, [0.5])
+        pointwise_nitsche_values(np.append(u, 0.0), trig.g, space, cfg)
     for wrong, shape in ((u[:-1], "(24,)"), (np.append(u, 0.0), "(26,)"), (u[:, None], "(25, 1)")):
         with pytest.raises(ValueError, match=re.escape(f"coefficients sized {shape} do not match the space (25)")):
             variational_flux(wrong, trig.g, trig.f, space)
 
 
+def test_multiplier_flux_takes_one_coefficient_per_facet(trig):
+    """lam is a vector over the facets: a wrong length and (n_facets, 2) end
+    values are both refused by the coefficient check."""
+    _, _, lam = _solve_saddle(trig, 4)
+    mesh = build_unit_square_mesh(4)
+    for wrong, shape in ((lam[:-1], "(15,)"), (np.column_stack([lam, lam]), "(16, 2)")):
+        with pytest.raises(ValueError, match=re.escape(f"coefficients sized {shape} do not match the space (16)")):
+            multiplier_flux(wrong, mesh)
+
+
 def _nodal_g_reference(u, g, space, cfg):
-    """The pointwise flux with g sampled at the facet vertices themselves."""
+    """The pointwise flux end values (n_facets, 2) with g sampled at the facet
+    parameters t = 0 and t = 1, as the flux was once stored."""
     mesh = space.mesh
     facets = space.facets
     grad_part = np.einsum("fk,fk->f", facets.ndg, u[facets.pdofs])
     ends = mesh.facet_vertices
-    pv = mesh.vertices[ends]
+    pv = mesh.facet_points(np.array([0.0, 1.0]))
     gnod = np.broadcast_to(np.asarray(g(pv[..., 0], pv[..., 1]), dtype=float), ends.shape)
     pen = cfg.beta / mesh.facet_lengths
     return grad_part[:, None] - pen[:, None] * (u[ends] - gnod)
 
 
 def test_nitsche_flux_endpoints_equal_nodal_g_bitwise(trig):
-    """facet_points(1.0) = p0 + (p1 - p0) is p1 exactly on these grids, so the
-    endpoint values of the exact-g flux use the nodal values of g."""
+    """facet_points(1.0) = p0 + (p1 - p0) is p1 exactly on every grid a level
+    can have: neighbouring coordinates differ by a factor of at most 2 or one
+    is 0, so p1 - p0 is exact (Sterbenz) and so is the sum. g read at the
+    facet vertices is therefore g at t = 0 and t = 1, bit for bit."""
     cfg = NitscheConfig(beta=10.0)
-    for n in [*range(1, 40), 64, 100, 181, 256, 362, 512]:
-        space = P1Space(build_unit_square_mesh(n))
+    levels = {level_grid_n(k) for k in range(MIN_LEVEL, MAX_LEVEL + 1)}
+    for n in sorted({*range(1, 40), 64, 100, *levels}):
+        mesh = build_unit_square_mesh(n)
+        assert np.array_equal(mesh.facet_points(np.array([0.0, 1.0])), mesh.vertices[mesh.facet_vertices]), n
+        space = P1Space(mesh)
         u = np.random.default_rng(n).standard_normal(space.n_dofs)
-        field = nitsche_flux(u, trig.g, space, cfg)
-        assert np.array_equal(field.coefficients, _nodal_g_reference(u, trig.g, space, cfg)), n
+        values = nitsche_flux(u, trig.g, space, cfg)
+        assert np.array_equal(values, _facet_linear(_nodal_g_reference(u, trig.g, space, cfg), space)), n
 
 
 def _full_assembly_variational_flux(u, g, f, space):
@@ -270,7 +302,7 @@ def _full_assembly_variational_flux(u, g, f, space):
     defect = mesh.facet_lengths * np.einsum("q,fq->f", w, u_trace - gvals)
     np.add.at(full, pdofs.ravel(), (-ndg * defect[:, None]).ravel())
     ids, ends = _boundary_vertex_numbering(mesh)
-    return _trace_field_from_moments(mesh, ends, full[ids]).coefficients
+    return _facet_linear(_trace_field_from_moments(mesh, ends, full[ids])[ends], space)
 
 
 def test_variational_flux_equals_full_assembly_bitwise(trig):
@@ -279,8 +311,8 @@ def test_variational_flux_equals_full_assembly_bitwise(trig):
     for n in [*range(1, 40), 64, 91, 128, 181, 256]:
         space = P1Space(build_unit_square_mesh(n))
         u = np.random.default_rng(n).standard_normal(space.n_dofs)
-        field = variational_flux(u, trig.g, trig.f, space)
-        assert np.array_equal(field.coefficients, _full_assembly_variational_flux(u, trig.g, trig.f, space)), n
+        values = variational_flux(u, trig.g, trig.f, space)
+        assert np.array_equal(values, _full_assembly_variational_flux(u, trig.g, trig.f, space)), n
 
 
 @pytest.mark.parametrize("n", range(1, 65))

@@ -69,6 +69,7 @@ from test_demos import DEMO_GOLDEN, DEMOS, run_demo
 GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 ROADMAP = Path(__file__).resolve().parents[1] / "ROADMAP.md"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
 MATRIX_FINGERPRINTS = GOLDEN / "matrix_fingerprints.json"
@@ -271,6 +272,13 @@ def test_workflow_runs_the_roadmap_tier1_command():
     (verify,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", ROADMAP.read_text(), re.M)
     assert re.findall(r"^ +run: (.*-m pytest.*)$", workflow, re.M) == [verify]
     assert re.findall(r"^ +timeout-minutes: (\d+)$", workflow, re.M) == ["20"]
+
+
+def test_tier1_command_runs_the_benchmark_tests():
+    """The one tier-1 step also runs perfbench/tests, which drive the library
+    through the benchmark's own code: pytest collects both test paths."""
+    (paths,) = re.findall(r"^testpaths = \[(.*)\]$", PYPROJECT.read_text(), re.M)
+    assert re.findall(r'"([^"]+)"', paths) == ["tests", "perfbench/tests"]
 
 
 def test_regenerate_refuses_other_versions(monkeypatch):

@@ -201,12 +201,20 @@ def test_one_cell_walker():
 
 def test_exact_flux_is_evaluated_in_one_place():
     """sigma_n is read only on the facet table, through flux.exact_flux, so no
-    rule can ask for it at a corner; besides the table itself, only the
-    pointwise Nitsche flux, which also serves t = (0, 1), places facet points."""
+    rule can ask for it at a corner, and only the table places facet points."""
     assert callers_of("sigma_n") == ["flux.exact_flux"]
     assert "ExactFluxField" not in top_level_names(PACKAGE / "flux.py")
     assert not hasattr(fluxfem, "ExactFluxField")
-    assert callers_of("facet_points") == ["fem._facet_table", "flux.pointwise_nitsche_values"]
+    assert callers_of("facet_points") == ["fem._facet_table"]
+
+
+def test_boundary_data_has_one_format():
+    """Every flux and every psi is an array at the facet points: no flux-field
+    class, and nothing evaluates boundary data at other parameters."""
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        assert "BoundaryFluxField" not in source and "facet_values" not in source, path.name
+    assert {"BoundaryFluxField", "facet_values"}.isdisjoint({*fluxfem.__all__, *dir(fluxfem)})
 
 
 def test_constant_problem_is_the_affine_one():
